@@ -1,29 +1,5 @@
-"""Build script for the optional compiled kernel.
+"""Setuptools shim; the package metadata lives in pyproject.toml."""
 
-The package works without the extension: hamsim._kernels falls back to a
-pure-numpy implementation when the compiled module is absent or fails to
-build.
-"""
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "hamsim._kernels._one_sparse_cy",
-                ["src/hamsim/_kernels/_one_sparse_cy.pyx"],
-                include_dirs=[numpy.get_include()],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    # No Cython or numpy at build time: install pure-Python only.
-    pass
-
-setup(ext_modules=ext_modules)
+setup()

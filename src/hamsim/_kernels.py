@@ -1,4 +1,4 @@
-"""Pure-numpy kernel for repeated product-formula application.
+"""Numpy kernel for repeated product-formula application.
 
 Packed-array layout (built by one_sparse.pack_tables): the m pieces are
 concatenated into flat arrays with CSR-style pointer arrays.
@@ -23,6 +23,13 @@ assignment is safe.  The whole plan is repeated `reps` times, in place.
 from __future__ import annotations
 
 import numpy as np
+
+BACKEND = "py"
+
+
+def available_backends() -> list[str]:
+    """Names of the kernels this build ships: only the numpy one."""
+    return [BACKEND]
 
 
 def apply_plan(psi, diag_ptr, diag_idx, diag_h, pair_ptr, pair_lo, pair_hi,

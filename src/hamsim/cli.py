@@ -59,6 +59,19 @@ def _gen_options(spec: str) -> tuple[str, dict[str, str]]:
     return kind, opts
 
 
+def _gen_number(kind: str, opts: dict[str, str], key: str, cast,
+                default: str | None = None):
+    """Pop generator option `key` and convert it with `cast`."""
+    raw = opts.pop(key, default)
+    if raw is None:
+        raise HamsimError(f"{kind} generator needs {key}=")
+    try:
+        return cast(raw)
+    except ValueError:
+        raise HamsimError(
+            f"{kind} generator option {key}={raw!r} is not a number") from None
+
+
 def _load_oracle(input_path: str | None, gen: str | None):
     if (input_path is None) == (gen is None):
         raise HamsimError("exactly one of --input and --gen is required")
@@ -67,13 +80,10 @@ def _load_oracle(input_path: str | None, gen: str | None):
     kind, opts = _gen_options(gen)
     if kind != "random":
         raise HamsimError(f"generator {kind!r} does not build an oracle")
-    try:
-        n = int(opts.pop("n"))
-        d = int(opts.pop("d"))
-    except KeyError as missing:
-        raise HamsimError(f"random generator needs {missing.args[0]}=")
-    seed = int(opts.pop("seed", "0"))
-    norm = float(opts.pop("norm")) if "norm" in opts else None
+    n = _gen_number(kind, opts, "n", int)
+    d = _gen_number(kind, opts, "d", int)
+    seed = _gen_number(kind, opts, "seed", int, "0")
+    norm = _gen_number(kind, opts, "norm", float) if "norm" in opts else None
     if opts:
         raise HamsimError(f"unknown generator options {sorted(opts)}")
     return oracle_mod.random_sparse(n, d, seed=seed, norm_target=norm)
@@ -81,16 +91,16 @@ def _load_oracle(input_path: str | None, gen: str | None):
 
 def _load_terms(args) -> list[np.ndarray]:
     if args.gen is not None and args.gen.startswith("terms:"):
-        _, opts = _gen_options(args.gen)
-        try:
-            m = int(opts.pop("m"))
-            dim = int(opts.pop("dim"))
-        except KeyError as missing:
-            raise HamsimError(f"terms generator needs {missing.args[0]}=")
-        seed = int(opts.pop("seed", "0"))
-        norm = float(opts.pop("norm", "1.0"))
+        kind, opts = _gen_options(args.gen)
+        m = _gen_number(kind, opts, "m", int)
+        dim = _gen_number(kind, opts, "dim", int)
+        seed = _gen_number(kind, opts, "seed", int, "0")
+        norm = _gen_number(kind, opts, "norm", float, "1.0")
         if opts:
             raise HamsimError(f"unknown generator options {sorted(opts)}")
+        if m < 1 or dim < 1:
+            raise HamsimError(
+                f"terms generator needs m >= 1 and dim >= 1, got m={m}, dim={dim}")
         rng = np.random.default_rng(seed)
         return [numerics.random_hermitian(dim, rng, norm=norm) for _ in range(m)]
     orc = _load_oracle(args.input, args.gen)
@@ -129,6 +139,19 @@ def _recording(fn, *fargs, **fkw):
         warnings.simplefilter("always")
         out = fn(*fargs, **fkw)
     return out, [str(w.message) for w in rec]
+
+
+def _quantize_option(text: str | None) -> int | str | None:
+    """--quantize as None (off), "auto" or a bit count."""
+    if text in (None, "off"):
+        return None
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise HamsimError(
+            f"--quantize wants off, auto or a bit count, got {text!r}") from None
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -228,7 +251,6 @@ def cmd_sweep(args) -> int:
 def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
                       r: int | None = None, state_seed: int | None = None,
                       quantize: str | None = None,
-                      backend: str | None = None,
                       verify: bool = True) -> dict:
     """Decompose, evolve, and account: the whole toolchain as one call.
 
@@ -238,6 +260,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     dim = orc.dim
     z = coloring.iterate_count(orc.n)
     dense_ok = dim <= dense_cap()
+    quantize_bits = _quantize_option(quantize)
 
     verification = None
     if verify and dense_ok:
@@ -283,9 +306,9 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     bits_needed = one_sparse.precision_bits(
         (norm_full if norm_full is not None else orc.d * lam_piece) * abs(t),
         orc.d, k, eps)
-    quantize_bits = None
-    if quantize not in (None, "off"):
-        quantize_bits = bits_needed if quantize == "auto" else int(quantize)
+    if quantize_bits == "auto":
+        quantize_bits = bits_needed
+    if quantize_bits is not None:
         lam_grid = norm_full if norm_full is not None else orc.d * lam_piece
         if lam_grid > 0:
             tables = [one_sparse.quantize_table(tb, quantize_bits, lam_grid)
@@ -311,7 +334,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         plan = suzuki.build_plan(k, m)
         plan_length = len(plan.steps)
         psi = one_sparse.apply_product_formula(
-            one_sparse.pack_tables(tables), plan, t, r, psi0, backend=backend)
+            one_sparse.pack_tables(tables), plan, t, r, psi0)
         n_exp = r * plan_length
 
     restriction_ok = suzuki.restriction_check(k, max(m, 1), tau, r)
@@ -346,7 +369,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         "error_bound": bound,
         "measured_error": measured,
         "error_ok": error_ok,
-        "backend": backend or _kernels.BACKEND,
+        "backend": _kernels.BACKEND,
         "warnings": notes,
     }
     if dim <= 64:
@@ -359,7 +382,7 @@ def cmd_simulate(args) -> int:
     result = simulate_pipeline(
         orc, args.time, args.eps, k=args.k, r=args.r,
         state_seed=args.state_seed, quantize=args.quantize,
-        backend=args.backend, verify=not args.no_verify)
+        verify=not args.no_verify)
     _emit_json(args, result)
     if result["error_ok"] is False:
         print(f"error: measured error {result['measured_error']} exceeds "
@@ -409,23 +432,22 @@ def cmd_decompose(args) -> int:
 def cmd_parity(args) -> int:
     if (args.bits is None) == (args.size is None):
         raise HamsimError("exactly one of --bits and --size is required")
+    quantize_bits = _quantize_option(args.quantize)
     if args.bits is not None:
         if set(args.bits) - {"0", "1"}:
             raise HamsimError(f"--bits wants a 01 string, got {args.bits!r}")
         bits = [int(b) for b in args.bits]
     else:
+        if args.size < 1:
+            raise HamsimError(f"--size must be positive, got {args.size}")
         rng = np.random.default_rng(args.seed)
         bits = [int(b) for b in rng.integers(0, 2, size=args.size)]
     instance = parity_mod.ParityInstance(bits)
-    quantize_bits = None
-    if args.quantize not in (None, "off"):
-        if args.quantize == "auto":
-            quantize_bits = one_sparse.precision_bits(
-                math.pi * instance.size / 2.0, 2, 1, args.eps)
-        else:
-            quantize_bits = int(args.quantize)
+    if quantize_bits == "auto":
+        quantize_bits = one_sparse.precision_bits(
+            math.pi * instance.size / 2.0, 2, 1, args.eps)
     res, notes = _recording(parity_mod.run_parity, instance, args.eps,
-                            quantize_bits=quantize_bits, backend=args.backend)
+                            quantize_bits=quantize_bits)
     payload = {
         "bits": "".join(str(b) for b in bits),
         "size": instance.size,
@@ -525,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-seed", type=int, dest="state_seed",
                    help="random initial state (default: first basis state)")
     p.add_argument("--quantize", help="off (default), auto, or a bit count")
-    p.add_argument("--backend", choices=("py", "cy"))
     p.add_argument("--no-verify", action="store_true", dest="no_verify")
     add_io(p, fmt=False)
     p.set_defaults(func=cmd_simulate)
@@ -544,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for --size")
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--quantize", help="off (default), auto, or a bit count")
-    p.add_argument("--backend", choices=("py", "cy"))
     add_io(p, fmt=False)
     p.set_defaults(func=cmd_parity)
 

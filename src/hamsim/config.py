@@ -21,9 +21,9 @@ def dense_cap() -> int:
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from exc
+        raise HamsimError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from exc
     if cap < 1:
-        raise ValueError(f"{DENSE_CAP_ENV} must be positive, got {cap}")
+        raise HamsimError(f"{DENSE_CAP_ENV} must be positive, got {cap}")
     return cap
 
 

@@ -23,32 +23,9 @@ from .config import OracleError, PlanError
 from .numerics import require_state
 from .oracle import (EntryList, SparseOracle, from_entry_list, to_dense,
                      to_entry_list)
-from .suzuki import ProductFormulaPlan
+from .suzuki import ProductFormulaPlan, build_plan
 
 _HERM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class OneSparseAction:
-    """What a 1-sparse piece does to one basis index."""
-
-    kind: str = "empty"   # "empty" | "diagonal" | "paired"
-    h: float = 0.0        # diagonal value, kind == "diagonal"
-    partner: int = -1     # coupled index, kind == "paired"
-    amp: complex = 0j     # H[x, partner], kind == "paired"
-
-
-def classify(piece, x: int) -> OneSparseAction:
-    """Action at column x, from a single counted probe."""
-    y, v = piece.column(x)
-    v = complex(v)
-    if v == 0:
-        return OneSparseAction()
-    if y == x:
-        if abs(v.imag) > _HERM_TOL * max(1.0, abs(v)):
-            raise OracleError(f"diagonal entry at {x} is not real: {v}")
-        return OneSparseAction("diagonal", h=v.real)
-    return OneSparseAction("paired", partner=int(y), amp=v)
 
 
 @dataclass(frozen=True)
@@ -107,8 +84,8 @@ def extract_table(piece) -> OneSparseTable:
 
     Columns are scanned in ascending order, so a coupling is discovered at
     its lower index; the partner is confirmed on the spot and never probed
-    again.  Inconsistent pairings (partner pointing elsewhere, non-Hermitian
-    back value) are rejected.
+    again.  Diagonal values must be real, and inconsistent pairings (partner
+    pointing elsewhere, non-Hermitian back value) are rejected.
     """
     dim = piece.dim
     seen = np.zeros(dim, dtype=bool)
@@ -121,29 +98,32 @@ def extract_table(piece) -> OneSparseTable:
         if seen[x]:
             continue
         seen[x] = True
-        act = classify(piece, x)
-        if act.kind == "empty":
+        y, v = piece.column(x)
+        v = complex(v)
+        if v == 0:
             continue
-        if act.kind == "diagonal":
+        if y == x:
+            if abs(v.imag) > _HERM_TOL * max(1.0, abs(v)):
+                raise OracleError(f"diagonal entry at {x} is not real: {v}")
             diag_idx.append(x)
-            diag_h.append(act.h)
+            diag_h.append(v.real)
             continue
-        y = act.partner
+        y = int(y)
         if not 0 <= y < dim:
             raise OracleError(f"partner {y} of {x} out of range")
         if y < x:
             # y was scanned first and did not claim x.
             raise OracleError(f"one-way pairing between {x} and {y}")
-        back = classify(piece, y)
-        if back.kind != "paired" or back.partner != x:
+        back_y, back = piece.column(y)
+        back = complex(back)
+        if back == 0 or back_y != x:
             raise OracleError(f"column {y} does not claim its partner {x}")
-        if abs(back.amp - act.amp.conjugate()) > _HERM_TOL * max(1.0, abs(act.amp)):
-            raise OracleError(
-                f"non-Hermitian pair ({x}, {y}): {act.amp} vs {back.amp}")
+        if abs(back - v.conjugate()) > _HERM_TOL * max(1.0, abs(v)):
+            raise OracleError(f"non-Hermitian pair ({x}, {y}): {v} vs {back}")
         seen[y] = True
         pair_lo.append(x)
         pair_hi.append(y)
-        pair_amp.append(act.amp)
+        pair_amp.append(v)
     return OneSparseTable(dim, diag_idx, diag_h, pair_lo, pair_hi, pair_amp)
 
 
@@ -263,8 +243,7 @@ def _plan_steps(plan: ProductFormulaPlan, t: float, r: int
 
 
 def apply_product_formula(packed: PackedPieces, plan: ProductFormulaPlan,
-                          t: float, r: int, psi: np.ndarray,
-                          backend: str | None = None) -> np.ndarray:
+                          t: float, r: int, psi: np.ndarray) -> np.ndarray:
     """State after r repetitions of the plan with time slice t/r.
 
     Every sweep is exact per piece; the only approximation left is the
@@ -281,29 +260,16 @@ def apply_product_formula(packed: PackedPieces, plan: ProductFormulaPlan,
             f"state dimension {psi.size} does not match pieces ({packed.dim})")
     out = psi.astype(np.complex128, copy=True)
     step_term, step_s = _plan_steps(plan, float(t), r)
-    kernel = _kernels.get_kernel(backend)
-    kernel(out, packed.diag_ptr, packed.diag_idx, packed.diag_h,
-           packed.pair_ptr, packed.pair_lo, packed.pair_hi, packed.pair_absa,
-           packed.pair_u, step_term, step_s, r)
+    _kernels.apply_plan(out, packed.diag_ptr, packed.diag_idx, packed.diag_h,
+                        packed.pair_ptr, packed.pair_lo, packed.pair_hi,
+                        packed.pair_absa, packed.pair_u, step_term, step_s, r)
     return require_state(out)
 
 
-def evolve_table(table: OneSparseTable, t: float, psi: np.ndarray,
-                 backend: str | None = None) -> np.ndarray:
+def evolve_table(table: OneSparseTable, t: float, psi: np.ndarray) -> np.ndarray:
     """e^{-iHt} psi for a single 1-sparse piece, exactly."""
     packed = pack_tables([table])
-    psi = require_state(psi)
-    if psi.size != table.dim:
-        raise PlanError(
-            f"state dimension {psi.size} does not match piece ({table.dim})")
-    out = psi.astype(np.complex128, copy=True)
-    step_term = np.zeros(1, dtype=np.int64)
-    step_s = np.full(1, float(t), dtype=np.float64)
-    kernel = _kernels.get_kernel(backend)
-    kernel(out, packed.diag_ptr, packed.diag_idx, packed.diag_h,
-           packed.pair_ptr, packed.pair_lo, packed.pair_hi, packed.pair_absa,
-           packed.pair_u, step_term, step_s, 1)
-    return require_state(out)
+    return apply_product_formula(packed, build_plan(1, 1), t, 1, psi)
 
 
 def evolve(piece, t: float, psi: np.ndarray) -> np.ndarray:

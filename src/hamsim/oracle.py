@@ -303,8 +303,12 @@ def save_entry_list(el: EntryList, path: str) -> None:
 
 
 def load_entry_list(path: str) -> EntryList:
-    with open(path, "r", encoding="ascii") as fh:
-        return text_to_entry_list(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OracleError(f"cannot read entry list {path!r}: {exc}") from exc
+    return text_to_entry_list(text)
 
 
 def random_sparse(n: int, d: int, seed: int,

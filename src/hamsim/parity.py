@@ -183,8 +183,7 @@ class ParityRunResult:
 
 
 def run_parity(instance: ParityInstance, eps: float,
-               quantize_bits: int | None = None,
-               backend: str | None = None) -> ParityRunResult:
+               quantize_bits: int | None = None) -> ParityRunResult:
     """Simulate the ladder for time pi and read the parity off the rail.
 
     The target state is known in closed form, so the reported trace error
@@ -208,7 +207,7 @@ def run_parity(instance: ParityInstance, eps: float,
     bit_queries = instance.counter.count - bits_before
 
     psi = apply_product_formula(pack_tables(tables), plan, math.pi, r,
-                                initial_state(N), backend=backend)
+                                initial_state(N))
 
     top = state_index(N, 1, N)
     parity = int(abs(psi[top]) > abs(psi[state_index(N, 0, N)]))

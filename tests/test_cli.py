@@ -73,7 +73,7 @@ def test_simulate_quantized_and_seeded_state(capsys):
                                  "random:n=3,d=2,seed=4,norm=1",
                                  "--time", "0.7", "--eps", "0.01",
                                  "--quantize", "auto",
-                                 "--state-seed", "5", "--backend", "py"])
+                                 "--state-seed", "5"])
     assert rc == 0
     assert data["quantize_bits"] == data["precision_bits_recommended"]
     assert data["error_ok"] is True
@@ -197,7 +197,7 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
-def test_domain_errors_exit_one(capsys):
+def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
     assert main(["simulate"]) == 1  # neither --input nor --gen
     assert "error:" in capsys.readouterr().err
     assert main(["simulate", "--gen", "mystery:n=3"]) == 1
@@ -206,6 +206,19 @@ def test_domain_errors_exit_one(capsys):
     assert main(["parity", "--bits", "102"]) == 1
     assert main(["parity"]) == 1
     assert main(["sweep", "--gen", "terms:m=2,dim=6", "--k-list", "x"]) == 1
+    assert main(["simulate", "--gen", "random:n=3,d=2", "--quantize", "abc"]) == 1
+    assert main(["parity", "--bits", "101", "--quantize", "abc"]) == 1
+    assert main(["parity", "--size", "-2"]) == 1
+    assert main(["simulate", "--gen", "random:n=x,d=2"]) == 1
+    assert main(["sweep", "--gen", "terms:m=x,dim=4"]) == 1
+    assert main(["sweep", "--gen", "terms:m=0,dim=4"]) == 1
+    assert main(["simulate", "--input", str(tmp_path / "missing.txt")]) == 1
+    non_ascii = tmp_path / "h.txt"
+    non_ascii.write_bytes("1 1\n0 0 1 0 # caf\u00e9\n".encode("utf-8"))
+    assert main(["simulate", "--input", str(non_ascii)]) == 1
+    monkeypatch.setenv("HAMSIM_DENSE_CAP", "abc")
+    assert main(["simulate", "--gen", "random:n=3,d=2"]) == 1
+    assert "HAMSIM_DENSE_CAP" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

@@ -1,12 +1,12 @@
-"""1-sparse pieces: classification, exact evolution, precision handling."""
+"""1-sparse pieces: table extraction, exact evolution, precision handling."""
 
 import numpy as np
 import pytest
 
-from hamsim import numerics, one_sparse, oracle, suzuki
+from hamsim import numerics, oracle, suzuki
 from hamsim.config import OracleError, PlanError
 from hamsim.one_sparse import (OneSparseTable, apply_product_formula,
-                               classify, evolve, evolve_table, extract_table,
+                               evolve, evolve_table, extract_table,
                                pack_tables, precision_bits, quantize_oracle,
                                random_one_sparse_table, table_to_dense)
 from hamsim.oracle import EntryList, from_entry_list
@@ -38,18 +38,20 @@ def one_sparse_oracle():
 
 
 def test_classify_kinds():
-    orc = one_sparse_oracle()
-    assert classify(orc, 1) == one_sparse.OneSparseAction("diagonal", h=0.5)
-    assert classify(orc, 3).kind == "empty"
-    act = classify(orc, 5)
-    assert act.kind == "paired" and act.partner == 2
-    assert act.amp == 0.3 - 0.4j
-    assert orc.counter.count == 3
+    # extract_table classifies each column: empty, diagonal or paired
+    for mapping, want in (
+            ({}, [[], [], [], [], []]),
+            ({2: (2, -0.25 + 0j)}, [[2], [-0.25], [], [], []]),
+            ({1: (3, 0.5 - 2j), 3: (1, 0.5 + 2j)},
+             [[], [], [1], [3], [0.5 - 2j]])):
+        tb = extract_table(_Piece(4, mapping))
+        got = (tb.diag_idx, tb.diag_h, tb.pair_lo, tb.pair_hi, tb.pair_amp)
+        assert [list(a) for a in got] == want
 
 
 def test_classify_rejects_complex_diagonal():
     with pytest.raises(OracleError, match="not real"):
-        classify(_Piece(2, {0: (0, 1j)}), 0)
+        extract_table(_Piece(2, {0: (0, 1j)}))
 
 
 def test_extract_table_contents_and_probe_count():
@@ -193,16 +195,29 @@ def test_pack_tables_layout():
 
 def test_product_formula_matches_dense_plan_unitary():
     rng = np.random.default_rng(12)
-    tables = [random_one_sparse_table(16, seed=100 + i) for i in range(3)]
-    packed = pack_tables(tables)
-    plan = suzuki.build_plan(2, 3)
-    psi = numerics.random_state(16, rng)
-    t, r = 0.9, 7
-    got = apply_product_formula(packed, plan, t, r, psi)
-    U = suzuki.plan_unitary([table_to_dense(tb) for tb in tables], t, 2, r)
-    assert np.linalg.norm(got - U @ psi) < 1e-12
-    also = apply_product_formula(packed, plan, t, r, psi, backend="py")
-    assert np.linalg.norm(also - U @ psi) < 1e-12
+    # (tables, k, t, r): a fixed case, 20 random plans, then edge shapes
+    cases = [([random_one_sparse_table(16, seed=100 + i) for i in range(3)],
+              2, 0.9, 7)]
+    grid = np.random.default_rng(31)
+    for trial in range(20):
+        dim = int(grid.integers(2, 97))
+        m = int(grid.integers(1, 5))
+        k = int(grid.integers(1, 4))
+        r = int(grid.integers(1, 9))
+        tables = [random_one_sparse_table(dim, seed=7000 + 10 * trial + i)
+                  for i in range(m)]
+        cases.append((tables, k, float(grid.uniform(-2.0, 2.0)), r))
+    # an empty piece, a lone diagonal, a lone pair
+    cases.append(([OneSparseTable(6, [], [], [], [], []),
+                   OneSparseTable(6, [3], [1.25], [], [], []),
+                   OneSparseTable(6, [], [], [0], [5], [0.5 - 0.5j])],
+                  2, 1.1, 3))
+    for tables, k, t, r in cases:
+        psi = numerics.random_state(tables[0].dim, rng)
+        plan = suzuki.build_plan(k, len(tables))
+        got = apply_product_formula(pack_tables(tables), plan, t, r, psi)
+        U = suzuki.plan_unitary([table_to_dense(tb) for tb in tables], t, k, r)
+        assert np.linalg.norm(got - U @ psi) < 1e-12
 
 
 def test_product_formula_argument_checks():
