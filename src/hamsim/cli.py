@@ -72,6 +72,13 @@ def _gen_number(kind: str, opts: dict[str, str], key: str, cast,
             f"{kind} generator option {key}={raw!r} is not a number") from None
 
 
+def _check_seed(seed: int | None, name: str) -> int | None:
+    """Pass a user seed through; numpy accepts only nonnegative ones."""
+    if seed is not None and seed < 0:
+        raise HamsimError(f"{name} must be nonnegative, got {seed}")
+    return seed
+
+
 def _load_oracle(input_path: str | None, gen: str | None):
     if (input_path is None) == (gen is None):
         raise HamsimError("exactly one of --input and --gen is required")
@@ -82,7 +89,8 @@ def _load_oracle(input_path: str | None, gen: str | None):
         raise HamsimError(f"generator {kind!r} does not build an oracle")
     n = _gen_number(kind, opts, "n", int)
     d = _gen_number(kind, opts, "d", int)
-    seed = _gen_number(kind, opts, "seed", int, "0")
+    seed = _check_seed(_gen_number(kind, opts, "seed", int, "0"),
+                       f"{kind} generator seed")
     norm = _gen_number(kind, opts, "norm", float) if "norm" in opts else None
     if opts:
         raise HamsimError(f"unknown generator options {sorted(opts)}")
@@ -94,7 +102,8 @@ def _load_terms(args) -> list[np.ndarray]:
         kind, opts = _gen_options(args.gen)
         m = _gen_number(kind, opts, "m", int)
         dim = _gen_number(kind, opts, "dim", int)
-        seed = _gen_number(kind, opts, "seed", int, "0")
+        seed = _check_seed(_gen_number(kind, opts, "seed", int, "0"),
+                           f"{kind} generator seed")
         norm = _gen_number(kind, opts, "norm", float, "1.0")
         if opts:
             raise HamsimError(f"unknown generator options {sorted(opts)}")
@@ -261,6 +270,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     z = coloring.iterate_count(orc.n)
     dense_ok = dim <= dense_cap()
     quantize_bits = _quantize_option(quantize)
+    rng = np.random.default_rng(_check_seed(state_seed, "--state-seed"))
 
     verification = None
     if verify and dense_ok:
@@ -319,7 +329,6 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
             tables = [tb for _, tb in keep]
             m = len(tables)
 
-    rng = np.random.default_rng(state_seed)
     if state_seed is None:
         psi0 = np.zeros(dim, dtype=np.complex128)
         psi0[0] = 1.0
@@ -440,7 +449,7 @@ def cmd_parity(args) -> int:
     else:
         if args.size < 1:
             raise HamsimError(f"--size must be positive, got {args.size}")
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(_check_seed(args.seed, "--seed"))
         bits = [int(b) for b in rng.integers(0, 2, size=args.size)]
     instance = parity_mod.ParityInstance(bits)
     if quantize_bits == "auto":

@@ -251,6 +251,8 @@ def apply_product_formula(packed: PackedPieces, plan: ProductFormulaPlan,
     """
     if r < 1:
         raise PlanError(f"repetition count must be positive, got {r}")
+    if not math.isfinite(t):
+        raise PlanError(f"evolution time must be finite, got {t}")
     if plan.m != packed.count:
         raise PlanError(
             f"plan covers {plan.m} pieces but {packed.count} are packed")

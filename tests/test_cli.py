@@ -1,12 +1,15 @@
 """Command line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hamsim
 from hamsim import cli, oracle
 from hamsim.cli import fit_loglog_slope, main
 from hamsim.oracle import EntryList
@@ -213,6 +216,12 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
     assert main(["sweep", "--gen", "terms:m=x,dim=4"]) == 1
     assert main(["sweep", "--gen", "terms:m=0,dim=4"]) == 1
     assert main(["simulate", "--input", str(tmp_path / "missing.txt")]) == 1
+    assert main(["simulate", "--gen", "random:n=3,d=2,seed=-1"]) == 1
+    assert main(["sweep", "--gen", "terms:m=2,dim=4,seed=-1"]) == 1
+    assert main(["parity", "--size", "8", "--seed", "-1"]) == 1
+    assert main(["simulate", "--gen", "random:n=3,d=2",
+                 "--state-seed", "-1"]) == 1
+    assert "nonnegative" in capsys.readouterr().err
     non_ascii = tmp_path / "h.txt"
     non_ascii.write_bytes("1 1\n0 0 1 0 # caf\u00e9\n".encode("utf-8"))
     assert main(["simulate", "--input", str(non_ascii)]) == 1
@@ -222,8 +231,12 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
 
 
 def test_module_entry_point_runs():
+    # the child imports hamsim from where this process found it
+    src = str(Path(hamsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "hamsim.cli", "tables"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hamsim import numerics, oracle, suzuki
+from hamsim import _kernels, numerics, oracle, suzuki
 from hamsim.config import OracleError, PlanError
 from hamsim.one_sparse import (OneSparseTable, apply_product_formula,
                                evolve, evolve_table, extract_table,
@@ -231,6 +231,40 @@ def test_product_formula_argument_checks():
         apply_product_formula(packed, suzuki.build_plan(1, 3), 1.0, 1, psi)
     with pytest.raises(PlanError, match="dimension"):
         apply_product_formula(packed, plan, 1.0, 1, psi[:4] / np.linalg.norm(psi[:4]))
+    for bad_t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(PlanError, match="finite"):
+            apply_product_formula(packed, plan, bad_t, 1, psi)
+
+
+def test_kernel_shares_coefficients_only_between_equal_steps():
+    dim = 8
+    # h = 2^40 makes h * s exact, so one ulp of s turns the phase by
+    # 2^40 ulp(0.3) = 6.1e-5: steps one ulp apart that shared their
+    # coefficients would miss the reference by that much
+    tables = [OneSparseTable(dim, [], [], [], [], []),
+              OneSparseTable(dim, [1, 4, 6], [2.0 ** 40, -0.7, 1.3],
+                             [], [], []),
+              OneSparseTable(dim, [], [], [0, 2], [5, 7],
+                             [0.5 - 0.5j, -1.2j]),
+              random_one_sparse_table(dim, seed=5)]
+    s_up = float(np.nextafter(0.3, 1.0))
+    steps = [(3, 0.25), (2, 0.4), (1, 0.3), (0, 0.5), (3, 0.25),
+             (1, s_up), (2, -0.4), (3, -0.1), (1, 0.3)]
+    reps = 3
+    psi0 = numerics.random_state(dim, np.random.default_rng(8))
+    want = psi0.copy()
+    for _ in range(reps):
+        for term, s in steps:
+            want = numerics.hermitian_expm(table_to_dense(tables[term]),
+                                           s) @ want
+    packed = pack_tables(tables)
+    got = psi0.copy()
+    _kernels.apply_plan(got, packed.diag_ptr, packed.diag_idx, packed.diag_h,
+                        packed.pair_ptr, packed.pair_lo, packed.pair_hi,
+                        packed.pair_absa, packed.pair_u,
+                        np.array([term for term, _ in steps], dtype=np.int64),
+                        np.array([s for _, s in steps]), reps)
+    assert np.linalg.norm(got - want) < 1e-12
 
 
 @pytest.mark.parametrize("tau,d,k,eps,want", [
