@@ -89,8 +89,7 @@ def _load_oracle(input_path: str | None, gen: str | None):
         raise HamsimError(f"generator {kind!r} does not build an oracle")
     n = _gen_number(kind, opts, "n", int)
     d = _gen_number(kind, opts, "d", int)
-    seed = _check_seed(_gen_number(kind, opts, "seed", int, "0"),
-                       f"{kind} generator seed")
+    seed = _gen_number(kind, opts, "seed", int, "0")
     norm = _gen_number(kind, opts, "norm", float) if "norm" in opts else None
     if opts:
         raise HamsimError(f"unknown generator options {sorted(opts)}")
@@ -287,14 +286,9 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
                 "decomposition failed verification: " + "; ".join(report.failures))
 
     base_before = orc.counter.count
-    pieces = coloring.decompose(orc)
-    labeled = []
-    for piece in pieces:
-        table = one_sparse.extract_table(piece)
-        if table.entry_count:
-            labeled.append((piece.label, table))
+    tables = [one_sparse.extract_table(p) for p in coloring.decompose(orc)]
+    tables = [tb for tb in tables if tb.entry_count]
     base_queries = orc.counter.count - base_before
-    tables = [table for _, table in labeled]
     m = len(tables)
 
     # exact piece norms: 1-sparse means max entry magnitude
@@ -323,10 +317,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         if lam_grid > 0:
             tables = [one_sparse.quantize_table(tb, quantize_bits, lam_grid)
                       for tb in tables]
-            labeled = [(lab, tb) for (lab, _), tb in zip(labeled, tables)]
-            keep = [(lab, tb) for lab, tb in labeled if tb.entry_count]
-            labeled = keep
-            tables = [tb for _, tb in keep]
+            tables = [tb for tb in tables if tb.entry_count]
             m = len(tables)
 
     if state_seed is None:
@@ -482,6 +473,7 @@ def cmd_parity(args) -> int:
 
 def cmd_tables(args) -> int:
     lines = []
+    tags = []
     failed = False
     for name, stored in (("main", coloring.REFERENCE_TRACE_MAIN),
                          ("shifted", coloring.REFERENCE_TRACE_SHIFTED)):
@@ -491,6 +483,7 @@ def cmd_tables(args) -> int:
         ok = all(trace[lvl][idx] == stored[idx][lvl]
                  for idx in range(len(stored)) for lvl in range(5))
         tag = trace[4][0]
+        tags.append(tag)
         ok = ok and tag in coloring.FINAL_ALPHABET
         lines.append(f"{name:8s} widths={'-'.join(map(str, widths))} "
                      f"tag={tag} {'PASS' if ok else 'FAIL'}")
@@ -498,10 +491,7 @@ def cmd_tables(args) -> int:
     z = coloring.iterate_count(18)
     zline_ok = z == 4
     lines.append(f"rounds   z_18={z} {'PASS' if zline_ok else 'FAIL'}")
-    main_tag = coloring.halving_trace(
-        [r[0] for r in coloring.REFERENCE_TRACE_MAIN], 4)[4][0]
-    shifted_tag = coloring.halving_trace(
-        [r[0] for r in coloring.REFERENCE_TRACE_SHIFTED], 4)[4][0]
+    main_tag, shifted_tag = tags
     distinct = main_tag != shifted_tag
     lines.append(f"tags     main={main_tag} shifted={shifted_tag} "
                  f"{'PASS' if distinct else 'FAIL'}")

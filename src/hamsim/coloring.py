@@ -3,13 +3,14 @@
 The graph of nonzero entries is covered by pieces labeled (i, j, nu): slot i
 at the lower-numbered endpoint, slot j at the higher one, and a short tag nu
 that separates adjacent edges sharing the same (i, j).  The tag comes from a
-halving iteration on vertex labels: follow the ascending chain of
-(i, j)-edges from the vertex, write each element as a bit string, and
-repeatedly replace every element by (its bit at the first position differing
-from its successor, that position in binary); the last element uses its
-first bit and position zero.  Each round shrinks the label width roughly
-logarithmically, and after z_n rounds (z_18 = 4, and 4 even at 64-bit
-vertex labels) at most six values remain, giving at most 6 d^2 pieces.
+halving iteration (deterministic coin tossing) on the integer labels of the
+ascending chain of (i, j)-edges from the vertex: every element is replaced
+by (its bit at the first position, from the left, differing from its
+successor; that position), both read off the XOR of the two; the last
+element uses its first bit and position zero.  Each round shrinks the label
+width roughly logarithmically, and after z_n rounds (z_18 = 4, and 4 even
+at 64-bit vertex labels) at most six values remain, giving at most 6 d^2
+pieces.  Only the finished tag is written out as a bit string.
 
 Chains only ever need z_n + 2 elements, so one piece lookup touches the
 base oracle at most 2(z_n + 2) times.
@@ -84,62 +85,46 @@ def final_alphabet(n: int) -> tuple[str, ...]:
     return FINAL_ALPHABET
 
 
-@dataclass(frozen=True)
-class CoinTossSequence:
-    """Equal-width bit strings along a chain, consecutive elements distinct."""
-
-    level: int
-    width: int
-    values: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ColoringError("empty sequence")
-        if self.width < 1:
-            raise ColoringError(f"bad width {self.width}")
-        prev = None
-        for v in self.values:
-            if len(v) != self.width or set(v) - {"0", "1"}:
-                raise ColoringError(f"malformed element {v!r} at width {self.width}")
-            if v == prev:
-                raise ColoringError(f"consecutive elements equal: {v!r}")
-            prev = v
-
-
-def coin_toss_level(seq: CoinTossSequence) -> CoinTossSequence:
-    """One halving round.
+def coin_toss_level(values: tuple[int, ...],
+                    width: int) -> tuple[tuple[int, ...], int]:
+    """One halving round on width-bit labels; returns (values, new width).
 
     Each element becomes its bit at the first (leftmost, counted from 0)
     position where it differs from its successor, followed by that position
     in binary; the final element takes its own first bit and position zero.
-    Width-1 sequences are already fixed points and pass through unchanged.
+    Consecutive elements must differ, and every round keeps them distinct.
+    Width-1 sequences are fixed points.
     """
-    W = seq.width
-    if W == 1:
-        return CoinTossSequence(seq.level + 1, 1, seq.values)
-    pw = (W - 1).bit_length()
-    vals = seq.values
+    if not values:
+        raise ColoringError("empty sequence")
+    if width < 1 or not all(0 <= v < 1 << width for v in values):
+        raise ColoringError(f"elements {values} do not fit width {width}")
+    pw = (width - 1).bit_length()
     out = []
-    for l, v in enumerate(vals):
-        if l + 1 < len(vals):
-            succ = vals[l + 1]
-            pos = next(idx for idx in range(W) if v[idx] != succ[idx])
-            bit = v[pos]
-        else:
-            pos = 0
-            bit = v[0]
-        out.append(bit + format(pos, f"0{pw}b"))
-    return CoinTossSequence(seq.level + 1, 1 + pw, tuple(out))
+    for v, succ in zip(values, values[1:]):
+        if v == succ:
+            raise ColoringError(f"consecutive elements equal: {v}")
+        # top: the highest differing bit, counted from 1 at the right
+        top = (v ^ succ).bit_length()
+        out.append((v >> (top - 1) & 1) << pw | (width - top))
+    out.append((values[-1] >> (width - 1)) << pw)
+    return tuple(out), 1 + pw
 
 
 def halving_trace(values: tuple[str, ...] | list[str],
                   rounds: int) -> list[tuple[str, ...]]:
-    """Values at every level 0..rounds of the halving iteration."""
-    seq = CoinTossSequence(0, len(values[0]), tuple(values))
-    out = [seq.values]
+    """Bit strings at every level 0..rounds of the halving iteration."""
+    if not values:
+        raise ColoringError("empty sequence")
+    width = len(values[0])
+    for v in values:
+        if len(v) != width or set(v) - {"0", "1"}:
+            raise ColoringError(f"malformed element {v!r} at width {width}")
+    ints = tuple(int(v, 2) for v in values)
+    out = [tuple(values)]
     for _ in range(rounds):
-        seq = coin_toss_level(seq)
-        out.append(seq.values)
+        ints, width = coin_toss_level(ints, width)
+        out.append(tuple(vertex_bits(v, width) for v in ints))
     return out
 
 
@@ -211,12 +196,10 @@ def upsilon(oracle: SparseOracle, x: int, i: int, j: int,
     hit = cache.tags.get(key)
     if hit is not None:
         return hit
-    chain = build_chain(oracle, x, i, j, cache)
-    seq = CoinTossSequence(
-        0, oracle.n, tuple(vertex_bits(v, oracle.n) for v in chain))
+    values, width = tuple(build_chain(oracle, x, i, j, cache)), oracle.n
     for _ in range(z):
-        seq = coin_toss_level(seq)
-    tag = seq.values[0]
+        values, width = coin_toss_level(values, width)
+    tag = vertex_bits(values[0], width)
     cache.tags[key] = tag
     return tag
 
@@ -330,10 +313,11 @@ class ColoringReport:
 def verify_coloring(oracle: SparseOracle) -> ColoringReport:
     """Exhaustive check of the decomposition against the dense matrix.
 
-    Confirms every piece is 1-sparse and Hermitian, the pieces are disjoint
-    and sum back to the Hamiltonian exactly, and each piece lookup with a
-    cold cache stays within the 2(z_n + 2) base-query budget.  Dense work
-    caps apply.
+    Every (label, x) lookup runs with a cold cache and must stay within the
+    2(z_n + 2) base-query budget.  Its answers, one claim x -> (y, v) per
+    row, must make every piece 1-sparse and exactly Hermitian, no entry may
+    be claimed by two pieces, and the claims must sum back to the
+    Hamiltonian exactly.  Dense work caps apply.
     """
     dim = oracle.dim
     if dim > dense_cap():
@@ -344,13 +328,14 @@ def verify_coloring(oracle: SparseOracle) -> ColoringReport:
     bound = 2 * (z + 2)
     labels = enumerate_labels(oracle.d, oracle.n)
     failures: list[str] = []
-    claimed = np.zeros((dim, dim), dtype=int)
+    claimed: set[tuple[int, int]] = set()
+    claims = 0
     total = np.zeros((dim, dim), dtype=complex)
     nonzero_pieces = 0
     max_calls = 0
 
     for label in labels:
-        piece = np.zeros((dim, dim), dtype=complex)
+        piece: dict[int, tuple[int, complex]] = {}   # x -> (y, v), v != 0
         for x in range(dim):
             before = oracle.counter.count
             y, v = colored_query(oracle, x, label)  # cold cache per call
@@ -359,19 +344,21 @@ def verify_coloring(oracle: SparseOracle) -> ColoringReport:
             if used > bound:
                 failures.append(
                     f"label {label}: lookup at {x} used {used} > {bound} queries")
-            if v == 0:
-                continue
-            piece[x, y] = v
-        if ((piece != 0).sum(axis=0) > 1).any():
+            if v != 0:
+                piece[x] = (y, v)
+        if len({y for y, _ in piece.values()}) < len(piece):
             failures.append(f"label {label}: piece is not 1-sparse")
-        if np.abs(piece - piece.conj().T).max() > 0:
+        if any(piece.get(y) != (x, v.conjugate())
+               for x, (y, v) in piece.items()):
             failures.append(f"label {label}: piece is not Hermitian")
-        if piece.any():
+        if piece:
             nonzero_pieces += 1
-        claimed += piece != 0
-        total += piece
+        for x, (y, v) in piece.items():
+            claimed.add((x, y))
+            total[x, y] += v
+        claims += len(piece)
 
-    if (claimed > 1).any():
+    if len(claimed) < claims:
         failures.append("pieces overlap: some entry claimed more than once")
     if not np.array_equal(total, H):
         failures.append("pieces do not sum back to the Hamiltonian")

@@ -5,7 +5,8 @@ all, through a real diagonal entry, or by coupling x to a single partner.
 e^{-iHt} therefore factors into scalar phases and 2x2 rotations, so each
 piece is evolved exactly, and a full product-formula pass is a sequence of
 such exact sweeps.  The module also covers the finite-precision side: how
-many bits the per-pair phases need, and rounding an oracle onto that grid.
+many bits the per-pair phases need, and rounding piece tables onto that
+grid.
 
 Pieces are any objects exposing ``dim`` and ``column(x) -> (y, v)``:
 1-sparse SparseOracles and ColoredOracles both qualify.
@@ -21,8 +22,6 @@ import numpy as np
 from . import _kernels
 from .config import OracleError, PlanError
 from .numerics import require_state
-from .oracle import (EntryList, SparseOracle, from_entry_list, to_dense,
-                     to_entry_list)
 from .suzuki import ProductFormulaPlan, build_plan
 
 _HERM_TOL = 1e-12
@@ -143,6 +142,8 @@ def random_one_sparse_table(dim: int, seed: int | None = None,
     """Random 1-sparse Hermitian piece of arbitrary dimension."""
     if dim < 1:
         raise OracleError(f"bad dimension {dim}")
+    if seed is not None and seed < 0:
+        raise OracleError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     order = list(rng.permutation(dim))
     used = np.zeros(dim, dtype=bool)
@@ -274,11 +275,6 @@ def evolve_table(table: OneSparseTable, t: float, psi: np.ndarray) -> np.ndarray
     return apply_product_formula(packed, build_plan(1, 1), t, 1, psi)
 
 
-def evolve(piece, t: float, psi: np.ndarray) -> np.ndarray:
-    """Exact e^{-iHt} psi for a 1-sparse piece given by its oracle."""
-    return evolve_table(extract_table(piece), t, psi)
-
-
 def precision_bits(tau: float, d: int, k: int, eps: float) -> int:
     """Phase grid resolution: the smallest bit count n' with
     2^{-n'} < 2^{-5} eps / (tau d^2 5^k), clamped to [1, 62]."""
@@ -296,9 +292,8 @@ def quantize_table(table: OneSparseTable, bits: int,
                    lam: float) -> OneSparseTable:
     """Round a piece table onto the grid lam / 2^bits, dropping zeros.
 
-    Table-level twin of quantize_oracle: each stored value is one unordered
-    pair, so the single-rounding rule holds by construction, and no oracle
-    probes are spent.
+    Each stored value is one unordered pair, so the mirror entry is rounded
+    with it (it stays the conjugate), and no oracle probes are spent.
     """
     if not 1 <= bits <= 62:
         raise PlanError(f"bit count {bits} outside 1..62")
@@ -314,33 +309,3 @@ def quantize_table(table: OneSparseTable, bits: int,
     return OneSparseTable(table.dim, table.diag_idx[dkeep], diag_h[dkeep],
                           table.pair_lo[pkeep], table.pair_hi[pkeep],
                           amp[pkeep])
-
-
-def quantize_oracle(oracle: SparseOracle, bits: int,
-                    lam: float | None = None) -> SparseOracle:
-    """Round every matrix element onto the grid lam / 2^bits.
-
-    Each unordered pair is rounded once (the mirror entry is the conjugate
-    by construction) and entries that round to zero are dropped.  lam
-    defaults to the spectral norm of the dense matrix, which needs the
-    dimension cap; pass lam explicitly for large instances.
-    """
-    if not 1 <= bits <= 62:
-        raise PlanError(f"bit count {bits} outside 1..62")
-    if lam is None:
-        from .numerics import spectral_norm
-
-        lam = spectral_norm(to_dense(oracle))
-    lam = float(lam)
-    if not (lam >= 0 and np.isfinite(lam)):
-        raise PlanError(f"bad grid scale {lam}")
-    el = to_entry_list(oracle)
-    if lam == 0:
-        return from_entry_list(EntryList(oracle.n, oracle.d, ()))
-    grid = lam / float(2 ** bits)
-    out = []
-    for x, y, v in el.entries:
-        q = complex(grid * round(v.real / grid), grid * round(v.imag / grid))
-        if q != 0:
-            out.append((x, y, q))
-    return from_entry_list(EntryList(oracle.n, oracle.d, tuple(out)))

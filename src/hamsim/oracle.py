@@ -319,6 +319,8 @@ def random_sparse(n: int, d: int, seed: int,
     keeps at most d nonzeros.  With norm_target the whole matrix is rescaled
     to that spectral norm (requires the dimension to be under the dense cap).
     """
+    if seed < 0:
+        raise OracleError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     dim = 1 << n
     deg = [0] * dim
@@ -362,6 +364,8 @@ def shuffled_columns(oracle: SparseOracle, seed: int) -> SparseOracle:
     Exercises the promise that algorithms must not rely on any particular
     neighbor order, only on its stability.
     """
+    if seed < 0:
+        raise OracleError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     dim = oracle.dim
     if dim > dense_cap():

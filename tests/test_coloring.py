@@ -1,11 +1,13 @@
 """Edge-coloring decomposition: halving iteration, chains, piece lookups."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from hamsim import coloring, numerics, oracle
 from hamsim.coloring import (
-    REFERENCE_TRACE_MAIN, REFERENCE_TRACE_SHIFTED, CoinTossSequence, EdgeLabel,
+    REFERENCE_TRACE_MAIN, REFERENCE_TRACE_SHIFTED, EdgeLabel,
     QueryCache, build_chain, coin_toss_level, colored_query, decompose,
     enumerate_labels, final_alphabet, halving_trace, iterate_count, upsilon,
     verify_coloring, vertex_bits)
@@ -58,42 +60,45 @@ def test_reference_trace_shifted_reproduced():
 
 
 def test_end_rule_uses_first_bit_and_position_zero():
-    seq = CoinTossSequence(0, 4, ("1010", "0110"))
-    nxt = coin_toss_level(seq)
+    values, width = coin_toss_level((0b1010, 0b0110), 4)
+    assert width == 3
     # last element: first bit 0, position 0 in two bits
-    assert nxt.values[1] == "000"
-    # pair element: differ at position 0, bit of the earlier string is 1
-    assert nxt.values[0] == "100"
+    assert values[1] == 0b000
+    # pair element: differ at position 0, bit of the earlier label is 1
+    assert values[0] == 0b100
 
 
 def test_single_element_sequence():
-    seq = CoinTossSequence(0, 5, ("11010",))
-    assert coin_toss_level(seq).values == ("1000",)
+    assert coin_toss_level((0b11010,), 5) == ((0b1000,), 4)
 
 
 def test_width_one_is_fixed_point():
-    seq = CoinTossSequence(3, 1, ("1", "0", "1"))
-    out = coin_toss_level(seq)
-    assert out.values == seq.values
-    assert out.width == 1
+    assert coin_toss_level((1, 0, 1), 1) == ((1, 0, 1), 1)
 
 
 def test_sequence_validation():
-    with pytest.raises(ColoringError):
-        CoinTossSequence(0, 3, ("101", "101"))
-    with pytest.raises(ColoringError):
-        CoinTossSequence(0, 3, ("10", "101"))
-    with pytest.raises(ColoringError):
-        CoinTossSequence(0, 3, ())
-    with pytest.raises(ColoringError):
-        CoinTossSequence(0, 3, ("1a1",))
+    with pytest.raises(ColoringError, match="equal"):
+        coin_toss_level((0b101, 0b101), 3)
+    with pytest.raises(ColoringError, match="empty"):
+        coin_toss_level((), 3)
+    with pytest.raises(ColoringError, match="width"):
+        coin_toss_level((0b1000,), 3)
+    with pytest.raises(ColoringError, match="width"):
+        coin_toss_level((-1,), 3)
+    # the string form is checked where strings come in
+    with pytest.raises(ColoringError, match="malformed"):
+        halving_trace(("10", "101"), 1)
+    with pytest.raises(ColoringError, match="malformed"):
+        halving_trace(("1a1",), 1)
+    with pytest.raises(ColoringError, match="empty"):
+        halving_trace((), 1)
 
 
 @pytest.mark.parametrize("n", [4, 18, 32])
 def test_halving_keeps_neighbors_distinct(n):
     # The load-bearing property: at every level consecutive values stay
-    # distinct (the sequence constructor enforces it), and after z rounds
-    # everything lands in the six-value alphabet.
+    # distinct (coin_toss_level raises on equal neighbors), and after z
+    # rounds everything lands in the six-value alphabet.
     rng = np.random.default_rng(100 + n)
     z = iterate_count(n)
     for _ in range(300):
@@ -317,3 +322,63 @@ def test_colored_oracle_counts_piece_probes():
     for x in range(orc.dim):
         piece.column(x)
     assert piece.counter.count == orc.dim
+
+
+def test_verify_coloring_reports_constant_tags():
+    # With every tag forced to the all-zeros value, adjacent edges sharing
+    # (i, j) collide: those pieces stop being 1-sparse and Hermitian, and
+    # the remaining pieces no longer cover the matrix.
+    orc = oracle.random_sparse(4, 3, seed=6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "upsilon", lambda *args, **kwargs: "000")
+        rep = verify_coloring(orc)
+    assert not rep.ok
+    assert rep.failures == (
+        "label EdgeLabel(i=2, j=1, nu='000'): piece is not 1-sparse",
+        "label EdgeLabel(i=2, j=1, nu='000'): piece is not Hermitian",
+        "label EdgeLabel(i=3, j=1, nu='000'): piece is not 1-sparse",
+        "label EdgeLabel(i=3, j=1, nu='000'): piece is not Hermitian",
+        "label EdgeLabel(i=3, j=2, nu='000'): piece is not 1-sparse",
+        "label EdgeLabel(i=3, j=2, nu='000'): piece is not Hermitian",
+        "pieces do not sum back to the Hamiltonian",
+    )
+    assert (rep.nonzero_pieces, rep.max_queries_per_call) == (7, 4)
+
+
+def test_verify_coloring_reports_overlap_once(monkeypatch):
+    # Label nu = "001" answers as "000": each of its pieces repeats a valid
+    # piece (the diagonals among them), so entries are claimed twice while
+    # every piece on its own stays 1-sparse and Hermitian.
+    real = coloring.colored_query
+
+    def aliased(orc, x, label, cache=None):
+        if label.nu == "001":
+            label = EdgeLabel(label.i, label.j, "000")
+        return real(orc, x, label, cache)
+
+    monkeypatch.setattr(coloring, "colored_query", aliased)
+    rep = verify_coloring(oracle.random_sparse(4, 3, seed=21))
+    assert rep.failures == (
+        "pieces overlap: some entry claimed more than once",
+        "pieces do not sum back to the Hamiltonian",
+    )
+    assert (rep.nonzero_pieces, rep.max_queries_per_call) == (18, 5)
+
+
+def test_upsilon_golden_digest():
+    # Every (x, i, j) of one fixed oracle: the tag, or "-" where x has no
+    # ascending (i, j)-edge and upsilon refuses.
+    orc = oracle.random_sparse(6, 4, seed=6)
+    lines = []
+    for x in range(orc.dim):
+        for i in range(1, 5):
+            for j in range(1, 5):
+                try:
+                    tag = upsilon(orc, x, i, j)
+                except ColoringError:
+                    tag = "-"
+                lines.append(f"{x} {i} {j} {tag}")
+    assert sum(not line.endswith("-") for line in lines) == 116
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "64c37ceb3bc7dae82218e6a50f9ad76621638a181059953cf6ae3a167887eb73")

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from hamsim import _kernels, numerics, oracle, suzuki
+from hamsim import _kernels, coloring, numerics, oracle, suzuki
 from hamsim.config import OracleError, PlanError
 from hamsim.one_sparse import (OneSparseTable, apply_product_formula,
-                               evolve, evolve_table, extract_table,
-                               pack_tables, precision_bits, quantize_oracle,
+                               evolve_table, extract_table, pack_tables,
+                               precision_bits, quantize_table,
                                random_one_sparse_table, table_to_dense)
 from hamsim.oracle import EntryList, from_entry_list
 
@@ -99,6 +99,11 @@ def test_random_table_is_deterministic_and_valid():
     assert ((H != 0).sum(axis=0) <= 1).all()
 
 
+def test_random_table_refuses_negative_seed():
+    with pytest.raises(OracleError, match="nonnegative"):
+        random_one_sparse_table(8, seed=-1)
+
+
 def test_random_table_norm_target_is_exact():
     table = random_one_sparse_table(24, seed=11, norm_target=2.5)
     assert numerics.spectral_norm(table_to_dense(table)) == pytest.approx(
@@ -108,7 +113,7 @@ def test_random_table_norm_target_is_exact():
 def test_evolve_zero_time_is_identity():
     orc = one_sparse_oracle()
     psi = numerics.random_state(8, np.random.default_rng(0))
-    out = evolve(orc, 0.0, psi)
+    out = evolve_table(extract_table(orc), 0.0, psi)
     assert np.allclose(out, psi, atol=1e-15)
 
 
@@ -161,13 +166,11 @@ def test_evolution_group_property():
 def test_evolve_counts_one_probe_per_column():
     orc = one_sparse_oracle()
     psi = numerics.random_state(8, np.random.default_rng(1))
-    evolve(orc, 1.3, psi)
+    evolve_table(extract_table(orc), 1.3, psi)
     assert orc.counter.count == orc.dim
 
 
 def test_extract_table_from_decomposition_pieces():
-    from hamsim import coloring
-
     orc = oracle.random_sparse(3, 2, seed=9)
     dense = oracle.to_dense(orc)
     total = np.zeros_like(dense)
@@ -298,6 +301,16 @@ def test_precision_bits_clamps_and_validation():
         precision_bits(-1.0, 2, 1, 0.1)
 
 
+def quantized_pieces(orc, bits, lam):
+    """The oracle's coloring pieces as tables, each rounded by quantize_table."""
+    return [quantize_table(extract_table(piece), bits, lam)
+            for piece in coloring.decompose(orc)]
+
+
+def pieces_to_dense(tables):
+    return sum(table_to_dense(table) for table in tables)
+
+
 def test_quantize_on_grid_oracle_is_unchanged():
     # entries are exact multiples of 2 / 2^4 = 0.125
     orc = from_entry_list(EntryList(2, 2, (
@@ -305,8 +318,8 @@ def test_quantize_on_grid_oracle_is_unchanged():
         (1, 2, -0.5 + 0j),
         (3, 3, 2.0 + 0j),
     )))
-    q = quantize_oracle(orc, 4, lam=2.0)
-    assert np.array_equal(oracle.to_dense(q), oracle.to_dense(orc))
+    q = quantized_pieces(orc, 4, 2.0)
+    assert np.array_equal(pieces_to_dense(q), oracle.to_dense(orc))
 
 
 def test_quantize_error_within_grid_bound():
@@ -314,8 +327,7 @@ def test_quantize_error_within_grid_bound():
         orc = oracle.random_sparse(3, 3, seed=seed)
         H = oracle.to_dense(orc)
         lam = numerics.spectral_norm(H)
-        q = quantize_oracle(orc, bits)
-        Hq = oracle.to_dense(q)
+        Hq = pieces_to_dense(quantized_pieces(orc, bits, lam))
         assert np.array_equal(Hq, Hq.conj().T)
         err = numerics.spectral_norm(H - Hq)
         assert err <= orc.d * lam / 2 ** bits + 1e-15
@@ -326,17 +338,19 @@ def test_quantize_drops_vanishing_entries():
         (0, 1, 1.0 + 0j),
         (2, 3, 1e-4 + 0j),
     )))
-    q = quantize_oracle(orc, 3, lam=1.0)
-    Hq = oracle.to_dense(q)
+    q = quantized_pieces(orc, 3, 1.0)
+    Hq = pieces_to_dense(q)
     assert Hq[2, 3] == 0 and Hq[0, 1] == 1.0
-    assert q.peek(2, 1) == (2, 0j)
+    # the rounded-away pair leaves no entry at all behind, not a stored zero
+    assert all(2 not in np.concatenate([t.diag_idx, t.pair_lo, t.pair_hi])
+               for t in q)
 
 
 def test_quantize_validation():
-    orc = one_sparse_oracle()
+    table = extract_table(one_sparse_oracle())
     with pytest.raises(PlanError, match="1..62"):
-        quantize_oracle(orc, 0)
+        quantize_table(table, 0, 1.0)
     with pytest.raises(PlanError, match="1..62"):
-        quantize_oracle(orc, 63)
+        quantize_table(table, 63, 1.0)
     with pytest.raises(PlanError, match="grid scale"):
-        quantize_oracle(orc, 8, lam=float("nan"))
+        quantize_table(table, 8, float("nan"))

@@ -147,6 +147,13 @@ def test_random_sparse_deterministic_and_bounded():
     assert int((H != 0).sum(axis=1).max()) <= 3
 
 
+def test_negative_seeds_are_refused():
+    with pytest.raises(OracleError, match="nonnegative"):
+        oracle.random_sparse(3, 2, seed=-1)
+    with pytest.raises(OracleError, match="nonnegative"):
+        oracle.shuffled_columns(oracle.random_sparse(3, 2, seed=1), seed=-1)
+
+
 def test_random_sparse_norm_target():
     orc = oracle.random_sparse(4, 2, seed=3, norm_target=1.0)
     H = oracle.to_dense(orc)
