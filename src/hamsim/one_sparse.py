@@ -15,6 +15,7 @@ Pieces are any objects exposing ``dim`` and ``column(x) -> (y, v)``:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,8 +251,9 @@ def apply_product_formula(packed: PackedPieces, plan: ProductFormulaPlan,
     Every sweep is exact per piece; the only approximation left is the
     product-formula splitting itself.
     """
-    if r < 1:
-        raise PlanError(f"repetition count must be positive, got {r}")
+    if not (isinstance(r, numbers.Integral) and r >= 1):
+        raise PlanError(
+            f"repetition count must be a positive integer, got {r}")
     if not math.isfinite(t):
         raise PlanError(f"evolution time must be finite, got {t}")
     if plan.m != packed.count:

@@ -66,18 +66,24 @@ class SparseOracle:
         if not 1 <= i <= self.d:
             raise OracleError(f"slot {i} out of range for d={self.d}")
 
+    def _lookup(self, x: int, i: int) -> tuple[int, complex]:
+        y, v = self._fn(x, i)
+        y = int(y)
+        if not 0 <= y < self.dim:
+            raise OracleError(
+                f"neighbor {y} of vertex {x} out of range for n={self.n}")
+        return y, complex(v)
+
     def query(self, x: int, i: int) -> tuple[int, complex]:
         """Counted query: (y, H[x, y]) for the i-th nonzero of row x."""
         self._check_args(x, i)
         self.counter.increment()
-        y, v = self._fn(x, i)
-        return int(y), complex(v)
+        return self._lookup(x, i)
 
     def peek(self, x: int, i: int) -> tuple[int, complex]:
         """Uncounted access for verification and serialization bridges."""
         self._check_args(x, i)
-        y, v = self._fn(x, i)
-        return int(y), complex(v)
+        return self._lookup(x, i)
 
     def column(self, x: int) -> tuple[int, complex]:
         """Single counted probe, the 1-sparse piece interface (d must be 1)."""

@@ -56,6 +56,15 @@ def test_argument_validation():
         orc.query(0, 0)
     with pytest.raises(OracleError):
         orc.query(0, 3)
+    # a neighbor outside [0, dim) from the caller's function
+    for bad in (-1, 2):
+        orc = oracle.SparseOracle(1, 1, lambda x, i, y=bad: (y, 1.0))
+        with pytest.raises(OracleError, match="neighbor"):
+            orc.query(0, 1)
+        with pytest.raises(OracleError, match="neighbor"):
+            orc.peek(0, 1)
+        with pytest.raises(OracleError, match="neighbor"):
+            oracle.to_dense(orc)
 
 
 def test_to_dense_matches_entries():
