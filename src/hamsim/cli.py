@@ -296,11 +296,20 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
                                np.max(np.abs(tb.pair_amp), initial=0.0))
                            for tb in tables), default=0.0))
     tau = lam_piece * abs(t)
-    notes: list[str] = []
-    if k is None:
-        k = suzuki.choose_k(max(m, 1), tau, eps)
-    if r is None:
-        r, notes = _recording(suzuki.choose_r, k, max(m, 1), tau, eps)
+    # the commutator bound's alpha, like tau, from the unquantized pieces
+    alpha = suzuki.commutator_alpha(one_sparse.nested_commutator_norms(tables))
+    m_plan = max(m, 1)
+    k_paper = k if k is not None else suzuki.choose_k(m_plan, tau, eps)
+    r_paper, notes = _recording(suzuki.choose_r, k_paper, m_plan, tau, eps)
+    r_commutator = suzuki.choose_r_commutator(alpha, t, eps)
+    commutator_cheaper = (r_commutator * suzuki.exponential_count(1, m_plan)
+                          <= r_paper * suzuki.exponential_count(k_paper, m_plan))
+    if r is not None:
+        r_rule, k, notes = "given", k_paper, []
+    elif k == 1 or (k is None and commutator_cheaper):
+        r_rule, k, r = "commutator", 1, r_commutator
+    else:
+        r_rule, k, r = "paper", k_paper, r_paper
 
     norm_full = None
     H = None
@@ -338,8 +347,13 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         n_exp = r * plan_length
 
     restriction_ok = suzuki.restriction_check(k, max(m, 1), tau, r)
-    bound = (suzuki.integrator_error_bound(k, max(m, 1), tau, r)
-             if restriction_ok and m else (0.0 if not m else None))
+    bound_paper = (suzuki.integrator_error_bound(k, max(m, 1), tau, r)
+                   if restriction_ok and m else (0.0 if not m else None))
+    # the commutator bound covers the symmetric k = 1 plan only
+    bound_commutator = (suzuki.commutator_error_bound(alpha, t, r)
+                        if k == 1 else None)
+    bound = min((b for b in (bound_paper, bound_commutator) if b is not None),
+                default=None)
 
     measured = None
     error_ok = None
@@ -353,6 +367,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     result = {
         "n": orc.n, "d": orc.d, "dim": dim, "z": z,
         "time": t, "eps": eps, "k": k, "r": r,
+        "r_paper": r_paper, "r_commutator": r_commutator, "r_rule": r_rule,
         "m_pieces": m,
         "plan_length": plan_length,
         "n_exp": n_exp,
@@ -367,6 +382,10 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         "quantize_bits": quantize_bits,
         "restriction_ok": restriction_ok,
         "error_bound": bound,
+        "error_bound_paper": bound_paper,
+        "error_bound_commutator": bound_commutator,
+        "bound_slack": (measured / bound
+                        if measured is not None and bound else None),
         "measured_error": measured,
         "error_ok": error_ok,
         "backend": _kernels.BACKEND,

@@ -6,7 +6,8 @@ e^{-iHt} therefore factors into scalar phases and 2x2 rotations, so each
 piece is evolved exactly, and a full product-formula pass is a sequence of
 such exact sweeps.  The module also covers the finite-precision side: how
 many bits the per-pair phases need, and rounding piece tables onto that
-grid.
+grid; and it bounds the nested commutators of the pieces, sparsely, for
+the commutator-scaling slice count of suzuki.
 
 Pieces are any objects exposing ``dim`` and ``column(x) -> (y, v)``:
 1-sparse SparseOracles and ColoredOracles both qualify.
@@ -275,6 +276,92 @@ def evolve_table(table: OneSparseTable, t: float, psi: np.ndarray) -> np.ndarray
     """e^{-iHt} psi for a single 1-sparse piece, exactly."""
     packed = pack_tables([table])
     return apply_product_formula(packed, build_plan(1, 1), t, 1, psi)
+
+
+def _combine(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO entries with duplicate (row, col) summed and zeros dropped,
+    sorted by row, then column."""
+    key = rows * dim + cols
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    if key.size:
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key, vals = key[first], np.add.reduceat(vals, first)
+    keep = vals != 0
+    key = key[keep]
+    return key // dim, key % dim, vals[keep]
+
+
+def _padded_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-sorted COO entries as (dim, w) column and value arrays, each row
+    padded with zero values out to the longest row's length w."""
+    counts = np.bincount(rows, minlength=dim)
+    width = max(int(counts.max(initial=0)), 1)
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    pad_cols = np.zeros((dim, width), dtype=np.int64)
+    pad_vals = np.zeros((dim, width), dtype=np.complex128)
+    pad_cols[rows, slot] = cols
+    pad_vals[rows, slot] = vals
+    return pad_cols, pad_vals
+
+
+def _commutator(a_cols: np.ndarray, a_vals: np.ndarray, rows: np.ndarray,
+                cols: np.ndarray, vals: np.ndarray, dim: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[A, M] as combined COO entries, for Hermitian A in padded rows.
+
+    (AM)[x, j] = sum_i A[x, i] M[i, j], and A[x, i] = conj(A[i, x]), so
+    entry (i, j, v) of M moves to each (x, j) with x in row i of A; in MA
+    it moves to each (i, y) with y in row j of A.  Both are gathers.
+    """
+    width = a_cols.shape[1]
+    left_vals = a_vals[rows].conj() * vals[:, None]
+    right_vals = -vals[:, None] * a_vals[cols]
+    return _combine(
+        np.concatenate([a_cols[rows].ravel(), np.repeat(rows, width)]),
+        np.concatenate([np.repeat(cols, width), a_cols[cols].ravel()]),
+        np.concatenate([left_vals.ravel(), right_vals.ravel()]), dim)
+
+
+def _max_row_sum(rows: np.ndarray, vals: np.ndarray) -> float:
+    return float(np.bincount(rows, weights=np.abs(vals)).max(initial=0.0))
+
+
+def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
+    """Row-sum bounds on the nested commutators of the second-order bound.
+
+    Row g (0-based) holds upper bounds on ||[S, [S, H_g]]|| and
+    ||[H_g, [H_g, S]]||, where S is the suffix sum of the pieces after g
+    (see suzuki.commutator_alpha).  A nested commutator of Hermitian
+    matrices is Hermitian, so its largest absolute row sum bounds its
+    spectral norm.  Everything is sparse: a piece has at most one entry
+    per row, so a row of S has at most one per piece after g (for a
+    coloring of a d-sparse H, at most d), and duplicate entries are summed
+    before the row sums, so commuting pieces give exactly 0.
+    """
+    norms = np.zeros((len(tables), 2))
+    if not tables:
+        return norms
+    dim = tables[0].dim
+    coo = [(np.concatenate([t.diag_idx, t.pair_lo, t.pair_hi]),
+            np.concatenate([t.diag_idx, t.pair_hi, t.pair_lo]),
+            np.concatenate([t.diag_h.astype(np.complex128), t.pair_amp,
+                            t.pair_amp.conj()])) for t in tables]
+    suffix = (np.zeros(0, np.int64), np.zeros(0, np.int64),
+              np.zeros(0, np.complex128))
+    for g in range(len(tables) - 2, -1, -1):
+        suffix = _combine(*(np.concatenate(parts)
+                            for parts in zip(suffix, coo[g + 1])), dim)
+        s_cols, s_vals = _padded_rows(*suffix, dim)
+        piece_cols, piece_vals = _padded_rows(*_combine(*coo[g], dim), dim)
+        inner = _commutator(s_cols, s_vals, *coo[g], dim)  # [S, H_g]
+        outer_s = _commutator(s_cols, s_vals, *inner, dim)
+        outer_h = _commutator(piece_cols, piece_vals, *inner, dim)
+        norms[g] = (_max_row_sum(outer_s[0], outer_s[2]),
+                    _max_row_sum(outer_h[0], outer_h[2]))
+    return norms
 
 
 def precision_bits(tau: float, d: int, k: int, eps: float) -> int:

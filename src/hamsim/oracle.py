@@ -10,6 +10,7 @@ complexity reflects the algorithms alone.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -68,7 +69,11 @@ class SparseOracle:
 
     def _lookup(self, x: int, i: int) -> tuple[int, complex]:
         y, v = self._fn(x, i)
-        y = int(y)
+        try:
+            y = operator.index(y)
+        except TypeError:
+            raise OracleError(f"neighbor {y!r} of vertex {x} in slot {i} "
+                              f"is not an integer") from None
         if not 0 <= y < self.dim:
             raise OracleError(
                 f"neighbor {y} of vertex {x} out of range for n={self.n}")

@@ -10,12 +10,15 @@ length at exactly 2(m-1)5^(k-1) + 1.
 
 The bound side gives: a closed-form error bound for the r-fold slicing,
 its validity restrictions, the slice count r needed for a target error,
-and exponential-count bounds with their validity windows.
+and exponential-count bounds with their validity windows.  For k = 1 it
+also gives the commutator-scaling bound, which depends on the terms
+themselves rather than on their largest norm, and its slice count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -84,6 +87,11 @@ def _check_km(k: int, m: int) -> None:
         raise PlanError(f"order parameter k must be a positive integer, got {k}")
     if not (isinstance(m, int) and m >= 1):
         raise PlanError(f"term count m must be a positive integer, got {m}")
+
+
+def _check_r(r: int) -> None:
+    if not (isinstance(r, numbers.Integral) and r >= 1):
+        raise PlanError(f"slice count r must be a positive integer, got {r}")
 
 
 def _append_merged(out: list[list], term: int, frac) -> None:
@@ -167,10 +175,13 @@ def restriction_values(k: int, m: int, tau: float, r: int) -> tuple[float, float
     """The two validity ratios of the closed-form bound; both must be <= 1."""
     _check_km(k, m)
     _check_tau_eps(tau, 1.0)
-    if not (isinstance(r, int) and r >= 1):
-        raise PlanError(f"slice count r must be a positive integer, got {r}")
+    _check_r(r)
     x = 2.0 * 5.0 ** (k - 1) * m * tau
-    return 2.0 * x / r, (16.0 / 3.0) * x ** (2 * k + 1) / float(r) ** (2 * k)
+    try:
+        power = (16.0 / 3.0) * x ** (2 * k + 1) / float(r) ** (2 * k)
+    except OverflowError:  # past float range the restriction cannot hold
+        power = math.inf
+    return 2.0 * x / r, power
 
 
 def restriction_check(k: int, m: int, tau: float, r: int) -> bool:
@@ -209,6 +220,59 @@ def integrator_error_bound_sharp(k: int, m: int, tau: float, r: int) -> float:
         return 0.0
     u = (8.0 / 3.0) * (2.0 * m * 5.0 ** (k - 1) * tau / r) ** (2 * k + 1)
     return math.expm1(r * math.log1p(u))
+
+
+def commutator_alpha(norms) -> float:
+    """Prefactor alpha of the second-order commutator-scaling bound.
+
+    Childs, Su, Tran, Wiebe & Zhu, "Theory of Trotter error with
+    commutator scaling", PRX 11, 011020 (2021), arXiv:1912.08854, bound
+    the symmetric (k = 1) formula for H = H_1 + ... + H_m by
+
+        ||S_2(t) - e^{-iHt}|| <= (t^3/12) sum_g ||[S_g, [S_g, H_g]]||
+                                 + (t^3/24) sum_g ||[H_g, [H_g, S_g]]||
+
+    with S_g = H_{g+1} + ... + H_m and H_1 the outermost exponential of
+    S_2, as in build_plan(1, m): term 1 is swept first and last, term m
+    once in the middle.  `norms` holds one row (||[S_g, [S_g, H_g]]||,
+    ||[H_g, [H_g, S_g]]||) per term, in plan order, or upper bounds on
+    them; alpha is the bracket, so that the bound is |t|^3 alpha.
+    """
+    norms = np.asarray(norms, dtype=np.float64).reshape(-1, 2)
+    if not np.all(np.isfinite(norms) & (norms >= 0)):
+        raise PlanError("commutator norms must be finite and nonnegative")
+    return float(norms[:, 0].sum() / 12.0 + norms[:, 1].sum() / 24.0)
+
+
+def commutator_error_bound(alpha: float, t: float, r: int) -> float:
+    """Bound |t|^3 alpha / r^2 on r slices of the k = 1 plan.
+
+    Each slice errs by at most |t/r|^3 alpha (commutator_alpha), and the
+    errors of r unitary slices add.
+    """
+    _check_r(r)
+    if alpha == 0 or t == 0:
+        return 0.0
+    step = abs(t) / r
+    return step * step * abs(t) * alpha  # inf, not OverflowError, past range
+
+
+def choose_r_commutator(alpha: float, t: float, eps: float) -> int:
+    """Smallest r with commutator_error_bound(alpha, t, r) <= eps,
+    ceil(sqrt(|t|^3 alpha / eps)), at least 1 (past 2^50, close to it)."""
+    _check_tau_eps(abs(t), eps)
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise PlanError(f"alpha must be finite and nonnegative, got {alpha}")
+    if alpha == 0 or t == 0:
+        return 1
+    try:
+        r = max(1, math.ceil(abs(t) * math.sqrt(abs(t) * alpha / eps)))
+    except OverflowError:
+        raise PlanError(f"slice count overflows at t={t}, alpha={alpha}, "
+                        f"eps={eps}") from None
+    while commutator_error_bound(alpha, t, r) > eps:  # rounding in the sqrt
+        r += 1 + (r >> 50)  # a step float(r) still sees past 2^53
+    return r
 
 
 @dataclass(frozen=True)
@@ -270,8 +334,7 @@ def simulate(terms: Sequence[TermEvolver], t: float, k: int, r: int,
     """
     m = len(terms)
     _check_km(k, m)
-    if not (isinstance(r, int) and r >= 1):
-        raise PlanError(f"slice count r must be a positive integer, got {r}")
+    _check_r(r)
     psi = require_state(psi)
     if t == 0:
         return psi.copy()
@@ -291,8 +354,7 @@ def plan_unitary(hams: Sequence[np.ndarray], t: float, k: int, r: int) -> np.nda
     """
     m = len(hams)
     _check_km(k, m)
-    if not (isinstance(r, int) and r >= 1):
-        raise PlanError(f"slice count r must be a positive integer, got {r}")
+    _check_r(r)
     dim = np.asarray(hams[0]).shape[0]
     if t == 0:
         return np.eye(dim, dtype=complex)

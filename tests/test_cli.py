@@ -83,6 +83,99 @@ def test_simulate_quantized_and_seeded_state(capsys):
     assert data["backend"] == "py"
 
 
+SMALL = ["simulate", "--gen", "random:n=3,d=2,seed=4,norm=1",
+         "--time", "0.7", "--eps", "0.01"]
+
+
+def test_simulate_takes_the_cheaper_slice_rule(capsys):
+    rc, data = run_json(capsys, SMALL)
+    assert rc == 0
+    assert data["r_rule"] == "commutator" and data["k"] == 1
+    assert data["r"] == data["r_commutator"] == 2
+    assert data["r_paper"] == 305  # the paper's k = 1 count at tau = 0.45
+    assert data["n_exp"] == 2 * data["plan_length"] == 18
+    assert data["restriction_ok"] is False
+    assert data["error_bound_paper"] is None
+    assert data["error_bound"] == data["error_bound_commutator"]
+    assert data["measured_error"] <= data["error_bound"] <= 0.01
+    assert data["bound_slack"] == data["measured_error"] / data["error_bound"]
+    assert data["warnings"] == []
+
+
+def test_simulate_slice_rule_overrides(capsys):
+    _, data = run_json(capsys, SMALL + ["--k", "2"])
+    assert data["r_rule"] == "paper" and data["k"] == 2
+    assert data["r"] == data["r_paper"] == 393
+    assert data["error_bound_commutator"] is None  # k = 1 only
+    assert data["error_bound"] == data["error_bound_paper"]
+    _, data = run_json(capsys, SMALL + ["--k", "1"])
+    assert data["r_rule"] == "commutator" and data["r"] == 2
+    _, data = run_json(capsys, SMALL + ["--r", "5"])
+    assert data["r_rule"] == "given" and (data["k"], data["r"]) == (1, 5)
+    assert data["r_commutator"] == 2 and data["r_paper"] == 305
+    assert data["error_bound"] == data["error_bound_commutator"]
+    _, data = run_json(capsys, SMALL + ["--k", "3", "--r", "2"])
+    assert data["r_rule"] == "given" and (data["k"], data["r"]) == (3, 2)
+    assert data["error_bound_paper"] is None
+    assert data["error_bound_commutator"] is None
+    assert data["error_bound"] is None and data["bound_slack"] is None
+
+
+def test_simulate_paper_rule_output_is_unchanged(capsys):
+    """Recorded before the commutator rule existed; --k 2 keeps the paper
+    rule, so every earlier field must come out the same."""
+    _, data = run_json(capsys, SMALL + ["--k", "2", "--state-seed", "3"])
+    exact = {"base_queries": 16, "base_query_bound": 96678,
+             "base_queries_ok": True, "k": 2, "m_pieces": 5, "n_exp": 16113,
+             "plan_length": 41, "precision_bits_recommended": 18, "r": 393,
+             "restriction_ok": True, "error_ok": True, "warnings": []}
+    assert {key: data[key] for key in exact} == exact
+    close = {"error_bound": 0.0012464019796024288,
+             "measured_error": 2.003319683856356e-13,
+             "tau": 0.4527741887607683, "matrix_norm": 1.0,
+             "piece_norm_max": 0.6468202696582405}
+    for key, val in close.items():
+        assert data[key] == pytest.approx(val, abs=1e-12), key
+    state = [[0.36707464648080795, -0.17799724143910758],
+             [-0.3948622163419989, 0.6835387585015499],
+             [0.024326259593462813, -0.09319331014616215],
+             [-0.14045530751289928, -0.05349957669209645],
+             [-0.04750279269184058, -0.007835475596697847],
+             [-0.24968156629579807, -0.20948080808431527],
+             [-0.1555039186912881, 0.1468171906928717],
+             [-0.14086613382303653, -0.06666405509181127]]
+    assert np.allclose(data["state"], state, rtol=0, atol=1e-12)
+
+
+def test_simulate_slice_rule_edge_cases(capsys):
+    # t = 0: nothing to split, one slice, a zero bound and the start state
+    _, data = run_json(capsys, ["simulate", "--gen",
+                                "random:n=3,d=2,seed=4,norm=1",
+                                "--time", "0", "--eps", "1e-3"])
+    assert (data["k"], data["r"], data["r_paper"], data["r_commutator"]) == (1, 1, 1, 1)
+    assert data["error_bound"] == data["error_bound_commutator"] == 0.0
+    assert data["bound_slack"] is None
+    assert data["state"][0] == [1.0, 0.0]
+    assert not any(re or im for re, im in data["state"][1:])
+    # one piece: it commutes with itself, so one exact slice suffices
+    orc = oracle.from_entry_list(EntryList(2, 1, ((0, 1, 0.5 + 0.25j),
+                                                  (2, 2, 0.3))))
+    data = cli.simulate_pipeline(orc, 1.0, 1e-3)
+    assert data["m_pieces"] == 1 and data["r_paper"] == 119
+    assert (data["r_rule"], data["r"], data["n_exp"]) == ("commutator", 1, 1)
+    assert data["error_bound"] == 0.0
+    assert data["measured_error"] < 1e-12
+
+
+def test_simulate_commutator_rule_on_the_n8_instance():
+    data = cli.simulate_pipeline(
+        oracle.random_sparse(8, 3, seed=1, norm_target=1.0), 1.0, 1e-2,
+        verify=False)
+    assert (data["m_pieces"], data["r_paper"], data["r_commutator"]) == (22, 3793, 8)
+    assert data["n_exp"] == 344 and data["base_queries_ok"] is True
+    assert data["measured_error"] <= data["error_bound"] <= 1e-2
+
+
 def test_simulate_fails_loudly_when_error_exceeds_eps(capsys):
     rc = main(["simulate", "--gen", "random:n=2,d=2,seed=1,norm=1",
                "--time", "1.0", "--eps", "1e-12", "--k", "1", "--r", "1"])
@@ -225,6 +318,10 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
     non_ascii = tmp_path / "h.txt"
     non_ascii.write_bytes("1 1\n0 0 1 0 # caf\u00e9\n".encode("utf-8"))
     assert main(["simulate", "--input", str(non_ascii)]) == 1
+    # a slice count beyond floating point range
+    assert main(["simulate", "--gen", "random:n=2,d=2,seed=1",
+                 "--time", "1e250", "--no-verify"]) == 1
+    assert "overflows" in capsys.readouterr().err
     monkeypatch.setenv("HAMSIM_DENSE_CAP", "abc")
     assert main(["simulate", "--gen", "random:n=3,d=2"]) == 1
     assert "HAMSIM_DENSE_CAP" in capsys.readouterr().err

@@ -6,7 +6,8 @@ import pytest
 from hamsim import _kernels, coloring, numerics, oracle, suzuki
 from hamsim.config import OracleError, PlanError
 from hamsim.one_sparse import (OneSparseTable, apply_product_formula,
-                               evolve_table, extract_table, pack_tables,
+                               evolve_table, extract_table,
+                               nested_commutator_norms, pack_tables,
                                precision_bits, quantize_table,
                                random_one_sparse_table, table_to_dense)
 from hamsim.oracle import EntryList, from_entry_list
@@ -382,6 +383,86 @@ def test_kernel_layer_schedule():
         assert layer_count(packed, steps) == layers
         assert np.array_equal(run_kernel(packed, steps, 2, psi0),
                               step_by_step(packed, steps, 2, psi0))
+
+
+def _commutator(a, b):
+    return a @ b - b @ a
+
+
+def _decomposition_tables(n, d, seed):
+    orc = oracle.random_sparse(n, d, seed=seed, norm_target=1.0)
+    tables = [extract_table(p) for p in coloring.decompose(orc)]
+    return [tb for tb in tables if tb.entry_count]
+
+
+def _random_tables(dim, m, seed):
+    return [random_one_sparse_table(dim, seed=seed + i, norm_target=1.0)
+            for i in range(m)]
+
+
+def test_nested_commutator_row_sums_bound_dense_norms():
+    """Each sparse row sum equals the dense nested commutator's largest
+    absolute row sum, which is at least its spectral norm."""
+    cases = [_random_tables(dim, m, 300 + 10 * m)
+             for dim, m in ((2, 2), (9, 3), (16, 6), (33, 4))]
+    cases += [_decomposition_tables(n, d, seed)
+              for n, d, seed in ((4, 2, 1), (5, 3, 2), (6, 3, 3))]
+    for tables in cases:
+        norms = nested_commutator_norms(tables)
+        assert norms.shape == (len(tables), 2)
+        hams = [table_to_dense(tb) for tb in tables]
+        for g, H in enumerate(hams):
+            S = sum(hams[g + 1:], np.zeros_like(H))
+            for got, C in zip(norms[g],
+                              (_commutator(S, _commutator(S, H)),
+                               _commutator(H, _commutator(H, S)))):
+                row_sum = np.abs(C).sum(axis=1).max()
+                assert got == pytest.approx(row_sum, rel=1e-12, abs=1e-13)
+                assert got >= numerics.spectral_norm(C) - 1e-12
+        assert not norms[-1].any()  # nothing comes after the last piece
+
+
+def test_commutator_bound_is_sound_on_pieces():
+    """|t|^3 alpha / r^2 from the row sums bounds the operator-norm error
+    of the k = 1 plan on random pieces and on coloring pieces."""
+    cases = [_random_tables(12, m, 500 + 10 * m) for m in range(1, 7)]
+    cases += [_decomposition_tables(n, 3, n) for n in (4, 5, 6)]
+    points = informative = 0
+    for tables in cases:
+        hams = [table_to_dense(tb) for tb in tables]
+        alpha = suzuki.commutator_alpha(nested_commutator_norms(tables))
+        for t in (0.1, 0.5, -1.0, 2.0):
+            exact = numerics.hermitian_expm(sum(hams), t)
+            for r in (1, 2, 5, 16):
+                measured = numerics.unitary_diff_norm(
+                    exact, suzuki.plan_unitary(hams, t, 1, r))
+                bound = suzuki.commutator_error_bound(alpha, t, r)
+                assert measured <= bound + 1e-12, (len(tables), t, r)
+                points += 1
+                informative += bound < 2.0  # unitaries differ by at most 2
+    assert points == 144 and informative >= 100, informative
+
+
+def test_commuting_pieces_have_zero_alpha():
+    dim = 10
+    diagonal = [random_one_sparse_table(dim, seed=s, diag_prob=1.0,
+                                        empty_prob=0.2) for s in range(4)]
+    disjoint = [OneSparseTable(dim, [5 * i], [0.5 + i], [5 * i + 1],
+                               [5 * i + 4], [0.3 - 0.7j]) for i in range(2)]
+    for tables in ([random_one_sparse_table(dim, seed=1)], diagonal,
+                   disjoint):
+        norms = nested_commutator_norms(tables)
+        assert np.array_equal(norms, np.zeros((len(tables), 2)))
+        alpha = suzuki.commutator_alpha(norms)
+        assert alpha == 0.0
+        assert suzuki.choose_r_commutator(alpha, 3.0, 1e-12) == 1
+        psi = numerics.random_state(dim, np.random.default_rng(4))
+        got = apply_product_formula(pack_tables(tables),
+                                    suzuki.build_plan(1, len(tables)),
+                                    3.0, 1, psi)
+        H = sum(table_to_dense(tb) for tb in tables)
+        assert np.linalg.norm(got - numerics.hermitian_expm(H, 3.0) @ psi) < 1e-12
+    assert nested_commutator_norms([]).shape == (0, 2)
 
 
 @pytest.mark.parametrize("tau,d,k,eps,want", [

@@ -65,6 +65,17 @@ def test_argument_validation():
             orc.peek(0, 1)
         with pytest.raises(OracleError, match="neighbor"):
             oracle.to_dense(orc)
+    # a neighbor that is not an integer is refused, not truncated
+    for bad in (0.7, 1.0, np.float64(0.0), "0"):
+        orc = oracle.SparseOracle(1, 1, lambda x, i, y=bad: (y, 1.0))
+        with pytest.raises(OracleError, match="vertex 0 in slot 1"):
+            orc.query(0, 1)
+        with pytest.raises(OracleError, match="not an integer"):
+            orc.peek(0, 1)
+    for good in (np.int64(1), np.uint8(1)):
+        orc = oracle.SparseOracle(1, 1, lambda x, i, y=good: (y, 1.0))
+        assert orc.query(0, 1) == (1, 1 + 0j)
+        assert type(orc.peek(0, 1)[0]) is int
 
 
 def test_to_dense_matches_entries():

@@ -19,6 +19,8 @@ SHARP_1_2_1_253 = 0.0026698353493890298113
 NEXP_1_2_1_001 = 2828.4271247461900976       # = 2000 sqrt(2)
 NEXP_FREE_2_100_1E3 = 11322201.138201960873
 
+NOISE = 1e-12  # roundoff allowance for measured operator-norm errors
+
 
 def test_p_coefficient_frozen_values():
     assert suzuki.p_coefficient(2) == pytest.approx(P2, rel=1e-15)
@@ -159,6 +161,9 @@ def test_integrator_error_bound_restriction_errors():
     a, b = suzuki.restriction_values(1, 2, 1.0, 10)
     assert a == pytest.approx(0.8)
     assert b == pytest.approx(1024.0 / 300.0)
+    # past float range the power condition reads as violated, not a crash
+    assert suzuki.restriction_values(1, 2, 1e200, 1) == (8e200, math.inf)
+    assert not suzuki.restriction_check(1, 2, 1e200, 1)
 
 
 def test_sharp_bound_frozen_value_and_dominance():
@@ -293,3 +298,111 @@ def test_error_scaling_order(k, expected_slope):
     assert len(pts) >= 3
     slope = np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0]
     assert abs(slope - expected_slope) < 0.3
+
+
+def test_slice_count_accepts_numpy_integers():
+    hams = _random_terms(4, 2, seed=9)
+    psi = numerics.random_state(4, np.random.default_rng(10))
+    terms = [suzuki.hermitian_evolver(H) for H in hams]
+    assert np.array_equal(suzuki.simulate(terms, 0.8, 1, np.int64(3), psi),
+                          suzuki.simulate(terms, 0.8, 1, 3, psi))
+    assert np.array_equal(suzuki.plan_unitary(hams, 0.8, 2, np.int64(3)),
+                          suzuki.plan_unitary(hams, 0.8, 2, 3))
+    assert (suzuki.restriction_values(1, 2, 0.1, np.int64(3))
+            == suzuki.restriction_values(1, 2, 0.1, 3))
+    for bad in (0, -1, 2.5, 3.0, "3"):
+        with pytest.raises(PlanError, match="slice count"):
+            suzuki.simulate(terms, 0.8, 1, bad, psi)
+        with pytest.raises(PlanError, match="slice count"):
+            suzuki.plan_unitary(hams, 0.8, 1, bad)
+        with pytest.raises(PlanError, match="slice count"):
+            suzuki.restriction_values(1, 2, 0.1, bad)
+        with pytest.raises(PlanError, match="slice count"):
+            suzuki.commutator_error_bound(1.0, 0.8, bad)
+
+
+def _commutator(a, b):
+    return a @ b - b @ a
+
+
+def _dense_commutator_norms(hams):
+    """Exact spectral norms of the two nested commutators of each term."""
+    rows = []
+    for g, H in enumerate(hams):
+        S = sum(hams[g + 1:], np.zeros_like(H))
+        rows.append((numerics.spectral_norm(_commutator(S, _commutator(S, H))),
+                     numerics.spectral_norm(_commutator(H, _commutator(H, S)))))
+    return rows
+
+
+def test_commutator_alpha_weights_and_validation():
+    assert suzuki.commutator_alpha([[12.0, 0.0], [0.0, 24.0]]) == 2.0
+    assert suzuki.commutator_alpha([[24.0, 12.0]]) == 2.5
+    assert suzuki.commutator_alpha(np.zeros((0, 2))) == 0.0
+    for bad in ([[1.0, -1.0]], [[float("nan"), 0.0]], [[float("inf"), 0.0]]):
+        with pytest.raises(PlanError):
+            suzuki.commutator_alpha(bad)
+    assert suzuki.commutator_error_bound(2.0, -0.5, 2) == 0.0625
+    assert suzuki.commutator_error_bound(2.0, 0.0, 1) == 0.0
+
+
+def test_choose_r_commutator_is_the_smallest_sufficient_count():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        alpha = float(rng.uniform(0.0, 5.0))
+        t = float(rng.uniform(-3.0, 3.0))
+        eps = float(10.0 ** rng.uniform(-8.0, 0.0))
+        r = suzuki.choose_r_commutator(alpha, t, eps)
+        assert suzuki.commutator_error_bound(alpha, t, r) <= eps
+        assert r == 1 or suzuki.commutator_error_bound(alpha, t, r - 1) > eps
+    assert suzuki.choose_r_commutator(0.0, 5.0, 1e-9) == 1
+    assert suzuki.choose_r_commutator(7.0, 0.0, 1e-9) == 1
+    # t^3 alpha / eps = 64 exactly: r = 8, not 9
+    assert suzuki.choose_r_commutator(0.5, 2.0, 0.0625) == 8
+    for alpha, t, eps in ((-1.0, 1.0, 0.1), (float("nan"), 1.0, 0.1),
+                          (1.0, float("inf"), 0.1), (1.0, 1.0, 0.0)):
+        with pytest.raises(PlanError):
+            suzuki.choose_r_commutator(alpha, t, eps)
+    for alpha, t, eps in ((1.0, 1e250, 0.1), (1e300, 1.0, 1e-300)):
+        with pytest.raises(PlanError, match="overflows"):
+            suzuki.choose_r_commutator(alpha, t, eps)
+    # far past 2^53 a unit step no longer moves float(r)
+    for t in (1e20, 1e100, 1e200):
+        r = suzuki.choose_r_commutator(1.0, t, 1e-3)
+        assert suzuki.commutator_error_bound(1.0, t, r) <= 1e-3
+    assert suzuki.choose_r_commutator(0.0, 1e250, 0.1) == 1
+    assert suzuki.commutator_error_bound(0.0, 1e250, 1) == 0.0
+    assert suzuki.commutator_error_bound(1.0, 1e250, 1) == float("inf")
+
+
+def test_commutator_bound_dominates_measured_error_on_dense_terms():
+    """t^3 alpha / r^2 with exact norms bounds the k = 1 error of random
+    dense terms.  Near t = 0 the bound is tight to leading order, so
+    weights 1/12 and 1/24 swapped, or the terms taken in reverse order,
+    give a value that the measured error exceeds somewhere."""
+    rng = np.random.default_rng(41)
+    points = swapped_fails = reversed_fails = 0
+    for m in (1, 2, 3, 4):
+        for inner_scale in (1.0, 10.0):
+            hams = [numerics.random_hermitian(6, rng, norm=1.0)
+                    for _ in range(m)]
+            hams[-1] = hams[-1] * inner_scale
+            norms = np.array(_dense_commutator_norms(hams))
+            alpha = suzuki.commutator_alpha(norms)
+            swapped = suzuki.commutator_alpha(norms[:, ::-1])
+            backwards = suzuki.commutator_alpha(
+                _dense_commutator_norms(hams[::-1]))
+            for t in (0.01, 0.05, -0.3, 1.0, 2.0):
+                exact = numerics.hermitian_expm(sum(hams), t)
+                for r in (1, 2, 4, 16):
+                    measured = numerics.unitary_diff_norm(
+                        exact, suzuki.plan_unitary(hams, t, 1, r))
+                    bound = suzuki.commutator_error_bound(alpha, t, r)
+                    assert measured <= bound + NOISE, (m, inner_scale, t, r)
+                    points += 1
+                    swapped_fails += measured > suzuki.commutator_error_bound(
+                        swapped, t, r) + NOISE
+                    reversed_fails += measured > suzuki.commutator_error_bound(
+                        backwards, t, r) + NOISE
+    assert points == 160
+    assert swapped_fails and reversed_fails, (swapped_fails, reversed_fails)
