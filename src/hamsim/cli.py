@@ -32,7 +32,7 @@ from . import __version__, _kernels, coloring, numerics, one_sparse
 from . import oracle as oracle_mod
 from . import parity as parity_mod
 from . import suzuki
-from .config import ColoringError, HamsimError, dense_cap
+from .config import ColoringError, HamsimError, PlanError, dense_cap
 
 
 def fit_loglog_slope(xs, ys, floor: float = 1e-12) -> float | None:
@@ -207,9 +207,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    t = args.time
+    if not math.isfinite(t):
+        raise PlanError(f"evolution time must be finite, got {t}")
     hams = _load_terms(args)
     m = len(hams)
-    t = args.time
     tau = max(numerics.spectral_norm(H) for H in hams) * abs(t)
     exact = numerics.hermitian_expm(sum(hams), t)
     ks = _int_list(args.k_list, "--k-list")

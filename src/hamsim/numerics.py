@@ -113,6 +113,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 def random_hermitian(dim: int, rng: np.random.Generator,
                      norm: float | None = None) -> np.ndarray:
     """Random dense Hermitian matrix, optionally rescaled to a spectral norm."""
+    if norm is not None and not (norm > 0 and np.isfinite(norm)):
+        raise NumericsError(f"norm target must be finite and positive, got {norm}")
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     H = 0.5 * (G + G.conj().T)
     if norm is not None:

@@ -146,6 +146,9 @@ def random_one_sparse_table(dim: int, seed: int | None = None,
         raise OracleError(f"bad dimension {dim}")
     if seed is not None and seed < 0:
         raise OracleError(f"seed must be nonnegative, got {seed}")
+    if norm_target is not None and not (norm_target > 0 and np.isfinite(norm_target)):
+        raise OracleError(
+            f"norm target must be finite and positive, got {norm_target}")
     rng = np.random.default_rng(seed)
     order = list(rng.permutation(dim))
     used = np.zeros(dim, dtype=bool)

@@ -200,24 +200,6 @@ def from_entry_list(el: EntryList, sort: bool = True) -> SparseOracle:
     return from_columns(el.n, el.d, columns, sort=sort)
 
 
-def from_dense(H: np.ndarray, n: int, d: int | None = None) -> SparseOracle:
-    """Oracle view of a dense Hermitian matrix of dimension 2^n."""
-    H = np.asarray(H, dtype=complex)
-    dim = 1 << n
-    if H.shape != (dim, dim):
-        raise OracleError(f"matrix shape {H.shape} does not match n={n}")
-    columns: dict[int, list[tuple[int, complex]]] = {}
-    degmax = 0
-    for x in range(dim):
-        row = [(int(y), complex(H[x, y])) for y in np.nonzero(H[x])[0]]
-        if row:
-            columns[x] = row
-            degmax = max(degmax, len(row))
-    if d is None:
-        d = max(degmax, 1)
-    return from_columns(n, d, columns, sort=True)
-
-
 def to_dense(oracle: SparseOracle) -> np.ndarray:
     """Uncounted full extraction, validating oracle structure on the way.
 
@@ -332,6 +314,9 @@ def random_sparse(n: int, d: int, seed: int,
     """
     if seed < 0:
         raise OracleError(f"seed must be nonnegative, got {seed}")
+    if norm_target is not None and not (norm_target > 0 and np.isfinite(norm_target)):
+        raise OracleError(
+            f"norm target must be finite and positive, got {norm_target}")
     rng = np.random.default_rng(seed)
     dim = 1 << n
     deg = [0] * dim

@@ -315,6 +315,15 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
     assert main(["simulate", "--gen", "random:n=3,d=2",
                  "--state-seed", "-1"]) == 1
     assert "nonnegative" in capsys.readouterr().err
+    for norm in ("-1", "0", "nan", "inf"):
+        assert main(["simulate", "--gen", f"random:n=3,d=2,norm={norm}"]) == 1
+        assert "finite and positive" in capsys.readouterr().err
+    assert main(["sweep", "--gen", "terms:m=2,dim=3,norm=0"]) == 1
+    assert "finite and positive" in capsys.readouterr().err
+    for bad_t in ("inf", "nan"):
+        assert main(["sweep", "--gen", "terms:m=2,dim=3",
+                     "--time", bad_t]) == 1
+        assert "evolution time must be finite" in capsys.readouterr().err
     non_ascii = tmp_path / "h.txt"
     non_ascii.write_bytes("1 1\n0 0 1 0 # caf\u00e9\n".encode("utf-8"))
     assert main(["simulate", "--input", str(non_ascii)]) == 1

@@ -157,3 +157,6 @@ def test_random_hermitian_norm_target():
     H = numerics.random_hermitian(12, rng, norm=2.5)
     assert numerics.spectral_norm(H) == pytest.approx(2.5)
     assert np.abs(H - H.conj().T).max() < 1e-15
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(NumericsError, match="finite and positive"):
+            numerics.random_hermitian(12, rng, norm=bad)

@@ -109,6 +109,12 @@ def test_random_table_norm_target_is_exact():
     table = random_one_sparse_table(24, seed=11, norm_target=2.5)
     assert numerics.spectral_norm(table_to_dense(table)) == pytest.approx(
         2.5, abs=1e-12)
+    # refused before the draw, so an empty piece is refused too
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        for empty_prob in (0.15, 1.0):
+            with pytest.raises(OracleError, match="finite and positive"):
+                random_one_sparse_table(24, seed=11, empty_prob=empty_prob,
+                                        norm_target=bad)
 
 
 def test_evolve_zero_time_is_identity():
@@ -306,67 +312,23 @@ def run_kernel(packed, steps, reps, psi):
     return got
 
 
-def layer_count(packed, steps):
-    step_term = np.array([t for t, _ in steps], dtype=np.int64)
-    coeffs = _kernels._step_coefficients(
-        packed.diag_ptr, packed.diag_idx, packed.diag_h, packed.pair_ptr,
-        packed.pair_lo, packed.pair_hi, packed.pair_absa, packed.pair_u,
-        step_term, np.array([s for _, s in steps], dtype=np.float64))
-    conflicts = _kernels._piece_conflicts(
-        packed.dim, packed.diag_ptr, packed.diag_idx, packed.pair_ptr,
-        packed.pair_lo, packed.pair_hi)
-    return len(_kernels._layers(coeffs, step_term, conflicts))
-
-
 def plan_steps(plan, t, r):
     return [(st.term - 1, st.fraction * t / r) for st in plan.steps]
 
 
-def test_kernel_layers_disjoint_steps_exactly():
+def test_kernel_matches_step_by_step_exactly():
     dim = 10
     tables = [OneSparseTable(dim, [2, 3], [0.8, -0.3], [0], [1], [0.6 + 0.3j]),
               # disjoint from piece 0
               OneSparseTable(dim, [], [], [4], [5], [-0.4j]),
               # overlaps piece 0 only, at index 1
               OneSparseTable(dim, [], [], [1], [6], [1.3 - 0.2j]),
-              # a lone diagonal entry, which shares no layer with another
-              # diagonal
+              # a lone diagonal entry
               OneSparseTable(dim, [7], [0.45], [], [], []),
               OneSparseTable(dim, [], [], [], [], [])]
-    # step 3 (piece 1) moves back past steps 1 and 2, which it does not
-    # conflict with; the pieces 0/2 steps must keep their order
-    steps = [(0, 0.3), (2, 0.7), (0, -0.4), (1, 0.5), (3, 1.1), (4, 0.2),
-             (2, -0.25), (1, 0.9), (0, 0.6)]
-    reps = 3
-    packed = pack_tables(tables)
-    assert layer_count(packed, steps) == 5
-    psi0 = numerics.random_state(dim, np.random.default_rng(4))
-    got = run_kernel(packed, steps, reps, psi0)
-    assert np.array_equal(got, step_by_step(packed, steps, reps, psi0))
-    want = psi0.copy()
-    for _ in range(reps):
-        for term, s in steps:
-            want = numerics.hermitian_expm(table_to_dense(tables[term]),
-                                           s) @ want
-    assert np.linalg.norm(got - want) < 1e-12
-
-
-def test_kernel_layers_decomposition_pieces_exactly():
-    for seed in (1, 2, 3):
-        pieces = coloring.decompose(oracle.random_sparse(6, 3, seed=seed))
-        packed = pack_tables([extract_table(piece) for piece in pieces])
-        psi0 = numerics.random_state(packed.dim, np.random.default_rng(seed))
-        for k, t, r in ((1, 0.8, 5), (2, -1.3, 2)):
-            plan = suzuki.build_plan(k, packed.count)
-            steps = plan_steps(plan, t, r)
-            # the pieces are small, so many steps share a layer
-            assert layer_count(packed, steps) < len(steps) // 2
-            got = apply_product_formula(packed, plan, t, r, psi0)
-            assert np.array_equal(got, step_by_step(packed, steps, r, psi0))
-
-
-def test_kernel_layer_schedule():
-    m, dim = 5, 20
+    cases = [(tables, [(0, 0.3), (2, 0.7), (0, -0.4), (1, 0.5), (3, 1.1),
+                       (4, 0.2), (2, -0.25), (1, 0.9), (0, 0.6)], 3)]
+    m, dim = 5, 20  # three more piece sets, swept by a k=1 plan
     disjoint = [OneSparseTable(dim, [4 * i, 4 * i + 1], [0.5 + i, -0.2],
                                [4 * i + 2], [4 * i + 3], [0.7 - 0.1j * i])
                 for i in range(m)]
@@ -375,14 +337,31 @@ def test_kernel_layer_schedule():
     shared = [OneSparseTable(dim, [0], [1.5], [], [], [])] + [
         OneSparseTable(dim, [], [], [0], [i], [0.3 + 0.2j * i])
         for i in range(1, m)]
-    steps = plan_steps(suzuki.build_plan(1, m), 0.9, 1)
-    psi0 = numerics.random_state(dim, np.random.default_rng(9))
-    for tables, layers in ((disjoint, 2), (lone, 2 * m - 1),
-                           (shared, 2 * m - 1)):
-        packed = pack_tables(tables)
-        assert layer_count(packed, steps) == layers
-        assert np.array_equal(run_kernel(packed, steps, 2, psi0),
-                              step_by_step(packed, steps, 2, psi0))
+    k1_steps = plan_steps(suzuki.build_plan(1, m), 0.9, 1)
+    cases += [(pieces, k1_steps, 2) for pieces in (disjoint, lone, shared)]
+    for seed, (pieces, steps, reps) in enumerate(cases):
+        packed = pack_tables(pieces)
+        psi0 = numerics.random_state(packed.dim, np.random.default_rng(seed))
+        got = run_kernel(packed, steps, reps, psi0)
+        assert np.array_equal(got, step_by_step(packed, steps, reps, psi0))
+        want = psi0.copy()
+        for _ in range(reps):
+            for term, s in steps:
+                want = numerics.hermitian_expm(table_to_dense(pieces[term]),
+                                               s) @ want
+        assert np.linalg.norm(got - want) < 1e-12
+
+
+def test_kernel_decomposition_pieces_exactly():
+    for seed in (1, 2, 3):
+        pieces = coloring.decompose(oracle.random_sparse(6, 3, seed=seed))
+        packed = pack_tables([extract_table(piece) for piece in pieces])
+        psi0 = numerics.random_state(packed.dim, np.random.default_rng(seed))
+        for k, t, r in ((1, 0.8, 5), (2, -1.3, 2)):
+            plan = suzuki.build_plan(k, packed.count)
+            steps = plan_steps(plan, t, r)
+            got = apply_product_formula(packed, plan, t, r, psi0)
+            assert np.array_equal(got, step_by_step(packed, steps, r, psi0))
 
 
 def _commutator(a, b):

@@ -178,6 +178,9 @@ def test_random_sparse_norm_target():
     orc = oracle.random_sparse(4, 2, seed=3, norm_target=1.0)
     H = oracle.to_dense(orc)
     assert numerics.spectral_norm(H) == pytest.approx(1.0, abs=1e-12)
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(OracleError, match="finite and positive"):
+            oracle.random_sparse(4, 2, seed=3, norm_target=bad)
 
 
 def test_queries_stable_across_scans():
@@ -207,12 +210,3 @@ def test_explicit_column_order_is_respected():
     assert orc.query(0, 2) == (1, 2.0 + 0j)
     sorted_orc = oracle.from_columns(2, 2, cols, sort=True)
     assert sorted_orc.query(0, 1) == (1, 2.0 + 0j)
-
-
-def test_from_dense_round_trip():
-    rng = np.random.default_rng(17)
-    H = numerics.random_hermitian(8, rng)
-    H[np.abs(H) < 0.8] = 0.0
-    H = 0.5 * (H + H.conj().T)
-    orc = oracle.from_dense(H, 3)
-    assert np.allclose(oracle.to_dense(orc), H, atol=0)

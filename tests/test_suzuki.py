@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hamsim import numerics, suzuki
-from hamsim.config import PlanError, ValidityWindowWarning
+from hamsim.config import TOL, PlanError, ValidityWindowWarning
 from hamsim.suzuki import BoundResult, PlanStep
 
 # Frozen reference constants, computed independently with mpmath at 40
@@ -88,6 +88,22 @@ def test_plan_validation_rejects_garbage():
         suzuki.build_plan(0, 2)
     with pytest.raises(PlanError):
         suzuki.build_plan(1, 0)
+
+
+def test_plan_sums_fractions_exactly():
+    # term 1's 626 fractions sum to exactly 1, but a running sum rounds
+    # each addition past 128 up by 2^-46 and misses 1 by 2.6e-12
+    ones = [1 - 2.0 ** -46] * 313 + [-1.0] * 312 + [313 * 2.0 ** -46]
+    twos = [0.5, -0.5] * 312 + [1.0]
+    running = 0.0
+    for f in ones:
+        running += f
+    assert abs(running - 1.0) > TOL.plan_fraction_sum
+    steps = [PlanStep(1, ones[0])]
+    for f1, f2 in zip(ones[1:], twos):
+        steps += [PlanStep(2, f2), PlanStep(1, f1)]
+    plan = suzuki.ProductFormulaPlan(5, 2, tuple(steps))
+    assert len(plan.steps) == suzuki.exponential_count(5, 2)
 
 
 def test_choose_k_values():
