@@ -316,7 +316,22 @@ def plan_steps(plan, t, r):
     return [(st.term - 1, st.fraction * t / r) for st in plan.steps]
 
 
-def test_kernel_matches_step_by_step_exactly():
+def check_against_references(pieces, steps, reps, seed):
+    packed = pack_tables(pieces)
+    psi0 = numerics.random_state(packed.dim, np.random.default_rng(seed))
+    got = run_kernel(packed, steps, reps, psi0)
+    assert np.array_equal(got, step_by_step(packed, steps, reps, psi0))
+    want = psi0.copy()
+    for _ in range(reps):
+        for term, s in steps:
+            want = numerics.hermitian_expm(table_to_dense(pieces[term]),
+                                           s) @ want
+    assert np.linalg.norm(got - want) < 1e-12
+
+
+def test_kernel_layers_disjoint_steps_exactly():
+    """Steps on disjoint and overlapping pieces, interleaved, run in plan
+    order: the kernel equals the step-by-step reference bit for bit."""
     dim = 10
     tables = [OneSparseTable(dim, [2, 3], [0.8, -0.3], [0], [1], [0.6 + 0.3j]),
               # disjoint from piece 0
@@ -326,9 +341,15 @@ def test_kernel_matches_step_by_step_exactly():
               # a lone diagonal entry
               OneSparseTable(dim, [7], [0.45], [], [], []),
               OneSparseTable(dim, [], [], [], [], [])]
-    cases = [(tables, [(0, 0.3), (2, 0.7), (0, -0.4), (1, 0.5), (3, 1.1),
-                       (4, 0.2), (2, -0.25), (1, 0.9), (0, 0.6)], 3)]
-    m, dim = 5, 20  # three more piece sets, swept by a k=1 plan
+    steps = [(0, 0.3), (2, 0.7), (0, -0.4), (1, 0.5), (3, 1.1), (4, 0.2),
+             (2, -0.25), (1, 0.9), (0, 0.6)]
+    check_against_references(tables, steps, 3, 4)
+
+
+def test_kernel_layer_schedule():
+    """A k=1 plan over pieces that are all disjoint, all lone diagonals, or
+    all touch index 0: each runs as the step-by-step reference does."""
+    m, dim = 5, 20
     disjoint = [OneSparseTable(dim, [4 * i, 4 * i + 1], [0.5 + i, -0.2],
                                [4 * i + 2], [4 * i + 3], [0.7 - 0.1j * i])
                 for i in range(m)]
@@ -337,19 +358,9 @@ def test_kernel_matches_step_by_step_exactly():
     shared = [OneSparseTable(dim, [0], [1.5], [], [], [])] + [
         OneSparseTable(dim, [], [], [0], [i], [0.3 + 0.2j * i])
         for i in range(1, m)]
-    k1_steps = plan_steps(suzuki.build_plan(1, m), 0.9, 1)
-    cases += [(pieces, k1_steps, 2) for pieces in (disjoint, lone, shared)]
-    for seed, (pieces, steps, reps) in enumerate(cases):
-        packed = pack_tables(pieces)
-        psi0 = numerics.random_state(packed.dim, np.random.default_rng(seed))
-        got = run_kernel(packed, steps, reps, psi0)
-        assert np.array_equal(got, step_by_step(packed, steps, reps, psi0))
-        want = psi0.copy()
-        for _ in range(reps):
-            for term, s in steps:
-                want = numerics.hermitian_expm(table_to_dense(pieces[term]),
-                                               s) @ want
-        assert np.linalg.norm(got - want) < 1e-12
+    steps = plan_steps(suzuki.build_plan(1, m), 0.9, 1)
+    for pieces in (disjoint, lone, shared):
+        check_against_references(pieces, steps, 2, 9)
 
 
 def test_kernel_decomposition_pieces_exactly():
