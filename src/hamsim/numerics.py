@@ -1,13 +1,17 @@
-"""Dense linear-algebra verification helpers.
+"""Linear-algebra verification helpers.
 
-Exact time evolution by eigendecomposition, spectral norms, and trace
-distance.  These routines are the measurement side of the package: every
-approximate evolution is judged against them.  All dense work refuses
-matrices above the configured cap so exponential blowups fail fast instead
-of thrashing.
+These routines are the measurement side of the package: every approximate
+evolution is judged against them.  Two work on states at any size: the
+action of exp(-iHt) on a state from the sparse entries of H (a scaled
+truncated Taylor series), and the trace distance between pure states.  The
+dense ones (exact evolution by eigendecomposition, spectral norms, trace
+distance of density matrices) refuse matrices above the configured cap so
+exponential blowups fail fast instead of thrashing.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,6 +70,81 @@ def hermitian_expm(H: np.ndarray, t: float) -> np.ndarray:
     return U
 
 
+# Every Taylor step has a norm bound of at most 1, which needs degree 18;
+# a degree past this means the bound was not finite.
+_TAYLOR_MAX_DEGREE = 40
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _taylor_degree(theta: float) -> int:
+    """Smallest q with theta^(q+1) / (q+1)! * e^theta <= 2^-53.
+
+    That quantity bounds the remainder sum_{j>q} theta^j / j! of the
+    exponential series, so for ||A|| <= theta the degree-q Taylor
+    polynomial of e^A is within 2^-53 of it in norm.
+    """
+    q = 0
+    rest = theta * math.exp(theta)
+    while not rest <= _UNIT_ROUNDOFF:
+        q += 1
+        if q > _TAYLOR_MAX_DEGREE:
+            raise NumericsError(
+                f"Taylor degree above {_TAYLOR_MAX_DEGREE} for a step of "
+                f"norm bound {theta}")
+        rest *= theta / (q + 1)
+    return q
+
+
+def expm_action(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                t: float, psi: np.ndarray) -> np.ndarray:
+    """exp(-i H t) psi for Hermitian H given by its entries H[rows, cols].
+
+    The scaled truncated Taylor method of Al-Mohy & Higham, "Computing the
+    action of the matrix exponential", SIAM J. Sci. Comput. 33(2) (2011),
+    with a rigorous truncation rule: theta = (largest absolute row sum) |t|
+    bounds ||H t||_2 for Hermitian H, t is split into s = ceil(theta)
+    steps, and each step sums the series to the degree _taylor_degree
+    picks for theta / s <= 1.  The matrix never forms; a product is a
+    gather and a bincount.  As exp(-iHt) is unitary, the output's norm
+    must match psi's within TOL.unitarity.
+    """
+    t = float(t)
+    if not math.isfinite(t):
+        raise NumericsError(f"evolution time must be finite, got {t}")
+    psi = require_state(psi)
+    dim = psi.size
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.complex128)
+    if not rows.shape == cols.shape == vals.shape or rows.ndim != 1:
+        raise NumericsError("rows, cols and vals must be equal-length vectors")
+    if rows.size and (min(rows.min(), cols.min()) < 0
+                      or max(rows.max(), cols.max()) >= dim):
+        raise NumericsError(f"an entry index is outside 0..{dim - 1}")
+    theta = float(np.bincount(rows, weights=np.abs(vals),
+                              minlength=dim).max()) * abs(t)
+    steps = math.ceil(theta) if 1.0 < theta < math.inf else 1
+    degree = _taylor_degree(theta / steps)
+    h = vals * (-1j * t / steps)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        w = h * v[cols]
+        return (np.bincount(rows, weights=w.real, minlength=dim)
+                + 1j * np.bincount(rows, weights=w.imag, minlength=dim))
+
+    out = psi
+    for _ in range(steps):
+        term = out
+        out = out.copy()
+        for j in range(1, degree + 1):
+            term = apply(term) / j
+            out += term
+    drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(psi)))
+    if not drift <= TOL.unitarity:
+        raise NumericsError(f"evolved state's norm moved by {drift:.3e}")
+    return out
+
+
 def spectral_norm(A: np.ndarray) -> float:
     """Largest singular value."""
     A = _square(A)
@@ -81,6 +160,26 @@ def unitary_diff_norm(U: np.ndarray, V: np.ndarray) -> float:
     if U.shape != V.shape:
         raise NumericsError(f"shape mismatch {U.shape} vs {V.shape}")
     return spectral_norm(U - V)
+
+
+def pure_state_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace distance between the pure states |a> and |b>, in O(dim).
+
+    It equals sqrt(1 - |<a|b>|^2), but that form cancels for nearby states
+    and cannot resolve distances below about 1e-8.  With the phase of <a|b>
+    taken out, delta = ||e^{i arg<a|b>} a - b|| satisfies
+    delta^2 = 2 (1 - |<a|b>|), so the distance is
+    delta sqrt((1 + |<a|b>|) / 2), which keeps full relative accuracy.
+    """
+    a = require_state(a)
+    b = require_state(b)
+    if a.shape != b.shape:
+        raise NumericsError(f"shape mismatch {a.shape} vs {b.shape}")
+    overlap = complex(np.vdot(a, b))
+    mag = abs(overlap)
+    phase = overlap / mag if mag > 0 else 1.0
+    delta = float(np.linalg.norm(phase * a - b))
+    return delta * math.sqrt((1.0 + mag) / 2.0)
 
 
 def pure_density(psi: np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@
 An oracle answers row queries: query(x, i) returns the i-th nonzero entry of
 row x as (column index y, value H[x, y]), with 1 <= i <= d, and pads with
 (x, 0) past the actual degree.  Nonzero slots always come first.  Every
-query() call bumps a monotone counter; verification bridges (to_dense,
-entry-list extraction) go through the uncounted peek() so measured query
-complexity reflects the algorithms alone.
+query() call bumps a monotone counter; verification bridges (read_entries
+and the dense and entry-list extractions built on it) go through the
+uncounted peek() so measured query complexity reflects the algorithms alone.
 """
 
 from __future__ import annotations
@@ -200,52 +200,80 @@ def from_entry_list(el: EntryList, sort: bool = True) -> SparseOracle:
     return from_columns(el.n, el.d, columns, sort=sort)
 
 
-def to_dense(oracle: SparseOracle) -> np.ndarray:
-    """Uncounted full extraction, validating oracle structure on the way.
+def read_entries(oracle: SparseOracle
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uncounted read of every stored entry as (rows, cols, vals) arrays.
 
-    Checks: padding only after the nonzero slots, no duplicate neighbors,
-    and Hermitian symmetry of the assembled matrix.
+    Entries come row by row in slot order, padding dropped, with no dense
+    cap.  Checks on the way: padding only after the nonzero slots, no
+    duplicate neighbors, no explicit zeros, finite values, and Hermitian
+    pairing within _PAIR_TOL, found by matching the sorted (x, y) keys
+    against the (y, x) keys.
     """
+    dim, d = oracle.dim, oracle.d
+    slots = [oracle.peek(x, i) for x in range(dim) for i in range(1, d + 1)]
+    ys = np.array([y for y, _ in slots], dtype=np.int64).reshape(dim, d)
+    vs = np.array([v for _, v in slots], dtype=np.complex128).reshape(dim, d)
+    xs = np.broadcast_to(np.arange(dim, dtype=np.int64)[:, None], (dim, d))
+    pad = (ys == xs) & (vs == 0)
+    after_pad = ~pad & np.logical_or.accumulate(pad, axis=1)
+    keys = xs * dim + ys
+    # a repeat of an earlier non-padding key in the same row; keys are in
+    # row-major slot order, so the stable sort puts the earlier slot first
+    flat = keys.ravel()
+    order = np.argsort(flat, kind="stable")
+    repeat = np.zeros(flat.size, dtype=bool)
+    repeat[order[1:]] = flat[order[1:]] == flat[order[:-1]]
+    duplicate = repeat.reshape(dim, d) & ~pad
+    zero = ~pad & (vs == 0)
+    bad = after_pad | duplicate | zero
+    if bad.any():
+        x, i = divmod(int(np.flatnonzero(bad)[0]), d)
+        if after_pad[x, i]:
+            raise OracleError(f"row {x}: nonzero slot {i + 1} after padding")
+        if duplicate[x, i]:
+            raise OracleError(f"row {x}: duplicate neighbor {ys[x, i]}")
+        raise OracleError(f"row {x}: explicit zero at slot {i + 1}")
+    keep = ~pad
+    rows, cols, vals = xs[keep], ys[keep], vs[keep]
+    if not np.all(np.isfinite(vals)):
+        at = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise OracleError(f"non-finite entry at ({rows[at]}, {cols[at]})")
+    if vals.size:
+        # |H[x, y] - conj(H[y, x])| at every stored (x, y); a missing
+        # mirror counts as 0, as it would in the dense matrix
+        order = np.argsort(keys[keep])
+        sorted_keys, sorted_vals = keys[keep][order], vals[order]
+        want = cols * dim + rows
+        at = np.searchsorted(sorted_keys, want).clip(max=vals.size - 1)
+        mirror = np.where(sorted_keys[at] == want, sorted_vals[at], 0)
+        dev = float(np.abs(vals - mirror.conj()).max())
+        if dev > _PAIR_TOL:
+            raise OracleError(
+                f"oracle is not Hermitian: max deviation {dev:.3e}")
+    return rows, cols, vals
+
+
+def to_dense(oracle: SparseOracle) -> np.ndarray:
+    """Uncounted full extraction: read_entries, with its structural checks,
+    scattered into a dense matrix below the dense cap."""
     dim = oracle.dim
     if dim > dense_cap():
         raise OracleError(f"dimension {dim} exceeds dense cap {dense_cap()}")
+    rows, cols, vals = read_entries(oracle)
     H = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        ended = False
-        seen: set[int] = set()
-        for i in range(1, oracle.d + 1):
-            y, v = oracle.peek(x, i)
-            if y == x and v == 0:
-                ended = True
-                continue
-            if ended:
-                raise OracleError(f"row {x}: nonzero slot {i} after padding")
-            if y in seen:
-                raise OracleError(f"row {x}: duplicate neighbor {y}")
-            seen.add(y)
-            if v == 0:
-                raise OracleError(f"row {x}: explicit zero at slot {i}")
-            H[x, y] = v
-    dev = np.abs(H - H.conj().T).max() if dim else 0.0
-    if dev > _PAIR_TOL:
-        raise OracleError(f"oracle is not Hermitian: max deviation {dev:.3e}")
+    H[rows, cols] = vals
     return H
 
 
 def to_entry_list(oracle: SparseOracle) -> EntryList:
     """Uncounted extraction to the canonical x <= y entry list."""
-    dim = oracle.dim
-    if dim > dense_cap():
-        raise OracleError(f"dimension {dim} exceeds dense cap {dense_cap()}")
-    entries = []
-    for x in range(dim):
-        for i in range(1, oracle.d + 1):
-            y, v = oracle.peek(x, i)
-            if y == x and v == 0:
-                break
-            if x <= y:
-                entries.append((x, y, v))
-    entries.sort(key=lambda e: (e[0], e[1]))
+    rows, cols, vals = read_entries(oracle)
+    upper = rows <= cols
+    rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    order = np.lexsort((cols, rows))
+    entries = zip(rows[order].tolist(), cols[order].tolist(),
+                  vals[order].tolist())
     return EntryList(oracle.n, oracle.d, tuple(entries))
 
 
@@ -363,18 +391,9 @@ def shuffled_columns(oracle: SparseOracle, seed: int) -> SparseOracle:
     if seed < 0:
         raise OracleError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    dim = oracle.dim
-    if dim > dense_cap():
-        raise OracleError(f"dimension {dim} exceeds dense cap {dense_cap()}")
     columns: dict[int, list[tuple[int, complex]]] = {}
-    for x in range(dim):
-        row = []
-        for i in range(1, oracle.d + 1):
-            y, v = oracle.peek(x, i)
-            if y == x and v == 0:
-                break
-            row.append((y, v))
-        if row:
-            order = rng.permutation(len(row))
-            columns[x] = [row[j] for j in order]
+    for x, y, v in zip(*(a.tolist() for a in read_entries(oracle))):
+        columns.setdefault(x, []).append((y, v))
+    columns = {x: [row[j] for j in rng.permutation(len(row))]
+               for x, row in columns.items()}
     return from_columns(oracle.n, oracle.d, columns, sort=False)

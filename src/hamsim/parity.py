@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import OracleError, PlanError
-from .numerics import pure_density, trace_distance
+from .numerics import pure_state_distance
 from .one_sparse import (apply_product_formula, extract_table, pack_tables,
                          quantize_table)
 from .oracle import QueryCounter, SparseOracle
@@ -211,8 +211,7 @@ def run_parity(instance: ParityInstance, eps: float,
 
     top = state_index(N, 1, N)
     parity = int(abs(psi[top]) > abs(psi[state_index(N, 0, N)]))
-    err = trace_distance(pure_density(psi),
-                         pure_density(exact_target_state(instance)))
+    err = pure_state_distance(psi, exact_target_state(instance))
     return ParityRunResult(
         parity=parity,
         correct=parity == instance.parity(),

@@ -176,6 +176,33 @@ def test_simulate_commutator_rule_on_the_n8_instance():
     assert data["measured_error"] <= data["error_bound"] <= 1e-2
 
 
+def test_simulate_measures_the_error_above_the_dense_cap(monkeypatch):
+    orc = oracle.random_sparse(7, 3, seed=1, norm_target=1.0)
+    below = cli.simulate_pipeline(orc, 1.0, 1e-2)
+    monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
+    above = cli.simulate_pipeline(orc, 1.0, 1e-2)
+    assert below["verification"]["ok"] is True
+    assert below["matrix_norm"] == pytest.approx(1.0, abs=1e-12)
+    assert above["verification"] is None and above["matrix_norm"] is None
+    assert above["measured_error"] == pytest.approx(below["measured_error"],
+                                                    abs=1e-12)
+    assert above["error_ok"] is below["error_ok"] is True
+    assert above["measured_error"] <= above["error_bound"]
+
+
+def test_simulate_stays_numpy_only():
+    # scipy is a test-only cross-check; the program must not load it
+    src = str(Path(hamsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from hamsim import cli, oracle\n"
+            "cli.simulate_pipeline(oracle.random_sparse(4, 2, seed=1), 1.0, 1e-2)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_simulate_fails_loudly_when_error_exceeds_eps(capsys):
     rc = main(["simulate", "--gen", "random:n=2,d=2,seed=1,norm=1",
                "--time", "1.0", "--eps", "1e-12", "--k", "1", "--r", "1"])
@@ -249,6 +276,9 @@ def test_parity_explicit_and_random(capsys):
     assert data["trace_error"] <= 0.2
     assert data["bit_queries"] == 4 * 8
     assert data["lower_bound_ok"] is True
+    # recorded from the dense trace distance of the two pure densities
+    assert data["trace_error"] == pytest.approx(2.1554934352532285e-06,
+                                                abs=1e-12)
     rc, d1 = run_json(capsys, ["parity", "--size", "6", "--seed", "3"])
     rc2, d2 = run_json(capsys, ["parity", "--size", "6", "--seed", "3"])
     assert rc == rc2 == 0
@@ -324,6 +354,10 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
         assert main(["sweep", "--gen", "terms:m=2,dim=3",
                      "--time", bad_t]) == 1
         assert "evolution time must be finite" in capsys.readouterr().err
+    for floor in ("nan", "-1"):
+        assert main(["sweep", "--gen", "terms:m=2,dim=3",
+                     "--floor", floor]) == 1
+        assert "--floor must be finite and nonnegative" in capsys.readouterr().err
     non_ascii = tmp_path / "h.txt"
     non_ascii.write_bytes("1 1\n0 0 1 0 # caf\u00e9\n".encode("utf-8"))
     assert main(["simulate", "--input", str(non_ascii)]) == 1

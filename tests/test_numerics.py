@@ -1,11 +1,14 @@
-"""Dense-numerics checks: exact evolution, norms, trace distance."""
+"""Numerics checks: exact evolution, its sparse action, norms, distances."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
-from hamsim import numerics
+from hamsim import numerics, oracle
 from hamsim.config import NumericsError
+from hamsim.oracle import EntryList
 
 
 def test_expm_zero_hamiltonian_is_identity():
@@ -160,3 +163,93 @@ def test_random_hermitian_norm_target():
     for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(NumericsError, match="finite and positive"):
             numerics.random_hermitian(12, rng, norm=bad)
+
+
+# the oracles of the reference grid, with a diagonal-only and a zero one
+ACTION_CASES = {
+    **{f"random n={n} d={d}": oracle.random_sparse(n, d, seed=10 * n + d)
+       for n in range(2, 9) for d in range(1, 5)},
+    "diagonal": oracle.from_entry_list(EntryList(
+        3, 1, tuple((x, x, 0.25 * x - 0.8) for x in range(8)))),
+    "zero": oracle.from_entry_list(EntryList(2, 1, ())),
+}
+
+
+@pytest.mark.parametrize("name", list(ACTION_CASES))
+def test_expm_action_matches_scipy_and_dense(name):
+    orc = ACTION_CASES[name]
+    rows, cols, vals = oracle.read_entries(orc)
+    H = oracle.to_dense(orc)
+    sparse = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=H.shape)
+    psi = numerics.random_state(orc.dim, np.random.default_rng(orc.dim))
+    for t in (0.0, 0.7, -0.7, 7.5, 40.0):
+        got = numerics.expm_action(rows, cols, vals, t, psi)
+        dense = numerics.hermitian_expm(H, t) @ psi
+        assert np.abs(got - dense).max() < 1e-12, t
+        ref = scipy.sparse.linalg.expm_multiply(-1j * t * sparse, psi)
+        assert np.abs(got - ref).max() < 1e-12, t
+
+
+def test_expm_action_single_steps_are_exact_to_rounding():
+    # One step at each norm bound in (0, 1]: the series must reach the
+    # degree the remainder bound asks for.  Stopping one term short misses
+    # by up to 2.1e-14 on this grid; rounding stays below 3e-16.
+    lam = np.array([1.0, -1.0])
+    psi = np.array([0.6, 0.8j])
+    for t in np.linspace(0.005, 1.0, 200):
+        got = numerics.expm_action([0, 1], [0, 1], lam, t, psi)
+        assert np.abs(got - np.exp(-1j * lam * t) * psi).max() < 2e-15, t
+
+
+def test_expm_action_refuses_bad_input():
+    rows, cols, vals = [0, 1], [1, 0], [0.5, 0.5]
+    psi = np.array([1.0, 0.0])
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(NumericsError, match="time must be finite"):
+            numerics.expm_action(rows, cols, vals, t, psi)
+    with pytest.raises(NumericsError, match="Taylor degree above"):
+        numerics.expm_action(rows, cols, [np.nan, 0.5], 1.0, psi)
+    # an imaginary diagonal is not Hermitian: exp(-iHt) grows the state
+    with pytest.raises(NumericsError, match="norm moved"):
+        numerics.expm_action([0], [0], [0.5j], 1.0, psi)
+    with pytest.raises(NumericsError, match="outside"):
+        numerics.expm_action([0, 2], [2, 0], vals, 1.0, psi)
+    with pytest.raises(NumericsError, match="equal-length"):
+        numerics.expm_action(rows, cols, [0.5], 1.0, psi)
+    with pytest.raises(NumericsError):
+        numerics.expm_action(rows, cols, vals, 1.0, np.array([1.0, 1.0]))
+
+
+def _nearby(a, angle, rng):
+    # a state at trace distance sin(angle) from a, with a global phase
+    perp = numerics.random_state(a.size, rng)
+    perp -= np.vdot(a, perp) * a
+    perp /= np.linalg.norm(perp)
+    return np.exp(0.3j) * (np.cos(angle) * a + np.sin(angle) * perp)
+
+
+def test_pure_state_distance_matches_density_route():
+    rng = np.random.default_rng(12)
+    a = numerics.random_state(16, rng)
+    pairs = [(a, a), (a, np.exp(2.1j) * a), (a, _nearby(a, 1e-13, rng)),
+             (a, _nearby(a, 1e-7, rng)), (a, _nearby(a, np.pi / 2, rng)),
+             (np.eye(16)[0], np.eye(16)[5])]
+    pairs += [(numerics.random_state(16, rng), numerics.random_state(16, rng))
+              for _ in range(20)]
+    for x, y in pairs:
+        dense = numerics.trace_distance(numerics.pure_density(x),
+                                        numerics.pure_density(y))
+        assert abs(numerics.pure_state_distance(x, y) - dense) < 1e-14
+    # the distance is resolved far below the 1e-8 where 1 - |<a|b>|^2 stops
+    near = numerics.pure_state_distance(a, _nearby(a, 1e-13, rng))
+    assert near == pytest.approx(1e-13, rel=1e-3)
+    assert numerics.pure_state_distance(np.eye(16)[0], np.eye(16)[5]) == (
+        pytest.approx(1.0, abs=1e-15))
+
+
+def test_pure_state_distance_validates_states():
+    good = np.array([1.0, 0.0])
+    with pytest.raises(NumericsError):
+        numerics.pure_state_distance(good, np.array([1.0, 1.0]))
+    with pytest.raises(NumericsError):
+        numerics.pure_state_distance(good, np.array([1.0, 0.0, 0.0]))

@@ -210,3 +210,61 @@ def test_explicit_column_order_is_respected():
     assert orc.query(0, 2) == (1, 2.0 + 0j)
     sorted_orc = oracle.from_columns(2, 2, cols, sort=True)
     assert sorted_orc.query(0, 1) == (1, 2.0 + 0j)
+
+
+# (rows in slot order, the message to_dense gave before it used read_entries)
+BAD_ORACLES = {
+    "non-Hermitian": ({0: [(1, 1.0)], 1: [(0, 1.0 + 0.5j)]},
+                      "oracle is not Hermitian: max deviation 5.000e-01"),
+    "missing mirror": ({0: [(1, 0.25)]},
+                       "oracle is not Hermitian: max deviation 2.500e-01"),
+    "imaginary diagonal": ({2: [(2, 1.0 + 1e-9j)]},
+                           "oracle is not Hermitian: max deviation 2.000e-09"),
+    "padded then nonzero": ({2: [(2, 0.0), (3, 1.0)], 3: [(2, 1.0)]},
+                            "row 2: nonzero slot 2 after padding"),
+    "duplicate neighbour": ({0: [(1, 1.0), (1, 1.0)], 1: [(0, 1.0)]},
+                            "row 0: duplicate neighbor 1"),
+    "explicit zero": ({3: [(1, 0.0)]}, "row 3: explicit zero at slot 1"),
+    # the first bad slot in row-major order decides the message
+    "first bad slot wins": ({1: [(3, 0.0)], 2: [(0, 1.0), (0, 1.0)]},
+                            "row 1: explicit zero at slot 1"),
+    "padding before a repeat": ({1: [(1, 0.0), (1, 2.0)]},
+                                "row 1: nonzero slot 2 after padding"),
+}
+
+
+def raw_oracle(rows, n=2, d=2):
+    # no validation on the way in, unlike from_columns
+    def fn(x, i):
+        row = rows.get(x, [])
+        return row[i - 1] if i <= len(row) else (x, 0j)
+    return oracle.SparseOracle(n, d, fn)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ORACLES))
+def test_read_entries_structural_checks(name):
+    rows, message = BAD_ORACLES[name]
+    for extract in (oracle.read_entries, oracle.to_dense, oracle.to_entry_list):
+        with pytest.raises(OracleError) as exc:
+            extract(raw_oracle(rows))
+        assert str(exc.value) == message
+    with pytest.raises(OracleError, match=r"non-finite entry at \(0, 1\)"):
+        oracle.read_entries(raw_oracle({0: [(1, np.nan)], 1: [(0, np.nan)]}))
+
+
+def test_read_entries_runs_above_the_dense_cap(monkeypatch):
+    orc = oracle.random_sparse(5, 3, seed=8)
+    rows, cols, vals = oracle.read_entries(orc)
+    H = oracle.to_dense(orc)
+    assert np.array_equal(rows, np.nonzero(H)[0])
+    dense = np.zeros_like(H)
+    dense[rows, cols] = vals
+    assert np.array_equal(dense, H)
+    el = oracle.to_entry_list(orc)
+    monkeypatch.setenv("HAMSIM_DENSE_CAP", "16")
+    with pytest.raises(OracleError, match="exceeds dense cap"):
+        oracle.to_dense(orc)
+    again = oracle.read_entries(orc)
+    assert all(np.array_equal(a, b) for a, b in zip(again, (rows, cols, vals)))
+    assert oracle.to_entry_list(orc) == el
+    assert orc.counter.count == 0
