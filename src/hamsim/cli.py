@@ -112,8 +112,8 @@ def _load_terms(args) -> list[np.ndarray]:
         rng = np.random.default_rng(seed)
         return [numerics.random_hermitian(dim, rng, norm=norm) for _ in range(m)]
     orc = _load_oracle(args.input, args.gen)
-    tables = [one_sparse.extract_table(p) for p in coloring.decompose(orc)]
-    hams = [one_sparse.table_to_dense(t) for t in tables if t.entry_count]
+    hams = [one_sparse.table_to_dense(t) for t in coloring.piece_tables(orc)
+            if t.entry_count]
     if not hams:
         raise HamsimError("the matrix is zero, nothing to sweep")
     return hams
@@ -268,9 +268,10 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     """Decompose, evolve, and account: the whole toolchain as one call.
 
     The measured error compares the evolved state with exp(-iHt) psi0 from
-    the oracle's entries, at any size.  The dense cross-checks (coloring
-    verification, the matrix norm) run only when the dimension is inside
-    the dense cap; above it they are reported as None.
+    the oracle's entries, and coloring verification checks the pieces
+    against those entries, both at any size (verify_coloring checks a
+    sample of the piece lookups above the dense cap).  The matrix norm
+    needs a dense matrix: above the cap it is reported as None.
     """
     dim = orc.dim
     z = coloring.iterate_count(orc.n)
@@ -279,13 +280,14 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     rng = np.random.default_rng(_check_seed(state_seed, "--state-seed"))
 
     verification = None
-    if verify and dense_ok:
+    if verify:
         report = coloring.verify_coloring(orc)
         verification = {
             "ok": report.ok,
             "nonzero_pieces": report.nonzero_pieces,
             "max_queries_per_call": report.max_queries_per_call,
             "query_bound": report.query_bound,
+            "lookups_checked": report.lookups_checked,
             "failures": list(report.failures),
         }
         if not report.ok:
@@ -293,8 +295,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
                 "decomposition failed verification: " + "; ".join(report.failures))
 
     base_before = orc.counter.count
-    tables = [one_sparse.extract_table(p) for p in coloring.decompose(orc)]
-    tables = [tb for tb in tables if tb.entry_count]
+    tables = [tb for tb in coloring.piece_tables(orc) if tb.entry_count]
     base_queries = orc.counter.count - base_before
     m = len(tables)
 
@@ -416,13 +417,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_decompose(args) -> int:
     orc = _load_oracle(args.input, args.gen)
+    labels = coloring.enumerate_labels(orc.d, orc.n)
     rows = []
-    for piece in coloring.decompose(orc):
-        table = one_sparse.extract_table(piece)
+    for label, table in zip(labels, coloring.piece_tables(orc)):
         if not table.entry_count and not args.all:
             continue
         rows.append({
-            "i": piece.label.i, "j": piece.label.j, "nu": piece.label.nu,
+            "i": label.i, "j": label.j, "nu": label.nu,
             "diagonals": int(table.diag_idx.size),
             "pairs": int(table.pair_lo.size),
             "entries": table.entry_count,
@@ -432,13 +433,14 @@ def cmd_decompose(args) -> int:
     payload = {
         "n": orc.n, "d": orc.d, "dim": orc.dim,
         "z": coloring.iterate_count(orc.n),
-        "label_count": len(coloring.enumerate_labels(orc.d, orc.n)),
+        "label_count": len(labels),
         "nonzero_pieces": sum(1 for row in rows if row["entries"]),
         "pieces": rows,
     }
-    if orc.dim <= dense_cap() and not args.no_verify:
+    if not args.no_verify:
         report = coloring.verify_coloring(orc)
         payload["verified"] = report.ok
+        payload["lookups_checked"] = report.lookups_checked
         payload["failures"] = list(report.failures)
     if args.format == "csv":
         buf = io.StringIO()

@@ -13,7 +13,10 @@ at 64-bit vertex labels) at most six values remain, giving at most 6 d^2
 pieces.  Only the finished tag is written out as a bit string.
 
 Chains only ever need z_n + 2 elements, so one piece lookup touches the
-base oracle at most 2(z_n + 2) times.
+base oracle at most 2(z_n + 2) times.  colored_query is that per-lookup
+algorithm, the paper's piece oracle; piece_tables computes every piece at
+once from one read of each slot, running the same rounds on whole columns
+of chains, and colored_query is the reference it is verified against.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ColoringError, dense_cap
-from .oracle import QueryCounter, SparseOracle, to_dense
+from .config import ColoringError, OracleError, dense_cap
+from .one_sparse import _HERM_TOL, OneSparseTable
+from .oracle import QueryCounter, SparseOracle, read_entries, read_slots
 
 # The complete value set after the final round whenever z_n >= 1: one bit
 # plus a two-bit position that never reaches 3.
@@ -297,6 +301,92 @@ def decompose(oracle: SparseOracle,
             for label in enumerate_labels(oracle.d, oracle.n)]
 
 
+def _chain_tags(lo: np.ndarray, up: np.ndarray, asc: np.ndarray, n: int,
+                z: int) -> np.ndarray:
+    """upsilon for every lower endpoint in lo at once, as integers.
+
+    up[x] is the slot-i neighbor of x and asc[x] says whether it closes an
+    ascending (i, j)-edge.  Row k of the chain matrix is the chain from
+    lo[k] as build_chain gives it, padded past its end by repeating the
+    last element; each round is coin_toss_level on every row, the end rule
+    taken at each row's own last element.  Bit lengths come from np.frexp,
+    exact below 2^53.  The final width is the tags' width in final_alphabet:
+    n bits when z = 0, else 3.
+    """
+    chain = np.empty((lo.size, z + 2), dtype=np.int64)
+    chain[:, 0] = lo
+    last = np.zeros(lo.size, dtype=np.int64)   # index of the last element
+    cur, alive = lo, np.ones(lo.size, dtype=bool)
+    for k in range(1, z + 2):
+        alive &= asc[cur]
+        cur = np.where(alive, up[cur], cur)
+        chain[:, k] = cur
+        last += alive
+    at_end = np.arange(z + 2) == last[:, None]
+    width = n
+    for _ in range(z):
+        pw = (width - 1).bit_length()
+        succ = np.concatenate([chain[:, 1:], chain[:, -1:]], axis=1)
+        # top: the highest differing bit, counted from 1 at the right; the
+        # padding compares equal, and its value is never used
+        top = np.maximum(np.frexp((chain ^ succ).astype(np.float64))[1], 1)
+        chain = np.where(at_end, (chain >> (width - 1)) << pw,
+                         ((chain >> (top - 1)) & 1) << pw | (width - top))
+        width = 1 + pw
+    return chain[:, 0]
+
+
+def piece_tables(oracle: SparseOracle) -> list[OneSparseTable]:
+    """Every piece of the coloring as a table, in enumerate_labels order.
+
+    Each (x, i) slot is read once through the counted query, dim * d base
+    queries in all, and every piece comes out as extract_table would scan
+    it through colored_query: the diagonal of x in piece (i, i, zeros)
+    when slot i of x is x itself, and an ascending (i, j)-edge (x, y) in
+    piece (i, j, upsilon(x, i, j)), stored as (x, y, H[x, y]) in ascending
+    x.  Empty pieces are included.  A diagonal must be real and the two
+    slots of an edge must hold conjugate values, within extract_table's
+    tolerance and with its messages.
+    """
+    n, d = oracle.n, oracle.d
+    z = iterate_count(n)
+    nbr, val = read_slots(oracle, oracle.query)
+    xs = np.arange(oracle.dim)
+    no_diag = (np.zeros(0, np.int64), np.zeros(0))
+    tables = []
+    for i in range(d):
+        up = nbr[:, i]
+        diag = np.flatnonzero((up == xs) & (val[:, i] != 0))
+        diag_v = val[diag, i]
+        bad = np.abs(diag_v.imag) > _HERM_TOL * np.maximum(1.0, np.abs(diag_v))
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            raise OracleError(f"diagonal entry at {diag[at]} is not real: "
+                              f"{complex(diag_v[at])}")
+        for j in range(d):
+            asc = (up > xs) & (nbr[up, j] == xs)
+            lo = np.flatnonzero(asc)
+            hi = up[lo]
+            amp, back = val[lo, i], val[hi, j]
+            bad = (np.abs(back - amp.conj())
+                   > _HERM_TOL * np.maximum(1.0, np.abs(amp)))
+            if bad.any():
+                at = int(np.flatnonzero(bad)[0])
+                raise OracleError(
+                    f"non-Hermitian pair ({lo[at]}, {hi[at]}): "
+                    f"{complex(amp[at])} vs {complex(back[at])}")
+            tags = _chain_tags(lo, up, asc, n, z)
+            tags[amp == 0] = -1        # extract_table skips zero values
+            for nu in final_alphabet(n):
+                on = tags == int(nu, 2)
+                diag_idx, diag_h = no_diag
+                if i == j and nu == "0" * len(nu):
+                    diag_idx, diag_h = diag, diag_v.real
+                tables.append(OneSparseTable(oracle.dim, diag_idx, diag_h,
+                                             lo[on], hi[on], amp[on]))
+    return tables
+
+
 @dataclass(frozen=True)
 class ColoringReport:
     n: int
@@ -306,64 +396,98 @@ class ColoringReport:
     nonzero_pieces: int
     max_queries_per_call: int
     query_bound: int
+    lookups_checked: int
     ok: bool
     failures: tuple[str, ...] = field(default_factory=tuple)
 
 
-def verify_coloring(oracle: SparseOracle) -> ColoringReport:
-    """Exhaustive check of the decomposition against the dense matrix.
+# Above the dense cap, verify_coloring checks this many (label, x) lookups,
+# drawn without replacement with this seed.
+VERIFY_SAMPLE = 4096
+VERIFY_SEED = 0
 
-    Every (label, x) lookup runs with a cold cache and must stay within the
-    2(z_n + 2) base-query budget.  Its answers, one claim x -> (y, v) per
-    row, must make every piece 1-sparse and exactly Hermitian, no entry may
-    be claimed by two pieces, and the claims must sum back to the
-    Hamiltonian exactly.  Dense work caps apply.
+
+def _table_entries(tables: list[OneSparseTable]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (row, col, value) the tables claim, mirror entries included."""
+    cat = np.concatenate
+    rows = cat([cat([t.diag_idx, t.pair_lo, t.pair_hi]) for t in tables])
+    cols = cat([cat([t.diag_idx, t.pair_hi, t.pair_lo]) for t in tables])
+    vals = cat([cat([t.diag_h.astype(np.complex128), t.pair_amp,
+                     t.pair_amp.conj()]) for t in tables])
+    return rows, cols, vals
+
+
+def verify_coloring(oracle: SparseOracle) -> ColoringReport:
+    """Check piece_tables against the oracle's entries and its piece lookups.
+
+    No dense matrix is built.  The tables must be pairwise disjoint and
+    their union must equal read_entries exactly.  Each checked lookup,
+    ColoredOracle(oracle, label).column(x) with a cold cache, must give
+    the table's answer at x and stay within the 2(z_n + 2) base-query
+    budget.  Inside the dense cap every (label, x) lookup is checked;
+    above it a fixed-seed sample of VERIFY_SAMPLE of them, and
+    lookups_checked says how many.
     """
     dim = oracle.dim
-    if dim > dense_cap():
-        raise ColoringError(
-            f"verification needs dense extraction; {dim} exceeds cap {dense_cap()}")
-    H = to_dense(oracle)
     z = iterate_count(oracle.n)
     bound = 2 * (z + 2)
     labels = enumerate_labels(oracle.d, oracle.n)
+    tables = piece_tables(oracle)
     failures: list[str] = []
-    claimed: set[tuple[int, int]] = set()
-    claims = 0
-    total = np.zeros((dim, dim), dtype=complex)
-    nonzero_pieces = 0
-    max_calls = 0
 
-    for label in labels:
-        piece: dict[int, tuple[int, complex]] = {}   # x -> (y, v), v != 0
-        for x in range(dim):
+    total = len(labels) * dim
+    if total <= VERIFY_SAMPLE or dim <= dense_cap():
+        picks = np.arange(total)
+    else:
+        picks = np.sort(np.random.default_rng(VERIFY_SEED).choice(
+            total, size=VERIFY_SAMPLE, replace=False))
+    # picks are sorted, so each label's share is one slice
+    ends = np.searchsorted(picks, np.arange(len(labels) + 1) * dim)
+    max_calls = 0
+    for g, label in enumerate(labels):
+        xs = picks[ends[g]:ends[g + 1]] - g * dim
+        if not xs.size:
+            continue
+        table = tables[g]
+        want: dict[int, tuple[int, complex]] = {}
+        for x, h in zip(table.diag_idx.tolist(), table.diag_h.tolist()):
+            want[x] = (x, complex(h))
+        for x, y, a in zip(table.pair_lo.tolist(), table.pair_hi.tolist(),
+                           table.pair_amp.tolist()):
+            want[x], want[y] = (y, a), (x, a.conjugate())
+        piece = ColoredOracle(oracle, label)
+        wrong: list[int] = []
+        for x in xs.tolist():
             before = oracle.counter.count
-            y, v = colored_query(oracle, x, label)  # cold cache per call
+            got = piece.column(x)
             used = oracle.counter.count - before
             max_calls = max(max_calls, used)
             if used > bound:
                 failures.append(
                     f"label {label}: lookup at {x} used {used} > {bound} queries")
-            if v != 0:
-                piece[x] = (y, v)
-        if len({y for y, _ in piece.values()}) < len(piece):
-            failures.append(f"label {label}: piece is not 1-sparse")
-        if any(piece.get(y) != (x, v.conjugate())
-               for x, (y, v) in piece.items()):
-            failures.append(f"label {label}: piece is not Hermitian")
-        if piece:
-            nonzero_pieces += 1
-        for x, (y, v) in piece.items():
-            claimed.add((x, y))
-            total[x, y] += v
-        claims += len(piece)
+            if got != want.get(x, (x, 0j)):
+                wrong.append(x)
+        if wrong:
+            failures.append(f"label {label}: lookup at {wrong[0]} disagrees "
+                            f"with the table ({len(wrong)} in all)")
 
-    if len(claimed) < claims:
+    rows, cols, vals = _table_entries(tables)
+    keys = rows * dim + cols
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    if np.any(keys[1:] == keys[:-1]):
         failures.append("pieces overlap: some entry claimed more than once")
-    if not np.array_equal(total, H):
+    e_rows, e_cols, e_vals = read_entries(oracle)
+    e_keys = e_rows * dim + e_cols
+    e_order = np.argsort(e_keys)
+    if not (np.array_equal(keys, e_keys[e_order])
+            and np.array_equal(vals, e_vals[e_order])):
         failures.append("pieces do not sum back to the Hamiltonian")
 
     return ColoringReport(
         n=oracle.n, d=oracle.d, z=z, label_count=len(labels),
-        nonzero_pieces=nonzero_pieces, max_queries_per_call=max_calls,
-        query_bound=bound, ok=not failures, failures=tuple(failures))
+        nonzero_pieces=sum(1 for t in tables if t.entry_count),
+        max_queries_per_call=max_calls, query_bound=bound,
+        lookups_checked=int(picks.size), ok=not failures,
+        failures=tuple(failures))

@@ -200,6 +200,19 @@ def from_entry_list(el: EntryList, sort: bool = True) -> SparseOracle:
     return from_columns(el.n, el.d, columns, sort=sort)
 
 
+def read_slots(oracle: SparseOracle,
+               read: Callable[[int, int], tuple[int, complex]]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Every slot of the oracle, each read once through read (its query or
+    its peek), as (dim, d) neighbor and value arrays; column i - 1 holds
+    slot i, padding included."""
+    dim, d = oracle.dim, oracle.d
+    slots = [read(x, i) for x in range(dim) for i in range(1, d + 1)]
+    ys = np.array([y for y, _ in slots], dtype=np.int64).reshape(dim, d)
+    vs = np.array([v for _, v in slots], dtype=np.complex128).reshape(dim, d)
+    return ys, vs
+
+
 def read_entries(oracle: SparseOracle
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uncounted read of every stored entry as (rows, cols, vals) arrays.
@@ -211,9 +224,7 @@ def read_entries(oracle: SparseOracle
     against the (y, x) keys.
     """
     dim, d = oracle.dim, oracle.d
-    slots = [oracle.peek(x, i) for x in range(dim) for i in range(1, d + 1)]
-    ys = np.array([y for y, _ in slots], dtype=np.int64).reshape(dim, d)
-    vs = np.array([v for _, v in slots], dtype=np.complex128).reshape(dim, d)
+    ys, vs = read_slots(oracle, oracle.peek)
     xs = np.broadcast_to(np.arange(dim, dtype=np.int64)[:, None], (dim, d))
     pad = (ys == xs) & (vs == 0)
     after_pad = ~pad & np.logical_or.accumulate(pad, axis=1)
@@ -373,7 +384,8 @@ def random_sparse(n: int, d: int, seed: int,
 
     if norm_target is not None:
         oracle = from_columns(n, d, columns, sort=True)
-        cur = float(np.linalg.norm(to_dense(oracle), 2))
+        # Hermitian, so the largest |eigenvalue| is the spectral norm
+        cur = float(np.abs(np.linalg.eigvalsh(to_dense(oracle))).max())
         if cur == 0.0:
             raise OracleError("random instance came out empty, cannot rescale")
         scale = norm_target / cur

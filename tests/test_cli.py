@@ -1,5 +1,6 @@
 """Command line behavior: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import hamsim
-from hamsim import cli, oracle
+from hamsim import cli, coloring, oracle
 from hamsim.cli import fit_loglog_slope, main
+from hamsim.config import ColoringError
 from hamsim.oracle import EntryList
 
 
@@ -182,12 +184,54 @@ def test_simulate_measures_the_error_above_the_dense_cap(monkeypatch):
     monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
     above = cli.simulate_pipeline(orc, 1.0, 1e-2)
     assert below["verification"]["ok"] is True
+    assert below["verification"]["lookups_checked"] == 54 * orc.dim
     assert below["matrix_norm"] == pytest.approx(1.0, abs=1e-12)
-    assert above["verification"] is None and above["matrix_norm"] is None
+    # verification still runs, on a sample of the lookups
+    assert above["verification"]["ok"] is True
+    assert above["verification"]["lookups_checked"] == coloring.VERIFY_SAMPLE
+    assert above["matrix_norm"] is None
     assert above["measured_error"] == pytest.approx(below["measured_error"],
                                                     abs=1e-12)
     assert above["error_ok"] is below["error_ok"] is True
     assert above["measured_error"] <= above["error_bound"]
+
+
+def test_verification_is_sampled_above_the_dense_cap(monkeypatch, capsys):
+    monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
+    gen = "random:n=7,d=3,seed=1"
+    rc, data = run_json(capsys, ["decompose", "--gen", gen])
+    assert rc == 0 and data["verified"] is True
+    assert data["lookups_checked"] == coloring.VERIFY_SAMPLE < 54 * 128
+    # one amplitude off by one ulp in one piece fails both commands
+    real = coloring.piece_tables
+
+    def corrupt(orc):
+        tables = real(orc)
+        g = next(g for g, t in enumerate(tables) if t.pair_amp.size)
+        amp = tables[g].pair_amp.copy()
+        amp[0] = complex(np.nextafter(amp[0].real, np.inf), amp[0].imag)
+        tables[g] = dataclasses.replace(tables[g], pair_amp=amp)
+        return tables
+
+    monkeypatch.setattr(coloring, "piece_tables", corrupt)
+    rc, data = run_json(capsys, ["decompose", "--gen", gen])
+    assert rc == 1 and data["verified"] is False
+    assert data["failures"][-1] == "pieces do not sum back to the Hamiltonian"
+    with pytest.raises(ColoringError, match="do not sum back"):
+        cli.simulate_pipeline(oracle.random_sparse(7, 3, seed=1), 1.0, 1e-2)
+
+
+def test_simulate_verifies_above_the_cap_without_dense_matrices(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix work above the cap")
+
+    monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
+    monkeypatch.setattr(oracle, "to_dense", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    data = cli.simulate_pipeline(oracle.random_sparse(7, 3, seed=1), 1.0,
+                                 1e-2, verify=True)
+    assert data["verification"]["ok"] is True
+    assert data["matrix_norm"] is None and data["error_ok"] is True
 
 
 def test_simulate_stays_numpy_only():

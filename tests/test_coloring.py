@@ -1,5 +1,6 @@
 """Edge-coloring decomposition: halving iteration, chains, piece lookups."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -11,7 +12,8 @@ from hamsim.coloring import (
     QueryCache, build_chain, coin_toss_level, colored_query, decompose,
     enumerate_labels, final_alphabet, halving_trace, iterate_count, upsilon,
     verify_coloring, vertex_bits)
-from hamsim.config import ColoringError
+from hamsim.config import ColoringError, OracleError
+from hamsim.one_sparse import extract_table
 
 
 @pytest.mark.parametrize("n,z", [
@@ -325,30 +327,31 @@ def test_colored_oracle_counts_piece_probes():
 
 
 def test_verify_coloring_reports_constant_tags():
-    # With every tag forced to the all-zeros value, adjacent edges sharing
-    # (i, j) collide: those pieces stop being 1-sparse and Hermitian, and
-    # the remaining pieces no longer cover the matrix.
+    # With every tag forced to the all-zeros value, the piece lookups stop
+    # answering what the coloring's tables hold: each piece whose lookups
+    # moved is reported once, at its first differing vertex.
     orc = oracle.random_sparse(4, 3, seed=6)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coloring, "upsilon", lambda *args, **kwargs: "000")
         rep = verify_coloring(orc)
     assert not rep.ok
-    assert rep.failures == (
-        "label EdgeLabel(i=2, j=1, nu='000'): piece is not 1-sparse",
-        "label EdgeLabel(i=2, j=1, nu='000'): piece is not Hermitian",
-        "label EdgeLabel(i=3, j=1, nu='000'): piece is not 1-sparse",
-        "label EdgeLabel(i=3, j=1, nu='000'): piece is not Hermitian",
-        "label EdgeLabel(i=3, j=2, nu='000'): piece is not 1-sparse",
-        "label EdgeLabel(i=3, j=2, nu='000'): piece is not Hermitian",
-        "pieces do not sum back to the Hamiltonian",
-    )
-    assert (rep.nonzero_pieces, rep.max_queries_per_call) == (7, 4)
+    assert rep.failures == tuple(
+        f"label EdgeLabel(i={i}, j={j}, nu='{nu}'): lookup at {x} "
+        f"disagrees with the table ({count} in all)"
+        for i, j, nu, x, count in (
+            (1, 1, "000", 0, 4), (1, 1, "101", 0, 2), (1, 1, "110", 1, 2),
+            (1, 2, "000", 2, 4), (1, 2, "101", 2, 4), (2, 1, "000", 0, 3),
+            (2, 1, "110", 0, 4), (2, 2, "000", 5, 2), (2, 2, "101", 5, 2),
+            (3, 1, "000", 2, 1), (3, 1, "001", 2, 2), (3, 2, "000", 8, 1),
+            (3, 2, "101", 8, 2)))
+    assert (rep.nonzero_pieces, rep.max_queries_per_call) == (12, 4)
+    assert rep.lookups_checked == 54 * orc.dim
 
 
 def test_verify_coloring_reports_overlap_once(monkeypatch):
-    # Label nu = "001" answers as "000": each of its pieces repeats a valid
-    # piece (the diagonals among them), so entries are claimed twice while
-    # every piece on its own stays 1-sparse and Hermitian.
+    # Label nu = "001" answers as "000": its lookups repeat a valid piece
+    # (the diagonals among them), claiming entries a second time.  Each
+    # such piece is reported once, where its lookups first leave its table.
     real = coloring.colored_query
 
     def aliased(orc, x, label, cache=None):
@@ -358,11 +361,13 @@ def test_verify_coloring_reports_overlap_once(monkeypatch):
 
     monkeypatch.setattr(coloring, "colored_query", aliased)
     rep = verify_coloring(oracle.random_sparse(4, 3, seed=21))
-    assert rep.failures == (
-        "pieces overlap: some entry claimed more than once",
-        "pieces do not sum back to the Hamiltonian",
-    )
-    assert (rep.nonzero_pieces, rep.max_queries_per_call) == (18, 5)
+    assert rep.failures == tuple(
+        f"label EdgeLabel(i={i}, j={j}, nu='001'): lookup at {x} "
+        f"disagrees with the table ({count} in all)"
+        for i, j, x, count in ((1, 1, 3, 2), (1, 2, 1, 2), (2, 1, 0, 10),
+                               (2, 2, 6, 5), (3, 1, 0, 6), (3, 2, 2, 6),
+                               (3, 3, 4, 8)))
+    assert (rep.nonzero_pieces, rep.max_queries_per_call) == (11, 5)
 
 
 def test_upsilon_golden_digest():
@@ -382,3 +387,213 @@ def test_upsilon_golden_digest():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
         "64c37ceb3bc7dae82218e6a50f9ad76621638a181059953cf6ae3a167887eb73")
+
+
+# ---------------------------------------------------------------------------
+# piece_tables, the vectorized pass, against the per-lookup path
+
+def twins(n, d):
+    orc = oracle.random_sparse(n, d, seed=10 * n + d)
+    return orc, oracle.shuffled_columns(orc, seed=n + d)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_piece_tables_tags_equal_upsilon(n):
+    # every ascending (i, j)-edge (x, y) sits in piece (i, j, upsilon(x))
+    # and in no other piece
+    for d in range(1, 5):
+        for orc in twins(n, d):
+            labels = enumerate_labels(d, n)
+            tagged = {}
+            for label, table in zip(labels, coloring.piece_tables(orc)):
+                for x in table.pair_lo.tolist():
+                    assert (x, label.i, label.j) not in tagged
+                    tagged[x, label.i, label.j] = label.nu
+            cache = QueryCache()
+            want = {}
+            for x in range(orc.dim):
+                for i in range(1, d + 1):
+                    y = orc.peek(x, i)[0]
+                    for j in range(1, d + 1):
+                        if y > x and orc.peek(y, j)[0] == x:
+                            want[x, i, j] = upsilon(orc, x, i, j, cache)
+            assert tagged == want, (n, d)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_piece_tables_equal_extracted_pieces(n):
+    fields = ("diag_idx", "diag_h", "pair_lo", "pair_hi", "pair_amp")
+    for d in range(1, 5):
+        for orc in twins(n, d):
+            before = orc.counter.count
+            tables = coloring.piece_tables(orc)
+            assert orc.counter.count - before == orc.dim * d
+            extracted = [extract_table(p) for p in decompose(orc)]
+            assert len(tables) == len(extracted) == len(enumerate_labels(d, n))
+            for got, want in zip(tables, extracted):
+                assert got.dim == want.dim
+                for name in fields:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_piece_tables_follow_extract_table_on_malformed_slots():
+    # an edge whose two slots both hold zero is left out, as extract_table
+    # leaves it out; a diagonal that is not real and a pair that is not
+    # Hermitian raise extract_table's own messages
+    def zero_fn(x, i):
+        return (7 - x, 0j) if i == 1 and x in (2, 5) else (x, 0j)
+
+    orc = oracle.SparseOracle(3, 2, zero_fn)
+    assert not any(t.entry_count for t in coloring.piece_tables(orc))
+    assert not any(extract_table(p).entry_count for p in decompose(orc))
+
+    def diag_fn(x, i):
+        return (3, 0.5 + 1e-6j) if (x, i) == (3, 1) else (x, 0j)
+
+    def pair_fn(x, i):
+        if i == 1 and x in (2, 5):
+            return (7 - x, 1.0 + 0.5j if x == 2 else 1.0 - 0.25j)
+        return (x, 0j)
+
+    for fn in (diag_fn, pair_fn):
+        orc = oracle.SparseOracle(3, 2, fn)
+        with pytest.raises(OracleError) as want:
+            [extract_table(p) for p in decompose(orc)]
+        with pytest.raises(OracleError, match="not real|non-Hermitian") as got:
+            coloring.piece_tables(orc)
+        assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# verify_coloring on copies of good tables with one fault each
+
+def verify_with(orc, corrupt, monkeypatch):
+    """verify_coloring(orc) with its tables passed through corrupt."""
+    real = coloring.piece_tables
+    monkeypatch.setattr(coloring, "piece_tables",
+                        lambda o: corrupt(list(real(o))))
+    return verify_coloring(orc)
+
+
+def first_pair(tables):
+    return next(g for g, t in enumerate(tables) if t.pair_lo.size)
+
+
+def without_first_pair(table):
+    return dataclasses.replace(table, pair_lo=table.pair_lo[1:],
+                               pair_hi=table.pair_hi[1:],
+                               pair_amp=table.pair_amp[1:])
+
+
+VERIFY_ORACLE = dict(n=5, d=3, seed=8)
+
+
+def test_verify_coloring_catches_a_dropped_entry(monkeypatch):
+    orc = oracle.random_sparse(**VERIFY_ORACLE)
+    labels = enumerate_labels(3, 5)
+    good = coloring.piece_tables(orc)
+    g = first_pair(good)
+
+    def drop(tables):
+        tables[g] = without_first_pair(tables[g])
+        return tables
+
+    rep = verify_with(orc, drop, monkeypatch)
+    assert not rep.ok
+    assert rep.failures == (
+        f"label {labels[g]}: lookup at {good[g].pair_lo[0]} disagrees with "
+        f"the table (2 in all)",
+        "pieces do not sum back to the Hamiltonian")
+
+
+def test_verify_coloring_catches_one_ulp(monkeypatch):
+    orc = oracle.random_sparse(**VERIFY_ORACLE)
+    labels = enumerate_labels(3, 5)
+    good = coloring.piece_tables(orc)
+    g = first_pair(good)
+
+    def nudge(tables):
+        amp = tables[g].pair_amp.copy()
+        amp[0] = complex(np.nextafter(amp[0].real, np.inf), amp[0].imag)
+        tables[g] = dataclasses.replace(tables[g], pair_amp=amp)
+        return tables
+
+    rep = verify_with(orc, nudge, monkeypatch)
+    assert not rep.ok
+    assert rep.failures == (
+        f"label {labels[g]}: lookup at {good[g].pair_lo[0]} disagrees with "
+        f"the table (2 in all)",
+        "pieces do not sum back to the Hamiltonian")
+
+
+def test_verify_coloring_catches_an_entry_under_another_label(monkeypatch):
+    # the union and the disjointness still hold: only the lookups see it
+    orc = oracle.random_sparse(**VERIFY_ORACLE)
+    labels = enumerate_labels(3, 5)
+    good = coloring.piece_tables(orc)
+    g = first_pair(good)
+    lo, hi = int(good[g].pair_lo[0]), int(good[g].pair_hi[0])
+    h = next(h for h, t in enumerate(good) if h != g and not np.isin(
+        [lo, hi], np.concatenate([t.diag_idx, t.pair_lo, t.pair_hi])).any())
+
+    def move(tables):
+        src, dst = tables[g], tables[h]
+        tables[g] = without_first_pair(src)
+        tables[h] = dataclasses.replace(
+            dst, pair_lo=np.r_[dst.pair_lo, lo], pair_hi=np.r_[dst.pair_hi, hi],
+            pair_amp=np.r_[dst.pair_amp, src.pair_amp[0]])
+        return tables
+
+    rep = verify_with(orc, move, monkeypatch)
+    assert not rep.ok
+    assert rep.failures == tuple(
+        f"label {labels[k]}: lookup at {lo} disagrees with the table "
+        f"(2 in all)" for k in sorted((g, h)))
+
+
+def test_verify_coloring_catches_an_entry_claimed_twice(monkeypatch):
+    orc = oracle.random_sparse(**VERIFY_ORACLE)
+    labels = enumerate_labels(3, 5)
+    good = coloring.piece_tables(orc)
+    g = first_pair(good)
+    lo, hi = int(good[g].pair_lo[0]), int(good[g].pair_hi[0])
+    h = next(h for h, t in enumerate(good) if h != g and not np.isin(
+        [lo, hi], np.concatenate([t.diag_idx, t.pair_lo, t.pair_hi])).any())
+
+    def copy(tables):
+        dst = tables[h]
+        tables[h] = dataclasses.replace(
+            dst, pair_lo=np.r_[dst.pair_lo, lo], pair_hi=np.r_[dst.pair_hi, hi],
+            pair_amp=np.r_[dst.pair_amp, good[g].pair_amp[0]])
+        return tables
+
+    rep = verify_with(orc, copy, monkeypatch)
+    assert not rep.ok
+    assert rep.failures == (
+        f"label {labels[h]}: lookup at {lo} disagrees with the table "
+        f"(2 in all)",
+        "pieces overlap: some entry claimed more than once",
+        "pieces do not sum back to the Hamiltonian")
+
+
+def test_verify_coloring_catches_a_lookup_over_budget(monkeypatch):
+    orc = oracle.random_sparse(**VERIFY_ORACLE)
+    labels = enumerate_labels(3, 5)
+    bound = 2 * (iterate_count(5) + 2)
+    real = coloring.colored_query
+
+    def costly(base, x, label, cache=None):
+        before = base.counter.count
+        out = real(base, x, label, cache)
+        if (label, x) == (labels[7], 9):
+            for _ in range(bound + 1 - (base.counter.count - before)):
+                base.query(x, 1)
+        return out
+
+    monkeypatch.setattr(coloring, "colored_query", costly)
+    rep = verify_coloring(orc)
+    assert not rep.ok
+    assert rep.failures == (
+        f"label {labels[7]}: lookup at 9 used {bound + 1} > {bound} queries",)
+    assert rep.max_queries_per_call == bound + 1
