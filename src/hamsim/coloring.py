@@ -21,6 +21,7 @@ of chains, and colored_query is the reference it is verified against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +62,16 @@ def iterate_count(n: int) -> int:
     """Rounds z_n needed to shrink 2^n possible labels to at most 6.
 
     One round maps a count of l possible values to 2*ceil(log2(l)).  The
-    first round is evaluated as 2n directly so huge n costs nothing.
+    first round is evaluated as 2n directly so huge n costs nothing.  Every
+    piece lookup asks for it, so it is cached per n once n passes the check.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ColoringError(f"need a positive vertex width, got {n}")
+    return _rounds(n)
+
+
+@functools.cache
+def _rounds(n: int) -> int:
     if n <= 2:
         return 0
     count = 1
@@ -101,15 +108,15 @@ def coin_toss_level(values: tuple[int, ...],
     """
     if not values:
         raise ColoringError("empty sequence")
-    if width < 1 or not all(0 <= v < 1 << width for v in values):
+    if width < 1 or min(values) < 0 or max(values) >> width:
         raise ColoringError(f"elements {values} do not fit width {width}")
     pw = (width - 1).bit_length()
     out = []
     for v, succ in zip(values, values[1:]):
-        if v == succ:
-            raise ColoringError(f"consecutive elements equal: {v}")
         # top: the highest differing bit, counted from 1 at the right
         top = (v ^ succ).bit_length()
+        if not top:
+            raise ColoringError(f"consecutive elements equal: {v}")
         out.append((v >> (top - 1) & 1) << pw | (width - top))
     out.append((values[-1] >> (width - 1)) << pw)
     return tuple(out), 1 + pw
@@ -140,6 +147,8 @@ class QueryCache:
     per lookup realizes the worst-case per-call bound instead.
     """
 
+    __slots__ = ("f", "tags")
+
     def __init__(self) -> None:
         self.f: dict[tuple[int, int], tuple[int, complex]] = {}
         self.tags: dict[tuple[int, int, int], str] = {}
@@ -147,11 +156,11 @@ class QueryCache:
 
 def _query(oracle: SparseOracle, x: int, i: int,
            cache: QueryCache) -> tuple[int, complex]:
+    f = cache.f
     key = (x, i)
-    hit = cache.f.get(key)
+    hit = f.get(key)
     if hit is None:
-        hit = oracle.query(x, i)
-        cache.f[key] = hit
+        hit = f[key] = oracle.query(x, i)
     return hit
 
 
@@ -174,13 +183,14 @@ def build_chain(oracle: SparseOracle, x: int, i: int, j: int,
             f"edge ({x}, {y}) is not slot-(i={i}, j={j}) consistent")
     chain = [x, y]
     while len(chain) < limit:
-        nxt, _ = _query(oracle, chain[-1], i, cache)
-        if nxt <= chain[-1]:
+        nxt, _ = _query(oracle, y, i, cache)
+        if nxt <= y:
             break
         b, _ = _query(oracle, nxt, j, cache)
-        if b != chain[-1]:
+        if b != y:
             break
         chain.append(nxt)
+        y = nxt
     return chain
 
 
@@ -243,14 +253,13 @@ def colored_query(oracle: SparseOracle, x: int, label: EdgeLabel,
     tag matches; or x is the upper endpoint of such an edge (the tag is then
     computed at the lower endpoint).  Tag distinctness of adjacent edges
     makes the claims mutually exclusive.  With a fresh cache this costs at
-    most 2(z_n + 2) base queries.
+    most 2(z_n + 2) base queries, each a counted oracle.query with its
+    checks; the cache only spares asking one (vertex, slot) twice.
     """
     cache = cache if cache is not None else QueryCache()
     i, j, nu = label.i, label.j, label.nu
-    zeros = "0" * len(nu)
-
     yi, vi = _query(oracle, x, i, cache)
-    if yi == x and vi != 0 and i == j and nu == zeros:
+    if yi == x and vi != 0 and i == j and nu == "0" * len(nu):
         return (x, vi)
     if yi > x:
         back, _ = _query(oracle, yi, j, cache)
@@ -444,6 +453,7 @@ def verify_coloring(oracle: SparseOracle) -> ColoringReport:
             total, size=VERIFY_SAMPLE, replace=False))
     # picks are sorted, so each label's share is one slice
     ends = np.searchsorted(picks, np.arange(len(labels) + 1) * dim)
+    counter = oracle.counter
     max_calls = 0
     for g, label in enumerate(labels):
         xs = picks[ends[g]:ends[g + 1]] - g * dim
@@ -459,10 +469,11 @@ def verify_coloring(oracle: SparseOracle) -> ColoringReport:
         piece = ColoredOracle(oracle, label)
         wrong: list[int] = []
         for x in xs.tolist():
-            before = oracle.counter.count
+            before = counter.count
             got = piece.column(x)
-            used = oracle.counter.count - before
-            max_calls = max(max_calls, used)
+            used = counter.count - before
+            if used > max_calls:
+                max_calls = used
             if used > bound:
                 failures.append(
                     f"label {label}: lookup at {x} used {used} > {bound} queries")

@@ -3,9 +3,12 @@
 An oracle answers row queries: query(x, i) returns the i-th nonzero entry of
 row x as (column index y, value H[x, y]), with 1 <= i <= d, and pads with
 (x, 0) past the actual degree.  Nonzero slots always come first.  Every
-query() call bumps a monotone counter; verification bridges (read_entries
+query() call with a vertex and slot in range bumps a thread-safe monotone
+counter before its answer is checked; verification bridges (read_entries
 and the dense and entry-list extractions built on it) go through the
 uncounted peek() so measured query complexity reflects the algorithms alone.
+Neither memoises answers: an oracle's function may itself spend counted
+queries (parity's pieces read hidden bits), and each call must spend them.
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ class QueryCounter:
 
 
 class SparseOracle:
-    """Counted query access to a d-sparse Hermitian matrix on n bits."""
+    """Counted query access to a d-sparse Hermitian matrix on n bits.
+
+    query() is the inner step of every piece lookup, so it tests vertex and
+    slot in one comparison and returns an answer that is already an in-range
+    (int, complex) as it is; anything else takes peek()'s checked path, which
+    converts the answer or raises OracleError with the same messages.
+    """
 
     def __init__(self, n: int, d: int,
                  fn: Callable[[int, int], tuple[int, complex]]) -> None:
@@ -54,12 +63,9 @@ class SparseOracle:
             raise OracleError(f"degree bound d={d} out of range for n={n}")
         self.n = n
         self.d = d
+        self.dim = 1 << n
         self._fn = fn
         self.counter = QueryCounter()
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
 
     def _check_args(self, x: int, i: int) -> None:
         if not 0 <= x < self.dim:
@@ -67,8 +73,8 @@ class SparseOracle:
         if not 1 <= i <= self.d:
             raise OracleError(f"slot {i} out of range for d={self.d}")
 
-    def _lookup(self, x: int, i: int) -> tuple[int, complex]:
-        y, v = self._fn(x, i)
+    def _answer(self, x: int, i: int, y, v) -> tuple[int, complex]:
+        """The function's answer at (x, i) as (int, complex), checked."""
         try:
             y = operator.index(y)
         except TypeError:
@@ -81,14 +87,21 @@ class SparseOracle:
 
     def query(self, x: int, i: int) -> tuple[int, complex]:
         """Counted query: (y, H[x, y]) for the i-th nonzero of row x."""
-        self._check_args(x, i)
-        self.counter.increment()
-        return self._lookup(x, i)
+        if not (0 <= x < self.dim and 1 <= i <= self.d):
+            self._check_args(x, i)
+        counter = self.counter
+        with counter._lock:
+            counter._count += 1
+        y, v = self._fn(x, i)
+        if type(y) is int and type(v) is complex and 0 <= y < self.dim:
+            return y, v
+        return self._answer(x, i, y, v)
 
     def peek(self, x: int, i: int) -> tuple[int, complex]:
         """Uncounted access for verification and serialization bridges."""
         self._check_args(x, i)
-        return self._lookup(x, i)
+        y, v = self._fn(x, i)
+        return self._answer(x, i, y, v)
 
     def column(self, x: int) -> tuple[int, complex]:
         """Single counted probe, the 1-sparse piece interface (d must be 1)."""

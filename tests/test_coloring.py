@@ -1,5 +1,6 @@
 """Edge-coloring decomposition: halving iteration, chains, piece lookups."""
 
+import collections
 import dataclasses
 import hashlib
 
@@ -8,7 +9,7 @@ import pytest
 
 from hamsim import coloring, numerics, oracle
 from hamsim.coloring import (
-    REFERENCE_TRACE_MAIN, REFERENCE_TRACE_SHIFTED, EdgeLabel,
+    REFERENCE_TRACE_MAIN, REFERENCE_TRACE_SHIFTED, VERIFY_SAMPLE, EdgeLabel,
     QueryCache, build_chain, coin_toss_level, colored_query, decompose,
     enumerate_labels, final_alphabet, halving_trace, iterate_count, upsilon,
     verify_coloring, vertex_bits)
@@ -94,6 +95,11 @@ def test_sequence_validation():
         halving_trace(("1a1",), 1)
     with pytest.raises(ColoringError, match="empty"):
         halving_trace((), 1)
+    # the width is validated before the round count is looked up
+    for bad in (0, 2.5, [3], "4"):
+        with pytest.raises(ColoringError) as err:
+            iterate_count(bad)
+        assert str(err.value) == f"need a positive vertex width, got {bad}"
 
 
 @pytest.mark.parametrize("n", [4, 18, 32])
@@ -597,3 +603,65 @@ def test_verify_coloring_catches_a_lookup_over_budget(monkeypatch):
     assert rep.failures == (
         f"label {labels[7]}: lookup at 9 used {bound + 1} > {bound} queries",)
     assert rep.max_queries_per_call == bound + 1
+
+
+# ---------------------------------------------------------------------------
+# exact query accounting of the per-lookup path, measured at fixed seeds
+
+def test_verify_coloring_spends_an_exact_query_count():
+    orc = oracle.random_sparse(9, 4, seed=1, norm_target=1.0)
+    rep = verify_coloring(orc)
+    assert rep.ok, rep.failures
+    assert orc.counter.count == 138_046
+    assert (rep.max_queries_per_call, rep.lookups_checked) == (10, 49_152)
+    # dim * d of them read the tables, the other 135,998 the lookups
+    before = orc.counter.count
+    coloring.piece_tables(orc)
+    assert orc.counter.count - before == 2_048
+
+
+def test_cold_lookups_make_the_same_queries_in_the_same_order():
+    # every (label, x) of one oracle through a fresh cache: how many base
+    # queries each lookup spent, and every (x, i) asked, in order
+    base = oracle.random_sparse(8, 3, seed=1, norm_target=1.0)
+    asked = []
+
+    def fn(x, i):
+        asked.append((x, i))
+        return base.peek(x, i)
+
+    orc = oracle.SparseOracle(8, 3, fn)
+    spent = collections.Counter()
+    for label in enumerate_labels(3, 8):
+        for x in range(orc.dim):
+            before = orc.counter.count
+            colored_query(orc, x, label)
+            spent[orc.counter.count - before] += 1
+    assert spent == {1: 564, 2: 6390, 3: 4891, 4: 1393, 5: 305, 6: 182,
+                     7: 57, 8: 27, 9: 10, 10: 5}
+    assert len(asked) == orc.counter.count == 36_961
+    digest = hashlib.sha256(repr(asked).encode()).hexdigest()
+    assert digest == (
+        "8e0687172ec02b0c2f99312a3d428c3e1764a9b34bd483d35743bbe764985e63")
+    before = orc.counter.count
+    assert verify_coloring(orc).ok
+    assert orc.counter.count - before == 37_729
+
+
+def test_verify_coloring_looks_up_through_colored_oracle_column(monkeypatch):
+    # the benchmark counts coloring.lookups by patching this class
+    # attribute, so every checked lookup must go through it, sampled or not
+    column = coloring.ColoredOracle.column
+    calls = []
+
+    def counted(piece, x):
+        calls.append(x)
+        return column(piece, x)
+
+    monkeypatch.setattr(coloring.ColoredOracle, "column", counted)
+    rep = verify_coloring(oracle.random_sparse(4, 3, seed=2))
+    assert rep.ok and len(calls) == rep.lookups_checked == 54 * 16
+    monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
+    calls.clear()
+    rep = verify_coloring(oracle.random_sparse(7, 3, seed=1))
+    assert rep.ok and len(calls) == rep.lookups_checked == VERIFY_SAMPLE

@@ -78,6 +78,40 @@ def test_argument_validation():
         assert type(orc.peek(0, 1)[0]) is int
 
 
+def test_query_contract_types_messages_and_counts():
+    # an answer that is not yet (int, complex) comes back converted
+    for answer in ((np.int64(1), 0.5), (True, 0.5j), (1, 0.5)):
+        orc = oracle.SparseOracle(1, 1, lambda x, i, a=answer: a)
+        y, v = orc.query(0, 1)
+        assert (type(y), type(v), y) == (int, complex, 1)
+        assert v == complex(answer[1])
+    # a non-integer neighbor is refused after the query was counted
+    orc = oracle.SparseOracle(1, 1, lambda x, i: (0.7, 1))
+    with pytest.raises(OracleError) as err:
+        orc.query(0, 1)
+    assert str(err.value) == (
+        "neighbor 0.7 of vertex 0 in slot 1 is not an integer")
+    assert orc.counter.count == 1
+    # a vertex or slot out of range is refused before counting
+    for x, i, msg in ((2, 1, "vertex 2 out of range for n=1"),
+                      (-1, 1, "vertex -1 out of range for n=1"),
+                      (0, 0, "slot 0 out of range for d=1"),
+                      (0, 2, "slot 2 out of range for d=1"),
+                      (0, 0.5, "slot 0.5 out of range for d=1")):
+        with pytest.raises(OracleError) as err:
+            orc.query(x, i)
+        assert str(err.value) == msg
+    assert orc.counter.count == 1
+    # a neighbor out of range is refused after counting
+    for bad in (-1, 2):
+        orc = oracle.SparseOracle(1, 1, lambda x, i, y=bad: (y, 1j))
+        with pytest.raises(OracleError) as err:
+            orc.query(0, 1)
+        assert str(err.value) == (
+            f"neighbor {bad} of vertex 0 out of range for n=1")
+        assert orc.counter.count == 1
+
+
 def test_to_dense_matches_entries():
     orc = two_bit_example()
     H = oracle.to_dense(orc)
