@@ -32,7 +32,7 @@ from . import __version__, _kernels, coloring, numerics, one_sparse
 from . import oracle as oracle_mod
 from . import parity as parity_mod
 from . import suzuki
-from .config import ColoringError, HamsimError, PlanError, dense_cap
+from .config import ColoringError, HamsimError, PlanError
 
 
 def fit_loglog_slope(xs, ys, floor: float = 1e-12) -> float | None:
@@ -267,42 +267,39 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
                       verify: bool = True) -> dict:
     """Decompose, evolve, and account: the whole toolchain as one call.
 
-    The measured error compares the evolved state with exp(-iHt) psi0 from
-    the oracle's entries, and coloring verification checks the pieces
-    against those entries, both at any size (verify_coloring checks a
-    sample of the piece lookups above the dense cap).  The matrix norm
-    needs a dense matrix: above the cap it is reported as None.
+    One counted read of every slot (dim * d base queries) gives the piece
+    tables and the checked entries.  Verification checks the tables against
+    the entries and cold piece lookups; the measured error compares the
+    evolved state with exp(-iHt) psi0 from the entries; norm_bound, the
+    largest absolute row sum, bounds ||H|| and sets the precision grid.
+    No dense matrix is built at any size.
     """
     dim = orc.dim
     z = coloring.iterate_count(orc.n)
-    dense_ok = dim <= dense_cap()
     quantize_bits = _quantize_option(quantize)
     rng = np.random.default_rng(_check_seed(state_seed, "--state-seed"))
 
+    base_before = orc.counter.count
+    slots = oracle_mod.read_slots(orc, orc.query)
+    base_queries = orc.counter.count - base_before
+    tables = coloring.tables_from_slots(orc.n, *slots)
+    entries = oracle_mod.entries_from_slots(*slots)
+
     verification = None
     if verify:
-        report = coloring.verify_coloring(orc)
-        verification = {
-            "ok": report.ok,
-            "nonzero_pieces": report.nonzero_pieces,
-            "max_queries_per_call": report.max_queries_per_call,
-            "query_bound": report.query_bound,
-            "lookups_checked": report.lookups_checked,
-            "failures": list(report.failures),
-        }
+        report = coloring.verify_coloring(orc, tables, entries)
+        verification = {key: getattr(report, key) for key in (
+            "ok", "nonzero_pieces", "max_queries_per_call", "query_bound",
+            "lookups_checked")}
+        verification["failures"] = list(report.failures)
         if not report.ok:
             raise ColoringError(
                 "decomposition failed verification: " + "; ".join(report.failures))
 
-    base_before = orc.counter.count
-    tables = [tb for tb in coloring.piece_tables(orc) if tb.entry_count]
-    base_queries = orc.counter.count - base_before
+    tables = [tb for tb in tables if tb.entry_count]
     m = len(tables)
 
-    # exact piece norms: 1-sparse means max entry magnitude
-    lam_piece = float(max((max(np.max(np.abs(tb.diag_h), initial=0.0),
-                               np.max(np.abs(tb.pair_amp), initial=0.0))
-                           for tb in tables), default=0.0))
+    lam_piece = max((tb.norm for tb in tables), default=0.0)
     tau = lam_piece * abs(t)
     # the commutator bound's alpha, like tau, from the unquantized pieces
     alpha = suzuki.commutator_alpha(one_sparse.nested_commutator_norms(tables))
@@ -319,25 +316,15 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     else:
         r_rule, k, r = "paper", k_paper, r_paper
 
-    rows, cols, vals = oracle_mod.read_entries(orc)
-    norm_full = None
-    if dense_ok:
-        H = np.zeros((dim, dim), dtype=np.complex128)
-        H[rows, cols] = vals
-        # H is Hermitian, so its largest |eigenvalue| is its spectral norm
-        norm_full = float(np.abs(np.linalg.eigvalsh(H)).max())
-    bits_needed = one_sparse.precision_bits(
-        (norm_full if norm_full is not None else orc.d * lam_piece) * abs(t),
-        orc.d, k, eps)
+    norm_bound = numerics.max_row_sum(entries[0], entries[2])
+    bits_needed = one_sparse.precision_bits(norm_bound * abs(t), orc.d, k, eps)
     if quantize_bits == "auto":
         quantize_bits = bits_needed
-    if quantize_bits is not None:
-        lam_grid = norm_full if norm_full is not None else orc.d * lam_piece
-        if lam_grid > 0:
-            tables = [one_sparse.quantize_table(tb, quantize_bits, lam_grid)
-                      for tb in tables]
-            tables = [tb for tb in tables if tb.entry_count]
-            m = len(tables)
+    if quantize_bits is not None and norm_bound > 0:
+        tables = [one_sparse.quantize_table(tb, quantize_bits, norm_bound)
+                  for tb in tables]
+        tables = [tb for tb in tables if tb.entry_count]
+        m = len(tables)
 
     if state_seed is None:
         psi0 = np.zeros(dim, dtype=np.complex128)
@@ -346,9 +333,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         psi0 = numerics.random_state(dim, rng)
 
     if m == 0:
-        psi = psi0.copy()
-        n_exp = 0
-        plan_length = 0
+        psi, n_exp, plan_length = psi0.copy(), 0, 0
     else:
         plan = suzuki.build_plan(k, m)
         plan_length = len(plan.steps)
@@ -365,7 +350,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     bound = min((b for b in (bound_paper, bound_commutator) if b is not None),
                 default=None)
 
-    exact = numerics.expm_action(rows, cols, vals, t, psi0)
+    exact = numerics.expm_action(*entries, t, psi0)
     measured = numerics.pure_state_distance(psi, exact)
     error_ok = measured <= eps
 
@@ -379,7 +364,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         "n_exp": n_exp,
         "tau": tau,
         "piece_norm_max": lam_piece,
-        "matrix_norm": norm_full,
+        "norm_bound": norm_bound,
         "verification": verification,
         "base_queries": base_queries,
         "base_query_bound": base_bound,
@@ -418,8 +403,10 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     orc = _load_oracle(args.input, args.gen)
     labels = coloring.enumerate_labels(orc.d, orc.n)
+    slots = oracle_mod.read_slots(orc, orc.query)
+    tables = coloring.tables_from_slots(orc.n, *slots)
     rows = []
-    for label, table in zip(labels, coloring.piece_tables(orc)):
+    for label, table in zip(labels, tables):
         if not table.entry_count and not args.all:
             continue
         rows.append({
@@ -427,8 +414,7 @@ def cmd_decompose(args) -> int:
             "diagonals": int(table.diag_idx.size),
             "pairs": int(table.pair_lo.size),
             "entries": table.entry_count,
-            "max_abs": float(max(np.max(np.abs(table.diag_h), initial=0.0),
-                                 np.max(np.abs(table.pair_amp), initial=0.0))),
+            "max_abs": table.norm,
         })
     payload = {
         "n": orc.n, "d": orc.d, "dim": orc.dim,
@@ -438,7 +424,8 @@ def cmd_decompose(args) -> int:
         "pieces": rows,
     }
     if not args.no_verify:
-        report = coloring.verify_coloring(orc)
+        report = coloring.verify_coloring(
+            orc, tables, oracle_mod.entries_from_slots(*slots))
         payload["verified"] = report.ok
         payload["lookups_checked"] = report.lookups_checked
         payload["failures"] = list(report.failures)

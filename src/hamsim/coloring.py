@@ -139,28 +139,18 @@ def halving_trace(values: tuple[str, ...] | list[str],
     return out
 
 
-class QueryCache:
-    """Shared memo for base-oracle lookups and finished tags.
-
-    Attaching one cache to a whole run makes the total base-query count
-    collapse to the number of distinct (vertex, slot) probes; a fresh cache
-    per lookup realizes the worst-case per-call bound instead.
-    """
-
-    __slots__ = ("f", "tags")
-
-    def __init__(self) -> None:
-        self.f: dict[tuple[int, int], tuple[int, complex]] = {}
-        self.tags: dict[tuple[int, int, int], str] = {}
+# Memo of base-oracle answers by (vertex, slot).  One cache shared by a
+# whole run makes the base-query count the number of distinct probes; a
+# fresh one per lookup realizes the worst-case per-call bound instead.
+QueryCache = dict[tuple[int, int], tuple[int, complex]]
 
 
 def _query(oracle: SparseOracle, x: int, i: int,
            cache: QueryCache) -> tuple[int, complex]:
-    f = cache.f
     key = (x, i)
-    hit = f.get(key)
+    hit = cache.get(key)
     if hit is None:
-        hit = f[key] = oracle.query(x, i)
+        hit = cache[key] = oracle.query(x, i)
     return hit
 
 
@@ -172,7 +162,7 @@ def build_chain(oracle: SparseOracle, x: int, i: int, j: int,
     above x and the slot-j neighbor of y is x again.  The chain extends the
     same way from y and stops at the first break or at the length cap.
     """
-    cache = cache if cache is not None else QueryCache()
+    cache = cache if cache is not None else {}
     limit = iterate_count(oracle.n) + 2
     y, _ = _query(oracle, x, i, cache)
     if y <= x:
@@ -205,17 +195,10 @@ def upsilon(oracle: SparseOracle, x: int, i: int, j: int,
     z = iterate_count(oracle.n)
     if z == 0:
         return vertex_bits(x, oracle.n)
-    cache = cache if cache is not None else QueryCache()
-    key = (x, i, j)
-    hit = cache.tags.get(key)
-    if hit is not None:
-        return hit
     values, width = tuple(build_chain(oracle, x, i, j, cache)), oracle.n
     for _ in range(z):
         values, width = coin_toss_level(values, width)
-    tag = vertex_bits(values[0], width)
-    cache.tags[key] = tag
-    return tag
+    return vertex_bits(values[0], width)
 
 
 @dataclass(frozen=True)
@@ -256,7 +239,7 @@ def colored_query(oracle: SparseOracle, x: int, label: EdgeLabel,
     most 2(z_n + 2) base queries, each a counted oracle.query with its
     checks; the cache only spares asking one (vertex, slot) twice.
     """
-    cache = cache if cache is not None else QueryCache()
+    cache = cache if cache is not None else {}
     i, j, nu = label.i, label.j, label.nu
     yi, vi = _query(oracle, x, i, cache)
     if yi == x and vi != 0 and i == j and nu == "0" * len(nu):
@@ -290,10 +273,6 @@ class ColoredOracle:
         self.counter = QueryCounter()
 
     @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
     def dim(self) -> int:
         return self.base.dim
 
@@ -305,7 +284,7 @@ class ColoredOracle:
 def decompose(oracle: SparseOracle,
               cache: QueryCache | None = None) -> list[ColoredOracle]:
     """All pieces of the coloring, sharing one query cache."""
-    cache = cache if cache is not None else QueryCache()
+    cache = cache if cache is not None else {}
     return [ColoredOracle(oracle, label, cache)
             for label in enumerate_labels(oracle.d, oracle.n)]
 
@@ -346,21 +325,26 @@ def _chain_tags(lo: np.ndarray, up: np.ndarray, asc: np.ndarray, n: int,
 
 
 def piece_tables(oracle: SparseOracle) -> list[OneSparseTable]:
+    """tables_from_slots of one counted read of every (x, i) slot, dim * d
+    base queries in all."""
+    return tables_from_slots(oracle.n, *read_slots(oracle, oracle.query))
+
+
+def tables_from_slots(n: int, nbr: np.ndarray,
+                      val: np.ndarray) -> list[OneSparseTable]:
     """Every piece of the coloring as a table, in enumerate_labels order.
 
-    Each (x, i) slot is read once through the counted query, dim * d base
-    queries in all, and every piece comes out as extract_table would scan
-    it through colored_query: the diagonal of x in piece (i, i, zeros)
-    when slot i of x is x itself, and an ascending (i, j)-edge (x, y) in
-    piece (i, j, upsilon(x, i, j)), stored as (x, y, H[x, y]) in ascending
-    x.  Empty pieces are included.  A diagonal must be real and the two
-    slots of an edge must hold conjugate values, within extract_table's
-    tolerance and with its messages.
+    nbr and val are read_slots' arrays of an oracle on n bits.  Each piece
+    is what extract_table would scan through colored_query: the diagonal
+    of x in piece (i, i, zeros) when slot i of x is x itself, and an
+    ascending (i, j)-edge (x, y) in piece (i, j, upsilon(x, i, j)), stored
+    as (x, y, H[x, y]) in ascending x.  Empty pieces are included.  A
+    diagonal must be real and the two slots of an edge must hold conjugate
+    values, within extract_table's tolerance and with its messages.
     """
-    n, d = oracle.n, oracle.d
+    dim, d = nbr.shape
     z = iterate_count(n)
-    nbr, val = read_slots(oracle, oracle.query)
-    xs = np.arange(oracle.dim)
+    xs = np.arange(dim)
     no_diag = (np.zeros(0, np.int64), np.zeros(0))
     tables = []
     for i in range(d):
@@ -391,7 +375,7 @@ def piece_tables(oracle: SparseOracle) -> list[OneSparseTable]:
                 diag_idx, diag_h = no_diag
                 if i == j and nu == "0" * len(nu):
                     diag_idx, diag_h = diag, diag_v.real
-                tables.append(OneSparseTable(oracle.dim, diag_idx, diag_h,
+                tables.append(OneSparseTable(dim, diag_idx, diag_h,
                                              lo[on], hi[on], amp[on]))
     return tables
 
@@ -416,37 +400,33 @@ VERIFY_SAMPLE = 4096
 VERIFY_SEED = 0
 
 
-def _table_entries(tables: list[OneSparseTable]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every (row, col, value) the tables claim, mirror entries included."""
-    cat = np.concatenate
-    rows = cat([cat([t.diag_idx, t.pair_lo, t.pair_hi]) for t in tables])
-    cols = cat([cat([t.diag_idx, t.pair_hi, t.pair_lo]) for t in tables])
-    vals = cat([cat([t.diag_h.astype(np.complex128), t.pair_amp,
-                     t.pair_amp.conj()]) for t in tables])
-    return rows, cols, vals
+def verify_coloring(oracle: SparseOracle,
+                    tables: list[OneSparseTable] | None = None,
+                    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+                    | None = None) -> ColoringReport:
+    """Check piece tables against the entries and the piece lookups.
 
-
-def verify_coloring(oracle: SparseOracle) -> ColoringReport:
-    """Check piece_tables against the oracle's entries and its piece lookups.
-
-    No dense matrix is built.  The tables must be pairwise disjoint and
-    their union must equal read_entries exactly.  Each checked lookup,
-    ColoredOracle(oracle, label).column(x) with a cold cache, must give
-    the table's answer at x and stay within the 2(z_n + 2) base-query
-    budget.  Inside the dense cap every (label, x) lookup is checked;
-    above it a fixed-seed sample of VERIFY_SAMPLE of them, and
-    lookups_checked says how many.
+    tables and entries default to piece_tables and read_entries of the
+    oracle; a run that read it once passes what it read.  No dense matrix
+    is built.  The tables must be pairwise disjoint and their union must
+    equal the entries exactly.  Each checked lookup, ColoredOracle(oracle,
+    label).column(x) with a cold cache, must give the table's answer at x
+    within the 2(z_n + 2) base-query budget: every (label, x) inside the
+    dense cap, a fixed-seed sample of VERIFY_SAMPLE above it.
     """
     dim = oracle.dim
     z = iterate_count(oracle.n)
     bound = 2 * (z + 2)
     labels = enumerate_labels(oracle.d, oracle.n)
-    tables = piece_tables(oracle)
+    if tables is None:
+        tables = piece_tables(oracle)
+    if entries is None:
+        entries = read_entries(oracle)
     failures: list[str] = []
 
     total = len(labels) * dim
-    if total <= VERIFY_SAMPLE or dim <= dense_cap():
+    # read the cap first, so a malformed HAMSIM_DENSE_CAP fails every run
+    if dim <= dense_cap() or total <= VERIFY_SAMPLE:
         picks = np.arange(total)
     else:
         picks = np.sort(np.random.default_rng(VERIFY_SEED).choice(
@@ -459,13 +439,8 @@ def verify_coloring(oracle: SparseOracle) -> ColoringReport:
         xs = picks[ends[g]:ends[g + 1]] - g * dim
         if not xs.size:
             continue
-        table = tables[g]
-        want: dict[int, tuple[int, complex]] = {}
-        for x, h in zip(table.diag_idx.tolist(), table.diag_h.tolist()):
-            want[x] = (x, complex(h))
-        for x, y, a in zip(table.pair_lo.tolist(), table.pair_hi.tolist(),
-                           table.pair_amp.tolist()):
-            want[x], want[y] = (y, a), (x, a.conjugate())
+        at, to, val = (a.tolist() for a in tables[g].entries())
+        want = dict(zip(at, zip(to, val)))
         piece = ColoredOracle(oracle, label)
         wrong: list[int] = []
         for x in xs.tolist():
@@ -483,17 +458,17 @@ def verify_coloring(oracle: SparseOracle) -> ColoringReport:
             failures.append(f"label {label}: lookup at {wrong[0]} disagrees "
                             f"with the table ({len(wrong)} in all)")
 
-    rows, cols, vals = _table_entries(tables)
-    keys = rows * dim + cols
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
+    def by_key(rows, cols, vals):
+        keys = rows * dim + cols
+        order = np.argsort(keys, kind="stable")
+        return keys[order], vals[order]
+
+    keys, vals = by_key(*(np.concatenate(parts)
+                          for parts in zip(*(t.entries() for t in tables))))
     if np.any(keys[1:] == keys[:-1]):
         failures.append("pieces overlap: some entry claimed more than once")
-    e_rows, e_cols, e_vals = read_entries(oracle)
-    e_keys = e_rows * dim + e_cols
-    e_order = np.argsort(e_keys)
-    if not (np.array_equal(keys, e_keys[e_order])
-            and np.array_equal(vals, e_vals[e_order])):
+    e_keys, e_vals = by_key(*entries)
+    if not (np.array_equal(keys, e_keys) and np.array_equal(vals, e_vals)):
         failures.append("pieces do not sum back to the Hamiltonian")
 
     return ColoringReport(

@@ -37,7 +37,6 @@ class Tolerances:
     density_trace: float = 1e-10    # |tr(rho) - 1|
     density_eig_floor: float = -1e-10
     plan_fraction_sum: float = 1e-12
-    evolution_match: float = 1e-12  # closed-form vs dense exponential
 
 
 TOL = Tolerances()

@@ -95,6 +95,15 @@ def _taylor_degree(theta: float) -> int:
     return q
 
 
+def max_row_sum(rows: np.ndarray, vals: np.ndarray) -> float:
+    """Largest absolute row sum of the matrix with entries vals at rows.
+
+    For Hermitian H this is ||H||_inf = ||H||_1, so it bounds ||H||_2 from
+    above; 0 for no entries.
+    """
+    return float(np.bincount(rows, weights=np.abs(vals)).max(initial=0.0))
+
+
 def expm_action(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                 t: float, psi: np.ndarray) -> np.ndarray:
     """exp(-i H t) psi for Hermitian H given by its entries H[rows, cols].
@@ -121,8 +130,7 @@ def expm_action(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     if rows.size and (min(rows.min(), cols.min()) < 0
                       or max(rows.max(), cols.max()) >= dim):
         raise NumericsError(f"an entry index is outside 0..{dim - 1}")
-    theta = float(np.bincount(rows, weights=np.abs(vals),
-                              minlength=dim).max()) * abs(t)
+    theta = max_row_sum(rows, vals) * abs(t)
     steps = math.ceil(theta) if 1.0 < theta < math.inf else 1
     degree = _taylor_degree(theta / steps)
     h = vals * (-1j * t / steps)

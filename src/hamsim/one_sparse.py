@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .config import OracleError, PlanError
-from .numerics import require_state
+from .numerics import max_row_sum, require_state
 from .suzuki import ProductFormulaPlan, build_plan
 
 _HERM_TOL = 1e-12
@@ -79,6 +79,21 @@ class OneSparseTable:
     def entry_count(self) -> int:
         return int(self.diag_idx.size + self.pair_lo.size)
 
+    @property
+    def norm(self) -> float:
+        """Spectral norm, exactly: a 1-sparse piece is a direct sum of 1x1
+        and off-diagonal 2x2 blocks, so it is the largest entry magnitude."""
+        return float(max(np.max(np.abs(self.diag_h), initial=0.0),
+                         np.max(np.abs(self.pair_amp), initial=0.0)))
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of every entry, mirror entries included."""
+        cat = np.concatenate
+        return (cat([self.diag_idx, self.pair_lo, self.pair_hi]),
+                cat([self.diag_idx, self.pair_hi, self.pair_lo]),
+                cat([self.diag_h.astype(np.complex128), self.pair_amp,
+                     self.pair_amp.conj()]))
+
 
 def extract_table(piece) -> OneSparseTable:
     """Scan a piece into a table with exactly one probe per column.
@@ -129,10 +144,9 @@ def extract_table(piece) -> OneSparseTable:
 
 
 def table_to_dense(table: OneSparseTable) -> np.ndarray:
+    rows, cols, vals = table.entries()
     H = np.zeros((table.dim, table.dim), dtype=np.complex128)
-    H[table.diag_idx, table.diag_idx] = table.diag_h
-    H[table.pair_lo, table.pair_hi] = table.pair_amp
-    H[table.pair_hi, table.pair_lo] = table.pair_amp.conj()
+    H[rows, cols] = vals
     return H
 
 
@@ -188,10 +202,7 @@ def random_one_sparse_table(dim: int, seed: int | None = None,
         pair_amp.append(a if x < partner else a.conjugate())
     table = OneSparseTable(dim, diag_idx, diag_h, pair_lo, pair_hi, pair_amp)
     if norm_target is not None and table.entry_count:
-        # exact: a 1-sparse piece is a direct sum of 1x1 and off-diagonal
-        # 2x2 blocks, so its spectral norm is the largest entry magnitude
-        scale = norm_target / max(np.max(np.abs(table.diag_h), initial=0.0),
-                                  np.max(np.abs(table.pair_amp), initial=0.0))
+        scale = norm_target / table.norm
         table = OneSparseTable(dim, table.diag_idx, table.diag_h * scale,
                                table.pair_lo, table.pair_hi,
                                table.pair_amp * scale)
@@ -328,10 +339,6 @@ def _commutator(a_cols: np.ndarray, a_vals: np.ndarray, rows: np.ndarray,
         np.concatenate([left_vals.ravel(), right_vals.ravel()]), dim)
 
 
-def _max_row_sum(rows: np.ndarray, vals: np.ndarray) -> float:
-    return float(np.bincount(rows, weights=np.abs(vals)).max(initial=0.0))
-
-
 def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
     """Row-sum bounds on the nested commutators of the second-order bound.
 
@@ -348,10 +355,7 @@ def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
     if not tables:
         return norms
     dim = tables[0].dim
-    coo = [(np.concatenate([t.diag_idx, t.pair_lo, t.pair_hi]),
-            np.concatenate([t.diag_idx, t.pair_hi, t.pair_lo]),
-            np.concatenate([t.diag_h.astype(np.complex128), t.pair_amp,
-                            t.pair_amp.conj()])) for t in tables]
+    coo = [t.entries() for t in tables]
     suffix = (np.zeros(0, np.int64), np.zeros(0, np.int64),
               np.zeros(0, np.complex128))
     for g in range(len(tables) - 2, -1, -1):
@@ -362,8 +366,8 @@ def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
         inner = _commutator(s_cols, s_vals, *coo[g], dim)  # [S, H_g]
         outer_s = _commutator(s_cols, s_vals, *inner, dim)
         outer_h = _commutator(piece_cols, piece_vals, *inner, dim)
-        norms[g] = (_max_row_sum(outer_s[0], outer_s[2]),
-                    _max_row_sum(outer_h[0], outer_h[2]))
+        norms[g] = (max_row_sum(outer_s[0], outer_s[2]),
+                    max_row_sum(outer_h[0], outer_h[2]))
     return norms
 
 

@@ -7,6 +7,8 @@ query() call with a vertex and slot in range bumps a thread-safe monotone
 counter before its answer is checked; verification bridges (read_entries
 and the dense and entry-list extractions built on it) go through the
 uncounted peek() so measured query complexity reflects the algorithms alone.
+A run that needs both the pieces and the entries reads each slot once
+through query() and checks the entries of that read (entries_from_slots).
 Neither memoises answers: an oracle's function may itself spend counted
 queries (parity's pieces read hidden bits), and each call must spend them.
 """
@@ -228,16 +230,21 @@ def read_slots(oracle: SparseOracle,
 
 def read_entries(oracle: SparseOracle
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uncounted read of every stored entry as (rows, cols, vals) arrays.
+    """Uncounted read of every stored entry: entries_from_slots of a
+    read_slots through peek, with no dense cap."""
+    return entries_from_slots(*read_slots(oracle, oracle.peek))
 
-    Entries come row by row in slot order, padding dropped, with no dense
-    cap.  Checks on the way: padding only after the nonzero slots, no
-    duplicate neighbors, no explicit zeros, finite values, and Hermitian
-    pairing within _PAIR_TOL, found by matching the sorted (x, y) keys
-    against the (y, x) keys.
+
+def entries_from_slots(ys: np.ndarray, vs: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stored entry of read_slots' arrays as (rows, cols, vals).
+
+    Entries come row by row in slot order, padding dropped.  Checks on the
+    way: padding only after the nonzero slots, no duplicate neighbors, no
+    explicit zeros, finite values, and Hermitian pairing within _PAIR_TOL,
+    found by matching the sorted (x, y) keys against the (y, x) keys.
     """
-    dim, d = oracle.dim, oracle.d
-    ys, vs = read_slots(oracle, oracle.peek)
+    dim, d = ys.shape
     xs = np.broadcast_to(np.arange(dim, dtype=np.int64)[:, None], (dim, d))
     pad = (ys == xs) & (vs == 0)
     after_pad = ~pad & np.logical_or.accumulate(pad, axis=1)

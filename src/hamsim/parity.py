@@ -88,9 +88,14 @@ def _decode(N: int, x: int) -> tuple[int, int] | None:
     return divmod(x, N + 1)
 
 
-def _edge_value(N: int, j: int) -> float:
-    # coupling between levels j and j+1
-    return math.sqrt((N - j) * (j + 1)) / 2.0
+def _edge(instance: ParityInstance, k: int, j: int,
+          low: int) -> tuple[int, complex]:
+    """Column entry of |k, j> on its edge between levels low and low + 1,
+    which reads one hidden bit: the rail flips when bit low + 1 is set."""
+    N = instance.size
+    flip = instance.bit(low + 1)
+    return (state_index(N, k ^ flip, 2 * low + 1 - j),
+            complex(math.sqrt((N - low) * (low + 1)) / 2.0))
 
 
 def build_parity_oracle(instance: ParityInstance) -> SparseOracle:
@@ -114,10 +119,7 @@ def build_parity_oracle(instance: ParityInstance) -> SparseOracle:
             edges.append(("up", j))
         if i > len(edges):
             return (x, 0j)
-        _, low = edges[i - 1]
-        flip = instance.bit(low + 1)
-        other = state_index(N, k ^ flip, 2 * low + 1 - j)
-        return (other, complex(_edge_value(N, low)))
+        return _edge(instance, k, j, edges[i - 1][1])
 
     return SparseOracle(n, 2, fn)
 
@@ -145,9 +147,7 @@ def split_even_odd(instance: ParityInstance
                 low = j
             else:
                 return (x, 0j)
-            flip = instance.bit(low + 1)
-            other = state_index(N, k ^ flip, 2 * low + 1 - j)
-            return (other, complex(_edge_value(N, low)))
+            return _edge(instance, k, j, low)
 
         return fn
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,6 +96,8 @@ def _check_km(k: int, m: int) -> None:
 def _check_r(r: int) -> None:
     if not (isinstance(r, numbers.Integral) and r >= 1):
         raise PlanError(f"slice count r must be a positive integer, got {r}")
+    if r > sys.float_info.max:
+        raise PlanError("slice count r overflows floating point range")
 
 
 def _append_merged(out: list[list], term: int, frac) -> None:
@@ -149,6 +152,9 @@ def choose_k(m: int, tau: float, eps: float) -> int:
     if tau == 0:
         return 1
     v = math.log(m * tau / eps, 5) + 1.0
+    if v == math.inf:
+        raise PlanError(f"order choice overflows at m={m}, tau={tau}, "
+                        f"eps={eps}")
     if v <= 0:
         return 1
     return max(1, int(math.floor(0.5 * math.sqrt(v) + 0.5)))
@@ -170,8 +176,13 @@ def choose_r(k: int, m: int, tau: float, eps: float) -> int:
             f"slice-count formula used outside its window "
             f"(eps={eps}, 2m5^(k-1)tau={2.0 * m * 5 ** (k - 1) * tau})",
             ValidityWindowWarning, stacklevel=2)
-    val = 4.0 * 5.0 ** (k - 0.5) * (m * tau) ** (1.0 + 0.5 / k) / eps ** (0.5 / k)
-    return max(1, int(math.ceil(val)))
+    try:
+        val = (4.0 * 5.0 ** (k - 0.5) * (m * tau) ** (1.0 + 0.5 / k)
+               / eps ** (0.5 / k))
+        return max(1, math.ceil(val))
+    except OverflowError:
+        raise PlanError(f"slice count overflows at k={k}, m={m}, tau={tau}, "
+                        f"eps={eps}") from None
 
 
 def restriction_values(k: int, m: int, tau: float, r: int) -> tuple[float, float]:
@@ -295,7 +306,11 @@ def nexp_bound(k: int, m: int, tau: float, eps: float) -> BoundResult:
     window = eps <= 1.0 <= 2.0 * m * 5 ** (k - 1) * tau
     if tau == 0:
         return BoundResult(0.0, window)
-    value = 2.0 * m * 5.0 ** (2 * k) * (m * tau) ** (1.0 + 0.5 / k) / eps ** (0.5 / k)
+    try:
+        value = (2.0 * m * 5.0 ** (2 * k) * (m * tau) ** (1.0 + 0.5 / k)
+                 / eps ** (0.5 / k))
+    except OverflowError:  # past float range, as nexp_bound_optimal gives
+        value = math.inf
     return BoundResult(value, window)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hamsim
-from hamsim import cli, coloring, oracle
+from hamsim import cli, coloring, one_sparse, oracle
 from hamsim.cli import fit_loglog_slope, main
 from hamsim.config import ColoringError
 from hamsim.oracle import EntryList
@@ -44,6 +44,11 @@ def test_bound_accepts_overrides_and_window_warnings(capsys):
                                  "--eps", "0.5"])
     assert rc == 0
     assert data["warnings"]  # outside the window, flagged not fatal
+    # past float range the bounds are infinite, not a traceback
+    rc, data = run_json(capsys, ["bound", "--m", "2", "--tau", "1e300",
+                                 "--eps", "0.1", "--r", "5"])
+    assert rc == 0 and data["restriction_ok"] is False
+    assert data["nexp_bound"] == data["nexp_bound_order_free"] == float("inf")
 
 
 def test_json_output_is_deterministic(capsys):
@@ -134,7 +139,7 @@ def test_simulate_paper_rule_output_is_unchanged(capsys):
     assert {key: data[key] for key in exact} == exact
     close = {"error_bound": 0.0012464019796024288,
              "measured_error": 2.003319683856356e-13,
-             "tau": 0.4527741887607683, "matrix_norm": 1.0,
+             "tau": 0.4527741887607683, "norm_bound": 1.088729578321261,
              "piece_norm_max": 0.6468202696582405}
     for key, val in close.items():
         assert data[key] == pytest.approx(val, abs=1e-12), key
@@ -185,15 +190,41 @@ def test_simulate_measures_the_error_above_the_dense_cap(monkeypatch):
     above = cli.simulate_pipeline(orc, 1.0, 1e-2)
     assert below["verification"]["ok"] is True
     assert below["verification"]["lookups_checked"] == 54 * orc.dim
-    assert below["matrix_norm"] == pytest.approx(1.0, abs=1e-12)
+    # the row-sum bound on ||H|| = 1, the same rule at every size
+    assert 1.0 <= below["norm_bound"] <= 3 * below["piece_norm_max"]
     # verification still runs, on a sample of the lookups
     assert above["verification"]["ok"] is True
     assert above["verification"]["lookups_checked"] == coloring.VERIFY_SAMPLE
-    assert above["matrix_norm"] is None
+    assert above["norm_bound"] == below["norm_bound"]
+    assert (above["precision_bits_recommended"]
+            == below["precision_bits_recommended"])
     assert above["measured_error"] == pytest.approx(below["measured_error"],
                                                     abs=1e-12)
     assert above["error_ok"] is below["error_ok"] is True
     assert above["measured_error"] <= above["error_bound"]
+
+
+def test_norm_bound_is_a_rigorous_bound_on_the_matrix_norm(monkeypatch):
+    # the largest absolute row sum against the exact norm, on random
+    # oracles and their slot-shuffled twins, with and without a dense cap
+    for n in range(2, 9):
+        for d in range(1, 5):
+            base = oracle.random_sparse(n, d, seed=10 * n + d)
+            for orc in (base, oracle.shuffled_columns(base, seed=n)):
+                monkeypatch.delenv("HAMSIM_DENSE_CAP", raising=False)
+                exact = float(np.abs(np.linalg.eigvalsh(
+                    oracle.to_dense(orc))).max())
+                data = cli.simulate_pipeline(orc, 1.0, 0.1, verify=False)
+                bound = data["norm_bound"]
+                assert bound >= exact * (1 - 1e-12), (n, d)
+                assert bound <= d * data["piece_norm_max"], (n, d)
+                assert data["precision_bits_recommended"] >= (
+                    one_sparse.precision_bits(exact, d, data["k"], 0.1))
+                monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
+                capped = cli.simulate_pipeline(orc, 1.0, 0.1, verify=False)
+                assert capped["norm_bound"] == bound
+                assert (capped["precision_bits_recommended"]
+                        == data["precision_bits_recommended"])
 
 
 def test_verification_is_sampled_above_the_dense_cap(monkeypatch, capsys):
@@ -203,17 +234,17 @@ def test_verification_is_sampled_above_the_dense_cap(monkeypatch, capsys):
     assert rc == 0 and data["verified"] is True
     assert data["lookups_checked"] == coloring.VERIFY_SAMPLE < 54 * 128
     # one amplitude off by one ulp in one piece fails both commands
-    real = coloring.piece_tables
+    real = coloring.tables_from_slots
 
-    def corrupt(orc):
-        tables = real(orc)
+    def corrupt(n, nbr, val):
+        tables = real(n, nbr, val)
         g = next(g for g, t in enumerate(tables) if t.pair_amp.size)
         amp = tables[g].pair_amp.copy()
         amp[0] = complex(np.nextafter(amp[0].real, np.inf), amp[0].imag)
         tables[g] = dataclasses.replace(tables[g], pair_amp=amp)
         return tables
 
-    monkeypatch.setattr(coloring, "piece_tables", corrupt)
+    monkeypatch.setattr(coloring, "tables_from_slots", corrupt)
     rc, data = run_json(capsys, ["decompose", "--gen", gen])
     assert rc == 1 and data["verified"] is False
     assert data["failures"][-1] == "pieces do not sum back to the Hamiltonian"
@@ -223,15 +254,35 @@ def test_verification_is_sampled_above_the_dense_cap(monkeypatch, capsys):
 
 def test_simulate_verifies_above_the_cap_without_dense_matrices(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("dense matrix work above the cap")
+        raise AssertionError("dense matrix work or an uncounted read")
 
-    monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
+    small = oracle.random_sparse(4, 3, seed=2, norm_target=1.0)
     monkeypatch.setattr(oracle, "to_dense", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(oracle.SparseOracle, "peek", refuse)
+    # below the cap: every lookup checked, still no dense matrix
+    data = cli.simulate_pipeline(small, 1.0, 1e-2, verify=True)
+    assert data["verification"]["ok"] is True
+    assert data["verification"]["lookups_checked"] == 54 * small.dim
+    assert data["norm_bound"] >= 1.0 and data["error_ok"] is True
+    monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
     data = cli.simulate_pipeline(oracle.random_sparse(7, 3, seed=1), 1.0,
                                  1e-2, verify=True)
     assert data["verification"]["ok"] is True
-    assert data["matrix_norm"] is None and data["error_ok"] is True
+    assert data["norm_bound"] > 0 and data["error_ok"] is True
+
+
+@pytest.mark.parametrize("n, d, lookups, base", [(9, 4, 135_998, 2_048),
+                                                 (8, 3, 36_961, 768)])
+def test_simulate_reads_each_slot_once(n, d, lookups, base):
+    # one counted read of dim * d slots feeds the tables, the entries and
+    # verify_coloring; the rest are the cold lookups, as verify_coloring
+    # alone spends them
+    orc = oracle.random_sparse(n, d, seed=1, norm_target=1.0)
+    data = cli.simulate_pipeline(orc, 1.0, 1e-1)
+    assert data["verification"]["ok"] is True
+    assert data["base_queries"] == base == orc.dim * d
+    assert orc.counter.count == base + lookups
 
 
 def test_simulate_stays_numpy_only():
@@ -409,6 +460,12 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
     assert main(["simulate", "--gen", "random:n=2,d=2,seed=1",
                  "--time", "1e250", "--no-verify"]) == 1
     assert "overflows" in capsys.readouterr().err
+    assert main(["simulate", "--gen", "random:n=3,d=2",
+                 "--time", "1e300"]) == 1
+    assert "overflows" in capsys.readouterr().err
+    assert main(["bound", "--m", "2", "--tau", "1e300", "--eps", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert "overflows" in err and err.count("\n") == 1
     monkeypatch.setenv("HAMSIM_DENSE_CAP", "abc")
     assert main(["simulate", "--gen", "random:n=3,d=2"]) == 1
     assert "HAMSIM_DENSE_CAP" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hamsim import numerics, oracle
+from hamsim import cli, coloring, numerics, oracle
 from hamsim.config import OracleError
 from hamsim.oracle import EntryList
 
@@ -284,6 +284,24 @@ def test_read_entries_structural_checks(name):
         assert str(exc.value) == message
     with pytest.raises(OracleError, match=r"non-finite entry at \(0, 1\)"):
         oracle.read_entries(raw_oracle({0: [(1, np.nan)], 1: [(0, np.nan)]}))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ORACLES))
+def test_malformed_oracles_fail_simulate_and_decompose_as_they_read(
+        name, monkeypatch, capsys):
+    # the tables are checked before the entries, as piece_tables then
+    # read_entries check them
+    rows, _ = BAD_ORACLES[name]
+    with pytest.raises(OracleError) as want:
+        coloring.piece_tables(raw_oracle(rows))
+        oracle.read_entries(raw_oracle(rows))
+    for verify in (True, False):
+        with pytest.raises(OracleError) as got:
+            cli.simulate_pipeline(raw_oracle(rows), 1.0, 1e-2, verify=verify)
+        assert str(got.value) == str(want.value)
+    monkeypatch.setattr(cli, "_load_oracle", lambda *_: raw_oracle(rows))
+    assert cli.main(["decompose", "--gen", "random:n=2,d=2"]) == 1
+    assert capsys.readouterr().err == f"error: {want.value}\n"
 
 
 def test_read_entries_runs_above_the_dense_cap(monkeypatch):

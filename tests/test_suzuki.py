@@ -205,6 +205,9 @@ def test_nexp_bound_frozen_value():
     assert res.within_window
     assert not suzuki.nexp_bound(1, 2, 1.0, 2.0).within_window
     assert not suzuki.nexp_bound(1, 1, 0.01, 0.5).within_window
+    # past float range the bound is infinite, as the order-free one is
+    assert suzuki.nexp_bound(10, 2, 1e300, 0.1).value == math.inf
+    assert suzuki.nexp_bound_optimal(2, 1e300, 0.1)[1].value == math.inf
 
 
 def test_nexp_bound_dominates_actual_plan_cost():
@@ -379,9 +382,14 @@ def test_choose_r_commutator_is_the_smallest_sufficient_count():
                           (1.0, float("inf"), 0.1), (1.0, 1.0, 0.0)):
         with pytest.raises(PlanError):
             suzuki.choose_r_commutator(alpha, t, eps)
-    for alpha, t, eps in ((1.0, 1e250, 0.1), (1e300, 1.0, 1e-300)):
+    for rule, args in ((suzuki.choose_r_commutator, (1.0, 1e250, 0.1)),
+                       (suzuki.choose_r_commutator, (1e300, 1.0, 1e-300)),
+                       (suzuki.choose_r, (10, 2, 1e300, 0.1)),
+                       (suzuki.choose_k, (2, 1e300, 1e-300))):
         with pytest.raises(PlanError, match="overflows"):
-            suzuki.choose_r_commutator(alpha, t, eps)
+            rule(*args)
+    with pytest.raises(PlanError, match="overflows"):
+        suzuki.restriction_values(1, 2, 1.0, 10 ** 400)
     # far past 2^53 a unit step no longer moves float(r)
     for t in (1e20, 1e100, 1e200):
         r = suzuki.choose_r_commutator(1.0, t, 1e-3)
