@@ -184,21 +184,39 @@ def build_chain(oracle: SparseOracle, x: int, i: int, j: int,
     return chain
 
 
+# Memo of finished tags by (chain, n), for one verify_coloring call: the
+# halving rounds are a function of the chain's values alone, and a cold
+# replay meets each chain once per tag and from both of its endpoints.
+TagMemo = dict[tuple[tuple[int, ...], int], str]
+
+
 def upsilon(oracle: SparseOracle, x: int, i: int, j: int,
-            cache: QueryCache | None = None) -> str:
+            cache: QueryCache | None = None,
+            tags: TagMemo | None = None) -> str:
     """Tag of the (i, j)-edge whose lower endpoint is x.
 
     For n <= 2 the raw vertex label already fits the alphabet budget and is
-    used as-is (no queries).  Otherwise the chain from x is shrunk through
-    z_n halving rounds and the first element's final value is the tag.
+    used as-is (no queries).  Otherwise the chain from x is read through
+    the oracle and shrunk through z_n halving rounds, and the first
+    element's final value is the tag.  The chain is always read; a tags
+    memo only spares running the rounds again on a chain it has seen.
     """
-    z = iterate_count(oracle.n)
+    n = oracle.n
+    z = iterate_count(n)
     if z == 0:
-        return vertex_bits(x, oracle.n)
-    values, width = tuple(build_chain(oracle, x, i, j, cache)), oracle.n
+        return vertex_bits(x, n)
+    chain = tuple(build_chain(oracle, x, i, j, cache))
+    if tags is not None:
+        tag = tags.get((chain, n))
+        if tag is not None:
+            return tag
+    values, width = chain, n
     for _ in range(z):
         values, width = coin_toss_level(values, width)
-    return vertex_bits(values[0], width)
+    tag = vertex_bits(values[0], width)
+    if tags is not None:
+        tags[chain, n] = tag
+    return tag
 
 
 @dataclass(frozen=True)
@@ -228,7 +246,8 @@ def enumerate_labels(d: int, n: int) -> tuple[EdgeLabel, ...]:
 
 
 def colored_query(oracle: SparseOracle, x: int, label: EdgeLabel,
-                  cache: QueryCache | None = None) -> tuple[int, complex]:
+                  cache: QueryCache | None = None,
+                  tags: TagMemo | None = None) -> tuple[int, complex]:
     """Row x of the 1-sparse piece named by label: (y, value) or (x, 0).
 
     Three claims are tested in order: the diagonal of x sits at slot i = j
@@ -237,21 +256,25 @@ def colored_query(oracle: SparseOracle, x: int, label: EdgeLabel,
     computed at the lower endpoint).  Tag distinctness of adjacent edges
     makes the claims mutually exclusive.  With a fresh cache this costs at
     most 2(z_n + 2) base queries, each a counted oracle.query with its
-    checks; the cache only spares asking one (vertex, slot) twice.
+    checks; the cache only spares asking one (vertex, slot) twice.  A tags
+    memo (see upsilon) spares halving rounds, never a query.
     """
-    cache = cache if cache is not None else {}
     i, j, nu = label.i, label.j, label.nu
-    yi, vi = _query(oracle, x, i, cache)
+    if cache is None:
+        yi, vi = hit = oracle.query(x, i)
+        cache = {(x, i): hit}
+    else:
+        yi, vi = _query(oracle, x, i, cache)
     if yi == x and vi != 0 and i == j and nu == "0" * len(nu):
         return (x, vi)
     if yi > x:
         back, _ = _query(oracle, yi, j, cache)
-        if back == x and upsilon(oracle, x, i, j, cache) == nu:
+        if back == x and upsilon(oracle, x, i, j, cache, tags) == nu:
             return (yi, vi)
     yj, vj = _query(oracle, x, j, cache)
     if yj < x:
         fwd, _ = _query(oracle, yj, i, cache)
-        if fwd == x and upsilon(oracle, yj, i, j, cache) == nu:
+        if fwd == x and upsilon(oracle, yj, i, j, cache, tags) == nu:
             return (yj, vj)
     return (x, 0j)
 
@@ -262,14 +285,17 @@ class ColoredOracle:
     column(x) is the single-probe interface shared with 1-sparse
     SparseOracles; its own counter tallies piece-level probes while the
     base oracle's counter keeps tallying the underlying lookups.  A shared
-    cache may be attached so a whole decomposition reuses base queries.
+    cache may be attached so a whole decomposition reuses base queries,
+    and a tags memo so that one verification reuses halving rounds.
     """
 
     def __init__(self, base: SparseOracle, label: EdgeLabel,
-                 cache: QueryCache | None = None) -> None:
+                 cache: QueryCache | None = None,
+                 tags: TagMemo | None = None) -> None:
         self.base = base
         self.label = label
         self.cache = cache
+        self.tags = tags
         self.counter = QueryCounter()
 
     @property
@@ -277,8 +303,10 @@ class ColoredOracle:
         return self.base.dim
 
     def column(self, x: int) -> tuple[int, complex]:
-        self.counter.increment()
-        return colored_query(self.base, x, self.label, self.cache)
+        counter = self.counter
+        with counter._lock:
+            counter._count += 1
+        return colored_query(self.base, x, self.label, self.cache, self.tags)
 
 
 def decompose(oracle: SparseOracle,
@@ -412,7 +440,10 @@ def verify_coloring(oracle: SparseOracle,
     equal the entries exactly.  Each checked lookup, ColoredOracle(oracle,
     label).column(x) with a cold cache, must give the table's answer at x
     within the 2(z_n + 2) base-query budget: every (label, x) inside the
-    dense cap, a fixed-seed sample of VERIFY_SAMPLE above it.
+    dense cap, a fixed-seed sample of VERIFY_SAMPLE above it.  Every lookup
+    reads its chains through the oracle and spends its queries in full; the
+    halving rounds run once per distinct chain in each call, through a tags
+    memo that is emptied when the call ends, by return or by exception.
     """
     dim = oracle.dim
     z = iterate_count(oracle.n)
@@ -435,28 +466,33 @@ def verify_coloring(oracle: SparseOracle,
     ends = np.searchsorted(picks, np.arange(len(labels) + 1) * dim)
     counter = oracle.counter
     max_calls = 0
-    for g, label in enumerate(labels):
-        xs = picks[ends[g]:ends[g + 1]] - g * dim
-        if not xs.size:
-            continue
-        at, to, val = (a.tolist() for a in tables[g].entries())
-        want = dict(zip(at, zip(to, val)))
-        piece = ColoredOracle(oracle, label)
-        wrong: list[int] = []
-        for x in xs.tolist():
-            before = counter.count
-            got = piece.column(x)
-            used = counter.count - before
-            if used > max_calls:
-                max_calls = used
-            if used > bound:
-                failures.append(
-                    f"label {label}: lookup at {x} used {used} > {bound} queries")
-            if got != want.get(x, (x, 0j)):
-                wrong.append(x)
-        if wrong:
-            failures.append(f"label {label}: lookup at {wrong[0]} disagrees "
-                            f"with the table ({len(wrong)} in all)")
+    tags: TagMemo = {}
+    try:
+        for g, label in enumerate(labels):
+            xs = picks[ends[g]:ends[g + 1]] - g * dim
+            if not xs.size:
+                continue
+            at, to, val = (a.tolist() for a in tables[g].entries())
+            want = dict(zip(at, zip(to, val)))
+            piece = ColoredOracle(oracle, label, tags=tags)
+            wrong: list[int] = []
+            for x in xs.tolist():
+                # the field, not the property: this runs twice per lookup
+                before = counter._count
+                got = piece.column(x)
+                used = counter._count - before
+                if used > max_calls:
+                    max_calls = used
+                if used > bound:
+                    failures.append(f"label {label}: lookup at {x} used "
+                                    f"{used} > {bound} queries")
+                if got != want.get(x, (x, 0j)):
+                    wrong.append(x)
+            if wrong:
+                failures.append(f"label {label}: lookup at {wrong[0]} "
+                                f"disagrees with the table ({len(wrong)} in all)")
+    finally:
+        tags.clear()
 
     def by_key(rows, cols, vals):
         keys = rows * dim + cols

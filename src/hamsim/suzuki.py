@@ -100,6 +100,33 @@ def _check_r(r: int) -> None:
         raise PlanError("slice count r overflows floating point range")
 
 
+# largest e with 5.0 ** e inside float range (5^441 ~ 1.8e308); the bounds
+# and windows below scale with 5^(k-1)
+_MAX_POW5 = int(math.log(sys.float_info.max, 5))
+
+
+def _check_order_range(k: int) -> None:
+    if k - 1 > _MAX_POW5:
+        raise PlanError(f"order k={k} overflows: 5^(k-1) exceeds floating "
+                        f"point range")
+
+
+def _ratio_power(c: float, x: float, k: int, r: int) -> float:
+    """c x^(2k+1) / r^(2k), the closed form's shape, inf past float range.
+
+    Evaluated as written while both powers fit in a float; past that (a
+    huge r or x) as c x (x/r)^(2k), which is small whenever r is large.
+    """
+    try:
+        return c * x ** (2 * k + 1) / float(r) ** (2 * k)
+    except OverflowError:
+        pass
+    try:
+        return c * x * (x / float(r)) ** (2 * k)
+    except OverflowError:
+        return math.inf
+
+
 def _append_merged(out: list[list], term: int, frac) -> None:
     if out and out[-1][0] == term:
         out[-1][1] += frac
@@ -169,6 +196,7 @@ def choose_r(k: int, m: int, tau: float, eps: float) -> int:
     """
     _check_km(k, m)
     _check_tau_eps(tau, eps)
+    _check_order_range(k)
     if tau == 0:
         return 1
     if not eps <= 1.0 <= 2.0 * m * 5 ** (k - 1) * tau:
@@ -190,12 +218,9 @@ def restriction_values(k: int, m: int, tau: float, r: int) -> tuple[float, float
     _check_km(k, m)
     _check_tau_eps(tau, 1.0)
     _check_r(r)
+    _check_order_range(k)
     x = 2.0 * 5.0 ** (k - 1) * m * tau
-    try:
-        power = (16.0 / 3.0) * x ** (2 * k + 1) / float(r) ** (2 * k)
-    except OverflowError:  # past float range the restriction cannot hold
-        power = math.inf
-    return 2.0 * x / r, power
+    return 2.0 * x / r, _ratio_power(16.0 / 3.0, x, k, r)
 
 
 def restriction_check(k: int, m: int, tau: float, r: int) -> bool:
@@ -218,7 +243,7 @@ def integrator_error_bound(k: int, m: int, tau: float, r: int) -> float:
     if tau == 0:
         return 0.0
     x = 2.0 * 5.0 ** (k - 1) * m * tau
-    return 5.0 * x ** (2 * k + 1) / float(r) ** (2 * k)
+    return _ratio_power(5.0, x, k, r)
 
 
 def integrator_error_bound_sharp(k: int, m: int, tau: float, r: int) -> float:
@@ -303,6 +328,7 @@ def nexp_bound(k: int, m: int, tau: float, eps: float) -> BoundResult:
     """
     _check_km(k, m)
     _check_tau_eps(tau, eps)
+    _check_order_range(k)
     window = eps <= 1.0 <= 2.0 * m * 5 ** (k - 1) * tau
     if tau == 0:
         return BoundResult(0.0, window)

@@ -49,6 +49,13 @@ def test_bound_accepts_overrides_and_window_warnings(capsys):
                                  "--eps", "0.1", "--r", "5"])
     assert rc == 0 and data["restriction_ok"] is False
     assert data["nexp_bound"] == data["nexp_bound_order_free"] == float("inf")
+    # a huge r makes the power condition tiny, not infinite
+    rc, data = run_json(capsys, ["bound", "--m", "2", "--tau", "1",
+                                 "--eps", "0.1", "--k", "1",
+                                 "--r", str(10 ** 200)])
+    assert rc == 0 and data["restriction_ok"] is True
+    assert data["restriction_linear"] == 8e-200
+    assert 0.0 <= data["error_bound"] < 1e-300
 
 
 def test_json_output_is_deterministic(capsys):
@@ -466,6 +473,14 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
     assert main(["bound", "--m", "2", "--tau", "1e300", "--eps", "0.1"]) == 1
     err = capsys.readouterr().err
     assert "overflows" in err and err.count("\n") == 1
+    # an order whose 5^(k-1) is past floating point range
+    assert main(["bound", "--m", "2", "--tau", "1", "--eps", "0.1",
+                 "--k", "500", "--r", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "overflows" in err and err.count("\n") == 1
+    assert main(["simulate", "--gen", "random:n=3,d=2,seed=1", "--k", "500",
+                 "--r", "5", "--no-verify"]) == 1
+    assert "overflows" in capsys.readouterr().err
     monkeypatch.setenv("HAMSIM_DENSE_CAP", "abc")
     assert main(["simulate", "--gen", "random:n=3,d=2"]) == 1
     assert "HAMSIM_DENSE_CAP" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from hamsim import coloring, numerics, oracle
+from hamsim import cli, coloring, numerics, oracle
 from hamsim.coloring import (
     REFERENCE_TRACE_MAIN, REFERENCE_TRACE_SHIFTED, VERIFY_SAMPLE, EdgeLabel,
     QueryCache, build_chain, coin_toss_level, colored_query, decompose,
@@ -360,10 +360,10 @@ def test_verify_coloring_reports_overlap_once(monkeypatch):
     # such piece is reported once, where its lookups first leave its table.
     real = coloring.colored_query
 
-    def aliased(orc, x, label, cache=None):
+    def aliased(orc, x, label, cache=None, tags=None):
         if label.nu == "001":
             label = EdgeLabel(label.i, label.j, "000")
-        return real(orc, x, label, cache)
+        return real(orc, x, label, cache, tags)
 
     monkeypatch.setattr(coloring, "colored_query", aliased)
     rep = verify_coloring(oracle.random_sparse(4, 3, seed=21))
@@ -589,9 +589,9 @@ def test_verify_coloring_catches_a_lookup_over_budget(monkeypatch):
     bound = 2 * (iterate_count(5) + 2)
     real = coloring.colored_query
 
-    def costly(base, x, label, cache=None):
+    def costly(base, x, label, cache=None, tags=None):
         before = base.counter.count
-        out = real(base, x, label, cache)
+        out = real(base, x, label, cache, tags)
         if (label, x) == (labels[7], 9):
             for _ in range(bound + 1 - (base.counter.count - before)):
                 base.query(x, 1)
@@ -665,3 +665,95 @@ def test_verify_coloring_looks_up_through_colored_oracle_column(monkeypatch):
     calls.clear()
     rep = verify_coloring(oracle.random_sparse(7, 3, seed=1))
     assert rep.ok and len(calls) == rep.lookups_checked == VERIFY_SAMPLE
+
+
+# ---------------------------------------------------------------------------
+# the tags memo: halving rounds shared within one verify_coloring call only
+
+def all_tags(orc):
+    out = []
+    for x in range(orc.dim):
+        for i in range(1, orc.d + 1):
+            for j in range(1, orc.d + 1):
+                try:
+                    out.append(upsilon(orc, x, i, j))
+                except ColoringError:
+                    out.append("-")
+    return out
+
+
+def test_verify_leaves_no_memo_for_another_width():
+    # both oracles share small vertex numbers, so their chains overlap as
+    # integer tuples while their halving rounds run at different widths
+    other = oracle.random_sparse(5, 4, seed=3)
+    tags = all_tags(other)
+    answers = [colored_query(other, x, label)
+               for label in enumerate_labels(4, 5) for x in range(other.dim)]
+    assert verify_coloring(oracle.random_sparse(6, 4, seed=6)).ok
+    assert all_tags(other) == tags
+    assert [colored_query(other, x, label)
+            for label in enumerate_labels(4, 5)
+            for x in range(other.dim)] == answers
+
+
+def test_verify_empties_its_memo_when_it_raises(monkeypatch):
+    real = coloring.upsilon
+    memos = []
+
+    def stop_midway(orc, x, i, j, cache=None, tags=None):
+        memos.append((tags, len(tags)))
+        if len(memos) == 200:
+            raise RuntimeError("stopped")
+        return real(orc, x, i, j, cache, tags)
+
+    other = oracle.random_sparse(5, 4, seed=3)
+    tags = all_tags(other)
+    monkeypatch.setattr(coloring, "upsilon", stop_midway)
+    with pytest.raises(RuntimeError, match="stopped"):
+        verify_coloring(oracle.random_sparse(6, 4, seed=6))
+    monkeypatch.undo()
+    memo = memos[0][0]
+    assert all(seen is memo for seen, _ in memos)
+    assert memos[-1][1] > 0 and not memo
+    assert all_tags(other) == tags
+
+
+def test_upsilon_outside_verify_runs_every_round(monkeypatch):
+    real = coloring.coin_toss_level
+    rounds = []
+
+    def counted(values, width):
+        rounds.append(values)
+        return real(values, width)
+
+    monkeypatch.setattr(coloring, "coin_toss_level", counted)
+    orc = path_fixture()
+    z = iterate_count(18)
+    for _ in range(3):
+        assert upsilon(orc, X_V[0], 1, 3) == "000"
+    assert len(rounds) == 3 * z
+    rounds.clear()
+    for _ in range(2):
+        assert colored_query(orc, X_V[0], EdgeLabel(1, 3, "000")) == (
+            X_V[1], 1.0 + 0j)
+    assert len(rounds) == 2 * z
+
+
+def test_verify_stays_independent_of_the_tables(monkeypatch):
+    # an end-rule mutant of the per-lookup halving (position 1 in place of
+    # 0) leaves piece_tables alone, and a verified simulate must refuse it
+    real = coloring.coin_toss_level
+
+    def end_rule_at_one(values, width):
+        out, width = real(values, width)
+        return out[:-1] + (out[-1] | 1,), width
+
+    orc = oracle.random_sparse(6, 3, seed=1)
+    assert cli.simulate_pipeline(orc, 1.0, 0.1)["verification"]["ok"]
+    tables = coloring.piece_tables(orc)
+    monkeypatch.setattr(coloring, "coin_toss_level", end_rule_at_one)
+    for want, got in zip(tables, coloring.piece_tables(orc)):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(want.entries(), got.entries()))
+    with pytest.raises(ColoringError):
+        cli.simulate_pipeline(orc, 1.0, 0.1)

@@ -390,6 +390,22 @@ def test_choose_r_commutator_is_the_smallest_sufficient_count():
             rule(*args)
     with pytest.raises(PlanError, match="overflows"):
         suzuki.restriction_values(1, 2, 1.0, 10 ** 400)
+    # 5^(k-1) fits a float up to k = 442 and not past it
+    suzuki.restriction_values(442, 1, 1.0, 1)
+    for rule, args in ((suzuki.restriction_values, (443, 2, 1.0, 5)),
+                       (suzuki.integrator_error_bound, (443, 2, 1.0, 5)),
+                       (suzuki.integrator_error_bound_sharp, (443, 2, 1.0, 5)),
+                       (suzuki.choose_r, (443, 2, 1.0, 0.1)),
+                       (suzuki.nexp_bound, (443, 2, 1.0, 0.1))):
+        with pytest.raises(PlanError, match="overflows"):
+            rule(*args)
+    # past float range of r^(2k) or x^(2k+1), the ratio is x (x/r)^(2k)
+    a, b = suzuki.restriction_values(2, 2, 1.0, 10 ** 100)
+    assert (a, b) == (2 * 20.0 / 10 ** 100, 16.0 / 3.0 * 20.0 * 2e-99 ** 4)
+    assert suzuki.integrator_error_bound(2, 2, 1.0, 10 ** 100) == (
+        5.0 * 20.0 * 2e-99 ** 4)
+    assert suzuki.restriction_values(1, 1, 1e120, 10 ** 200)[1] == (
+        16.0 / 3.0 * 2e120 * 2e-80 ** 2)
     # far past 2^53 a unit step no longer moves float(r)
     for t in (1e20, 1e100, 1e200):
         r = suzuki.choose_r_commutator(1.0, t, 1e-3)
