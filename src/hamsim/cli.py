@@ -475,6 +475,7 @@ def cmd_parity(args) -> int:
         "h_queries": res.h_queries,
         "lower_bound_ok": res.lower_bound_ok,
         "quantize_bits": res.quantize_bits,
+        "backend": _kernels.BACKEND,
         "warnings": notes,
     }
     _emit_json(args, payload)

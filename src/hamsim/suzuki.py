@@ -127,6 +127,12 @@ def _ratio_power(c: float, x: float, k: int, r: int) -> float:
         return math.inf
 
 
+def _positive(bound: float) -> float:
+    """A positive bound, rounded up to the smallest float where it would
+    underflow to 0, so that it still bounds."""
+    return max(bound, math.ulp(0.0))
+
+
 def _append_merged(out: list[list], term: int, frac) -> None:
     if out and out[-1][0] == term:
         out[-1][1] += frac
@@ -243,7 +249,7 @@ def integrator_error_bound(k: int, m: int, tau: float, r: int) -> float:
     if tau == 0:
         return 0.0
     x = 2.0 * 5.0 ** (k - 1) * m * tau
-    return _ratio_power(5.0, x, k, r)
+    return _positive(_ratio_power(5.0, x, k, r))
 
 
 def integrator_error_bound_sharp(k: int, m: int, tau: float, r: int) -> float:
@@ -258,7 +264,7 @@ def integrator_error_bound_sharp(k: int, m: int, tau: float, r: int) -> float:
     if tau == 0:
         return 0.0
     u = (8.0 / 3.0) * (2.0 * m * 5.0 ** (k - 1) * tau / r) ** (2 * k + 1)
-    return math.expm1(r * math.log1p(u))
+    return _positive(math.expm1(r * math.log1p(u)))
 
 
 def commutator_alpha(norms) -> float:
@@ -293,7 +299,8 @@ def commutator_error_bound(alpha: float, t: float, r: int) -> float:
     if alpha == 0 or t == 0:
         return 0.0
     step = abs(t) / r
-    return step * step * abs(t) * alpha  # inf, not OverflowError, past range
+    # inf, not OverflowError, past range
+    return _positive(step * step * abs(t) * alpha)
 
 
 def choose_r_commutator(alpha: float, t: float, eps: float) -> int:

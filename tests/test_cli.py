@@ -378,6 +378,7 @@ def test_parity_explicit_and_random(capsys):
     assert data["trace_error"] <= 0.2
     assert data["bit_queries"] == 4 * 8
     assert data["lower_bound_ok"] is True
+    assert data["backend"] == "py"
     # recorded from the dense trace distance of the two pure densities
     assert data["trace_error"] == pytest.approx(2.1554934352532285e-06,
                                                 abs=1e-12)

@@ -250,7 +250,7 @@ def test_product_formula_argument_checks():
                           apply_product_formula(packed, plan, 1.0, 3, psi))
 
 
-def test_kernel_shares_coefficients_only_between_equal_steps():
+def test_kernel_shares_coefficients_only_between_equal_steps(monkeypatch):
     dim = 8
     # h = 2^40 makes h * s exact, so one ulp of s turns the phase by
     # 2^40 ulp(0.3) = 6.1e-5: steps one ulp apart that shared their
@@ -272,13 +272,10 @@ def test_kernel_shares_coefficients_only_between_equal_steps():
             want = numerics.hermitian_expm(table_to_dense(tables[term]),
                                            s) @ want
     packed = pack_tables(tables)
-    got = psi0.copy()
-    _kernels.apply_plan(got, packed.diag_ptr, packed.diag_idx, packed.diag_h,
-                        packed.pair_ptr, packed.pair_lo, packed.pair_hi,
-                        packed.pair_absa, packed.pair_u,
-                        np.array([term for term, _ in steps], dtype=np.int64),
-                        np.array([s for _, s in steps]), reps)
-    assert np.linalg.norm(got - want) < 1e-12
+    for _ in kernel_forms(monkeypatch):
+        got = run_kernel(packed, steps, reps, psi0)
+        assert np.array_equal(got, step_by_step(packed, steps, reps, psi0))
+        assert np.linalg.norm(got - want) < 1e-12
 
 
 def step_by_step(packed, steps, reps, psi):
@@ -312,24 +309,34 @@ def run_kernel(packed, steps, reps, psi):
     return got
 
 
+def kernel_forms(monkeypatch):
+    """Set the kernel's cache budget to 0, then past any plan, so that a
+    loop over this runs its body once in the pair form and once in the
+    full-vector form (a plan with no pairs takes the latter at both)."""
+    for budget in (0, 1 << 62):
+        monkeypatch.setattr(_kernels, "_FULL_FORM_BYTES", budget)
+        yield budget
+
+
 def plan_steps(plan, t, r):
     return [(st.term - 1, st.fraction * t / r) for st in plan.steps]
 
 
-def check_against_references(pieces, steps, reps, seed):
+def check_against_references(pieces, steps, reps, seed, monkeypatch):
     packed = pack_tables(pieces)
     psi0 = numerics.random_state(packed.dim, np.random.default_rng(seed))
-    got = run_kernel(packed, steps, reps, psi0)
-    assert np.array_equal(got, step_by_step(packed, steps, reps, psi0))
     want = psi0.copy()
     for _ in range(reps):
         for term, s in steps:
             want = numerics.hermitian_expm(table_to_dense(pieces[term]),
                                            s) @ want
-    assert np.linalg.norm(got - want) < 1e-12
+    for _ in kernel_forms(monkeypatch):
+        got = run_kernel(packed, steps, reps, psi0)
+        assert np.array_equal(got, step_by_step(packed, steps, reps, psi0))
+        assert np.linalg.norm(got - want) < 1e-12
 
 
-def test_kernel_layers_disjoint_steps_exactly():
+def test_kernel_layers_disjoint_steps_exactly(monkeypatch):
     """Steps on disjoint and overlapping pieces, interleaved, run in plan
     order: the kernel equals the step-by-step reference bit for bit."""
     dim = 10
@@ -343,10 +350,10 @@ def test_kernel_layers_disjoint_steps_exactly():
               OneSparseTable(dim, [], [], [], [], [])]
     steps = [(0, 0.3), (2, 0.7), (0, -0.4), (1, 0.5), (3, 1.1), (4, 0.2),
              (2, -0.25), (1, 0.9), (0, 0.6)]
-    check_against_references(tables, steps, 3, 4)
+    check_against_references(tables, steps, 3, 4, monkeypatch)
 
 
-def test_kernel_layer_schedule():
+def test_kernel_layer_schedule(monkeypatch):
     """A k=1 plan over pieces that are all disjoint, all lone diagonals, or
     all touch index 0: each runs as the step-by-step reference does."""
     m, dim = 5, 20
@@ -360,19 +367,64 @@ def test_kernel_layer_schedule():
         for i in range(1, m)]
     steps = plan_steps(suzuki.build_plan(1, m), 0.9, 1)
     for pieces in (disjoint, lone, shared):
-        check_against_references(pieces, steps, 2, 9)
+        check_against_references(pieces, steps, 2, 9, monkeypatch)
 
 
-def test_kernel_decomposition_pieces_exactly():
+def test_kernel_decomposition_pieces_exactly(monkeypatch):
     for seed in (1, 2, 3):
         pieces = coloring.decompose(oracle.random_sparse(6, 3, seed=seed))
         packed = pack_tables([extract_table(piece) for piece in pieces])
         psi0 = numerics.random_state(packed.dim, np.random.default_rng(seed))
         for k, t, r in ((1, 0.8, 5), (2, -1.3, 2)):
             plan = suzuki.build_plan(k, packed.count)
-            steps = plan_steps(plan, t, r)
-            got = apply_product_formula(packed, plan, t, r, psi0)
-            assert np.array_equal(got, step_by_step(packed, steps, r, psi0))
+            want = step_by_step(packed, plan_steps(plan, t, r), r, psi0)
+            for _ in kernel_forms(monkeypatch):
+                got = apply_product_formula(packed, plan, t, r, psi0)
+                assert np.array_equal(got, want)
+
+
+def test_kernel_empty_pieces_and_dimension_one(monkeypatch):
+    """A plan whose pieces are all empty returns the state unchanged; at
+    dimension 1 only the diagonal phase acts."""
+    dim = 6
+    empty = pack_tables([OneSparseTable(dim, [], [], [], [], [])
+                         for _ in range(3)])
+    psi0 = numerics.random_state(dim, np.random.default_rng(6))
+    steps = [(0, 0.4), (2, -1.1), (1, 0.4)]
+    for _ in kernel_forms(monkeypatch):
+        assert np.array_equal(run_kernel(empty, steps, 4, psi0), psi0)
+    one = pack_tables([OneSparseTable(1, [0], [0.7], [], [], []),
+                       OneSparseTable(1, [], [], [], [], [])])
+    psi1 = np.array([0.6 - 0.8j])
+    steps = [(0, 0.3), (1, 0.5), (0, -1.2)]
+    want = step_by_step(one, steps, 4, psi1)
+    assert abs(want[0] - psi1[0] * np.exp(-1j * 0.7 * (0.3 - 1.2) * 4)) < 1e-14
+    for _ in kernel_forms(monkeypatch):
+        assert np.array_equal(run_kernel(one, steps, 4, psi1), want)
+
+
+def test_kernel_form_follows_distinct_paired_steps_times_dim(monkeypatch):
+    """The full-vector form runs when 32 B x dim per distinct step on a
+    piece with pairs fits the budget; diagonal-only and empty pieces take
+    none of it."""
+    dim = 16
+    calls = []
+    full_vector = _kernels._full_vector
+    monkeypatch.setattr(_kernels, "_full_vector", lambda cache, n: (
+        calls.append(n), full_vector(cache, n))[1])
+    packed = pack_tables([random_one_sparse_table(dim, seed=3),
+                          OneSparseTable(dim, [2], [0.5], [], [], []),
+                          OneSparseTable(dim, [], [], [], [], [])])
+    assert packed.pair_ptr[1] > 0
+    # three distinct steps on the paired piece 0
+    steps = [(0, 0.2), (1, 0.3), (0, 0.4), (2, 0.1), (0, 0.2), (0, -0.5)]
+    psi0 = numerics.random_state(dim, np.random.default_rng(1))
+    want = step_by_step(packed, steps, 2, psi0)
+    for budget, full in ((3 * dim * 32, True), (3 * dim * 32 - 1, False)):
+        monkeypatch.setattr(_kernels, "_FULL_FORM_BYTES", budget)
+        calls.clear()
+        assert np.array_equal(run_kernel(packed, steps, 2, psi0), want)
+        assert calls == ([dim] if full else [])
 
 
 def _commutator(a, b):

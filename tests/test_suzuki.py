@@ -166,6 +166,22 @@ def test_integrator_error_bound_zero_time():
     assert suzuki.integrator_error_bound(1, 2, 0.0, 10) == 0.0
 
 
+def test_integrator_error_bound_stays_positive_past_float_range():
+    # the true bound 5 (4/r)^3 r = 3.2e-398 is below the smallest float
+    assert suzuki.integrator_error_bound(1, 2, 1.0, 10 ** 200) == math.ulp(0.0)
+
+
+def test_sharp_bound_stays_positive_past_float_range():
+    # about (8/3) 4^3 / r^2 = 1.7e-398
+    assert (suzuki.integrator_error_bound_sharp(1, 2, 1.0, 10 ** 200)
+            == math.ulp(0.0))
+
+
+def test_commutator_bound_stays_positive_past_float_range():
+    # 0.7^3 x 2 / r^2 = 6.9e-401
+    assert suzuki.commutator_error_bound(2.0, -0.7, 10 ** 200) == math.ulp(0.0)
+
+
 def test_integrator_error_bound_restriction_errors():
     # r=4: the linear condition 4*2*1/4 = 2 > 1 fails
     with pytest.raises(PlanError, match="linear"):
@@ -402,8 +418,12 @@ def test_choose_r_commutator_is_the_smallest_sufficient_count():
     # past float range of r^(2k) or x^(2k+1), the ratio is x (x/r)^(2k)
     a, b = suzuki.restriction_values(2, 2, 1.0, 10 ** 100)
     assert (a, b) == (2 * 20.0 / 10 ** 100, 16.0 / 3.0 * 20.0 * 2e-99 ** 4)
+    assert suzuki.integrator_error_bound(2, 2, 1.0, 10 ** 78) == (
+        5.0 * 20.0 * 2e-77 ** 4)
+    # and where that underflows, the bound stays the smallest float, not 0
+    assert 5.0 * 20.0 * 2e-99 ** 4 == 0.0
     assert suzuki.integrator_error_bound(2, 2, 1.0, 10 ** 100) == (
-        5.0 * 20.0 * 2e-99 ** 4)
+        math.ulp(0.0))
     assert suzuki.restriction_values(1, 1, 1e120, 10 ** 200)[1] == (
         16.0 / 3.0 * 2e120 * 2e-80 ** 2)
     # far past 2^53 a unit step no longer moves float(r)
