@@ -469,6 +469,7 @@ def cmd_parity(args) -> int:
         "correct": res.correct,
         "trace_error": res.trace_error,
         "eps": res.eps,
+        "error_ok": res.trace_error <= args.eps,
         "r": res.r,
         "n_exp": res.n_exp,
         "bit_queries": res.bit_queries,
@@ -479,9 +480,7 @@ def cmd_parity(args) -> int:
         "warnings": notes,
     }
     _emit_json(args, payload)
-    if not res.correct or res.trace_error > args.eps:
-        return 1
-    return 0
+    return 0 if res.correct and payload["error_ok"] else 1
 
 
 def cmd_tables(args) -> int:

@@ -376,6 +376,7 @@ def test_parity_explicit_and_random(capsys):
     assert data["correct"] is True
     assert data["parity"] == data["expected_parity"] == 1
     assert data["trace_error"] <= 0.2
+    assert data["error_ok"] is True
     assert data["bit_queries"] == 4 * 8
     assert data["lower_bound_ok"] is True
     assert data["backend"] == "py"
@@ -386,6 +387,17 @@ def test_parity_explicit_and_random(capsys):
     rc2, d2 = run_json(capsys, ["parity", "--size", "6", "--seed", "3"])
     assert rc == rc2 == 0
     assert d1 == d2  # seeded generation is reproducible
+
+
+def test_parity_reports_why_it_fails_on_error(capsys):
+    """One quantization bit leaves the right parity but a trace error of
+    0.45 against eps 0.2: exit 1, and the JSON says the error is why."""
+    rc, data = run_json(capsys, ["parity", "--bits", "101", "--quantize",
+                                 "1"])
+    assert rc == 1
+    assert data["correct"] is True
+    assert data["trace_error"] == pytest.approx(0.4546, abs=1e-4)
+    assert data["error_ok"] is False
 
 
 def test_parity_quantize_auto(capsys):

@@ -1,5 +1,7 @@
 """1-sparse pieces: table extraction, exact evolution, precision handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -311,7 +313,7 @@ def run_kernel(packed, steps, reps, psi):
 
 def kernel_forms(monkeypatch):
     """Set the kernel's cache budget to 0, then past any plan, so that a
-    loop over this runs its body once in the pair form and once in the
+    loop over this runs its body once in the layout form and once in the
     full-vector form (a plan with no pairs takes the latter at both)."""
     for budget in (0, 1 << 62):
         monkeypatch.setattr(_kernels, "_FULL_FORM_BYTES", budget)
@@ -405,13 +407,14 @@ def test_kernel_empty_pieces_and_dimension_one(monkeypatch):
 
 def test_kernel_form_follows_distinct_paired_steps_times_dim(monkeypatch):
     """The full-vector form runs when 32 B x dim per distinct step on a
-    piece with pairs fits the budget; diagonal-only and empty pieces take
-    none of it."""
+    piece with pairs fits the budget, and the layout form otherwise;
+    diagonal-only and empty pieces take none of it."""
     dim = 16
     calls = []
-    full_vector = _kernels._full_vector
-    monkeypatch.setattr(_kernels, "_full_vector", lambda cache, n: (
-        calls.append(n), full_vector(cache, n))[1])
+    for name in ("_full_vector", "_layouts"):
+        build = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *args, _n=name, _b=build: (
+            calls.append(_n), _b(*args))[1])
     packed = pack_tables([random_one_sparse_table(dim, seed=3),
                           OneSparseTable(dim, [2], [0.5], [], [], []),
                           OneSparseTable(dim, [], [], [], [], [])])
@@ -420,11 +423,85 @@ def test_kernel_form_follows_distinct_paired_steps_times_dim(monkeypatch):
     steps = [(0, 0.2), (1, 0.3), (0, 0.4), (2, 0.1), (0, 0.2), (0, -0.5)]
     psi0 = numerics.random_state(dim, np.random.default_rng(1))
     want = step_by_step(packed, steps, 2, psi0)
-    for budget, full in ((3 * dim * 32, True), (3 * dim * 32 - 1, False)):
+    for budget, form in ((3 * dim * 32, "_full_vector"),
+                         (3 * dim * 32 - 1, "_layouts")):
         monkeypatch.setattr(_kernels, "_FULL_FORM_BYTES", budget)
         calls.clear()
         assert np.array_equal(run_kernel(packed, steps, 2, psi0), want)
-        assert calls == ([dim] if full else [])
+        assert calls == [form]
+
+
+def test_kernel_forms_on_a_seeded_grid(monkeypatch):
+    """Random pieces with random empty and diagonal shares, at dimensions 1
+    to 89, 1 to 5 pieces, k 1 or 2 and 1 to 5 reps: both forms equal the
+    step-by-step reference bit for bit."""
+    rng = np.random.default_rng(14)
+    for _ in range(150):
+        dim, m = int(rng.integers(1, 90)), int(rng.integers(1, 6))
+        k, reps = int(rng.integers(1, 3)), int(rng.integers(1, 6))
+        tables = []
+        for _ in range(m):
+            empty = float(rng.random())
+            tables.append(random_one_sparse_table(
+                dim, seed=int(rng.integers(1 << 30)), empty_prob=empty,
+                diag_prob=float(rng.random()) * (1 - empty)))
+        packed = pack_tables(tables)
+        steps = plan_steps(suzuki.build_plan(k, m), float(rng.uniform(-3, 3)),
+                           reps)
+        psi0 = numerics.random_state(dim, rng)
+        want = step_by_step(packed, steps, reps, psi0)
+        for _ in kernel_forms(monkeypatch):
+            assert np.array_equal(run_kernel(packed, steps, reps, psi0), want)
+
+
+def test_kernel_piece_changes(monkeypatch):
+    """Plans the layout form handles apart: a piece with exactly one pair,
+    an odd number of piece changes per rep (so the state ends alternate
+    reps in alternate buffers), consecutive steps on one piece, and a
+    diagonal-only piece between paired pieces."""
+    dim = 9
+    one_pair = OneSparseTable(dim, [0, 4], [0.3, -1.1], [2], [7], [0.4 - 0.9j])
+    diagonal = OneSparseTable(dim, [1, 3, 8], [0.6, -0.2, 1.7], [], [], [])
+    pieces = [one_pair, random_one_sparse_table(dim, seed=11),
+              random_one_sparse_table(dim, seed=12), diagonal]
+    assert one_pair.pair_lo.size == 1
+    assert pieces[1].pair_lo.size and pieces[2].pair_lo.size
+    # three changes per rep, counting the one from piece 2 back to piece 0
+    odd = [(0, 0.3), (1, -0.7), (2, 0.45)]
+    consecutive = [(1, 0.2), (1, 0.2), (1, -0.35), (0, 0.5), (0, 0.5),
+                   (2, 0.1), (1, 0.2)]
+    between = [(1, 0.6), (3, -0.4), (2, 0.25), (3, 0.9), (0, -0.15)]
+    for steps in (odd, consecutive, between):
+        for reps in (1, 2, 3):
+            check_against_references(pieces, steps, reps, 5, monkeypatch)
+
+
+def test_kernel_layout_form_memory(monkeypatch):
+    """At dimension 2^14 (6 random pieces, k=2, r=2) the layout form's
+    allocation peak stays below the full-vector cache of that plan and
+    within 1.5x of the 3.43 MiB that the gather-scatter pair form it
+    replaced peaked at."""
+    monkeypatch.setattr(_kernels, "_FULL_FORM_BYTES", 0)
+    dim, reps = 1 << 14, 2
+    packed = pack_tables([random_one_sparse_table(dim, seed=i)
+                          for i in range(6)])
+    steps = plan_steps(suzuki.build_plan(2, 6), 1.0, reps)
+    paired = {(t, s) for t, s in steps
+              if packed.pair_ptr[t + 1] > packed.pair_ptr[t]}
+    psi = numerics.random_state(dim, np.random.default_rng(2))
+    step_term = np.array([t for t, _ in steps], dtype=np.int64)
+    step_s = np.array([s for _, s in steps], dtype=np.float64)
+    tracemalloc.start()
+    try:
+        _kernels.apply_plan(psi, packed.diag_ptr, packed.diag_idx,
+                            packed.diag_h, packed.pair_ptr, packed.pair_lo,
+                            packed.pair_hi, packed.pair_absa, packed.pair_u,
+                            step_term, step_s, reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(paired) * dim * 32
+    assert peak < 1.5 * 3.43 * 2 ** 20
 
 
 def _commutator(a, b):
