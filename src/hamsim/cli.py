@@ -185,10 +185,16 @@ def cmd_bound(args) -> int:
     ok = lin <= 1.0 and power <= 1.0
     per_k = suzuki.nexp_bound(k, m, tau, eps)
     count = suzuki.exponential_count(k, m)
+    try:
+        r_sharp = suzuki.choose_r_sharp(k, m, tau, eps)
+    except PlanError:  # past float range, as error_bound_sharp reads None
+        r_sharp = None
     payload = {
         "m": m, "tau": tau, "eps": eps, "k": k, "r": r,
         "plan_length": count,
         "n_exp": r * count,
+        "r_sharp": r_sharp,
+        "n_exp_sharp": r_sharp * count if r_sharp is not None else None,
         "restriction_linear": lin,
         "restriction_power": power,
         "restriction_ok": ok,
@@ -471,6 +477,11 @@ def cmd_parity(args) -> int:
         "eps": res.eps,
         "error_ok": res.trace_error <= args.eps,
         "r": res.r,
+        "r_rule": res.r_rule,
+        "r_paper": res.r_paper,
+        "r_sharp": res.r_sharp,
+        "error_bound": res.error_bound,
+        "bound_slack": res.bound_slack,
         "n_exp": res.n_exp,
         "bit_queries": res.bit_queries,
         "h_queries": res.h_queries,

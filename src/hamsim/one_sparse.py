@@ -164,8 +164,7 @@ def random_one_sparse_table(dim: int, seed: int | None = None,
         raise OracleError(
             f"norm target must be finite and positive, got {norm_target}")
     rng = np.random.default_rng(seed)
-    order = list(rng.permutation(dim))
-    used = np.zeros(dim, dtype=bool)
+    order = rng.permutation(dim).tolist()
     diag_idx: list[int] = []
     diag_h: list[float] = []
     pair_lo: list[int] = []
@@ -175,27 +174,21 @@ def random_one_sparse_table(dim: int, seed: int | None = None,
     def nonzero(v: float) -> float:
         return v if v != 0 else 1.0
 
+    # walk the permutation once: a pair takes the next element as partner,
+    # and the last element, with none left, falls back to a diagonal
     i = 0
-    while i < len(order):
-        x = int(order[i])
+    while i < dim:
+        x = order[i]
         i += 1
-        if used[x]:
-            continue
-        used[x] = True
         roll = rng.random()
         if roll < empty_prob:
             continue
-        partner = None
-        if roll >= empty_prob + diag_prob:
-            for j in range(i, len(order)):
-                if not used[order[j]]:
-                    partner = int(order[j])
-                    break
-        if partner is None:
+        if roll < empty_prob + diag_prob or i == dim:
             diag_idx.append(x)
             diag_h.append(nonzero(float(rng.normal())))
             continue
-        used[partner] = True
+        partner = order[i]
+        i += 1
         a = complex(nonzero(float(rng.normal())), float(rng.normal()))
         pair_lo.append(min(x, partner))
         pair_hi.append(max(x, partner))

@@ -27,7 +27,8 @@ from .numerics import pure_state_distance
 from .one_sparse import (apply_product_formula, extract_table, pack_tables,
                          quantize_table)
 from .oracle import QueryCounter, SparseOracle
-from .suzuki import build_plan, choose_r
+from .suzuki import (build_plan, choose_r, choose_r_sharp,
+                     integrator_error_bound_sharp, restriction_values)
 
 
 class ParityInstance:
@@ -179,12 +180,23 @@ class ParityRunResult:
     bit_queries: int
     h_queries: int
     lower_bound_ok: bool
+    r_rule: str
+    r_paper: int
+    r_sharp: int
+    error_bound: float | None
+    bound_slack: float | None
     quantize_bits: int | None = None
 
 
 def run_parity(instance: ParityInstance, eps: float,
                quantize_bits: int | None = None) -> ParityRunResult:
     """Simulate the ladder for time pi and read the parity off the rail.
+
+    The slice count is the smaller of the paper's closed-form rule
+    (choose_r) and the smallest r its sharp pre-form allows
+    (choose_r_sharp), both at k = 1 for the two pieces; a tie goes to the
+    paper's.  r_rule names the winner, and error_bound is the sharp bound
+    at the chosen r, None where its linear restriction fails.
 
     The target state is known in closed form, so the reported trace error
     is exact.  h_queries counts piece-column probes, bit_queries the hidden
@@ -195,7 +207,11 @@ def run_parity(instance: ParityInstance, eps: float,
         raise PlanError(f"eps must be positive, got {eps}")
     N = instance.size
     tau = math.pi * N / 2.0  # time pi at norm N/2
-    r = choose_r(1, 2, tau, eps)
+    r_paper = choose_r(1, 2, tau, eps)
+    r_sharp = choose_r_sharp(1, 2, tau, eps)
+    r_rule, r = ("sharp", r_sharp) if r_sharp < r_paper else ("paper", r_paper)
+    bound = (integrator_error_bound_sharp(1, 2, tau, r)
+             if restriction_values(1, 2, tau, r)[0] <= 1.0 else None)
     plan = build_plan(1, 2)
 
     bits_before = instance.counter.count
@@ -222,5 +238,10 @@ def run_parity(instance: ParityInstance, eps: float,
         bit_queries=bit_queries,
         h_queries=h_queries,
         lower_bound_ok=h_queries >= N / 4.0,
+        r_rule=r_rule,
+        r_paper=r_paper,
+        r_sharp=r_sharp,
+        error_bound=bound,
+        bound_slack=float(err) / bound if bound else None,
         quantize_bits=quantize_bits,
     )

@@ -9,7 +9,8 @@ exponentials of the same term are always merged, which pins the plan
 length at exactly 2(m-1)5^(k-1) + 1.
 
 The bound side gives: a closed-form error bound for the r-fold slicing,
-its validity restrictions, the slice count r needed for a target error,
+its validity restrictions, the slice count r needed for a target error
+(from the closed form, or the smallest one its sharper pre-form allows),
 and exponential-count bounds with their validity windows.  For k = 1 it
 also gives the commutator-scaling bound, which depends on the terms
 themselves rather than on their largest norm, and its slice count.
@@ -263,8 +264,55 @@ def integrator_error_bound_sharp(k: int, m: int, tau: float, r: int) -> float:
         raise PlanError(f"linear restriction violated: 4 m 5^(k-1) tau / r = {a}")
     if tau == 0:
         return 0.0
-    u = (8.0 / 3.0) * (2.0 * m * 5.0 ** (k - 1) * tau / r) ** (2 * k + 1)
+    x = 2.0 * m * 5.0 ** (k - 1) * tau
+    u = (8.0 / 3.0) * (x / r) ** (2 * k + 1)
+    if u < sys.float_info.min:
+        # u lost its digits to underflow; r log1p(u) is r u here, kept as
+        # (8/3) x^(2k+1) / r^(2k), so a huge r cannot read as a zero bound
+        return _positive(math.expm1(_ratio_power(8.0 / 3.0, x, k, r)))
     return _positive(math.expm1(r * math.log1p(u)))
+
+
+def choose_r_sharp(k: int, m: int, tau: float, eps: float) -> int:
+    """Smallest r with integrator_error_bound_sharp(k, m, tau, r) <= eps.
+
+    The sharp pre-form is where Berry, Ahokas, Cleve & Sanders, "Efficient
+    quantum algorithms for simulating sparse Hamiltonians", Commun. Math.
+    Phys. 270, 359 (2007), quant-ph/0508139, stand in the proof of their
+    Lemma 1 before they simplify: under the linear restriction
+    4 m 5^(k-1) tau / r <= 1 each of the r slices errs by at most
+    u = (8/3)(2 m 5^(k-1) tau / r)^(2k+1), and r slices compound to
+    (1 + u)^r - 1.  It needs neither the power restriction nor choose_r's
+    window, and never exceeds the closed form where both apply, so inside
+    that window this r is at most choose_r's.
+
+    The bound falls as r grows.  Since r log1p(u) <= r u, the r at which
+    r u = log1p(eps) bounds the answer from above; the search bisects
+    between it and the smallest r the linear restriction allows.
+    """
+    _check_km(k, m)
+    _check_tau_eps(tau, eps)
+    _check_order_range(k)
+    if tau == 0:
+        return 1
+    x = 2.0 * 5.0 ** (k - 1) * m * tau  # rounded as restriction_values does
+    try:
+        lo = max(1, math.ceil(2.0 * x))
+        hi = max(lo, math.ceil(x * (((8.0 / 3.0) * x) ** (0.5 / k)
+                                    / math.log1p(eps) ** (0.5 / k))))
+    except OverflowError:
+        raise PlanError(f"slice count overflows at k={k}, m={m}, tau={tau}, "
+                        f"eps={eps}") from None
+    while integrator_error_bound_sharp(k, m, tau, hi) > eps:  # rounding
+        hi += 1 + (hi >> 50)  # a step float(hi) still sees past 2^53
+    lo -= 1  # fails the linear restriction
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if integrator_error_bound_sharp(k, m, tau, mid) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def commutator_alpha(norms) -> float:

@@ -33,6 +33,8 @@ def test_bound_reproduces_worked_numbers(capsys):
     assert data["nexp_bound"] == pytest.approx(2828.4271247, rel=1e-6)
     assert data["n_exp"] == 3 * 253
     assert data["restriction_ok"] is True
+    # the smallest r the sharp pre-form allows
+    assert data["r_sharp"] == 131 and data["n_exp_sharp"] == 3 * 131
 
 
 def test_bound_accepts_overrides_and_window_warnings(capsys):
@@ -49,6 +51,7 @@ def test_bound_accepts_overrides_and_window_warnings(capsys):
                                  "--eps", "0.1", "--r", "5"])
     assert rc == 0 and data["restriction_ok"] is False
     assert data["nexp_bound"] == data["nexp_bound_order_free"] == float("inf")
+    assert data["r_sharp"] is None and data["n_exp_sharp"] is None
     # a huge r makes the power condition tiny, not infinite
     rc, data = run_json(capsys, ["bound", "--m", "2", "--tau", "1",
                                  "--eps", "0.1", "--k", "1",
@@ -380,9 +383,14 @@ def test_parity_explicit_and_random(capsys):
     assert data["bit_queries"] == 4 * 8
     assert data["lower_bound_ok"] is True
     assert data["backend"] == "py"
-    # recorded from the dense trace distance of the two pure densities
-    assert data["trace_error"] == pytest.approx(2.1554934352532285e-06,
+    # recorded at r = 1,363, where the sharp rule beats the paper's 2,520
+    assert data["trace_error"] == pytest.approx(7.368122061145853e-06,
                                                 abs=1e-12)
+    assert data["r_rule"] == "sharp" and data["r"] == data["r_sharp"] == 1363
+    assert data["r_paper"] == 2520 and data["r"] <= data["r_paper"]
+    assert data["n_exp"] == 3 * 1363
+    assert data["trace_error"] <= data["error_bound"] <= data["eps"]
+    assert data["bound_slack"] == data["trace_error"] / data["error_bound"]
     rc, d1 = run_json(capsys, ["parity", "--size", "6", "--seed", "3"])
     rc2, d2 = run_json(capsys, ["parity", "--size", "6", "--seed", "3"])
     assert rc == rc2 == 0

@@ -102,6 +102,62 @@ def test_random_table_is_deterministic_and_valid():
     assert ((H != 0).sum(axis=0) <= 1).all()
 
 
+def _random_table_reference(dim, seed, diag_prob, empty_prob):
+    """The generator's first loop, kept as the reference: it marks used
+    elements and scans ahead for the first unused partner."""
+    rng = np.random.default_rng(seed)
+    order = list(rng.permutation(dim))
+    used = np.zeros(dim, dtype=bool)
+    diag_idx, diag_h, pair_lo, pair_hi, pair_amp = [], [], [], [], []
+
+    def nonzero(v):
+        return v if v != 0 else 1.0
+
+    i = 0
+    while i < len(order):
+        x = int(order[i])
+        i += 1
+        if used[x]:
+            continue
+        used[x] = True
+        roll = rng.random()
+        if roll < empty_prob:
+            continue
+        partner = None
+        if roll >= empty_prob + diag_prob:
+            for j in range(i, len(order)):
+                if not used[order[j]]:
+                    partner = int(order[j])
+                    break
+        if partner is None:
+            diag_idx.append(x)
+            diag_h.append(nonzero(float(rng.normal())))
+            continue
+        used[partner] = True
+        a = complex(nonzero(float(rng.normal())), float(rng.normal()))
+        pair_lo.append(min(x, partner))
+        pair_hi.append(max(x, partner))
+        pair_amp.append(a if x < partner else a.conjugate())
+    return OneSparseTable(dim, diag_idx, diag_h, pair_lo, pair_hi, pair_amp)
+
+
+def test_random_table_matches_the_scanning_loop_bit_for_bit():
+    fields = ("diag_idx", "diag_h", "pair_lo", "pair_hi", "pair_amp")
+    for diag_prob, empty_prob in ((0.25, 0.15), (1.0, 0.0), (0.0, 0.0),
+                                  (0.0, 1.0), (0.4, 0.3)):
+        for dim in (*range(1, 40), 257, 1000):
+            for seed in range(6):
+                got = random_one_sparse_table(dim, seed=seed,
+                                              diag_prob=diag_prob,
+                                              empty_prob=empty_prob)
+                want = _random_table_reference(dim, seed, diag_prob,
+                                               empty_prob)
+                for name in fields:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype, (name, dim, seed)
+                    assert a.tobytes() == b.tobytes(), (name, dim, seed)
+
+
 def test_random_table_refuses_negative_seed():
     with pytest.raises(OracleError, match="nonnegative"):
         random_one_sparse_table(8, seed=-1)

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hamsim import numerics, oracle, parity
-from hamsim.config import OracleError, PlanError
+from hamsim import numerics, oracle, parity, suzuki
+from hamsim.config import OracleError, PlanError, ValidityWindowWarning
 from hamsim.one_sparse import extract_table, precision_bits, table_to_dense
 from hamsim.parity import (ParityInstance, build_parity_oracle,
                            exact_target_state, initial_state, register_bits,
@@ -141,6 +141,36 @@ def test_run_parity_error_shrinks_with_eps():
     assert b.r > a.r
     assert b.trace_error < a.trace_error
     assert b.trace_error <= 0.05
+
+
+def test_run_parity_takes_the_smaller_rule_and_stays_within_its_bound():
+    """On ladders of 1 to 8 bits: the chosen r is the smaller of the two
+    rules, and trace error <= sharp bound <= eps."""
+    rng = np.random.default_rng(3)
+    rules = set()
+    for N in range(1, 9):
+        tau = np.pi * N / 2.0
+        for eps in (0.5, 0.2, 0.02):
+            inst = ParityInstance(rng.integers(0, 2, size=N))
+            res = run_parity(inst, eps)
+            assert res.r_paper == suzuki.choose_r(1, 2, tau, eps)
+            assert res.r_sharp == suzuki.choose_r_sharp(1, 2, tau, eps)
+            assert res.r == min(res.r_paper, res.r_sharp)
+            assert res.r_rule == ("sharp" if res.r_sharp < res.r_paper
+                                  else "paper")
+            assert res.error_bound == suzuki.integrator_error_bound_sharp(
+                1, 2, tau, res.r)
+            assert res.correct
+            assert res.trace_error <= res.error_bound <= eps, (N, eps)
+            assert res.bound_slack == res.trace_error / res.error_bound
+            rules.add(res.r_rule)
+    assert rules == {"sharp"}
+    # far outside the window the paper's r is smaller, and too small for
+    # the linear restriction, so no bound covers it
+    with pytest.warns(ValidityWindowWarning):
+        res = run_parity(ParityInstance([1]), 100.0)
+    assert (res.r_rule, res.r, res.r_sharp) == ("paper", 5, 13)
+    assert res.error_bound is None and res.bound_slack is None
 
 
 def test_run_parity_quantized_pipeline():

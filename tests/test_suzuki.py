@@ -177,6 +177,12 @@ def test_sharp_bound_stays_positive_past_float_range():
             == math.ulp(0.0))
 
 
+def test_sharp_bound_keeps_an_underflowed_slice_term():
+    # u = (8/3)(4/r)^3 = 1.7e-357 underflows, but r u = (8/3) 4^3 / r^2 does not
+    assert suzuki.integrator_error_bound_sharp(1, 2, 1.0, 10 ** 120) == (
+        pytest.approx(8.0 / 3.0 * 64.0 * 1e-240, rel=1e-12))
+
+
 def test_commutator_bound_stays_positive_past_float_range():
     # 0.7^3 x 2 / r^2 = 6.9e-401
     assert suzuki.commutator_error_bound(2.0, -0.7, 10 ** 200) == math.ulp(0.0)
@@ -401,6 +407,8 @@ def test_choose_r_commutator_is_the_smallest_sufficient_count():
     for rule, args in ((suzuki.choose_r_commutator, (1.0, 1e250, 0.1)),
                        (suzuki.choose_r_commutator, (1e300, 1.0, 1e-300)),
                        (suzuki.choose_r, (10, 2, 1e300, 0.1)),
+                       (suzuki.choose_r_sharp, (10, 2, 1e300, 0.1)),
+                       (suzuki.choose_r_sharp, (1, 2, 1e250, 1e-10)),
                        (suzuki.choose_k, (2, 1e300, 1e-300))):
         with pytest.raises(PlanError, match="overflows"):
             rule(*args)
@@ -412,6 +420,7 @@ def test_choose_r_commutator_is_the_smallest_sufficient_count():
                        (suzuki.integrator_error_bound, (443, 2, 1.0, 5)),
                        (suzuki.integrator_error_bound_sharp, (443, 2, 1.0, 5)),
                        (suzuki.choose_r, (443, 2, 1.0, 0.1)),
+                       (suzuki.choose_r_sharp, (443, 2, 1.0, 0.1)),
                        (suzuki.nexp_bound, (443, 2, 1.0, 0.1))):
         with pytest.raises(PlanError, match="overflows"):
             rule(*args)
@@ -466,3 +475,63 @@ def test_commutator_bound_dominates_measured_error_on_dense_terms():
                         backwards, t, r) + NOISE
     assert points == 160
     assert swapped_fails and reversed_fails, (swapped_fails, reversed_fails)
+
+
+def _sharp_allows(k, m, tau, r, eps):
+    return (suzuki.restriction_values(k, m, tau, r)[0] <= 1.0
+            and suzuki.integrator_error_bound_sharp(k, m, tau, r) <= eps)
+
+
+def test_choose_r_sharp_is_the_smallest_sufficient_count():
+    # eps up to 1e5 reaches answers at the linear restriction's own minimum
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        k = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 8))
+        tau = float(10.0 ** rng.uniform(-3.0, 3.0))
+        eps = float(10.0 ** rng.uniform(-10.0, 5.0))
+        r = suzuki.choose_r_sharp(k, m, tau, eps)
+        assert _sharp_allows(k, m, tau, r, eps), (k, m, tau, eps)
+        assert r == 1 or not _sharp_allows(k, m, tau, r - 1, eps), (
+            k, m, tau, eps)
+    # the worked point, and the 64-bit ladder at eps 0.2
+    assert suzuki.choose_r_sharp(1, 2, 1.0, 0.01) == 131
+    assert suzuki.choose_r_sharp(1, 2, math.pi * 32, 0.2) == 30840
+    assert suzuki.choose_r_sharp(1, 2, 0.0, 1e-9) == 1
+    # inside choose_r's window the sharp pre-form never asks for more
+    for k in (1, 2, 3):
+        for m in (1, 2, 4):
+            for tau in (0.5, 1.0, 10.0, 100.0):
+                for eps in (1e-6, 1e-3, 0.2, 1.0):
+                    if 2 * m * 5 ** (k - 1) * tau >= 1:
+                        assert (suzuki.choose_r_sharp(k, m, tau, eps)
+                                <= suzuki.choose_r(k, m, tau, eps))
+    # far below float resolution of a slice term, r u ~ (8/3) 4^3 / r^2
+    r = suzuki.choose_r_sharp(1, 2, 1.0, 1e-250)
+    assert r == pytest.approx(math.sqrt(8.0 / 3.0 * 64.0 / 1e-250), rel=1e-9)
+    for args in ((0, 2, 1.0, 0.1), (1, 0, 1.0, 0.1), (1, 2, -1.0, 0.1),
+                 (1, 2, float("nan"), 0.1), (1, 2, 1.0, 0.0),
+                 (1, 2, 1.0, float("inf"))):
+        with pytest.raises(PlanError):
+            suzuki.choose_r_sharp(*args)
+
+
+def test_choose_r_sharp_meets_eps_in_measured_error():
+    """The sharp slice count keeps the measured operator error of random
+    dense terms (norm 1, so tau = t) within eps."""
+    rng = np.random.default_rng(29)
+    points = 0
+    for m in (1, 2, 4):
+        hams = [numerics.random_hermitian(6, rng, norm=1.0) for _ in range(m)]
+        for t in (0.1, 0.5, 1.0, 2.0):
+            exact = numerics.hermitian_expm(sum(hams), t)
+            for k in (1, 2, 3):
+                for eps in (0.3, 1e-2, 1e-4):
+                    r = suzuki.choose_r_sharp(k, m, t, eps)
+                    measured = numerics.unitary_diff_norm(
+                        exact, suzuki.plan_unitary(hams, t, k, r))
+                    sharp = suzuki.integrator_error_bound_sharp(k, m, t, r)
+                    assert measured <= sharp + NOISE, (m, t, k, eps)
+                    assert sharp <= eps
+                    points += 1
+    assert points == 108
