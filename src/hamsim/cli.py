@@ -228,6 +228,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for k in ks:
         for r in rs:
+            n_exp = one_sparse.exponential_total(
+                r, suzuki.exponential_count(k, m))
             start = time.perf_counter()
             approx = suzuki.plan_unitary(hams, t, k, r)
             wall = time.perf_counter() - start
@@ -241,7 +243,7 @@ def cmd_sweep(args) -> int:
                 "bound_sharp": (suzuki.integrator_error_bound_sharp(k, m, tau, r)
                                 if lin <= 1.0 else None),
                 "restriction_ok": ok,
-                "n_exp": r * suzuki.exponential_count(k, m),
+                "n_exp": n_exp,
                 "wall_time": wall,
             })
     slopes = {
@@ -341,11 +343,13 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     if m == 0:
         psi, n_exp, plan_length = psi0.copy(), 0, 0
     else:
+        # checked before the plan is built, whose length grows as 5^(k-1)
+        n_exp = one_sparse.exponential_total(
+            r, suzuki.exponential_count(k, m))
         plan = suzuki.build_plan(k, m)
         plan_length = len(plan.steps)
         psi = one_sparse.apply_product_formula(
             one_sparse.pack_tables(tables), plan, t, r, psi0)
-        n_exp = r * plan_length
 
     restriction_ok = suzuki.restriction_check(k, max(m, 1), tau, r)
     bound_paper = (suzuki.integrator_error_bound(k, max(m, 1), tau, r)

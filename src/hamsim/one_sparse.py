@@ -252,6 +252,20 @@ def _plan_steps(plan: ProductFormulaPlan, t: float, r: int
     return step_term, step_s
 
 
+def exponential_total(r: int, steps: int) -> int:
+    """The r x steps exponentials of r slices of a steps-long plan.
+
+    Refused past 2^53, the largest count that a JSON reader holding numbers
+    as doubles reads exactly; no run that long could finish anyway.
+    """
+    total = int(r) * steps
+    if total > 2 ** 53:
+        raise PlanError(
+            f"{r} slices of a {steps}-step plan make {total} exponentials, "
+            f"more than 2^53")
+    return total
+
+
 def apply_product_formula(packed: PackedPieces, plan: ProductFormulaPlan,
                           t: float, r: int, psi: np.ndarray) -> np.ndarray:
     """State after r repetitions of the plan with time slice t/r.
@@ -271,6 +285,7 @@ def apply_product_formula(packed: PackedPieces, plan: ProductFormulaPlan,
     if psi.size != packed.dim:
         raise PlanError(
             f"state dimension {psi.size} does not match pieces ({packed.dim})")
+    exponential_total(r, len(plan.steps))
     out = psi.astype(np.complex128, copy=True)
     step_term, step_s = _plan_steps(plan, float(t), r)
     _kernels.apply_plan(out, packed.diag_ptr, packed.diag_idx, packed.diag_h,

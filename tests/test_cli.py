@@ -507,6 +507,30 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
     assert "HAMSIM_DENSE_CAP" in capsys.readouterr().err
 
 
+def test_exponential_counts_past_2_to_53_exit_one(capsys):
+    """A count of exponentials that no JSON reader holds exactly ends in
+    exit 1 before any plan is built or run."""
+    # the paper's rule takes k = 10 here: r of about 9.7e22 slices of a
+    # 15,625,001-step plan
+    assert main(["simulate", "--gen", "random:n=3,d=2,seed=1", "--time", "1",
+                 "--eps", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert "15625001-step plan" in err and "more than 2^53" in err
+    assert err.count("\n") == 1
+    assert main(["parity", "--bits", "1011", "--eps", "1e-30"]) == 1
+    err = capsys.readouterr().err
+    assert ("205752042746042608 slices of a 3-step plan make "
+            "617256128238127824 exponentials, more than 2^53") in err
+    # 3 steps per slice: 2^53 // 3 slices fit, one more does not
+    fit = 2 ** 53 // 3
+    rc, data = run_json(capsys, ["sweep", "--gen", "terms:m=2,dim=3,seed=1",
+                                 "--k-list", "1", "--r-list", str(fit)])
+    assert rc == 0 and data["rows"][0]["n_exp"] == 3 * fit
+    assert main(["sweep", "--gen", "terms:m=2,dim=3,seed=1", "--k-list", "1",
+                 "--r-list", f"4,{fit + 1}"]) == 1
+    assert "more than 2^53" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs():
     # the child imports hamsim from where this process found it
     src = str(Path(hamsim.__file__).resolve().parents[1])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hamsim import _kernels, coloring, numerics, oracle, suzuki
+from hamsim import _kernels, coloring, numerics, oracle, parity, suzuki
 from hamsim.config import OracleError, PlanError
 from hamsim.one_sparse import (OneSparseTable, apply_product_formula,
                                evolve_table, extract_table,
@@ -530,6 +530,47 @@ def test_kernel_piece_changes(monkeypatch):
     for steps in (odd, consecutive, between):
         for reps in (1, 2, 3):
             check_against_references(pieces, steps, reps, 5, monkeypatch)
+
+
+def test_kernel_leaves_untouched_states_alone(monkeypatch):
+    """Pieces that leave basis states alone: the parity ladder's two pieces
+    for N = 1 to 8 (2(N+1) states in the next power of two, which N = 1, 3
+    and 7 fill), one pair at dimension 1,024, all-empty pieces and
+    dimension 1.  Both forms run on the touched states alone, equal the
+    step-by-step reference bit for bit, and keep every untouched entry's
+    bytes."""
+    cases = []
+    for N in range(1, 9):
+        inst = parity.ParityInstance([(3 * j + N) % 2 for j in range(N)])
+        pieces = [extract_table(p) for p in parity.split_even_odd(inst)]
+        cases.append((pieces, plan_steps(suzuki.build_plan(1, 2), 1.7, 2)))
+    cases.append(([OneSparseTable(1024, [], [], [3], [700], [0.4 - 0.2j]),
+                   OneSparseTable(1024, [], [], [], [], [])],
+                  [(0, 0.3), (1, 0.2), (0, -0.9)]))
+    cases.append(([OneSparseTable(6, [], [], [], [], [])] * 2,
+                  [(0, 0.4), (1, -1.1)]))
+    cases.append(([OneSparseTable(1, [], [], [], [], [])], [(0, 0.5)]))
+    cases.append(([OneSparseTable(1, [0], [0.7], [], [], [])], [(0, 0.5)]))
+    sizes = []
+    for name in ("_full_vector", "_layouts"):
+        build = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda *args, _b=build: (
+            sizes.append(args[-1]), _b(*args))[1])
+    rng = np.random.default_rng(16)
+    for pieces, steps in cases:
+        packed = pack_tables(pieces)
+        touched = np.zeros(packed.dim, dtype=bool)
+        for table in pieces:
+            for idx in (table.diag_idx, table.pair_lo, table.pair_hi):
+                touched[idx] = True
+        psi0 = numerics.random_state(packed.dim, rng)
+        want = step_by_step(packed, steps, 3, psi0)
+        for _ in kernel_forms(monkeypatch):
+            sizes.clear()
+            got = run_kernel(packed, steps, 3, psi0)
+            assert np.array_equal(got, want)
+            assert got[~touched].tobytes() == psi0[~touched].tobytes()
+            assert sizes == [int(touched.sum())]
 
 
 def test_kernel_layout_form_memory(monkeypatch):

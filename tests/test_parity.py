@@ -173,6 +173,16 @@ def test_run_parity_takes_the_smaller_rule_and_stays_within_its_bound():
     assert res.error_bound is None and res.bound_slack is None
 
 
+def test_run_parity_on_the_benchmark_ladder():
+    """The 64-bit ladder drawn as the benchmark draws it, at eps 0.2: the
+    slice count, the exponential count and the trace error, exactly."""
+    bits = np.random.default_rng(1).integers(0, 2, 64)
+    res = run_parity(ParityInstance([int(b) for b in bits]), 0.2)
+    assert res.correct
+    assert (res.r, res.n_exp) == (30840, 92520)
+    assert res.trace_error == 2.7405491542842317e-06
+
+
 def test_run_parity_quantized_pipeline():
     N = 8
     bits = [1, 1, 0, 1, 0, 0, 1, 1]
