@@ -33,19 +33,6 @@ with D_t diagonal entries and P_t pairs.  Steps on empty pieces are
 dropped here.  The second phase runs the reps x steps loop with no
 transcendental call, in one of two forms.
 
-Touched states.  A piece acts only on its diagonal indices and on both
-ends of its pairs, so a plan's pieces can leave basis states alone: the
-parity ladder's 2(N+1) states sit in the next power of two.  apply_plan
-marks the states the plan's non-empty pieces touch, once per piece, not
-per distinct step.  When they are fewer than dim, it renumbers each
-piece's index arrays onto them, runs the form on the contiguous copy
-psi[active] and writes the copy back, so untouched states are never read
-or written.  Every touched entry sees the same operations in the same
-order, so the state is the same bit for bit.  The mark costs 1 B x dim
-per call; a restricted run adds a position map (8 B x dim), the
-renumbered index arrays (8 B per index) and the copy (16 B per touched
-state).
-
 Full-vector form.  Per piece with pairs, a partner index over the whole
 vector (partner[lo] = hi, partner[hi] = lo, every other index itself);
 per distinct step on it, C (c on pair indices, 1 elsewhere) and B (b on
@@ -84,18 +71,15 @@ the last piece's layout (8 B x dim) and the scratch (16 B per pair).
 
 apply_plan takes the full-vector form when its C and B arrays, distinct
 paired steps x dim x 32 B, fit in _FULL_FORM_BYTES (4 MiB), and the layout
-form otherwise, so the choice depends on the input alone.  The rule uses
-the whole dim even when the run is restricted to fewer touched states.
-Of the benchmark workloads, parity-ladder (2 steps on the 130 of its 256
-states that its pieces touch), sim-deep (22 at 256, 176 KiB) and sim-wide
-(29 at 512, 464 KiB) run the full-vector form, and kernel-wide (13 steps
-at 65,536, 26 MiB) the layout form, with 12.4 MB of cache and five moves.
+form otherwise, so the choice depends on the input alone.  Of the
+benchmark workloads, parity-ladder (2 steps at 130, the ladder's own
+2(N+1) states, 8 KiB), sim-deep (22 at 256, 176 KiB) and sim-wide (29 at
+512, 464 KiB) run the full-vector form, and kernel-wide (13 steps at
+65,536, 26 MiB) the layout form, with 12.4 MB of cache and five moves.
 There, against gathering and scattering each step's pairs and diagonal
 entries by index, the layout form cut the median solve from 0.317 to
 0.238 reference s and raised peak RSS from 74.7 to 76.7 MiB (ten pairs of
-runs, BENCH_14.json).  Only parity-ladder leaves states untouched; running
-it on its touched states cut its median solve from 0.269 to 0.228
-reference s (ten pairs, BENCH_16.json).
+runs, BENCH_14.json).
 """
 
 from __future__ import annotations
@@ -213,34 +197,6 @@ def _layouts(cache, keys, dim):
     return inverse(order(prev)), steps
 
 
-def _touched(cache, dim):
-    """Sorted basis indices that the pieces of `cache` act on, or None when
-    they act on all dim of them.  Each piece is looked at once, however
-    many distinct steps it has."""
-    touched = np.zeros(dim, dtype=bool)
-    seen = set()
-    for (t, _), (idx, _, lo, hi, _, _) in cache.items():
-        if t not in seen:
-            seen.add(t)
-            touched[idx] = touched[lo] = touched[hi] = True
-    active = np.flatnonzero(touched)
-    return None if active.size == dim else active
-
-
-def _restrict(cache, active, dim):
-    """The cache with its index arrays renumbered to positions in active."""
-    pos = np.empty(dim, dtype=np.int64)
-    pos[active] = np.arange(active.size)
-    pieces = {}
-    out = {}
-    for key, (idx, phase, lo, hi, c, b) in cache.items():
-        if key[0] not in pieces:
-            pieces[key[0]] = pos[idx], pos[lo], pos[hi]
-        idx, lo, hi = pieces[key[0]]
-        out[key] = idx, phase, lo, hi, c, b
-    return out
-
-
 def _run_full_vector(psi, cache, keys, reps):
     """The reps x steps loop in full-vector form, on psi in place."""
     cache = _full_vector(cache, psi.size)
@@ -315,12 +271,12 @@ def apply_plan(psi, diag_ptr, diag_idx, diag_h, pair_ptr, pair_lo, pair_hi,
     are those of the module docstring, and step i of the plan is the
     exponential of piece step_term[i] for scaled time step_s[i].  The call
     returns None and leaves the result in psi, which it also uses as a
-    work buffer along the way.  When the plan's pieces leave some basis
-    states alone, only the states they touch are copied out, run and
-    written back.  It takes the full-vector form when distinct paired
-    steps x dim x 32 B fit in _FULL_FORM_BYTES, with dim the whole length
-    of psi, and the layout form otherwise; both give the same state bit
-    for bit.
+    work buffer along the way.  It runs on the whole of psi, dim =
+    psi.size: a caller whose pieces leave states alone passes only the
+    states they act on, as parity.run_parity does.  It takes the
+    full-vector form when distinct paired steps x dim x 32 B fit in
+    _FULL_FORM_BYTES and the layout form otherwise; both give the same
+    state bit for bit.
     """
     plan = list(zip(step_term.tolist(), step_s.tolist()))
     cache = _step_coefficients(diag_ptr, diag_idx, diag_h, pair_ptr, pair_lo,
@@ -329,10 +285,4 @@ def apply_plan(psi, diag_ptr, diag_idx, diag_h, pair_ptr, pair_lo, pair_hi,
     paired = sum(1 for coefficients in cache.values() if coefficients[2].size)
     run = (_run_full_vector if paired * psi.size * 32 <= _FULL_FORM_BYTES
            else _run_layouts)
-    active = _touched(cache, psi.size)
-    if active is None:
-        run(psi, cache, keys, reps)
-        return
-    part = psi[active]
-    run(part, _restrict(cache, active, psi.size), keys, reps)
-    psi[active] = part
+    run(psi, cache, keys, reps)

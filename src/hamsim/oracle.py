@@ -16,6 +16,7 @@ queries (parity's pieces read hidden bits), and each call must spend them.
 from __future__ import annotations
 
 import operator
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -204,7 +205,7 @@ def from_columns(n: int, d: int,
     return SparseOracle(n, d, _columns_fn(cols))
 
 
-def from_entry_list(el: EntryList, sort: bool = True) -> SparseOracle:
+def from_entry_list(el: EntryList) -> SparseOracle:
     """Oracle from a validated entry list (mirror entries are implied)."""
     columns: dict[int, list[tuple[int, complex]]] = {}
     for x, y, v in el.entries:
@@ -212,7 +213,7 @@ def from_entry_list(el: EntryList, sort: bool = True) -> SparseOracle:
         columns.setdefault(x, []).append((y, v))
         if y != x:
             columns.setdefault(y, []).append((x, v.conjugate()))
-    return from_columns(el.n, el.d, columns, sort=sort)
+    return from_columns(el.n, el.d, columns)
 
 
 def read_slots(oracle: SparseOracle,
@@ -371,6 +372,12 @@ def random_sparse(n: int, d: int, seed: int,
     keeps at most d nonzeros.  With norm_target the whole matrix is rescaled
     to that spectral norm (requires the dimension to be under the dense cap).
     """
+    if n < 1:
+        raise OracleError(f"need at least one vertex bit, got n={n}")
+    if 1 << n > sys.maxsize:
+        # the per-vertex lists below could not be allocated
+        raise OracleError(
+            f"dimension 2^{n} exceeds the largest index, {sys.maxsize}")
     if seed < 0:
         raise OracleError(f"seed must be nonnegative, got {seed}")
     if norm_target is not None and not (norm_target > 0 and np.isfinite(norm_target)):

@@ -17,7 +17,7 @@ pieces, so the evolution pipeline needs no coloring machinery here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -198,6 +198,12 @@ def run_parity(instance: ParityInstance, eps: float,
     paper's.  r_rule names the winner, and error_bound is the sharp bound
     at the chosen r, None where its linear restriction fails.
 
+    Only the ladder's 2(N+1) states, which come first in the register,
+    are evolved, and that is exact: the pieces have no entry on the
+    padding states above them, so no ladder state couples to one, and the
+    evolution leaves their zero amplitudes alone.  The readout and the
+    trace error see the whole register vector.
+
     The target state is known in closed form, so the reported trace error
     is exact.  h_queries counts piece-column probes, bit_queries the hidden
     bits they consumed; any strategy needs at least N/4 column queries, and
@@ -216,14 +222,18 @@ def run_parity(instance: ParityInstance, eps: float,
 
     bits_before = instance.counter.count
     even, odd = split_even_odd(instance)
-    tables = [extract_table(even), extract_table(odd)]
+    # the tables at the ladder's own dimension: their validation rejects
+    # any index that reaches it
+    ladder = 2 * (N + 1)
+    tables = [replace(extract_table(p), dim=ladder) for p in (even, odd)]
     if quantize_bits is not None:
         tables = [quantize_table(t, quantize_bits, N / 2.0) for t in tables]
     h_queries = even.counter.count + odd.counter.count
     bit_queries = instance.counter.count - bits_before
 
-    psi = apply_product_formula(pack_tables(tables), plan, math.pi, r,
-                                initial_state(N))
+    psi = initial_state(N)
+    psi[:ladder] = apply_product_formula(pack_tables(tables), plan, math.pi,
+                                         r, psi[:ladder])
 
     top = state_index(N, 1, N)
     parity = int(abs(psi[top]) > abs(psi[state_index(N, 0, N)]))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -529,6 +530,23 @@ def test_exponential_counts_past_2_to_53_exit_one(capsys):
     assert main(["sweep", "--gen", "terms:m=2,dim=3,seed=1", "--k-list", "1",
                  "--r-list", f"4,{fit + 1}"]) == 1
     assert "more than 2^53" in capsys.readouterr().err
+
+
+def test_plans_too_long_to_build_and_oversized_oracles_exit_one(capsys):
+    """simulate and sweep refuse a plan of billions of steps before
+    building it, and simulate an oracle past the largest index before
+    allocating it."""
+    start = time.process_time()
+    assert main(["simulate", "--gen", "random:n=3,d=2,seed=1", "--k", "14",
+                 "--r", "1", "--no-verify"]) == 1
+    assert "has 9765625001 steps" in capsys.readouterr().err
+    assert main(["sweep", "--gen", "terms:m=3,dim=4", "--k-list", "14",
+                 "--r-list", "1"]) == 1
+    assert "has 4882812501 steps" in capsys.readouterr().err
+    assert main(["simulate", "--gen", "random:n=70,d=1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2^70 exceeds" in err
+    assert time.process_time() - start < 5
 
 
 def test_module_entry_point_runs():

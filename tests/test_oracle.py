@@ -208,6 +208,15 @@ def test_negative_seeds_are_refused():
         oracle.shuffled_columns(oracle.random_sparse(3, 2, seed=1), seed=-1)
 
 
+def test_random_sparse_refuses_a_dimension_past_the_largest_index():
+    # refused before the per-vertex lists are allocated
+    for n in (63, 70):
+        with pytest.raises(OracleError, match=f"2\\^{n} exceeds"):
+            oracle.random_sparse(n, 1, seed=0)
+    with pytest.raises(OracleError, match="at least one vertex bit"):
+        oracle.random_sparse(-1, 1, seed=0)
+
+
 def test_random_sparse_norm_target():
     orc = oracle.random_sparse(4, 2, seed=3, norm_target=1.0)
     H = oracle.to_dense(orc)

@@ -7,7 +7,8 @@ import pytest
 
 from hamsim import numerics, oracle, parity, suzuki
 from hamsim.config import OracleError, PlanError, ValidityWindowWarning
-from hamsim.one_sparse import extract_table, precision_bits, table_to_dense
+from hamsim.one_sparse import (extract_table, pack_tables, precision_bits,
+                               quantize_table, table_to_dense)
 from hamsim.parity import (ParityInstance, build_parity_oracle,
                            exact_target_state, initial_state, register_bits,
                            run_parity, split_even_odd, state_index)
@@ -181,6 +182,40 @@ def test_run_parity_on_the_benchmark_ladder():
     assert res.correct
     assert (res.r, res.n_exp) == (30840, 92520)
     assert res.trace_error == 2.7405491542842317e-06
+
+
+def test_run_parity_evolves_the_ladder_states_alone(monkeypatch):
+    """For N = 1 to 8 (N = 1, 3 and 7 fill their power of two), plain and
+    quantized, the kernel gets a state of the ladder's 2(N+1) entries, a
+    spied run reports what an unspied one does, and its trace error is
+    that of evolving the whole register, bit for bit."""
+    rng = np.random.default_rng(17)
+    apply = parity.apply_product_formula
+    for N in range(1, 9):
+        bits = [int(b) for b in rng.integers(0, 2, N)]
+        for quantize in (None, 1):
+            want = run_parity(ParityInstance(bits), 0.2, quantize)
+            sizes = []
+
+            def spy(packed, plan, t, r, psi):
+                sizes.append((packed.dim, psi.size))
+                return apply(packed, plan, t, r, psi)
+
+            with monkeypatch.context() as m:
+                m.setattr(parity, "apply_product_formula", spy)
+                got = run_parity(ParityInstance(bits), 0.2, quantize)
+            assert sizes == [(2 * (N + 1), 2 * (N + 1))]
+            assert ((got.r, got.n_exp, got.h_queries, got.trace_error)
+                    == (want.r, want.n_exp, want.h_queries, want.trace_error))
+            inst = ParityInstance(bits)
+            tables = [extract_table(p) for p in split_even_odd(inst)]
+            if quantize is not None:
+                tables = [quantize_table(t, quantize, N / 2.0)
+                          for t in tables]
+            psi = apply(pack_tables(tables), suzuki.build_plan(1, 2), np.pi,
+                        got.r, initial_state(N))
+            assert numerics.pure_state_distance(
+                psi, exact_target_state(inst)) == got.trace_error
 
 
 def test_run_parity_quantized_pipeline():

@@ -1,6 +1,7 @@
 """Product-formula plans, step-count/error bounds, and simulation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +89,25 @@ def test_plan_validation_rejects_garbage():
         suzuki.build_plan(0, 2)
     with pytest.raises(PlanError):
         suzuki.build_plan(1, 0)
+
+
+def test_build_plan_refuses_a_plan_too_long_to_build(monkeypatch):
+    """A plan past _MAX_PLAN_STEPS is refused at once, naming its length;
+    one at the limit builds, and the order-18 plan for three terms is
+    within it."""
+    assert suzuki.exponential_count(9, 3) == 1_562_501
+    assert suzuki.exponential_count(9, 3) <= suzuki._MAX_PLAN_STEPS
+    start = time.process_time()
+    with pytest.raises(PlanError, match="has 4882812501 steps"):
+        suzuki.build_plan(14, 3)
+    assert time.process_time() - start < 1
+    # the lru cache would hand back a plan built before the limit moved
+    suzuki.build_plan.cache_clear()
+    monkeypatch.setattr(suzuki, "_MAX_PLAN_STEPS",
+                        suzuki.exponential_count(2, 7))
+    assert len(suzuki.build_plan(2, 7).steps) == 61
+    with pytest.raises(PlanError, match="order-6 plan for 7 terms has 301"):
+        suzuki.build_plan(3, 7)
 
 
 def test_plan_sums_fractions_exactly():
