@@ -121,8 +121,12 @@ def _load_terms(args) -> list[np.ndarray]:
 
 def _write_text(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise HamsimError(f"cannot write --out {args.out}: "
+                              f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -280,8 +284,11 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     the entries and cold piece lookups; the measured error compares the
     evolved state with exp(-iHt) psi0 from the entries; norm_bound, the
     largest absolute row sum, bounds ||H|| and sets the precision grid.
-    No dense matrix is built at any size.
+    No dense matrix is built at any size.  A non-finite t is refused before
+    any query is spent.
     """
+    if not math.isfinite(t):
+        raise PlanError(f"evolution time must be finite, got {t}")
     dim = orc.dim
     z = coloring.iterate_count(orc.n)
     quantize_bits = _quantize_option(quantize)

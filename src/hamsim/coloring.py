@@ -284,9 +284,10 @@ class ColoredOracle:
 
     column(x) is the single-probe interface shared with 1-sparse
     SparseOracles; its own counter tallies piece-level probes while the
-    base oracle's counter keeps tallying the underlying lookups.  A shared
-    cache may be attached so a whole decomposition reuses base queries,
-    and a tags memo so that one verification reuses halving rounds.
+    base oracle's counter keeps tallying the underlying lookups.  Both
+    count in the probing thread's own tally, with no lock per probe.  A
+    shared cache may be attached so a whole decomposition reuses base
+    queries, and a tags memo so that one verification reuses halving rounds.
     """
 
     def __init__(self, base: SparseOracle, label: EdgeLabel,
@@ -303,9 +304,7 @@ class ColoredOracle:
         return self.base.dim
 
     def column(self, x: int) -> tuple[int, complex]:
-        counter = self.counter
-        with counter._lock:
-            counter._count += 1
+        self.counter._tally.cell[0] += 1      # increment(), inlined
         return colored_query(self.base, x, self.label, self.cache, self.tags)
 
 
@@ -440,10 +439,13 @@ def verify_coloring(oracle: SparseOracle,
     equal the entries exactly.  Each checked lookup, ColoredOracle(oracle,
     label).column(x) with a cold cache, must give the table's answer at x
     within the 2(z_n + 2) base-query budget: every (label, x) inside the
-    dense cap, a fixed-seed sample of VERIFY_SAMPLE above it.  Every lookup
-    reads its chains through the oracle and spends its queries in full; the
-    halving rounds run once per distinct chain in each call, through a tags
-    memo that is emptied when the call ends, by return or by exception.
+    dense cap, a fixed-seed sample of VERIFY_SAMPLE above it.  A lookup's
+    spend is read from the calling thread's own tally of the oracle's
+    counter, so queries other threads make meanwhile are not charged to it.
+    Every lookup reads its chains through the oracle and spends its queries
+    in full; the halving rounds run once per distinct chain in each call,
+    through a tags memo that is emptied when the call ends, by return or by
+    exception.
     """
     dim = oracle.dim
     z = iterate_count(oracle.n)
@@ -464,7 +466,8 @@ def verify_coloring(oracle: SparseOracle,
             total, size=VERIFY_SAMPLE, replace=False))
     # picks are sorted, so each label's share is one slice
     ends = np.searchsorted(picks, np.arange(len(labels) + 1) * dim)
-    counter = oracle.counter
+    # this thread's own tally: another thread's queries are not this spend
+    mine = oracle.counter.thread_tally()
     max_calls = 0
     tags: TagMemo = {}
     try:
@@ -477,10 +480,10 @@ def verify_coloring(oracle: SparseOracle,
             piece = ColoredOracle(oracle, label, tags=tags)
             wrong: list[int] = []
             for x in xs.tolist():
-                # the field, not the property: this runs twice per lookup
-                before = counter._count
+                # the cell, not the locked total: this runs twice per lookup
+                before = mine[0]
                 got = piece.column(x)
-                used = counter._count - before
+                used = mine[0] - before
                 if used > max_calls:
                     max_calls = used
                 if used > bound:

@@ -3,10 +3,13 @@
 An oracle answers row queries: query(x, i) returns the i-th nonzero entry of
 row x as (column index y, value H[x, y]), with 1 <= i <= d, and pads with
 (x, 0) past the actual degree.  Nonzero slots always come first.  Every
-query() call with a vertex and slot in range bumps a thread-safe monotone
-counter before its answer is checked; verification bridges (read_entries
-and the dense and entry-list extractions built on it) go through the
-uncounted peek() so measured query complexity reflects the algorithms alone.
+query() call with a vertex and slot in range bumps an exact, monotone,
+thread-safe counter before its answer is checked.  The counter keeps one
+tally per thread, so a count takes no lock and no two threads ever write
+the same tally; a thread can also read what it alone has spent.
+Verification bridges (read_entries and the dense and entry-list extractions
+built on it) go through the uncounted peek() so measured query complexity
+reflects the algorithms alone.
 A run that needs both the pieces and the entries reads each slot once
 through query() and checks the entries of that read (entries_from_slots).
 Neither memoises answers: an oracle's function may itself spend counted
@@ -29,24 +32,52 @@ from .config import OracleError, dense_cap
 _PAIR_TOL = 1e-12
 
 
+class _Tally(threading.local):
+    """One thread's tally cell; __init__ runs in each thread on its first
+    use, once per thread per counter, and registers the cell."""
+
+    def __init__(self, cells: list[list[int]], lock: threading.Lock) -> None:
+        self.cell = cell = [0]
+        with lock:
+            cells.append(cell)
+
+
 class QueryCounter:
-    """Thread-safe monotone call counter."""
+    """Exact, monotone, thread-safe call counter kept in per-thread tallies.
+
+    Each thread that counts owns one cell, a one-element list registered
+    under the lock the first time that thread counts.  increment() adds to
+    the caller's own cell and takes no lock: only the owner ever writes a
+    cell, so no two threads race on one read-add-write and no increment is
+    lost, whatever the interpreter's thread switching (free-threaded builds
+    included).  count is the sum of the cells less the offset reset()
+    recorded.  reset() reads the cells under the lock and writes none of
+    them, so count reads 0 right after it and every later increment shows.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._count = 0
+        self._cells: list[list[int]] = []
+        self._offset = 0
+        self._tally = _Tally(self._cells, self._lock)
 
     @property
     def count(self) -> int:
-        return self._count
+        with self._lock:
+            return sum(cell[0] for cell in self._cells) - self._offset
+
+    def thread_tally(self) -> list[int]:
+        """The calling thread's cell, to be read, not written: [0] is all
+        this thread has counted here.  reset() leaves it alone, so a thread
+        measures its spend as a difference of two reads."""
+        return self._tally.cell
 
     def increment(self, by: int = 1) -> None:
-        with self._lock:
-            self._count += by
+        self._tally.cell[0] += by
 
     def reset(self) -> None:
         with self._lock:
-            self._count = 0
+            self._offset = sum(cell[0] for cell in self._cells)
 
 
 class SparseOracle:
@@ -92,9 +123,7 @@ class SparseOracle:
         """Counted query: (y, H[x, y]) for the i-th nonzero of row x."""
         if not (0 <= x < self.dim and 1 <= i <= self.d):
             self._check_args(x, i)
-        counter = self.counter
-        with counter._lock:
-            counter._count += 1
+        self.counter._tally.cell[0] += 1      # increment(), inlined
         y, v = self._fn(x, i)
         if type(y) is int and type(v) is complex and 0 <= y < self.dim:
             return y, v

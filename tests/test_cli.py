@@ -14,7 +14,7 @@ import pytest
 import hamsim
 from hamsim import cli, coloring, one_sparse, oracle
 from hamsim.cli import fit_loglog_slope, main
-from hamsim.config import ColoringError
+from hamsim.config import ColoringError, PlanError
 from hamsim.oracle import EntryList
 
 
@@ -547,6 +547,30 @@ def test_plans_too_long_to_build_and_oversized_oracles_exit_one(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "2^70 exceeds" in err
     assert time.process_time() - start < 5
+
+
+def test_unwritable_out_exits_one_naming_the_path(tmp_path, capsys):
+    missing = tmp_path / "nonexistent" / "x.json"
+    for argv, path in ((["tables", "--out", str(missing)], missing),
+                       (["simulate", "--gen", "random:n=3,d=2,seed=1",
+                         "--out", str(tmp_path)], tmp_path)):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_simulate_refuses_non_finite_time_before_any_query(t, capsys):
+    orc = oracle.random_sparse(6, 3, seed=1)
+    with pytest.raises(PlanError, match=f"evolution time must be finite, "
+                                        f"got {t}"):
+        cli.simulate_pipeline(orc, t, 1e-2)
+    assert orc.counter.count == 0
+    assert main(["simulate", "--gen", "random:n=6,d=3,seed=1",
+                 f"--time={t}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: evolution time must be finite, got {t}\n"
 
 
 def test_module_entry_point_runs():

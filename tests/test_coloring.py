@@ -3,6 +3,8 @@
 import collections
 import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -618,6 +620,30 @@ def test_verify_coloring_spends_an_exact_query_count():
     before = orc.counter.count
     coloring.piece_tables(orc)
     assert orc.counter.count - before == 2_048
+
+
+def test_verify_coloring_charges_each_lookup_its_own_thread_spend():
+    # another thread querying the same oracle throughout the check, with
+    # frequent switches, must not be charged to the lookups being checked
+    orc = oracle.random_sparse(8, 3, seed=1, norm_target=1)
+    stop = threading.Event()
+
+    def query_until_stopped():
+        while not stop.is_set():
+            orc.query(0, 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    querier = threading.Thread(target=query_until_stopped)
+    querier.start()
+    try:
+        rep = verify_coloring(orc)
+    finally:
+        stop.set()
+        querier.join()
+        sys.setswitchinterval(interval)
+    assert rep.ok, rep.failures[:3]
+    assert (rep.max_queries_per_call, rep.lookups_checked) == (10, 13_824)
 
 
 def test_cold_lookups_make_the_same_queries_in_the_same_order():

@@ -1,9 +1,12 @@
 """Oracle interface: counting, structure validation, serialization."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from hamsim import cli, coloring, numerics, oracle
+from hamsim import cli, coloring, numerics, oracle, parity
 from hamsim.config import OracleError
 from hamsim.oracle import EntryList
 
@@ -44,6 +47,67 @@ def test_counter_counts_exactly_the_query_calls():
     assert orc.counter.count == 4
     orc.counter.reset()
     assert orc.counter.count == 0
+
+
+def test_counter_is_exact_per_thread_and_across_reset():
+    # Four threads share one oracle, one piece and one parity instance and
+    # switch often.  Each total is exact, each thread's own tally is its own
+    # calls, and reset() reads 0 with no count lost after it.  Under CPython
+    # 3.11 an unlocked += also passes this; the per-lookup spend test in
+    # test_coloring is the one that needs a thread's own tally.
+    threads, queries, probes, reads = 4, 20_000, 50, 20_000
+    orc = oracle.random_sparse(4, 3, seed=2)
+    piece = coloring.ColoredOracle(orc, coloring.EdgeLabel(1, 2, "000"))
+    inst = parity.ParityInstance([1, 0, 1, 1])
+    probe_cost = orc.counter.thread_tally()[0]
+    for x in range(probes):
+        piece.column(x % orc.dim)
+    probe_cost = orc.counter.thread_tally()[0] - probe_cost
+    own = queries + probe_cost
+    orc.counter.reset()
+    piece.counter.reset()
+    assert (orc.counter.count, piece.counter.count) == (0, 0)
+
+    def work(tallies):
+        start.wait()
+        for q in range(queries):
+            orc.query(q % orc.dim, q % orc.d + 1)
+            inst.bit(q % inst.size + 1)
+        for x in range(probes):
+            piece.column(x % orc.dim)
+        tallies.append((orc.counter.thread_tally()[0],
+                        piece.counter.thread_tally()[0],
+                        inst.counter.thread_tally()[0]))
+
+    def run_round():
+        tallies = []
+        workers = [threading.Thread(target=work, args=(tallies,))
+                   for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        return tallies
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = threading.Barrier(threads)
+        tallies = run_round()
+        assert tallies == [(own, probes, reads)] * threads
+        assert orc.counter.count == threads * own
+        assert piece.counter.count == threads * probes
+        assert inst.counter.count == threads * reads
+        for counter in (orc.counter, piece.counter, inst.counter):
+            counter.reset()
+            assert counter.count == 0
+        assert orc.counter.thread_tally()[0] == probe_cost  # reset skips it
+        assert run_round() == [(own, probes, reads)] * threads
+        assert orc.counter.count == threads * own
+        assert piece.counter.count == threads * probes
+        assert inst.counter.count == threads * reads
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_argument_validation():
