@@ -284,11 +284,20 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     the entries and cold piece lookups; the measured error compares the
     evolved state with exp(-iHt) psi0 from the entries; norm_bound, the
     largest absolute row sum, bounds ||H|| and sets the precision grid.
-    No dense matrix is built at any size.  A non-finite t is refused before
-    any query is spent.
+    No dense matrix is built at any size.  A non-finite t and an eps that
+    is not finite and positive are refused before any query is spent.
+
+    The non-empty pieces run in order of entry count, largest first, ties
+    in label order.  The commutator bound holds for any order of the
+    terms, and with the largest pieces outermost their suffix sums S_g
+    are smallest, so alpha and r shrink.  The norms, alpha, quantization,
+    packing and the plan all use this one list, so the bound describes
+    the plan that runs.
     """
     if not math.isfinite(t):
         raise PlanError(f"evolution time must be finite, got {t}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise PlanError(f"eps must be a finite positive number, got {eps}")
     dim = orc.dim
     z = coloring.iterate_count(orc.n)
     quantize_bits = _quantize_option(quantize)
@@ -311,7 +320,9 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
             raise ColoringError(
                 "decomposition failed verification: " + "; ".join(report.failures))
 
-    tables = [tb for tb in tables if tb.entry_count]
+    # stable: equal entry counts keep label order
+    tables = sorted((tb for tb in tables if tb.entry_count),
+                    key=lambda tb: -tb.entry_count)
     m = len(tables)
 
     lam_piece = max((tb.norm for tb in tables), default=0.0)
@@ -376,6 +387,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         "n": orc.n, "d": orc.d, "dim": dim, "z": z,
         "time": t, "eps": eps, "k": k, "r": r,
         "r_paper": r_paper, "r_commutator": r_commutator, "r_rule": r_rule,
+        "commutator_alpha": alpha,
         "m_pieces": m,
         "plan_length": plan_length,
         "n_exp": n_exp,

@@ -343,6 +343,11 @@ def commutator_alpha(norms) -> float:
     once in the middle.  `norms` holds one row (||[S_g, [S_g, H_g]]||,
     ||[H_g, [H_g, S_g]]||) per term, in plan order, or upper bounds on
     them; alpha is the bracket, so that the bound is |t|^3 alpha.
+
+    The bound holds for any labelling of the terms, so the order is the
+    caller's choice, and the norms must be in the order of the plan that
+    runs.  A large term placed late sits in the suffix sum of every term
+    before it; `simulate` puts the largest pieces outermost.
     """
     norms = np.asarray(norms, dtype=np.float64).reshape(-1, 2)
     if not np.all(np.isfinite(norms) & (norms >= 0)):

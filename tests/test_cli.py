@@ -1,6 +1,7 @@
 """Command line behavior: outputs, determinism, exit codes."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import hamsim
-from hamsim import cli, coloring, one_sparse, oracle
+from hamsim import cli, coloring, one_sparse, oracle, suzuki
 from hamsim.cli import fit_loglog_slope, main
 from hamsim.config import ColoringError, PlanError
 from hamsim.oracle import EntryList
@@ -189,9 +190,44 @@ def test_simulate_commutator_rule_on_the_n8_instance():
     data = cli.simulate_pipeline(
         oracle.random_sparse(8, 3, seed=1, norm_target=1.0), 1.0, 1e-2,
         verify=False)
-    assert (data["m_pieces"], data["r_paper"], data["r_commutator"]) == (22, 3793, 8)
-    assert data["n_exp"] == 344 and data["base_queries_ok"] is True
+    assert (data["m_pieces"], data["r_paper"], data["r_commutator"]) == (22, 3793, 7)
+    assert data["n_exp"] == 301 and data["base_queries_ok"] is True
     assert data["measured_error"] <= data["error_bound"] <= 1e-2
+
+
+def test_simulate_runs_the_largest_pieces_outermost(monkeypatch):
+    """The plan that runs has non-increasing entry counts, ties in label
+    order, and its measured error stays under the commutator bound at
+    every given r of the k = 1 plan."""
+    label_order, planned = [], []
+    real_tables, real_pack = coloring.tables_from_slots, one_sparse.pack_tables
+
+    def record_tables(*args):
+        label_order[:] = real_tables(*args)
+        return label_order
+
+    def record_pack(tables):
+        planned[:] = tables
+        return real_pack(tables)
+
+    monkeypatch.setattr(coloring, "tables_from_slots", record_tables)
+    monkeypatch.setattr(one_sparse, "pack_tables", record_pack)
+    points = informative = 0
+    for n, d, seed in itertools.product(range(4, 9), range(2, 5), (1, 2, 3)):
+        orc = oracle.random_sparse(n, d, seed=seed, norm_target=1.0)
+        for t, r in itertools.product((0.5, 2.0), (1, 2, 4)):
+            data = cli.simulate_pipeline(orc, t, 1e-2, k=1, r=r, verify=False)
+            bound = data["error_bound_commutator"]
+            assert data["measured_error"] <= bound, (n, d, seed, t, r)
+            position = {id(tb): i for i, tb in enumerate(label_order)}
+            keys = [(-tb.entry_count, position[id(tb)]) for tb in planned]
+            assert keys == sorted(keys) and len(keys) == data["m_pieces"]
+            # the bound is the one of the plan that ran
+            assert data["commutator_alpha"] == suzuki.commutator_alpha(
+                one_sparse.nested_commutator_norms(planned))
+            points += 1
+            informative += bound < 2.0  # unitaries differ by at most 2
+    assert points == 270 and informative >= 240, informative
 
 
 def test_simulate_measures_the_error_above_the_dense_cap(monkeypatch):
@@ -571,6 +607,19 @@ def test_simulate_refuses_non_finite_time_before_any_query(t, capsys):
                  f"--time={t}"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: evolution time must be finite, got {t}\n"
+
+
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")])
+def test_simulate_refuses_a_bad_eps_before_any_query(eps, capsys):
+    orc = oracle.random_sparse(6, 3, seed=1)
+    with pytest.raises(PlanError, match=f"eps must be a finite positive "
+                                        f"number, got {eps}"):
+        cli.simulate_pipeline(orc, 1.0, eps)
+    assert orc.counter.count == 0
+    assert main(["simulate", "--gen", "random:n=6,d=3,seed=1",
+                 f"--eps={eps}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: eps must be a finite positive number, got {eps}\n"
 
 
 def test_module_entry_point_runs():
