@@ -285,7 +285,9 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     evolved state with exp(-iHt) psi0 from the entries; norm_bound, the
     largest absolute row sum, bounds ||H|| and sets the precision grid.
     No dense matrix is built at any size.  A non-finite t and an eps that
-    is not finite and positive are refused before any query is spent.
+    is not finite and positive are refused before any query is spent, as
+    are a given k or r that is not a positive integer and a quantize bit
+    count outside 1..62.
 
     The non-empty pieces run in order of entry count, largest first, ties
     in label order.  The commutator bound holds for any order of the
@@ -298,9 +300,15 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         raise PlanError(f"evolution time must be finite, got {t}")
     if not (math.isfinite(eps) and eps > 0):
         raise PlanError(f"eps must be a finite positive number, got {eps}")
+    if k is not None:
+        suzuki.check_order(k)
+    if r is not None:
+        one_sparse.check_repetitions(r)
+    quantize_bits = _quantize_option(quantize)
+    if quantize_bits not in (None, "auto"):
+        one_sparse.check_bits(quantize_bits)
     dim = orc.dim
     z = coloring.iterate_count(orc.n)
-    quantize_bits = _quantize_option(quantize)
     rng = np.random.default_rng(_check_seed(state_seed, "--state-seed"))
 
     base_before = orc.counter.count

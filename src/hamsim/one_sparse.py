@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .config import OracleError, PlanError
-from .numerics import max_row_sum, require_state
+from .numerics import require_state
 from .suzuki import ProductFormulaPlan, build_plan
 
 _HERM_TOL = 1e-12
@@ -266,6 +266,12 @@ def exponential_total(r: int, steps: int) -> int:
     return total
 
 
+def check_repetitions(r: int) -> None:
+    if not (isinstance(r, numbers.Integral) and r >= 1):
+        raise PlanError(
+            f"repetition count must be a positive integer, got {r}")
+
+
 def apply_product_formula(packed: PackedPieces, plan: ProductFormulaPlan,
                           t: float, r: int, psi: np.ndarray) -> np.ndarray:
     """State after r repetitions of the plan with time slice t/r.
@@ -273,9 +279,7 @@ def apply_product_formula(packed: PackedPieces, plan: ProductFormulaPlan,
     Every sweep is exact per piece; the only approximation left is the
     product-formula splitting itself.
     """
-    if not (isinstance(r, numbers.Integral) and r >= 1):
-        raise PlanError(
-            f"repetition count must be a positive integer, got {r}")
+    check_repetitions(r)
     if not math.isfinite(t):
         raise PlanError(f"evolution time must be finite, got {t}")
     if plan.m != packed.count:
@@ -300,82 +304,421 @@ def evolve_table(table: OneSparseTable, t: float, psi: np.ndarray) -> np.ndarray
     return apply_product_formula(packed, build_plan(1, 1), t, 1, psi)
 
 
-def _combine(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dim: int
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO entries with duplicate (row, col) summed and zeros dropped,
-    sorted by row, then column."""
-    key = rows * dim + cols
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    if key.size:
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        key, vals = key[first], np.add.reduceat(vals, first)
-    keep = vals != 0
-    key = key[keep]
-    return key // dim, key % dim, vals[keep]
+# Working memory of nested_commutator_norms: one pass over a block of
+# pieces or of outer-product rows takes at most _BLOCK_BYTES // _TERM_BYTES
+# terms, _TERM_BYTES being a generous count of what a term takes across its
+# index, column, value and sort arrays; a block's row tables take at most
+# _BLOCK_BYTES.
+_BLOCK_BYTES = 1 << 21
+_TERM_BYTES = 128
 
 
-def _padded_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-sorted COO entries as (dim, w) column and value arrays, each row
-    padded with zero values out to the longest row's length w."""
-    counts = np.bincount(rows, minlength=dim)
-    width = max(int(counts.max(initial=0)), 1)
-    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    pad_cols = np.zeros((dim, width), dtype=np.int64)
-    pad_vals = np.zeros((dim, width), dtype=np.complex128)
-    pad_cols[rows, slot] = cols
-    pad_vals[rows, slot] = vals
-    return pad_cols, pad_vals
+def _expand(start: np.ndarray, count: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """start[i] + k for every k < count[i], i ascending, and each one's i."""
+    parent = np.repeat(np.arange(count.size), count)
+    shift = np.repeat(start - np.cumsum(count) + count, count)
+    return np.arange(parent.size) + shift, parent
 
 
-def _commutator(a_cols: np.ndarray, a_vals: np.ndarray, rows: np.ndarray,
-                cols: np.ndarray, vals: np.ndarray, dim: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[A, M] as combined COO entries, for Hermitian A in padded rows.
+def _runs(size: np.ndarray):
+    """Consecutive slices whose sizes add up to at most one pass of terms;
+    a single item larger than that is a slice of its own."""
+    ends = np.cumsum(size)
+    k0 = 0
+    while k0 < size.size:
+        done = ends[k0 - 1] if k0 else 0
+        most = done + _BLOCK_BYTES // _TERM_BYTES
+        k1 = max(int(np.searchsorted(ends, most, "right")), k0 + 1)
+        yield slice(k0, k1)
+        k0 = k1
 
-    (AM)[x, j] = sum_i A[x, i] M[i, j], and A[x, i] = conj(A[i, x]), so
-    entry (i, j, v) of M moves to each (x, j) with x in row i of A; in MA
-    it moves to each (i, y) with y in row j of A.  Both are gathers.
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """np.unique, by a sort rather than its hash table, faster here."""
+    keys = np.sort(keys)
+    return keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
+
+
+class _Terms:
+    """The terms (row, col, value) of a sparse product, in the order the
+    product lists them, to be summed by (row, col) as np.add.reduceat
+    sums: each sum over its terms in that order.
+
+    Term k is ordered 2k + 2.  A run of zero terms placed after term k is
+    ordered 2k + 3, so it needs no value and sorts between term k and term
+    k + 1; the zeros a padded row adds are placed so.  The sort key packs
+    the order below the row and column, so one unstable sort of distinct
+    keys (zeros aside, which are alike) keeps the order.
     """
-    width = a_cols.shape[1]
-    left_vals = a_vals[rows].conj() * vals[:, None]
-    right_vals = -vals[:, None] * a_vals[cols]
-    return _combine(
-        np.concatenate([a_cols[rows].ravel(), np.repeat(rows, width)]),
-        np.concatenate([np.repeat(cols, width), a_cols[cols].ravel()]),
-        np.concatenate([left_vals.ravel(), right_vals.ravel()]), dim)
+
+    def __init__(self):
+        self.parts, self.vals, self.n, self.zeroed = [], [], 0, False
+
+    def add(self, row: np.ndarray, col: np.ndarray, val: np.ndarray) -> None:
+        self.parts.append((row, col, 2 * np.arange(self.n, self.n + row.size) + 2))
+        self.vals.append(val)
+        self.n += row.size
+
+    def zeros(self, row: np.ndarray, col: np.ndarray, count: np.ndarray,
+              after: np.ndarray) -> None:
+        """count[i] zeros at (row[i], col[i]) after term after[i] (-1:
+        before every term)."""
+        self.parts.append(tuple(np.repeat(a, count)
+                                for a in (row, col, 2 * after + 3)))
+        self.zeroed = True
+
+    def sums(self, rows: int, dim: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and sum of each distinct (row, col), sorted; rows
+        bounds the row numbers."""
+        row, col, order = (np.concatenate(part) for part in zip(*self.parts))
+        # a zero at the end, for zeros to read before any term is added
+        vals = np.concatenate(self.vals + [np.zeros(1, dtype=np.complex128)])
+        self.parts = self.vals = None
+        if not row.size:
+            return row, col, np.zeros(0, dtype=np.complex128)
+        low = max(int(2 * self.n + 3).bit_length(), 1)
+        col_bits = max(int(dim - 1).bit_length(), 1)
+        if int(rows - 1).bit_length() + col_bits + low > 63:
+            raise PlanError(
+                f"dimension {dim} too large for the commutator norms")
+        key = (row << col_bits | col) << low | order
+        key.sort()
+        head = key >> low
+        start = np.flatnonzero(np.r_[True, head[1:] != head[:-1]])
+        order = key & ((1 << low) - 1)
+        if self.zeroed:
+            vals = np.where(order & 1, 0, vals[(order >> 1) - 1])
+        else:
+            vals = vals[(order >> 1) - 1]
+        head = head[start]
+        return (head >> col_bits, head & ((1 << col_bits) - 1),
+                np.add.reduceat(vals, start))
+
+    def row_sums(self, rows: int, dim: int) -> np.ndarray:
+        """For each row, the sum of |entry| in column order, added one by
+        one as numerics.max_row_sum adds them."""
+        row, _, sums = self.sums(rows, dim)
+        return np.bincount(row, weights=np.abs(sums), minlength=rows)
+
+
+class _Suffixes:
+    """Every suffix S_g = H_{g+1} + ... + H_{m-1} of the pieces, and each
+    piece H_g, read from one padded copy of H's rows.
+
+    Row x holds one slot per entry (x, col) of each piece, in column order
+    and then piece order.  A slot keeps its piece's value, for H_g, and
+    its run value: the sum of that entry over this piece and the later
+    pieces holding it, added from the last piece back, as the suffix sum
+    adds them.  That value is S_g[x, col] for prev <= g < piece, where
+    prev is the previous piece to hold (x, col), or -1; a run that sums to
+    0 is in no S_g, as a zero entry is no entry.  So a row of S_g is the
+    row's slots with prev <= g < piece, already in column order.
+    """
+
+    def __init__(self, tables: list[OneSparseTable]):
+        m = len(tables)
+        self.dim = dim = tables[0].dim
+        coo = [t.entries() for t in tables]
+        piece = np.repeat(np.arange(m, dtype=np.int32),
+                          [c[0].size for c in coo])
+        rows, cols, vals = (np.concatenate(part) for part in zip(*coo))
+        del coo
+        # sorted by row, then column; the sort is stable and the tables
+        # come in piece order, so an entry's pieces stay in order
+        order = np.flatnonzero(vals != 0)
+        order = order[np.argsort(rows[order] * dim + cols[order], kind="stable")]
+        rows, cols, vals, piece = rows[order], cols[order], vals[order], piece[order]
+        del order
+        later = np.r_[(rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]), False]
+        first = np.r_[True, ~later[:-1]]
+        prev = np.where(first, -1, np.r_[-1, piece[:-1]]).astype(np.int32)
+        # depth: how many later pieces hold the same entry
+        ends = np.flatnonzero(~later)
+        depth = ends[np.cumsum(first) - 1] - np.arange(rows.size)
+        run = vals.copy()
+        for d in range(1, int(depth.max(initial=0)) + 1):
+            at = np.flatnonzero(depth == d)
+            run[at] = run[at + 1] + vals[at]
+        prev[run == 0] = piece[run == 0]
+
+        counts = np.bincount(rows, minlength=dim)
+        self.width = width = max(int(counts.max(initial=0)), 1)
+        slot = (rows * width + np.arange(rows.size)
+                - (np.cumsum(counts) - counts)[rows])
+        # rows padded out to a power of two, so that a row's key in a
+        # block splits into piece and row by shift and mask
+        self.shift = (dim - 1).bit_length()
+        self.mask = (1 << self.shift) - 1
+        padded = (self.mask + 1, width)
+        self.col = np.zeros(padded, dtype=np.int64)
+        self.val = np.zeros(padded, dtype=np.complex128)
+        self.run = np.zeros(padded, dtype=np.complex128)
+        self.piece = np.full(padded, -1, dtype=np.int32)
+        self.prev = np.zeros(padded, dtype=np.int32)
+        for name, data in (("col", cols), ("val", vals), ("run", run),
+                           ("piece", piece), ("prev", prev)):
+            getattr(self, name).reshape(-1)[slot] = data
+        by_piece = np.argsort(piece, kind="stable")
+        self.by_piece = slot[by_piece]
+        self.piece_ptr = np.searchsorted(piece[by_piece], np.arange(m + 1))
+        # rows within three steps of row 0: the columns that row 0 of an
+        # outer product can reach
+        self.near0 = np.zeros(self.mask + 1, dtype=bool)
+        self.near0[0] = True
+        for _ in range(3):
+            self.near0[self.col[self.near0][self.piece[self.near0] >= 0]] = True
+
+    def blocks(self):
+        """Runs of consecutive pieces g < m - 1 small enough for one block:
+        row tables of at most _BLOCK_BYTES, and inner commutators of at
+        most _BLOCK_BYTES, at 24 bytes an entry and at most 2 width
+        entries per entry of H_g (one for each side and slot of S_g).  A
+        piece too large for that is a block of its own."""
+        cap = max(_BLOCK_BYTES // (24 * 2 * self.width), 1)
+        most = max(_BLOCK_BYTES // ((32 + 3 * self.width) * (self.mask + 1)),
+                   1)
+        sizes = np.diff(self.piece_ptr)[:-1].tolist()
+        g0, total = 0, 0
+        for g, size in enumerate(sizes):
+            if g > g0 and (total + size > cap or g - g0 == most):
+                yield _Block(self, g0, g)
+                g0, total = g, 0
+            total += size
+        if sizes:
+            yield _Block(self, g0, len(sizes))
+
+
+class _Block:
+    """Pieces g0 <= g < g1 of a _Suffixes, with tables over their rows:
+    row (g, x) is keyed (g - g0) << shift | x.  Holds which slots are in
+    S_g, H_g's slot, and the inner commutator C_g = [S_g, H_g] by rows."""
+
+    def __init__(self, h: _Suffixes, g0: int, g1: int):
+        self.h, self.g0 = h, g0
+        table = (g1 - g0) << h.shift
+        gs = np.arange(g0, g1, dtype=np.int32)[:, None, None]
+        self.active = ((h.prev <= gs) & (gs < h.piece)).reshape(-1, h.width)
+        self.length = np.zeros(table, dtype=np.int64)
+        for s in range(h.width):
+            self.length += self.active[:, s]
+        # W[g]: the longest row of S_g, the width its rows are padded to
+        self.W = np.maximum(self.length.reshape(g1 - g0, -1).max(axis=1), 1)
+        slots = h.by_piece[h.piece_ptr[g0]:h.piece_ptr[g1]]
+        keys = ((h.piece.reshape(-1)[slots].astype(np.int64) - g0) << h.shift
+                | slots // h.width)
+        self.own_slot = np.full(table, -1, dtype=np.int64)
+        self.own_slot[keys] = slots
+        i, t = np.nonzero(self.active[keys])
+        keys = _distinct(np.concatenate([keys, self.neighbours(keys[i], t)]))
+        # terms per row: one per slot of S_g, and one per slot of the
+        # partner's row
+        hit, k, _ = self.own(keys)
+        size = self.length[keys]
+        size[hit] += self.length[self.same_piece(keys[hit], k)]
+        rows = [self.inner_rows(keys[run]) for run in _runs(size)] or [
+            self.inner_rows(keys)]
+        counts, self.c_col, self.c_val = (np.concatenate(part)
+                                          for part in zip(*rows))
+        # C's rows: their keys, and where each row's entries start and how
+        # many there are
+        self.c_keys = keys
+        self.c_start = np.zeros(table, dtype=np.int64)
+        self.c_start[keys] = np.cumsum(counts) - counts
+        self.c_len = np.zeros(table, dtype=np.int64)
+        self.c_len[keys] = counts
+
+    def same_piece(self, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The key of row x[i] in the piece of keys[i]."""
+        return keys & ~self.h.mask | x
+
+    def neighbours(self, keys: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The key of the row that slot t of row keys points to."""
+        return self.same_piece(keys, self.h.col[keys & self.h.mask, t])
+
+    def own(self, keys: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """H_g's entry in each row: whether there is one, then the column
+        and value of those there are."""
+        s = self.own_slot[keys]
+        hit = s >= 0
+        s = s[hit]
+        return hit, self.h.col.reshape(-1)[s], self.h.val.reshape(-1)[s]
+
+    def entries(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of C's rows keys, as flat indices, and the position
+        of each one's row in keys."""
+        return _expand(self.c_start[keys], self.c_len[keys])
+
+    def times_suffix(self, terms: _Terms, row: np.ndarray, x: np.ndarray,
+                     keys: np.ndarray, coef: np.ndarray) -> None:
+        """Add coef[i] * (row keys[i] of S_g, padded) to terms row row[i],
+        which is row x[i] of the product: the entries in column order,
+        then zeros in column 0 out to W[g]."""
+        h = self.h
+        i, t = np.nonzero(self.active[keys])
+        xs = keys[i] & h.mask
+        start = terms.n
+        terms.add(row[i], h.col[xs, t], coef[i] * h.run[xs, t])
+        # the zeros land in column 0, which only rows near row 0 reach
+        length = self.length[keys]
+        after = start + np.cumsum(length) - 1
+        near = np.flatnonzero(h.near0[x])
+        terms.zeros(row[near], np.zeros(near.size, dtype=np.int64),
+                    self.W[keys[near] >> h.shift] - length[near], after[near])
+
+    def inner_rows(self, keys: np.ndarray):
+        """Rows keys of C = [S_g, H_g]: per-row entry counts, then columns
+        and values, duplicates summed and zeros dropped."""
+        h = self.h
+        terms = _Terms()
+        # S_g H_g: S_g[x, j] H_g[j, c], with S_g[x, j] = conj(S_g[j, x])
+        i, t = np.nonzero(self.active[keys])
+        hit, c, hv = self.own(self.neighbours(keys[i], t))
+        i, t = i[hit], t[hit]
+        terms.add(i, c, h.run[keys[i] & h.mask, t] * hv)
+        # -H_g S_g: -H_g[x, k] S_g[k, y]
+        hit, k, hv = self.own(keys)
+        p = np.flatnonzero(hit)
+        k = self.same_piece(keys[p], k)
+        i, t = np.nonzero(self.active[k])
+        x = k[i] & h.mask
+        terms.add(p[i], h.col[x, t], -hv[i] * h.run[x, t])
+        row, col, val = terms.sums(keys.size, h.dim)
+        nonzero = val != 0
+        return (np.bincount(row[nonzero], minlength=keys.size),
+                col[nonzero], val[nonzero])
+
+    def outer_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Keys of the rows where [S_g, [S_g, H_g]] or [H_g, [H_g, S_g]]
+        can be nonzero, and at most how many terms each row has."""
+        keys = self.c_keys[self.c_len[self.c_keys] > 0]
+        i, t = np.nonzero(self.active[keys])
+        hit, p, _ = self.own(keys)
+        keys = _distinct(np.concatenate([
+            keys, self.neighbours(keys[i], t), self.same_piece(keys[hit], p)]))
+        # terms per row: S_g C has one per entry of C's rows at the row's
+        # slots, C S_g at most W[g] per entry of C's own row, and [H_g, C]
+        # one per entry of its own and its partner's rows
+        i, t = np.nonzero(self.active[keys])
+        size = np.bincount(i, weights=self.c_len[self.neighbours(keys[i], t)],
+                           minlength=keys.size).astype(np.int64)
+        size += self.c_len[keys] * (self.W[keys >> self.h.shift] + 1)
+        hit, p, _ = self.own(keys)
+        size[hit] += self.c_len[self.same_piece(keys[hit], p)]
+        return keys, size
+
+    def outer(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums of [S_g, C] and [H_g, C], C = [S_g, H_g], for rows
+        keys; row n + i of the terms is row i of [H_g, C]."""
+        h, n = self.h, keys.size
+        x = keys & h.mask
+        terms = _Terms()
+        # S_g C: S_g[x, j] C[j, c], j ascending (row 0 apart, see below)
+        i, t = np.nonzero(self.active[keys])
+        keep = x[i] != 0
+        i, t = i[keep], t[keep]
+        e, at = self.entries(self.neighbours(keys[i], t))
+        terms.add(i[at], self.c_col[e], h.run[x[i], t][at] * self.c_val[e])
+        # -C S_g: -C[x, k] times row k of S_g, padded
+        e, p = self.entries(keys)
+        k = self.same_piece(keys[p], self.c_col[e])
+        rest = x[p] != 0
+        self.times_suffix(terms, p[rest], x[p][rest], k[rest],
+                          -self.c_val[e][rest])
+        first = np.flatnonzero(x == 0)
+        if first.size:
+            self.row0_terms(terms, first, keys[first])
+        # H_g C: H_g[x, k] C[k, y], with H_g[x, k] = conj(H_g[k, x])
+        hit, own_col, hv = self.own(keys)
+        rows = np.flatnonzero(hit)
+        e2, at = self.entries(self.same_piece(keys[rows], own_col))
+        terms.add(n + rows[at], self.c_col[e2], hv[at] * self.c_val[e2])
+        # -C H_g: -C[x, k] H_g[k, q]
+        hit, q, hk = self.own(k)
+        terms.add(n + p[hit], q, -self.c_val[e][hit] * hk)
+        sums = terms.row_sums(2 * n, h.dim)
+        return sums[:n], sums[n:]
+
+    def row0_terms(self, terms: _Terms, row: np.ndarray, keys: np.ndarray
+                   ) -> None:
+        """The terms of row 0 of [S_g, C], for rows keys (g, 0), with the
+        zeros a padded layout adds to it.
+
+        A row of S_g padded out to W[g] has its padding in column 0, so
+        every entry C[i, y] whose row i of S_g is short sends zeros to
+        (0, y) of S_g C, between the terms of the other rows i.  Zeros
+        change how np.add.reduceat groups the terms it sums, so row 0
+        takes its terms in the order the padded product lists them: every
+        C[i, y] with y within reach of row 0, i ascending, times column 0
+        of row i of S_g as padded; then -C S_g as for any row.
+        """
+        h = self.h
+        lo = np.searchsorted(self.c_keys, keys)
+        rows, q = _expand(lo, np.searchsorted(self.c_keys, keys + h.mask + 1)
+                          - lo)
+        e, at = self.entries(self.c_keys[rows])
+        near = h.near0[self.c_col[e]]
+        e, q, i = e[near], row[q[at[near]]], self.c_keys[rows[at[near]]]
+        first = self.active[i] & (h.col[i & h.mask] == 0)
+        real = first.any(axis=1)
+        r = np.flatnonzero(real)
+        start = terms.n
+        terms.add(q[r], self.c_col[e[r]],
+                  h.run[i[r] & h.mask, first[r].argmax(axis=1)].conj()
+                  * self.c_val[e[r]])
+        terms.zeros(q, self.c_col[e], self.W[i >> h.shift] - self.length[i],
+                    start + np.cumsum(real) - 1)
+        e, p = self.entries(keys)
+        self.times_suffix(terms, row[p], np.zeros(p.size, dtype=np.int64),
+                          self.same_piece(keys[p], self.c_col[e]),
+                          -self.c_val[e])
 
 
 def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
     """Row-sum bounds on the nested commutators of the second-order bound.
 
     Row g (0-based) holds upper bounds on ||[S, [S, H_g]]|| and
-    ||[H_g, [H_g, S]]||, where S is the suffix sum of the pieces after g
-    (see suzuki.commutator_alpha).  A nested commutator of Hermitian
-    matrices is Hermitian, so its largest absolute row sum bounds its
-    spectral norm.  Everything is sparse: a piece has at most one entry
-    per row, so a row of S has at most one per piece after g (for a
-    coloring of a d-sparse H, at most d), and duplicate entries are summed
-    before the row sums, so commuting pieces give exactly 0.
+    ||[H_g, [H_g, S]]||, where S = S_g is the suffix sum of the pieces
+    after g (see suzuki.commutator_alpha).  A nested commutator of
+    Hermitian matrices is Hermitian, so its largest absolute row sum
+    bounds its spectral norm.  Duplicate entries are summed before the
+    row sums, so commuting pieces give exactly 0.
+
+    H's entries are laid out once as padded rows, each slot tagged with
+    its piece, and every S_g is read from that one copy by masking on
+    piece: no suffix is re-sorted or re-padded per piece.  Where several
+    pieces hold one (row, col), a slot holds that entry's sum over its
+    own piece and the later ones, added last piece first, and is in S_g
+    for the run of g from the previous piece holding the entry up to its
+    own; so S_g's value there is (H_{m-1} + H_{m-2}) + ... + H_{g+1} in
+    that order, summed before any product, and a sum of 0 is no entry.
+    Each product's terms are summed by row and column in the order a
+    product of padded rows lists them, zeros from the padding included,
+    so the norms are bit for bit those of re-sorting and re-padding S_g
+    for each g.
+
+    Cost: with rows of H at most w long (w <= d for a coloring of a
+    d-sparse H), [S_g, H_g] has at most 2w entries per entry of H_g and
+    each outer product O(w^2) terms, so all g together take O(nnz w^2)
+    terms, plus a mask of each piece's rows.  Memory: the padded copy of
+    H, 48 bytes a slot; row tables for one block of pieces, at most
+    _BLOCK_BYTES unless one piece's rows need more; that block's inner
+    commutators; and one pass of terms, at most _BLOCK_BYTES // _TERM_BYTES
+    of them, however large the products are.
     """
     norms = np.zeros((len(tables), 2))
-    if not tables:
+    if len(tables) < 2:
         return norms
-    dim = tables[0].dim
-    coo = [t.entries() for t in tables]
-    suffix = (np.zeros(0, np.int64), np.zeros(0, np.int64),
-              np.zeros(0, np.complex128))
-    for g in range(len(tables) - 2, -1, -1):
-        suffix = _combine(*(np.concatenate(parts)
-                            for parts in zip(suffix, coo[g + 1])), dim)
-        s_cols, s_vals = _padded_rows(*suffix, dim)
-        piece_cols, piece_vals = _padded_rows(*_combine(*coo[g], dim), dim)
-        inner = _commutator(s_cols, s_vals, *coo[g], dim)  # [S, H_g]
-        outer_s = _commutator(s_cols, s_vals, *inner, dim)
-        outer_h = _commutator(piece_cols, piece_vals, *inner, dim)
-        norms[g] = (max_row_sum(outer_s[0], outer_s[2]),
-                    max_row_sum(outer_h[0], outer_h[2]))
+    h = _Suffixes(tables)
+    for block in h.blocks():
+        keys, size = block.outer_rows()
+        for run in _runs(size):
+            g = block.g0 + (keys[run] >> h.shift)
+            for col, sums in enumerate(block.outer(keys[run])):
+                np.maximum.at(norms[:, col], g, sums)
+        del block  # before the next one is built
     return norms
 
 
@@ -392,6 +735,11 @@ def precision_bits(tau: float, d: int, k: int, eps: float) -> int:
     return min(62, max(1, math.floor(v) + 1))
 
 
+def check_bits(bits: int) -> None:
+    if not 1 <= bits <= 62:
+        raise PlanError(f"bit count {bits} outside 1..62")
+
+
 def quantize_table(table: OneSparseTable, bits: int,
                    lam: float) -> OneSparseTable:
     """Round a piece table onto the grid lam / 2^bits, dropping zeros.
@@ -399,8 +747,7 @@ def quantize_table(table: OneSparseTable, bits: int,
     Each stored value is one unordered pair, so the mirror entry is rounded
     with it (it stays the conjugate), and no oracle probes are spent.
     """
-    if not 1 <= bits <= 62:
-        raise PlanError(f"bit count {bits} outside 1..62")
+    check_bits(bits)
     lam = float(lam)
     if not (lam > 0 and np.isfinite(lam)):
         raise PlanError(f"bad grid scale {lam}")

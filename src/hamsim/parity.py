@@ -24,8 +24,8 @@ import numpy as np
 
 from .config import OracleError, PlanError
 from .numerics import pure_state_distance
-from .one_sparse import (apply_product_formula, extract_table, pack_tables,
-                         quantize_table)
+from .one_sparse import (apply_product_formula, check_bits, extract_table,
+                         pack_tables, quantize_table)
 from .oracle import QueryCounter, SparseOracle
 from .suzuki import (build_plan, choose_r, choose_r_sharp,
                      integrator_error_bound_sharp, restriction_values)
@@ -211,6 +211,8 @@ def run_parity(instance: ParityInstance, eps: float,
     """
     if not eps > 0:
         raise PlanError(f"eps must be positive, got {eps}")
+    if quantize_bits is not None:
+        check_bits(quantize_bits)
     N = instance.size
     tau = math.pi * N / 2.0  # time pi at norm N/2
     r_paper = choose_r(1, 2, tau, eps)

@@ -87,9 +87,13 @@ def p_coefficient(k: int) -> float:
     return float(1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1))))
 
 
-def _check_km(k: int, m: int) -> None:
+def check_order(k: int) -> None:
     if not (isinstance(k, int) and k >= 1):
         raise PlanError(f"order parameter k must be a positive integer, got {k}")
+
+
+def _check_km(k: int, m: int) -> None:
+    check_order(k)
     if not (isinstance(m, int) and m >= 1):
         raise PlanError(f"term count m must be a positive integer, got {m}")
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import hamsim
-from hamsim import cli, coloring, one_sparse, oracle, suzuki
+from hamsim import cli, coloring, one_sparse, oracle, parity, suzuki
 from hamsim.cli import fit_loglog_slope, main
 from hamsim.config import ColoringError, PlanError
 from hamsim.oracle import EntryList
@@ -622,15 +623,61 @@ def test_simulate_refuses_a_bad_eps_before_any_query(eps, capsys):
     assert err == f"error: eps must be a finite positive number, got {eps}\n"
 
 
-def test_module_entry_point_runs():
+@pytest.mark.parametrize("given,flag,message", [
+    ({"k": 0}, "--k=0", "order parameter k must be a positive integer, got 0"),
+    ({"k": 1.5}, None, "order parameter k must be a positive integer, got 1.5"),
+    ({"r": 0}, "--r=0", "repetition count must be a positive integer, got 0"),
+    ({"r": 2.5}, None, "repetition count must be a positive integer, got 2.5"),
+    ({"quantize": "0"}, "--quantize=0", "bit count 0 outside 1..62"),
+    ({"quantize": "63"}, "--quantize=63", "bit count 63 outside 1..62"),
+])
+def test_simulate_refuses_a_bad_plan_argument_before_any_query(
+        given, flag, message, capsys):
+    orc = oracle.random_sparse(6, 3, seed=1)
+    with pytest.raises(PlanError, match=re.escape(message)):
+        cli.simulate_pipeline(orc, 1.0, 0.1, **given)
+    assert orc.counter.count == 0
+    if flag is not None:  # argparse itself refuses a fractional --k or --r
+        assert main(["simulate", "--gen", "random:n=6,d=3,seed=1",
+                     flag]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("bits", [0, 63])
+def test_parity_refuses_a_bad_bit_count_before_reading_a_bit(bits, capsys):
+    instance = parity.ParityInstance([1, 0, 1, 1])
+    message = f"bit count {bits} outside 1..62"
+    with pytest.raises(PlanError, match=re.escape(message)):
+        parity.run_parity(instance, 0.2, quantize_bits=bits)
+    assert instance.counter.count == 0
+    assert main(["parity", "--bits", "1011", f"--quantize={bits}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def run_module(*args):
     # the child imports hamsim from where this process found it
     src = str(Path(hamsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "hamsim.cli", "tables"],
+    return subprocess.run([sys.executable, "-m", *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point_runs():
+    proc = run_module("hamsim.cli", "tables")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    proc = run_module("hamsim", "bound", "--m", "2", "--tau", "1",
+                      "--eps", "0.01")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["r"] == 253
+    proc = run_module("hamsim", "simulate", "--gen", "random:n=6,d=3,seed=1",
+                      "--eps=0")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: eps must be a finite positive number, got 0.0\n"
 
 
 def test_fit_loglog_slope():

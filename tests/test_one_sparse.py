@@ -1,11 +1,13 @@
 """1-sparse pieces: table extraction, exact evolution, precision handling."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hamsim import _kernels, coloring, numerics, oracle, parity, suzuki
+from hamsim import (_kernels, coloring, numerics, one_sparse, oracle, parity,
+                    suzuki)
 from hamsim.config import OracleError, PlanError
 from hamsim.one_sparse import (OneSparseTable, apply_product_formula,
                                evolve_table, extract_table,
@@ -671,6 +673,162 @@ def test_commuting_pieces_have_zero_alpha():
         H = sum(table_to_dense(tb) for tb in tables)
         assert np.linalg.norm(got - numerics.hermitian_expm(H, 3.0) @ psi) < 1e-12
     assert nested_commutator_norms([]).shape == (0, 2)
+
+
+# The per-suffix computation the norms once ran: it re-sorts and re-pads
+# the suffix S for each piece, and sums duplicates through one sort of all
+# of a product's entries.  It is the independent reference the norms must
+# equal bit for bit, padding zeros included.
+
+def _combine(rows, cols, vals, dim):
+    """COO entries with duplicate (row, col) summed and zeros dropped,
+    sorted by row, then column."""
+    key = rows * dim + cols
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    if key.size:
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key, vals = key[first], np.add.reduceat(vals, first)
+    keep = vals != 0
+    key = key[keep]
+    return key // dim, key % dim, vals[keep]
+
+
+def _padded_rows(rows, cols, vals, dim):
+    """Row-sorted COO entries as (dim, w) column and value arrays, each row
+    padded with zero values in column 0 out to the longest row's length."""
+    counts = np.bincount(rows, minlength=dim)
+    width = max(int(counts.max(initial=0)), 1)
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    pad_cols = np.zeros((dim, width), dtype=np.int64)
+    pad_vals = np.zeros((dim, width), dtype=np.complex128)
+    pad_cols[rows, slot] = cols
+    pad_vals[rows, slot] = vals
+    return pad_cols, pad_vals
+
+
+def _sparse_commutator(a_cols, a_vals, rows, cols, vals, dim):
+    """[A, M] as combined COO entries, for Hermitian A in padded rows."""
+    width = a_cols.shape[1]
+    left_vals = a_vals[rows].conj() * vals[:, None]
+    right_vals = -vals[:, None] * a_vals[cols]
+    return _combine(
+        np.concatenate([a_cols[rows].ravel(), np.repeat(rows, width)]),
+        np.concatenate([np.repeat(cols, width), a_cols[cols].ravel()]),
+        np.concatenate([left_vals.ravel(), right_vals.ravel()]), dim)
+
+
+def per_suffix_norms(tables):
+    norms = np.zeros((len(tables), 2))
+    if not tables:
+        return norms
+    dim = tables[0].dim
+    coo = [t.entries() for t in tables]
+    suffix = (np.zeros(0, np.int64), np.zeros(0, np.int64),
+              np.zeros(0, np.complex128))
+    for g in range(len(tables) - 2, -1, -1):
+        suffix = _combine(*(np.concatenate(parts)
+                            for parts in zip(suffix, coo[g + 1])), dim)
+        s_cols, s_vals = _padded_rows(*suffix, dim)
+        piece_cols, piece_vals = _padded_rows(*_combine(*coo[g], dim), dim)
+        inner = _sparse_commutator(s_cols, s_vals, *coo[g], dim)
+        outer_s = _sparse_commutator(s_cols, s_vals, *inner, dim)
+        outer_h = _sparse_commutator(piece_cols, piece_vals, *inner, dim)
+        norms[g] = (numerics.max_row_sum(outer_s[0], outer_s[2]),
+                    numerics.max_row_sum(outer_h[0], outer_h[2]))
+    return norms
+
+
+def test_nested_commutator_norms_match_the_per_suffix_reference_bit_for_bit():
+    """On coloring pieces in label and largest-first order, on overlapping
+    random pieces (where several pieces hold one entry and the suffix sums
+    them last piece first), on empty pieces, a zero diagonal, dimension 1
+    and suffixes where a piece cancels another, and on commuting
+    diagonals."""
+    cases = []
+    for n, d, seed in itertools.product(range(4, 10), (2, 3, 4), (1, 2, 3)):
+        tables = [tb for tb in coloring.piece_tables(
+            oracle.random_sparse(n, d, seed=seed)) if tb.entry_count]
+        cases += [tables, sorted(tables, key=lambda tb: -tb.entry_count)]
+    rng = np.random.default_rng(20)
+    for case in range(100):
+        dim, m = int(rng.integers(2, 34)), int(rng.integers(2, 7))
+        cases.append([random_one_sparse_table(dim, seed=1000 * case + i,
+                                              norm_target=1.0)
+                      for i in range(m)])
+    empty = OneSparseTable(5, [], [], [], [], [])
+    cases += [
+        [empty, empty], [empty, random_one_sparse_table(5, seed=1)],
+        [random_one_sparse_table(5, seed=1), empty,
+         random_one_sparse_table(5, seed=2)],
+        [OneSparseTable(5, [0, 2], [0.0, 1.0], [3], [4], [1 - 1j]),
+         random_one_sparse_table(5, seed=3)],
+        [OneSparseTable(1, [0], [0.5], [], [], []),
+         OneSparseTable(1, [0], [-0.25], [], [], [])],
+    ]
+    # a piece after its negation: every suffix holding both sums their
+    # entries to 0 and so lacks them
+    for case in range(20):
+        tables = [random_one_sparse_table(7, seed=500 + 10 * case + i,
+                                          diag_prob=0.2, empty_prob=0.0)
+                  for i in range(6)]
+        t = tables[3]
+        cases.append(tables[:3] + [OneSparseTable(
+            7, t.diag_idx, -t.diag_h, t.pair_lo, t.pair_hi, -t.pair_amp)]
+            + tables[3:])
+    for tables in cases:
+        assert np.array_equal(nested_commutator_norms(tables),
+                              per_suffix_norms(tables))
+    diagonal = [random_one_sparse_table(10, seed=s, diag_prob=1.0,
+                                        empty_prob=0.2) for s in range(4)]
+    for norms in (nested_commutator_norms(diagonal),
+                  per_suffix_norms(diagonal)):
+        assert np.array_equal(norms, np.zeros((4, 2)))
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_nested_commutator_norms_memory(monkeypatch):
+    """At n = 11, d = 4, in plan order, with the work budget cut to 128
+    KiB, the traced peak stays within what the budget and the pieces' own
+    bytes allow, a bound below the per-suffix reference's own peak.
+
+    The bound, term by term:
+    - the padded copy of H: 48 bytes a slot (column 8, piece value 16, run
+      value 16, piece and previous piece 4 + 4), dim x width slots;
+    - set-up: at most ten arrays of one entry of H each, of at most 16
+      bytes an entry, where the tables hold 16 bytes an entry: ten times
+      the tables' bytes;
+    - a block's inner commutators and row keys: C_g has at most 2 width
+      entries per entry of H_g (one per side and slot of S_g), at 24
+      bytes each, and its rows and the outer rows take at most 2 width
+      keys of 8 bytes per entry: 4 width times the tables' bytes;
+    - the block's row tables and one pass of terms: one budget each, and
+      as much again for temporaries.
+    """
+    tables = sorted((tb for tb in coloring.piece_tables(
+        oracle.random_sparse(11, 4, seed=1)) if tb.entry_count),
+        key=lambda tb: -tb.entry_count)
+    entry_bytes = sum(a.nbytes for tb in tables
+                      for a in (tb.diag_idx, tb.diag_h, tb.pair_lo,
+                                tb.pair_hi, tb.pair_amp))
+    dim = tables[0].dim
+    width = int(np.bincount(np.concatenate([tb.entries()[0] for tb in tables]),
+                            minlength=dim).max())
+    budget = 1 << 17
+    monkeypatch.setattr(one_sparse, "_BLOCK_BYTES", budget)
+    bound = 48 * dim * width + (10 + 4 * width) * entry_bytes + 4 * budget
+    norms, peak = _traced_peak(nested_commutator_norms, tables)
+    want, reference_peak = _traced_peak(per_suffix_norms, tables)
+    assert np.array_equal(norms, want)
+    assert peak < bound < reference_peak
 
 
 @pytest.mark.parametrize("tau,d,k,eps,want", [
