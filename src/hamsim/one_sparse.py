@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .config import OracleError, PlanError
 from .numerics import require_state
-from .suzuki import ProductFormulaPlan, build_plan
+from .suzuki import ProductFormulaPlan, build_plan, is_integer
 
 _HERM_TOL = 1e-12
 
@@ -267,7 +267,7 @@ def exponential_total(r: int, steps: int) -> int:
 
 
 def check_repetitions(r: int) -> None:
-    if not (isinstance(r, numbers.Integral) and r >= 1):
+    if not (is_integer(r, numbers.Integral) and r >= 1):
         raise PlanError(
             f"repetition count must be a positive integer, got {r}")
 
@@ -341,57 +341,42 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 class _Terms:
-    """The terms (row, col, value) of a sparse product, in the order the
-    product lists them, to be summed by (row, col) as np.add.reduceat
-    sums: each sum over its terms in that order.
+    """The terms (row, col, value) of a sparse product, to be summed by
+    (row, col), each sum over its terms in the order they were added, as
+    np.add.reduceat sums.
 
-    Term k is ordered 2k + 2.  A run of zero terms placed after term k is
-    ordered 2k + 3, so it needs no value and sorts between term k and term
-    k + 1; the zeros a padded row adds are placed so.  The sort key packs
-    the order below the row and column, so one unstable sort of distinct
-    keys (zeros aside, which are alike) keeps the order.
+    The sort key packs each term's index below its row and column, so a
+    plain sort of the keys, faster than an argsort, groups the terms by
+    (row, col) in the order they were added and says where each value is.
     """
 
     def __init__(self):
-        self.parts, self.vals, self.n, self.zeroed = [], [], 0, False
+        self.parts, self.vals, self.n = [], [], 0
 
     def add(self, row: np.ndarray, col: np.ndarray, val: np.ndarray) -> None:
-        self.parts.append((row, col, 2 * np.arange(self.n, self.n + row.size) + 2))
+        self.parts.append((row, col, np.arange(self.n, self.n + row.size)))
         self.vals.append(val)
         self.n += row.size
-
-    def zeros(self, row: np.ndarray, col: np.ndarray, count: np.ndarray,
-              after: np.ndarray) -> None:
-        """count[i] zeros at (row[i], col[i]) after term after[i] (-1:
-        before every term)."""
-        self.parts.append(tuple(np.repeat(a, count)
-                                for a in (row, col, 2 * after + 3)))
-        self.zeroed = True
 
     def sums(self, rows: int, dim: int
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and sum of each distinct (row, col), sorted; rows
         bounds the row numbers."""
-        row, col, order = (np.concatenate(part) for part in zip(*self.parts))
-        # a zero at the end, for zeros to read before any term is added
-        vals = np.concatenate(self.vals + [np.zeros(1, dtype=np.complex128)])
+        row, col, index = (np.concatenate(part) for part in zip(*self.parts))
+        vals = np.concatenate(self.vals)
         self.parts = self.vals = None
         if not row.size:
-            return row, col, np.zeros(0, dtype=np.complex128)
-        low = max(int(2 * self.n + 3).bit_length(), 1)
+            return row, col, vals
+        low = max(int(self.n - 1).bit_length(), 1)
         col_bits = max(int(dim - 1).bit_length(), 1)
         if int(rows - 1).bit_length() + col_bits + low > 63:
             raise PlanError(
                 f"dimension {dim} too large for the commutator norms")
-        key = (row << col_bits | col) << low | order
+        key = (row << col_bits | col) << low | index
         key.sort()
         head = key >> low
         start = np.flatnonzero(np.r_[True, head[1:] != head[:-1]])
-        order = key & ((1 << low) - 1)
-        if self.zeroed:
-            vals = np.where(order & 1, 0, vals[(order >> 1) - 1])
-        else:
-            vals = vals[(order >> 1) - 1]
+        vals = vals[key & ((1 << low) - 1)]
         head = head[start]
         return (head >> col_bits, head & ((1 << col_bits) - 1),
                 np.add.reduceat(vals, start))
@@ -463,12 +448,6 @@ class _Suffixes:
         by_piece = np.argsort(piece, kind="stable")
         self.by_piece = slot[by_piece]
         self.piece_ptr = np.searchsorted(piece[by_piece], np.arange(m + 1))
-        # rows within three steps of row 0: the columns that row 0 of an
-        # outer product can reach
-        self.near0 = np.zeros(self.mask + 1, dtype=bool)
-        self.near0[0] = True
-        for _ in range(3):
-            self.near0[self.col[self.near0][self.piece[self.near0] >= 0]] = True
 
     def blocks(self):
         """Runs of consecutive pieces g < m - 1 small enough for one block:
@@ -503,8 +482,6 @@ class _Block:
         self.length = np.zeros(table, dtype=np.int64)
         for s in range(h.width):
             self.length += self.active[:, s]
-        # W[g]: the longest row of S_g, the width its rows are padded to
-        self.W = np.maximum(self.length.reshape(g1 - g0, -1).max(axis=1), 1)
         slots = h.by_piece[h.piece_ptr[g0]:h.piece_ptr[g1]]
         keys = ((h.piece.reshape(-1)[slots].astype(np.int64) - g0) << h.shift
                 | slots // h.width)
@@ -551,23 +528,6 @@ class _Block:
         of each one's row in keys."""
         return _expand(self.c_start[keys], self.c_len[keys])
 
-    def times_suffix(self, terms: _Terms, row: np.ndarray, x: np.ndarray,
-                     keys: np.ndarray, coef: np.ndarray) -> None:
-        """Add coef[i] * (row keys[i] of S_g, padded) to terms row row[i],
-        which is row x[i] of the product: the entries in column order,
-        then zeros in column 0 out to W[g]."""
-        h = self.h
-        i, t = np.nonzero(self.active[keys])
-        xs = keys[i] & h.mask
-        start = terms.n
-        terms.add(row[i], h.col[xs, t], coef[i] * h.run[xs, t])
-        # the zeros land in column 0, which only rows near row 0 reach
-        length = self.length[keys]
-        after = start + np.cumsum(length) - 1
-        near = np.flatnonzero(h.near0[x])
-        terms.zeros(row[near], np.zeros(near.size, dtype=np.int64),
-                    self.W[keys[near] >> h.shift] - length[near], after[near])
-
     def inner_rows(self, keys: np.ndarray):
         """Rows keys of C = [S_g, H_g]: per-row entry counts, then columns
         and values, duplicates summed and zeros dropped."""
@@ -599,12 +559,12 @@ class _Block:
         keys = _distinct(np.concatenate([
             keys, self.neighbours(keys[i], t), self.same_piece(keys[hit], p)]))
         # terms per row: S_g C has one per entry of C's rows at the row's
-        # slots, C S_g at most W[g] per entry of C's own row, and [H_g, C]
+        # slots, C S_g at most width per entry of C's own row, and [H_g, C]
         # one per entry of its own and its partner's rows
         i, t = np.nonzero(self.active[keys])
         size = np.bincount(i, weights=self.c_len[self.neighbours(keys[i], t)],
                            minlength=keys.size).astype(np.int64)
-        size += self.c_len[keys] * (self.W[keys >> self.h.shift] + 1)
+        size += self.c_len[keys] * (self.h.width + 1)
         hit, p, _ = self.own(keys)
         size[hit] += self.c_len[self.same_piece(keys[hit], p)]
         return keys, size
@@ -615,21 +575,16 @@ class _Block:
         h, n = self.h, keys.size
         x = keys & h.mask
         terms = _Terms()
-        # S_g C: S_g[x, j] C[j, c], j ascending (row 0 apart, see below)
+        # S_g C: S_g[x, j] C[j, c]
         i, t = np.nonzero(self.active[keys])
-        keep = x[i] != 0
-        i, t = i[keep], t[keep]
         e, at = self.entries(self.neighbours(keys[i], t))
         terms.add(i[at], self.c_col[e], h.run[x[i], t][at] * self.c_val[e])
-        # -C S_g: -C[x, k] times row k of S_g, padded
+        # -C S_g: -C[x, k] S_g[k, y]
         e, p = self.entries(keys)
         k = self.same_piece(keys[p], self.c_col[e])
-        rest = x[p] != 0
-        self.times_suffix(terms, p[rest], x[p][rest], k[rest],
-                          -self.c_val[e][rest])
-        first = np.flatnonzero(x == 0)
-        if first.size:
-            self.row0_terms(terms, first, keys[first])
+        i, t = np.nonzero(self.active[k])
+        xk = k[i] & h.mask
+        terms.add(p[i], h.col[xk, t], -self.c_val[e][i] * h.run[xk, t])
         # H_g C: H_g[x, k] C[k, y], with H_g[x, k] = conj(H_g[k, x])
         hit, own_col, hv = self.own(keys)
         rows = np.flatnonzero(hit)
@@ -640,40 +595,6 @@ class _Block:
         terms.add(n + p[hit], q, -self.c_val[e][hit] * hk)
         sums = terms.row_sums(2 * n, h.dim)
         return sums[:n], sums[n:]
-
-    def row0_terms(self, terms: _Terms, row: np.ndarray, keys: np.ndarray
-                   ) -> None:
-        """The terms of row 0 of [S_g, C], for rows keys (g, 0), with the
-        zeros a padded layout adds to it.
-
-        A row of S_g padded out to W[g] has its padding in column 0, so
-        every entry C[i, y] whose row i of S_g is short sends zeros to
-        (0, y) of S_g C, between the terms of the other rows i.  Zeros
-        change how np.add.reduceat groups the terms it sums, so row 0
-        takes its terms in the order the padded product lists them: every
-        C[i, y] with y within reach of row 0, i ascending, times column 0
-        of row i of S_g as padded; then -C S_g as for any row.
-        """
-        h = self.h
-        lo = np.searchsorted(self.c_keys, keys)
-        rows, q = _expand(lo, np.searchsorted(self.c_keys, keys + h.mask + 1)
-                          - lo)
-        e, at = self.entries(self.c_keys[rows])
-        near = h.near0[self.c_col[e]]
-        e, q, i = e[near], row[q[at[near]]], self.c_keys[rows[at[near]]]
-        first = self.active[i] & (h.col[i & h.mask] == 0)
-        real = first.any(axis=1)
-        r = np.flatnonzero(real)
-        start = terms.n
-        terms.add(q[r], self.c_col[e[r]],
-                  h.run[i[r] & h.mask, first[r].argmax(axis=1)].conj()
-                  * self.c_val[e[r]])
-        terms.zeros(q, self.c_col[e], self.W[i >> h.shift] - self.length[i],
-                    start + np.cumsum(real) - 1)
-        e, p = self.entries(keys)
-        self.times_suffix(terms, row[p], np.zeros(p.size, dtype=np.int64),
-                          self.same_piece(keys[p], self.c_col[e]),
-                          -self.c_val[e])
 
 
 def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
@@ -694,10 +615,9 @@ def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
     for the run of g from the previous piece holding the entry up to its
     own; so S_g's value there is (H_{m-1} + H_{m-2}) + ... + H_{g+1} in
     that order, summed before any product, and a sum of 0 is no entry.
-    Each product's terms are summed by row and column in the order a
-    product of padded rows lists them, zeros from the padding included,
-    so the norms are bit for bit those of re-sorting and re-padding S_g
-    for each g.
+    Each product's terms are summed by row and column, each sum over its
+    own terms only, in the order they are listed; the norms match those
+    of re-sorting and re-padding S_g for each g to a relative 1e-12.
 
     Cost: with rows of H at most w long (w <= d for a coloring of a
     d-sparse H), [S_g, H_g] has at most 2w entries per entry of H_g and
@@ -736,7 +656,7 @@ def precision_bits(tau: float, d: int, k: int, eps: float) -> int:
 
 
 def check_bits(bits: int) -> None:
-    if not 1 <= bits <= 62:
+    if not (is_integer(bits, numbers.Integral) and 1 <= bits <= 62):
         raise PlanError(f"bit count {bits} outside 1..62")
 
 

@@ -74,6 +74,12 @@ class ProductFormulaPlan:
                     f"term {j} fractions sum to {total!r}, expected 1")
 
 
+def is_integer(x, kind: type = int) -> bool:
+    """isinstance(x, kind), with bool refused: Python counts True and
+    False as ints, but neither is a count."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def exponential_count(k: int, m: int) -> int:
     """Exact merged plan length, 2(m-1)5^(k-1) + 1."""
     _check_km(k, m)
@@ -82,24 +88,24 @@ def exponential_count(k: int, m: int) -> int:
 
 def p_coefficient(k: int) -> float:
     """Recursion coefficient p_k for the order step 2k-2 -> 2k, k >= 2."""
-    if not (isinstance(k, int) and k >= 2):
+    if not (is_integer(k) and k >= 2):
         raise PlanError(f"p_coefficient needs integer k >= 2, got {k}")
     return float(1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1))))
 
 
 def check_order(k: int) -> None:
-    if not (isinstance(k, int) and k >= 1):
+    if not (is_integer(k) and k >= 1):
         raise PlanError(f"order parameter k must be a positive integer, got {k}")
 
 
 def _check_km(k: int, m: int) -> None:
     check_order(k)
-    if not (isinstance(m, int) and m >= 1):
+    if not (is_integer(m) and m >= 1):
         raise PlanError(f"term count m must be a positive integer, got {m}")
 
 
 def _check_r(r: int) -> None:
-    if not (isinstance(r, numbers.Integral) and r >= 1):
+    if not (is_integer(r, numbers.Integral) and r >= 1):
         raise PlanError(f"slice count r must be a positive integer, got {r}")
     if r > sys.float_info.max:
         raise PlanError("slice count r overflows floating point range")

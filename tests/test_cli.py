@@ -193,6 +193,8 @@ def test_simulate_commutator_rule_on_the_n8_instance():
         verify=False)
     assert (data["m_pieces"], data["r_paper"], data["r_commutator"]) == (22, 3793, 7)
     assert data["n_exp"] == 301 and data["base_queries_ok"] is True
+    assert data["commutator_alpha"] == pytest.approx(0.3601068769410045,
+                                                     rel=1e-12)
     assert data["measured_error"] <= data["error_bound"] <= 1e-2
 
 
@@ -630,6 +632,8 @@ def test_simulate_refuses_a_bad_eps_before_any_query(eps, capsys):
     ({"r": 2.5}, None, "repetition count must be a positive integer, got 2.5"),
     ({"quantize": "0"}, "--quantize=0", "bit count 0 outside 1..62"),
     ({"quantize": "63"}, "--quantize=63", "bit count 63 outside 1..62"),
+    ({"k": True}, None, "order parameter k must be a positive integer, got True"),
+    ({"r": True}, None, "repetition count must be a positive integer, got True"),
 ])
 def test_simulate_refuses_a_bad_plan_argument_before_any_query(
         given, flag, message, capsys):
@@ -643,15 +647,16 @@ def test_simulate_refuses_a_bad_plan_argument_before_any_query(
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("bits", [0, 63])
+@pytest.mark.parametrize("bits", [0, 63, True, 2.5])
 def test_parity_refuses_a_bad_bit_count_before_reading_a_bit(bits, capsys):
     instance = parity.ParityInstance([1, 0, 1, 1])
     message = f"bit count {bits} outside 1..62"
     with pytest.raises(PlanError, match=re.escape(message)):
         parity.run_parity(instance, 0.2, quantize_bits=bits)
     assert instance.counter.count == 0
-    assert main(["parity", "--bits", "1011", f"--quantize={bits}"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    if type(bits) is int:  # --quantize itself refuses text that is no integer
+        assert main(["parity", "--bits", "1011", f"--quantize={bits}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def run_module(*args):
