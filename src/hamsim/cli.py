@@ -154,10 +154,11 @@ def _recording(fn, *fargs, **fkw):
 
 
 def _quantize_option(text: str | None) -> int | str | None:
-    """--quantize as None (off), "auto" or a bit count."""
+    """--quantize as None (off), "auto" or a bit count.  A value that is
+    not text is returned as it is, for check_bits to accept or refuse."""
     if text in (None, "off"):
         return None
-    if text == "auto":
+    if text == "auto" or not isinstance(text, str):
         return text
     try:
         return int(text)
@@ -287,7 +288,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     No dense matrix is built at any size.  A non-finite t and an eps that
     is not finite and positive are refused before any query is spent, as
     are a given k or r that is not a positive integer and a quantize bit
-    count outside 1..62.
+    count that is not an integer in 1..62.
 
     The non-empty pieces run in order of entry count, largest first, ties
     in label order.  The commutator bound holds for any order of the

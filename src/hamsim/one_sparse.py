@@ -389,17 +389,13 @@ class _Terms:
 
 
 class _Suffixes:
-    """Every suffix S_g = H_{g+1} + ... + H_{m-1} of the pieces, and each
-    piece H_g, read from one padded copy of H's rows.
+    """Every suffix S_g = H_{g+1} + ... + H_{m-1} of pieces that partition
+    H, and each piece H_g, read from one padded copy of H's rows.
 
-    Row x holds one slot per entry (x, col) of each piece, in column order
-    and then piece order.  A slot keeps its piece's value, for H_g, and
-    its run value: the sum of that entry over this piece and the later
-    pieces holding it, added from the last piece back, as the suffix sum
-    adds them.  That value is S_g[x, col] for prev <= g < piece, where
-    prev is the previous piece to hold (x, col), or -1; a run that sums to
-    0 is in no S_g, as a zero entry is no entry.  So a row of S_g is the
-    row's slots with prev <= g < piece, already in column order.
+    Row x holds one slot per entry (x, col) of H, in column order, with
+    the entry's value and the piece that holds it.  Each entry is in one
+    piece, so S_g[x, col] is that value for g < piece, and a row of S_g is
+    the row's slots with g < piece, already in column order.
     """
 
     def __init__(self, tables: list[OneSparseTable]):
@@ -410,23 +406,16 @@ class _Suffixes:
                           [c[0].size for c in coo])
         rows, cols, vals = (np.concatenate(part) for part in zip(*coo))
         del coo
-        # sorted by row, then column; the sort is stable and the tables
-        # come in piece order, so an entry's pieces stay in order
+        # sorted by row, then column, a zero value being no entry
         order = np.flatnonzero(vals != 0)
-        order = order[np.argsort(rows[order] * dim + cols[order], kind="stable")]
+        order = order[np.argsort(rows[order] * dim + cols[order])]
         rows, cols, vals, piece = rows[order], cols[order], vals[order], piece[order]
         del order
-        later = np.r_[(rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]), False]
-        first = np.r_[True, ~later[:-1]]
-        prev = np.where(first, -1, np.r_[-1, piece[:-1]]).astype(np.int32)
-        # depth: how many later pieces hold the same entry
-        ends = np.flatnonzero(~later)
-        depth = ends[np.cumsum(first) - 1] - np.arange(rows.size)
-        run = vals.copy()
-        for d in range(1, int(depth.max(initial=0)) + 1):
-            at = np.flatnonzero(depth == d)
-            run[at] = run[at + 1] + vals[at]
-        prev[run == 0] = piece[run == 0]
+        shared = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+        if shared.size:
+            x, y = rows[shared[0]], cols[shared[0]]
+            raise PlanError(f"two pieces hold entry ({x}, {y}): "
+                            f"the pieces must partition H")
 
         counts = np.bincount(rows, minlength=dim)
         self.width = width = max(int(counts.max(initial=0)), 1)
@@ -439,11 +428,8 @@ class _Suffixes:
         padded = (self.mask + 1, width)
         self.col = np.zeros(padded, dtype=np.int64)
         self.val = np.zeros(padded, dtype=np.complex128)
-        self.run = np.zeros(padded, dtype=np.complex128)
         self.piece = np.full(padded, -1, dtype=np.int32)
-        self.prev = np.zeros(padded, dtype=np.int32)
-        for name, data in (("col", cols), ("val", vals), ("run", run),
-                           ("piece", piece), ("prev", prev)):
+        for name, data in (("col", cols), ("val", vals), ("piece", piece)):
             getattr(self, name).reshape(-1)[slot] = data
         by_piece = np.argsort(piece, kind="stable")
         self.by_piece = slot[by_piece]
@@ -478,7 +464,7 @@ class _Block:
         self.h, self.g0 = h, g0
         table = (g1 - g0) << h.shift
         gs = np.arange(g0, g1, dtype=np.int32)[:, None, None]
-        self.active = ((h.prev <= gs) & (gs < h.piece)).reshape(-1, h.width)
+        self.active = (gs < h.piece).reshape(-1, h.width)
         self.length = np.zeros(table, dtype=np.int64)
         for s in range(h.width):
             self.length += self.active[:, s]
@@ -537,14 +523,14 @@ class _Block:
         i, t = np.nonzero(self.active[keys])
         hit, c, hv = self.own(self.neighbours(keys[i], t))
         i, t = i[hit], t[hit]
-        terms.add(i, c, h.run[keys[i] & h.mask, t] * hv)
+        terms.add(i, c, h.val[keys[i] & h.mask, t] * hv)
         # -H_g S_g: -H_g[x, k] S_g[k, y]
         hit, k, hv = self.own(keys)
         p = np.flatnonzero(hit)
         k = self.same_piece(keys[p], k)
         i, t = np.nonzero(self.active[k])
         x = k[i] & h.mask
-        terms.add(p[i], h.col[x, t], -hv[i] * h.run[x, t])
+        terms.add(p[i], h.col[x, t], -hv[i] * h.val[x, t])
         row, col, val = terms.sums(keys.size, h.dim)
         nonzero = val != 0
         return (np.bincount(row[nonzero], minlength=keys.size),
@@ -578,13 +564,13 @@ class _Block:
         # S_g C: S_g[x, j] C[j, c]
         i, t = np.nonzero(self.active[keys])
         e, at = self.entries(self.neighbours(keys[i], t))
-        terms.add(i[at], self.c_col[e], h.run[x[i], t][at] * self.c_val[e])
+        terms.add(i[at], self.c_col[e], h.val[x[i], t][at] * self.c_val[e])
         # -C S_g: -C[x, k] S_g[k, y]
         e, p = self.entries(keys)
         k = self.same_piece(keys[p], self.c_col[e])
         i, t = np.nonzero(self.active[k])
         xk = k[i] & h.mask
-        terms.add(p[i], h.col[xk, t], -self.c_val[e][i] * h.run[xk, t])
+        terms.add(p[i], h.col[xk, t], -self.c_val[e][i] * h.val[xk, t])
         # H_g C: H_g[x, k] C[k, y], with H_g[x, k] = conj(H_g[k, x])
         hit, own_col, hv = self.own(keys)
         rows = np.flatnonzero(hit)
@@ -607,23 +593,21 @@ def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
     bounds its spectral norm.  Duplicate entries are summed before the
     row sums, so commuting pieces give exactly 0.
 
-    H's entries are laid out once as padded rows, each slot tagged with
-    its piece, and every S_g is read from that one copy by masking on
-    piece: no suffix is re-sorted or re-padded per piece.  Where several
-    pieces hold one (row, col), a slot holds that entry's sum over its
-    own piece and the later ones, added last piece first, and is in S_g
-    for the run of g from the previous piece holding the entry up to its
-    own; so S_g's value there is (H_{m-1} + H_{m-2}) + ... + H_{g+1} in
-    that order, summed before any product, and a sum of 0 is no entry.
-    Each product's terms are summed by row and column, each sum over its
-    own terms only, in the order they are listed; the norms match those
-    of re-sorting and re-padding S_g for each g to a relative 1e-12.
+    The pieces must partition H, as a coloring's pieces do: two pieces
+    holding the same (row, col) raise PlanError, naming the entry, before
+    anything is padded.  A zero value is no entry.  H's entries are laid
+    out once as padded rows, each slot tagged with its piece, and every
+    S_g is read from that one copy by masking on piece: no suffix is
+    re-sorted or re-padded per piece.  Each product's terms are summed by
+    row and column, each sum over its own terms only, in the order they
+    are listed; the norms match those of re-sorting and re-padding S_g
+    for each g to a relative 1e-12.
 
     Cost: with rows of H at most w long (w <= d for a coloring of a
     d-sparse H), [S_g, H_g] has at most 2w entries per entry of H_g and
     each outer product O(w^2) terms, so all g together take O(nnz w^2)
     terms, plus a mask of each piece's rows.  Memory: the padded copy of
-    H, 48 bytes a slot; row tables for one block of pieces, at most
+    H, 28 bytes a slot; row tables for one block of pieces, at most
     _BLOCK_BYTES unless one piece's rows need more; that block's inner
     commutators; and one pass of terms, at most _BLOCK_BYTES // _TERM_BYTES
     of them, however large the products are.

@@ -168,7 +168,7 @@ class EntryList:
                 raise OracleError(f"zero value stored for pair ({x}, {y})")
             if not (np.isfinite(v.real) and np.isfinite(v.imag)):
                 raise OracleError(f"non-finite value for pair ({x}, {y})")
-            if x == y and abs(v.imag) > _PAIR_TOL:
+            if x == y and abs(v - v.conjugate()) > _PAIR_TOL:
                 raise OracleError(f"diagonal entry at {x} must be real, got {v}")
 
 
@@ -213,7 +213,7 @@ def from_columns(n: int, d: int,
                 raise OracleError(f"explicit zero entry at ({x}, {y})")
             if not (np.isfinite(v.real) and np.isfinite(v.imag)):
                 raise OracleError(f"non-finite entry at ({x}, {y})")
-            if y == x and abs(v.imag) > _PAIR_TOL:
+            if y == x and abs(v - v.conjugate()) > _PAIR_TOL:
                 raise OracleError(f"diagonal entry at {x} must be real, got {v}")
             out.append((y, v))
         if sort:
@@ -315,14 +315,18 @@ def entries_from_slots(ys: np.ndarray, vs: np.ndarray
     return rows, cols, vals
 
 
+def _zeros_below_cap(dim: int) -> np.ndarray:
+    """A dim x dim zero matrix, refused above the dense cap."""
+    if dim > dense_cap():
+        raise OracleError(f"dimension {dim} exceeds dense cap {dense_cap()}")
+    return np.zeros((dim, dim), dtype=complex)
+
+
 def to_dense(oracle: SparseOracle) -> np.ndarray:
     """Uncounted full extraction: read_entries, with its structural checks,
     scattered into a dense matrix below the dense cap."""
-    dim = oracle.dim
-    if dim > dense_cap():
-        raise OracleError(f"dimension {dim} exceeds dense cap {dense_cap()}")
+    H = _zeros_below_cap(oracle.dim)
     rows, cols, vals = read_entries(oracle)
-    H = np.zeros((dim, dim), dtype=complex)
     H[rows, cols] = vals
     return H
 
@@ -439,9 +443,12 @@ def random_sparse(n: int, d: int, seed: int,
             complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
 
     if norm_target is not None:
-        oracle = from_columns(n, d, columns, sort=True)
+        H = _zeros_below_cap(dim)
+        for x, row in columns.items():
+            ys, vs = zip(*row)
+            H[x, list(ys)] = vs
         # Hermitian, so the largest |eigenvalue| is the spectral norm
-        cur = float(np.abs(np.linalg.eigvalsh(to_dense(oracle))).max())
+        cur = float(np.abs(np.linalg.eigvalsh(H)).max())
         if cur == 0.0:
             raise OracleError("random instance came out empty, cannot rescale")
         scale = norm_target / cur

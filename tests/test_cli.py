@@ -196,6 +196,13 @@ def test_simulate_commutator_rule_on_the_n8_instance():
     assert data["commutator_alpha"] == pytest.approx(0.3601068769410045,
                                                      rel=1e-12)
     assert data["measured_error"] <= data["error_bound"] <= 1e-2
+    # and the (9, 4) instance at eps 0.1
+    data = cli.simulate_pipeline(
+        oracle.random_sparse(9, 4, seed=1, norm_target=1.0), 1.0, 0.1,
+        verify=False)
+    assert data["commutator_alpha"] == pytest.approx(0.5918503892677458,
+                                                     rel=1e-12)
+    assert (data["r_commutator"], data["n_exp"]) == (3, 171)
 
 
 def test_simulate_runs_the_largest_pieces_outermost(monkeypatch):
@@ -634,6 +641,8 @@ def test_simulate_refuses_a_bad_eps_before_any_query(eps, capsys):
     ({"quantize": "63"}, "--quantize=63", "bit count 63 outside 1..62"),
     ({"k": True}, None, "order parameter k must be a positive integer, got True"),
     ({"r": True}, None, "repetition count must be a positive integer, got True"),
+    ({"quantize": True}, None, "bit count True outside 1..62"),
+    ({"quantize": 2.7}, None, "bit count 2.7 outside 1..62"),
 ])
 def test_simulate_refuses_a_bad_plan_argument_before_any_query(
         given, flag, message, capsys):

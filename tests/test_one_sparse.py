@@ -1,6 +1,7 @@
 """1-sparse pieces: table extraction, exact evolution, precision handling."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -605,9 +606,40 @@ def _decomposition_tables(n, d, seed):
     return [tb for tb in tables if tb.entry_count]
 
 
+def _disjoint(tables):
+    """The tables, less every entry that an earlier one holds, so that
+    they partition their sum."""
+    held, out = set(), []
+    for tb in tables:
+        diag = [(x, x) not in held for x in tb.diag_idx.tolist()]
+        pair = [(lo, hi) not in held
+                for lo, hi in zip(tb.pair_lo.tolist(), tb.pair_hi.tolist())]
+        tb = OneSparseTable(tb.dim, tb.diag_idx[diag], tb.diag_h[diag],
+                            tb.pair_lo[pair], tb.pair_hi[pair],
+                            tb.pair_amp[pair])
+        held.update(zip(*(a.tolist() for a in tb.entries()[:2])))
+        out.append(tb)
+    return out
+
+
 def _random_tables(dim, m, seed):
-    return [random_one_sparse_table(dim, seed=seed + i, norm_target=1.0)
-            for i in range(m)]
+    return _disjoint([random_one_sparse_table(dim, seed=seed + i,
+                                              norm_target=1.0)
+                      for i in range(m)])
+
+
+def _commuting_tables(dim, m, seed):
+    """A piece of pairs, then m - 1 diagonal pieces, each pair's two ends
+    holding one value in one of them: every piece commutes with every
+    other, through products that are nonzero and cancel exactly."""
+    pairs = random_one_sparse_table(dim, seed=seed, diag_prob=0.0,
+                                    empty_prob=0.0)
+    h = np.random.default_rng(seed).normal(size=pairs.pair_lo.size)
+    return [pairs] + [
+        OneSparseTable(dim, np.r_[pairs.pair_lo[g::m - 1],
+                                  pairs.pair_hi[g::m - 1]],
+                       np.r_[h[g::m - 1], h[g::m - 1]], [], [], [])
+        for g in range(m - 1)]
 
 
 def test_nested_commutator_row_sums_bound_dense_norms():
@@ -655,12 +687,11 @@ def test_commutator_bound_is_sound_on_pieces():
 
 def test_commuting_pieces_have_zero_alpha():
     dim = 10
-    diagonal = [random_one_sparse_table(dim, seed=s, diag_prob=1.0,
-                                        empty_prob=0.2) for s in range(4)]
+    commuting = _commuting_tables(dim, 4, 4)
     disjoint = [OneSparseTable(dim, [5 * i], [0.5 + i], [5 * i + 1],
                                [5 * i + 4], [0.3 - 0.7j]) for i in range(2)]
-    for tables in ([random_one_sparse_table(dim, seed=1)], diagonal,
-                   disjoint):
+    for tables in ([random_one_sparse_table(dim, seed=1)], commuting,
+                   commuting[::-1], disjoint):
         norms = nested_commutator_norms(tables)
         assert np.array_equal(norms, np.zeros((len(tables), 2)))
         alpha = suzuki.commutator_alpha(norms)
@@ -740,11 +771,9 @@ def per_suffix_norms(tables):
 
 
 def test_nested_commutator_norms_match_the_per_suffix_reference():
-    """On coloring pieces in label and largest-first order, on overlapping
-    random pieces (where several pieces hold one entry and the suffix sums
-    them last piece first), on empty pieces, a zero diagonal, dimension 1
-    and suffixes where a piece cancels another, and on commuting
-    diagonals."""
+    """On coloring pieces in label and largest-first order, on random
+    pieces that partition their sum, on empty pieces, a zero diagonal
+    under another piece's entry, dimension 1, and on commuting pieces."""
     cases = []
     for n, d, seed in itertools.product(range(4, 10), (2, 3, 4), (1, 2, 3)):
         tables = [tb for tb in coloring.piece_tables(
@@ -753,9 +782,7 @@ def test_nested_commutator_norms_match_the_per_suffix_reference():
     rng = np.random.default_rng(20)
     for case in range(100):
         dim, m = int(rng.integers(2, 34)), int(rng.integers(2, 7))
-        cases.append([random_one_sparse_table(dim, seed=1000 * case + i,
-                                              norm_target=1.0)
-                      for i in range(m)])
+        cases.append(_random_tables(dim, m, 1000 * case))
     empty = OneSparseTable(5, [], [], [], [], [])
     cases += [
         [empty, empty], [empty, random_one_sparse_table(5, seed=1)],
@@ -764,27 +791,44 @@ def test_nested_commutator_norms_match_the_per_suffix_reference():
         [OneSparseTable(5, [0, 2], [0.0, 1.0], [3], [4], [1 - 1j]),
          random_one_sparse_table(5, seed=3)],
         [OneSparseTable(1, [0], [0.5], [], [], []),
-         OneSparseTable(1, [0], [-0.25], [], [], [])],
+         OneSparseTable(1, [0], [0.0], [], [], [])],
     ]
-    # a piece after its negation: every suffix holding both sums their
-    # entries to 0 and so lacks them
-    for case in range(20):
-        tables = [random_one_sparse_table(7, seed=500 + 10 * case + i,
-                                          diag_prob=0.2, empty_prob=0.0)
-                  for i in range(6)]
-        t = tables[3]
-        cases.append(tables[:3] + [OneSparseTable(
-            7, t.diag_idx, -t.diag_h, t.pair_lo, t.pair_hi, -t.pair_amp)]
-            + tables[3:])
     for tables in cases:
         np.testing.assert_allclose(nested_commutator_norms(tables),
                                    per_suffix_norms(tables),
                                    rtol=1e-12, atol=1e-13)
-    diagonal = [random_one_sparse_table(10, seed=s, diag_prob=1.0,
-                                        empty_prob=0.2) for s in range(4)]
-    for norms in (nested_commutator_norms(diagonal),
-                  per_suffix_norms(diagonal)):
-        assert np.array_equal(norms, np.zeros((4, 2)))
+    commuting = _commuting_tables(10, 4, 5)
+    for tables in (commuting, commuting[::-1]):
+        for norms in (nested_commutator_norms(tables),
+                      per_suffix_norms(tables)):
+            assert np.array_equal(norms, np.zeros((4, 2)))
+
+
+def test_nested_commutator_norms_refuse_overlapping_pieces():
+    """Pieces that do not partition H are refused, naming the first entry
+    that two of them hold, before the padded copy of H is built: two
+    diagonals on one index, a piece followed by its own negation, and two
+    random pieces that share an entry."""
+    dim = 1 << 16
+    twice = [OneSparseTable(dim, [7], [1.0], [], [], []),
+             OneSparseTable(dim, [7], [-2.0], [], [], [])]
+    t = random_one_sparse_table(7, seed=3, empty_prob=0.0)
+    negated = [t, OneSparseTable(7, t.diag_idx, -t.diag_h, t.pair_lo,
+                                 t.pair_hi, -t.pair_amp)]
+    shared = [random_one_sparse_table(12, seed=s) for s in (1, 2)]
+    for tables in (twice, negated, shared):
+        a, b = (set(zip(*(x.tolist() for x in tb.entries()[:2])))
+                for tb in tables)
+        message = f"two pieces hold entry {min(a & b)}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(PlanError, match=re.escape(message)):
+                nested_commutator_norms(tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the padded copy of twice's H would take 28 * 2^16 bytes
+        assert peak < 1 << 16
 
 
 def _traced_peak(f, *args):
@@ -802,8 +846,8 @@ def test_nested_commutator_norms_memory(monkeypatch):
     bytes allow, a bound below the per-suffix reference's own peak.
 
     The bound, term by term:
-    - the padded copy of H: 48 bytes a slot (column 8, piece value 16, run
-      value 16, piece and previous piece 4 + 4), dim x width slots;
+    - the padded copy of H: 28 bytes a slot (column 8, value 16, piece 4),
+      dim x width slots;
     - set-up: at most ten arrays of one entry of H each, of at most 16
       bytes an entry, where the tables hold 16 bytes an entry: ten times
       the tables' bytes;
@@ -825,7 +869,7 @@ def test_nested_commutator_norms_memory(monkeypatch):
                             minlength=dim).max())
     budget = 1 << 17
     monkeypatch.setattr(one_sparse, "_BLOCK_BYTES", budget)
-    bound = 48 * dim * width + (10 + 4 * width) * entry_bytes + 4 * budget
+    bound = 28 * dim * width + (10 + 4 * width) * entry_bytes + 4 * budget
     norms, peak = _traced_peak(nested_commutator_norms, tables)
     want, reference_peak = _traced_peak(per_suffix_norms, tables)
     np.testing.assert_allclose(norms, want, rtol=1e-12, atol=1e-13)

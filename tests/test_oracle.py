@@ -195,6 +195,10 @@ def test_entry_list_validation():
         EntryList(2, 2, ((0, 1, 1.0), (0, 1, 1.0)))  # duplicate pair
     with pytest.raises(OracleError):
         EntryList(2, 2, ((0, 0, 1.0j),))         # imaginary diagonal
+    with pytest.raises(OracleError, match="must be real"):
+        # |v - conj(v)| = 1.6e-12, past the tolerance entries_from_slots
+        # measures a read's pairs against
+        EntryList(2, 2, ((0, 0, 1 + 8e-13j),))
     with pytest.raises(OracleError):
         EntryList(2, 2, ((0, 1, 0.0),))          # explicit zero
     with pytest.raises(OracleError):
@@ -212,6 +216,8 @@ def test_non_hermitian_pair_rejected():
         oracle.from_columns(1, 1, {0: [(1, 1.0 + 0j)], 1: [(0, 1.0 + 0.5j)]})
     with pytest.raises(OracleError):
         oracle.from_columns(1, 1, {0: [(1, 1.0 + 0j)]})  # missing mirror
+    with pytest.raises(OracleError, match="must be real"):
+        oracle.from_columns(1, 1, {0: [(0, 1 + 8e-13j)]})  # its own mirror
 
 
 def test_text_round_trip_is_exact():
