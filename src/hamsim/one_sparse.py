@@ -304,11 +304,10 @@ def evolve_table(table: OneSparseTable, t: float, psi: np.ndarray) -> np.ndarray
     return apply_product_formula(packed, build_plan(1, 1), t, 1, psi)
 
 
-# Working memory of nested_commutator_norms: one pass over a block of
-# pieces or of outer-product rows takes at most _BLOCK_BYTES // _TERM_BYTES
-# terms, _TERM_BYTES being a generous count of what a term takes across its
-# index, column, value and sort arrays; a block's row tables take at most
-# _BLOCK_BYTES.
+# Working memory of nested_commutator_norms: one pass over a run of rows
+# takes at most _BLOCK_BYTES // _TERM_BYTES three-step walks, unless one
+# row has more, _TERM_BYTES being a generous count of what a walk's terms
+# take across their index, column, value and sort arrays.
 _BLOCK_BYTES = 1 << 21
 _TERM_BYTES = 128
 
@@ -332,12 +331,6 @@ def _runs(size: np.ndarray):
         k1 = max(int(np.searchsorted(ends, most, "right")), k0 + 1)
         yield slice(k0, k1)
         k0 = k1
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """np.unique, by a sort rather than its hash table, faster here."""
-    keys = np.sort(keys)
-    return keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
 
 
 class _Terms:
@@ -381,25 +374,26 @@ class _Terms:
         return (head >> col_bits, head & ((1 << col_bits) - 1),
                 np.add.reduceat(vals, start))
 
-    def row_sums(self, rows: int, dim: int) -> np.ndarray:
-        """For each row, the sum of |entry| in column order, added one by
-        one as numerics.max_row_sum adds them."""
+    def row_sums(self, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row that has terms, and the sum of |entry| along it in
+        column order, added one by one as numerics.max_row_sum adds them."""
         row, _, sums = self.sums(rows, dim)
-        return np.bincount(row, weights=np.abs(sums), minlength=rows)
+        first = np.diff(row, prepend=-1) != 0
+        return row[first], np.bincount(np.cumsum(first) - 1,
+                                       weights=np.abs(sums))
 
 
-class _Suffixes:
-    """Every suffix S_g = H_{g+1} + ... + H_{m-1} of pieces that partition
-    H, and each piece H_g, read from one padded copy of H's rows.
+class _Walks:
+    """H's entries sorted by row, then column, each with its value and the
+    piece that holds it, and the walks along them.
 
-    Row x holds one slot per entry (x, col) of H, in column order, with
-    the entry's value and the piece that holds it.  Each entry is in one
-    piece, so S_g[x, col] is that value for g < piece, and a row of S_g is
-    the row's slots with g < piece, already in column order.
+    A step along an entry of piece l is a step of H_g for g = l and of the
+    suffix S_g = H_{g+1} + ... + H_{m-1} for g < l: each entry is in one
+    piece, so a walk's pieces say which products it is a term of.
     """
 
     def __init__(self, tables: list[OneSparseTable]):
-        m = len(tables)
+        self.m = m = len(tables)
         self.dim = dim = tables[0].dim
         coo = [t.entries() for t in tables]
         piece = np.repeat(np.arange(m, dtype=np.int32),
@@ -409,178 +403,54 @@ class _Suffixes:
         # sorted by row, then column, a zero value being no entry
         order = np.flatnonzero(vals != 0)
         order = order[np.argsort(rows[order] * dim + cols[order])]
-        rows, cols, vals, piece = rows[order], cols[order], vals[order], piece[order]
-        del order
-        shared = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+        rows, self.col, self.val, self.piece = (
+            rows[order], cols[order], vals[order], piece[order])
+        del order, cols, vals, piece
+        shared = np.flatnonzero((rows[1:] == rows[:-1])
+                                & (self.col[1:] == self.col[:-1]))
         if shared.size:
-            x, y = rows[shared[0]], cols[shared[0]]
+            x, y = rows[shared[0]], self.col[shared[0]]
             raise PlanError(f"two pieces hold entry ({x}, {y}): "
                             f"the pieces must partition H")
+        self.ptr = np.zeros(dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=dim), out=self.ptr[1:])
+        # the rows that hold an entry, and the three-step walks from each
+        length = np.diff(self.ptr)
+        two = np.bincount(rows, weights=length[self.col], minlength=dim)
+        three = np.bincount(rows, weights=two[self.col], minlength=dim)
+        self.rows = np.flatnonzero(length)
+        self.three = three[self.rows].astype(np.int64)
 
-        counts = np.bincount(rows, minlength=dim)
-        self.width = width = max(int(counts.max(initial=0)), 1)
-        slot = (rows * width + np.arange(rows.size)
-                - (np.cumsum(counts) - counts)[rows])
-        # rows padded out to a power of two, so that a row's key in a
-        # block splits into piece and row by shift and mask
-        self.shift = (dim - 1).bit_length()
-        self.mask = (1 << self.shift) - 1
-        padded = (self.mask + 1, width)
-        self.col = np.zeros(padded, dtype=np.int64)
-        self.val = np.zeros(padded, dtype=np.complex128)
-        self.piece = np.full(padded, -1, dtype=np.int32)
-        for name, data in (("col", cols), ("val", vals), ("piece", piece)):
-            getattr(self, name).reshape(-1)[slot] = data
-        by_piece = np.argsort(piece, kind="stable")
-        self.by_piece = slot[by_piece]
-        self.piece_ptr = np.searchsorted(piece[by_piece], np.arange(m + 1))
+    def steps(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of rows x, in row then column order, and the
+        position in x of each one's row."""
+        return _expand(self.ptr[x], self.ptr[x + 1] - self.ptr[x])
 
-    def blocks(self):
-        """Runs of consecutive pieces g < m - 1 small enough for one block:
-        row tables of at most _BLOCK_BYTES, and inner commutators of at
-        most _BLOCK_BYTES, at 24 bytes an entry and at most 2 width
-        entries per entry of H_g (one for each side and slot of S_g).  A
-        piece too large for that is a block of its own."""
-        cap = max(_BLOCK_BYTES // (24 * 2 * self.width), 1)
-        most = max(_BLOCK_BYTES // ((32 + 3 * self.width) * (self.mask + 1)),
-                   1)
-        sizes = np.diff(self.piece_ptr)[:-1].tolist()
-        g0, total = 0, 0
-        for g, size in enumerate(sizes):
-            if g > g0 and (total + size > cap or g - g0 == most):
-                yield _Block(self, g0, g)
-                g0, total = g, 0
-            total += size
-        if sizes:
-            yield _Block(self, g0, len(sizes))
+    def inner(self, src: np.ndarray, top: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows of C_g = [S_g, H_g] at rows src, for g <= top[s] at src[s]:
+        the row key s m + g of each entry, then its column and value, sorted
+        by key and column, duplicates summed and zeros dropped.
 
-
-class _Block:
-    """Pieces g0 <= g < g1 of a _Suffixes, with tables over their rows:
-    row (g, x) is keyed (g - g0) << shift | x.  Holds which slots are in
-    S_g, H_g's slot, and the inner commutator C_g = [S_g, H_g] by rows."""
-
-    def __init__(self, h: _Suffixes, g0: int, g1: int):
-        self.h, self.g0 = h, g0
-        table = (g1 - g0) << h.shift
-        gs = np.arange(g0, g1, dtype=np.int32)[:, None, None]
-        self.active = (gs < h.piece).reshape(-1, h.width)
-        self.length = np.zeros(table, dtype=np.int64)
-        for s in range(h.width):
-            self.length += self.active[:, s]
-        slots = h.by_piece[h.piece_ptr[g0]:h.piece_ptr[g1]]
-        keys = ((h.piece.reshape(-1)[slots].astype(np.int64) - g0) << h.shift
-                | slots // h.width)
-        self.own_slot = np.full(table, -1, dtype=np.int64)
-        self.own_slot[keys] = slots
-        i, t = np.nonzero(self.active[keys])
-        keys = _distinct(np.concatenate([keys, self.neighbours(keys[i], t)]))
-        # terms per row: one per slot of S_g, and one per slot of the
-        # partner's row
-        hit, k, _ = self.own(keys)
-        size = self.length[keys]
-        size[hit] += self.length[self.same_piece(keys[hit], k)]
-        rows = [self.inner_rows(keys[run]) for run in _runs(size)] or [
-            self.inner_rows(keys)]
-        counts, self.c_col, self.c_val = (np.concatenate(part)
-                                          for part in zip(*rows))
-        # C's rows: their keys, and where each row's entries start and how
-        # many there are
-        self.c_keys = keys
-        self.c_start = np.zeros(table, dtype=np.int64)
-        self.c_start[keys] = np.cumsum(counts) - counts
-        self.c_len = np.zeros(table, dtype=np.int64)
-        self.c_len[keys] = counts
-
-    def same_piece(self, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The key of row x[i] in the piece of keys[i]."""
-        return keys & ~self.h.mask | x
-
-    def neighbours(self, keys: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The key of the row that slot t of row keys points to."""
-        return self.same_piece(keys, self.h.col[keys & self.h.mask, t])
-
-    def own(self, keys: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """H_g's entry in each row: whether there is one, then the column
-        and value of those there are."""
-        s = self.own_slot[keys]
-        hit = s >= 0
-        s = s[hit]
-        return hit, self.h.col.reshape(-1)[s], self.h.val.reshape(-1)[s]
-
-    def entries(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The entries of C's rows keys, as flat indices, and the position
-        of each one's row in keys."""
-        return _expand(self.c_start[keys], self.c_len[keys])
-
-    def inner_rows(self, keys: np.ndarray):
-        """Rows keys of C = [S_g, H_g]: per-row entry counts, then columns
-        and values, duplicates summed and zeros dropped."""
-        h = self.h
+        A walk x -> j -> c of pieces l1 != l2 is a term of C_g for g =
+        min(l1, l2): +S_g H_g if g is its second piece, -H_g S_g if its
+        first.
+        """
+        m = self.m
+        e1, s = self.steps(src)
+        e2, i = self.steps(self.col[e1])
+        e1, s = e1[i], s[i]
+        l1, l2 = self.piece[e1], self.piece[e2]
+        g = np.minimum(l1, l2)
         terms = _Terms()
-        # S_g H_g: S_g[x, j] H_g[j, c], with S_g[x, j] = conj(S_g[j, x])
-        i, t = np.nonzero(self.active[keys])
-        hit, c, hv = self.own(self.neighbours(keys[i], t))
-        i, t = i[hit], t[hit]
-        terms.add(i, c, h.val[keys[i] & h.mask, t] * hv)
-        # -H_g S_g: -H_g[x, k] S_g[k, y]
-        hit, k, hv = self.own(keys)
-        p = np.flatnonzero(hit)
-        k = self.same_piece(keys[p], k)
-        i, t = np.nonzero(self.active[k])
-        x = k[i] & h.mask
-        terms.add(p[i], h.col[x, t], -hv[i] * h.val[x, t])
-        row, col, val = terms.sums(keys.size, h.dim)
+        for side, negate in ((l2 < l1, False), (l1 < l2, True)):
+            k = np.flatnonzero(side & (g <= top[s]))
+            v1 = self.val[e1[k]]
+            terms.add(s[k] * m + g[k], self.col[e2[k]],
+                      (-v1 if negate else v1) * self.val[e2[k]])
+        row, col, val = terms.sums(src.size * m, self.dim)
         nonzero = val != 0
-        return (np.bincount(row[nonzero], minlength=keys.size),
-                col[nonzero], val[nonzero])
-
-    def outer_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Keys of the rows where [S_g, [S_g, H_g]] or [H_g, [H_g, S_g]]
-        can be nonzero, and at most how many terms each row has."""
-        keys = self.c_keys[self.c_len[self.c_keys] > 0]
-        i, t = np.nonzero(self.active[keys])
-        hit, p, _ = self.own(keys)
-        keys = _distinct(np.concatenate([
-            keys, self.neighbours(keys[i], t), self.same_piece(keys[hit], p)]))
-        # terms per row: S_g C has one per entry of C's rows at the row's
-        # slots, C S_g at most width per entry of C's own row, and [H_g, C]
-        # one per entry of its own and its partner's rows
-        i, t = np.nonzero(self.active[keys])
-        size = np.bincount(i, weights=self.c_len[self.neighbours(keys[i], t)],
-                           minlength=keys.size).astype(np.int64)
-        size += self.c_len[keys] * (self.h.width + 1)
-        hit, p, _ = self.own(keys)
-        size[hit] += self.c_len[self.same_piece(keys[hit], p)]
-        return keys, size
-
-    def outer(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row sums of [S_g, C] and [H_g, C], C = [S_g, H_g], for rows
-        keys; row n + i of the terms is row i of [H_g, C]."""
-        h, n = self.h, keys.size
-        x = keys & h.mask
-        terms = _Terms()
-        # S_g C: S_g[x, j] C[j, c]
-        i, t = np.nonzero(self.active[keys])
-        e, at = self.entries(self.neighbours(keys[i], t))
-        terms.add(i[at], self.c_col[e], h.val[x[i], t][at] * self.c_val[e])
-        # -C S_g: -C[x, k] S_g[k, y]
-        e, p = self.entries(keys)
-        k = self.same_piece(keys[p], self.c_col[e])
-        i, t = np.nonzero(self.active[k])
-        xk = k[i] & h.mask
-        terms.add(p[i], h.col[xk, t], -self.c_val[e][i] * h.val[xk, t])
-        # H_g C: H_g[x, k] C[k, y], with H_g[x, k] = conj(H_g[k, x])
-        hit, own_col, hv = self.own(keys)
-        rows = np.flatnonzero(hit)
-        e2, at = self.entries(self.same_piece(keys[rows], own_col))
-        terms.add(n + rows[at], self.c_col[e2], hv[at] * self.c_val[e2])
-        # -C H_g: -C[x, k] H_g[k, q]
-        hit, q, hk = self.own(k)
-        terms.add(n + p[hit], q, -self.c_val[e][hit] * hk)
-        sums = terms.row_sums(2 * n, h.dim)
-        return sums[:n], sums[n:]
+        return row[nonzero], col[nonzero], val[nonzero]
 
 
 def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
@@ -593,50 +463,82 @@ def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
     bounds its spectral norm.  Duplicate entries are summed before the
     row sums, so commuting pieces give exactly 0.
 
-    The pieces must partition H, as a coloring's pieces do: two pieces
-    holding the same (row, col) raise PlanError, naming the entry, before
-    anything is padded.  A zero value is no entry.  H's entries are laid
-    out once as padded rows, each slot tagged with its piece, and every
-    S_g is read from that one copy by masking on piece: no suffix is
-    re-sorted or re-padded per piece.  Each product's terms are summed by
-    row and column, each sum over its own terms only, in the order they
-    are listed; the norms match those of re-sorting and re-padding S_g
-    for each g to a relative 1e-12.
+    The pieces must act on one dimension and partition H, as a
+    coloring's pieces do: pieces of different dimensions, or two pieces
+    holding the same (row, col), raise PlanError, the latter naming the
+    entry, before H is laid out.  A zero value is no entry.  H's entries
+    are laid out once, sorted by row, each with its piece (_Walks), and
+    every term of the products is a walk along them: row x of C_g =
+    [S_g, H_g] sums the two-step walks from x, and rows of [S_g, C_g]
+    and [H_g, C_g] add one step, x -> a before C_g's row a, or C_g's row
+    x before b -> c.  Walks from x start at x, so the rows are taken in
+    runs, each run's C_g rows recomputed at its rows and their
+    neighbours.  Each (row, col) is summed over its own terms only, in
+    the order they are listed: C_g's terms of S_g H_g before those of
+    H_g S_g, and an outer row's left terms before its right ones.  The
+    norms match those of re-sorting and re-padding S_g for each g to a
+    relative 1e-12.
 
     Cost: with rows of H at most w long (w <= d for a coloring of a
-    d-sparse H), [S_g, H_g] has at most 2w entries per entry of H_g and
-    each outer product O(w^2) terms, so all g together take O(nnz w^2)
-    terms, plus a mask of each piece's rows.  Memory: the padded copy of
-    H, 28 bytes a slot; row tables for one block of pieces, at most
-    _BLOCK_BYTES unless one piece's rows need more; that block's inner
-    commutators; and one pass of terms, at most _BLOCK_BYTES // _TERM_BYTES
-    of them, however large the products are.
+    d-sparse H), an entry starts at most w^2 three-step walks, so all g
+    together take O(nnz w^2) terms.  Memory: the sorted copy of H, 28
+    bytes an entry (column, value, piece) and 8 a row; and one run's
+    walks, at most _BLOCK_BYTES // _TERM_BYTES three-step walks unless one
+    row has more, however large the products are.
     """
     norms = np.zeros((len(tables), 2))
     if len(tables) < 2:
         return norms
-    h = _Suffixes(tables)
-    for block in h.blocks():
-        keys, size = block.outer_rows()
-        for run in _runs(size):
-            g = block.g0 + (keys[run] >> h.shift)
-            for col, sums in enumerate(block.outer(keys[run])):
-                np.maximum.at(norms[:, col], g, sums)
-        del block  # before the next one is built
+    if any(t.dim != tables[0].dim for t in tables):
+        raise PlanError("pieces act on different dimensions")
+    h = _Walks(tables)
+    m = h.m
+    for run in _runs(h.three):
+        x = h.rows[run]
+        # the steps x -> a, and C_g's rows at x for every g and at each a
+        # for g up to the step's piece
+        e, at = h.steps(x)
+        src = np.concatenate([x, h.col[e]])
+        c_row, c_col, c_val = h.inner(
+            src, np.concatenate([np.full(x.size, m), h.piece[e]]))
+        count = np.bincount(c_row // m, minlength=src.size)
+        c_start = np.cumsum(count) - count
+        # outer row key (i m + g) 2 + side: row x[i] of [S_g, C_g] at side
+        # 0, of [H_g, C_g] at side 1, a step of piece g being one of H_g
+        terms = _Terms()
+        # left: the step x -> a times C_g's row a
+        f, k = _expand(c_start[x.size:], count[x.size:])
+        g = c_row[f] % m
+        terms.add((at[k] * m + g) * 2 + (g == h.piece[e[k]]), c_col[f],
+                  h.val[e[k]] * c_val[f])
+        # right: C_g's row x times the step b -> c, negated
+        f, i = _expand(c_start[:x.size], count[:x.size])
+        e, j = h.steps(c_col[f])
+        f, i, l = f[j], i[j], h.piece[e]
+        g = c_row[f] % m
+        k = np.flatnonzero(l >= g)
+        f, i, e, g = f[k], i[k], e[k], g[k]
+        terms.add((i * m + g) * 2 + (l[k] == g), h.col[e],
+                  -c_val[f] * h.val[e])
+        rows, sums = terms.row_sums(2 * x.size * m, h.dim)
+        np.maximum.at(norms.reshape(-1), rows % (2 * m), sums)
     return norms
 
 
 def precision_bits(tau: float, d: int, k: int, eps: float) -> int:
     """Phase grid resolution: the smallest bit count n' with
     2^{-n'} < 2^{-5} eps / (tau d^2 5^k), clamped to [1, 62]."""
-    if d < 1 or k < 1:
+    if not all(is_integer(a, numbers.Integral) and a >= 1 for a in (d, k)):
         raise PlanError(f"bad arguments d={d} k={k}")
-    if not tau >= 0 or not eps > 0:
+    if not (math.isfinite(tau) and tau >= 0
+            and math.isfinite(eps) and eps > 0):
         raise PlanError(f"bad arguments tau={tau} eps={eps}")
-    if tau == 0:
-        return 1
-    v = 5.0 + math.log2(tau * d * d * 5.0 ** k / eps)
-    return min(62, max(1, math.floor(v) + 1))
+    try:
+        v = tau * d * d * 5.0 ** k / eps
+        bits = math.floor(5.0 + math.log2(v)) + 1 if v > 0 else 1
+    except OverflowError:  # past float range: clamped
+        bits = 62
+    return min(62, max(1, bits))
 
 
 def check_bits(bits: int) -> None:

@@ -359,10 +359,22 @@ def commutator_alpha(norms) -> float:
     runs.  A large term placed late sits in the suffix sum of every term
     before it; `simulate` puts the largest pieces outermost.
     """
-    norms = np.asarray(norms, dtype=np.float64).reshape(-1, 2)
+    try:
+        norms = np.asarray(norms, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise PlanError(
+            "commutator norms must be numbers shaped (m, 2)") from None
+    if norms.ndim != 2 or norms.shape[1] != 2:
+        raise PlanError(
+            f"commutator norms must be shaped (m, 2), got {norms.shape}")
     if not np.all(np.isfinite(norms) & (norms >= 0)):
         raise PlanError("commutator norms must be finite and nonnegative")
     return float(norms[:, 0].sum() / 12.0 + norms[:, 1].sum() / 24.0)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise PlanError(f"alpha must be finite and nonnegative, got {alpha}")
 
 
 def commutator_error_bound(alpha: float, t: float, r: int) -> float:
@@ -372,6 +384,8 @@ def commutator_error_bound(alpha: float, t: float, r: int) -> float:
     errors of r unitary slices add.
     """
     _check_r(r)
+    _check_alpha(alpha)
+    _check_tau_eps(abs(t), 1.0)
     if alpha == 0 or t == 0:
         return 0.0
     step = abs(t) / r
@@ -383,8 +397,7 @@ def choose_r_commutator(alpha: float, t: float, eps: float) -> int:
     """Smallest r with commutator_error_bound(alpha, t, r) <= eps,
     ceil(sqrt(|t|^3 alpha / eps)), at least 1 (past 2^50, close to it)."""
     _check_tau_eps(abs(t), eps)
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise PlanError(f"alpha must be finite and nonnegative, got {alpha}")
+    _check_alpha(alpha)
     if alpha == 0 or t == 0:
         return 1
     try:

@@ -1,6 +1,7 @@
 """1-sparse pieces: table extraction, exact evolution, precision handling."""
 
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -806,9 +807,9 @@ def test_nested_commutator_norms_match_the_per_suffix_reference():
 
 def test_nested_commutator_norms_refuse_overlapping_pieces():
     """Pieces that do not partition H are refused, naming the first entry
-    that two of them hold, before the padded copy of H is built: two
-    diagonals on one index, a piece followed by its own negation, and two
-    random pieces that share an entry."""
+    that two of them hold, before H's rows are laid out: two diagonals on
+    one index, a piece followed by its own negation, and two random pieces
+    that share an entry."""
     dim = 1 << 16
     twice = [OneSparseTable(dim, [7], [1.0], [], [], []),
              OneSparseTable(dim, [7], [-2.0], [], [], [])]
@@ -827,8 +828,31 @@ def test_nested_commutator_norms_refuse_overlapping_pieces():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the padded copy of twice's H would take 28 * 2^16 bytes
+        # the row pointers of twice's H would take 8 * 2^16 bytes
         assert peak < 1 << 16
+
+
+def test_nested_commutator_norms_refuse_pieces_of_different_dimensions():
+    small, large = (random_one_sparse_table(dim, seed=1) for dim in (4, 8))
+    for tables in ([small, large], [large, small]):
+        with pytest.raises(PlanError,
+                           match="pieces act on different dimensions"):
+            nested_commutator_norms(tables)
+
+
+def test_nested_commutator_norms_do_not_depend_on_the_pass_budget(
+        monkeypatch):
+    """Runs of one row each give the norms of the default runs, bit for
+    bit: every row's walks start at that row."""
+    coloring_case = sorted((tb for tb in coloring.piece_tables(
+        oracle.random_sparse(7, 3, seed=2)) if tb.entry_count),
+        key=lambda tb: -tb.entry_count)
+    for tables in (coloring_case, _random_tables(33, 6, 7)):
+        want = nested_commutator_norms(tables)
+        assert want.any()
+        with monkeypatch.context() as patch:
+            patch.setattr(one_sparse, "_BLOCK_BYTES", one_sparse._TERM_BYTES)
+            assert np.array_equal(nested_commutator_norms(tables), want)
 
 
 def _traced_peak(f, *args):
@@ -846,17 +870,17 @@ def test_nested_commutator_norms_memory(monkeypatch):
     bytes allow, a bound below the per-suffix reference's own peak.
 
     The bound, term by term:
-    - the padded copy of H: 28 bytes a slot (column 8, value 16, piece 4),
-      dim x width slots;
+    - the row-sorted copy of H: 28 bytes an entry (column 8, value 16,
+      piece 4), at most dim x width entries;
     - set-up: at most ten arrays of one entry of H each, of at most 16
       bytes an entry, where the tables hold 16 bytes an entry: ten times
       the tables' bytes;
-    - a block's inner commutators and row keys: C_g has at most 2 width
-      entries per entry of H_g (one per side and slot of S_g), at 24
-      bytes each, and its rows and the outer rows take at most 2 width
-      keys of 8 bytes per entry: 4 width times the tables' bytes;
-    - the block's row tables and one pass of terms: one budget each, and
-      as much again for temporaries.
+    - the row arrays: row pointers, lengths and walk counts, at most five
+      arrays of 8 bytes a row; every row here holds an entry, which the
+      tables keep in 16 bytes, so they fit in 4 width times the tables'
+      bytes;
+    - one run of rows: its C_g rows and its outer terms, one budget each,
+      and as much again for temporaries.
     """
     tables = sorted((tb for tb in coloring.piece_tables(
         oracle.random_sparse(11, 4, seed=1)) if tb.entry_count),
@@ -905,6 +929,13 @@ def test_precision_bits_clamps_and_validation():
         precision_bits(1, 2, 1, 0.0)
     with pytest.raises(PlanError):
         precision_bits(-1.0, 2, 1, 0.1)
+    for bad in ((math.inf, 2, 1, 0.1), (math.nan, 2, 1, 0.1),
+                (1, 2.5, 1, 0.1), (1, 2, True, 0.1), (1, 2, 1, math.inf)):
+        with pytest.raises(PlanError):
+            precision_bits(*bad)
+    # past float range, the clamp
+    assert precision_bits(1e308, 2, 1, 0.1) == 62
+    assert precision_bits(1, 2, 500, 0.1) == 62
 
 
 def quantized_pieces(orc, bits, lam):

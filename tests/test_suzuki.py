@@ -400,11 +400,19 @@ def test_commutator_alpha_weights_and_validation():
     assert suzuki.commutator_alpha([[12.0, 0.0], [0.0, 24.0]]) == 2.0
     assert suzuki.commutator_alpha([[24.0, 12.0]]) == 2.5
     assert suzuki.commutator_alpha(np.zeros((0, 2))) == 0.0
-    for bad in ([[1.0, -1.0]], [[float("nan"), 0.0]], [[float("inf"), 0.0]]):
+    for bad in ([[1.0, -1.0]], [[float("nan"), 0.0]], [[float("inf"), 0.0]],
+                [1.0, 2.0, 3.0], [[1, 2, 3], [4, 5, 6]], [[1.0, 2.0], [3.0]]):
         with pytest.raises(PlanError):
             suzuki.commutator_alpha(bad)
     assert suzuki.commutator_error_bound(2.0, -0.5, 2) == 0.0625
     assert suzuki.commutator_error_bound(2.0, 0.0, 1) == 0.0
+    for alpha, t, message in ((float("nan"), 1.0, "alpha"),
+                              (-1.0, 1.0, "alpha"),
+                              (float("inf"), 1.0, "alpha"),
+                              (1.0, float("inf"), "tau"),
+                              (1.0, float("nan"), "tau")):
+        with pytest.raises(PlanError, match=message):
+            suzuki.commutator_error_bound(alpha, t, 3)
 
 
 def test_choose_r_commutator_is_the_smallest_sufficient_count():
