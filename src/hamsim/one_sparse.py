@@ -306,18 +306,12 @@ def evolve_table(table: OneSparseTable, t: float, psi: np.ndarray) -> np.ndarray
 
 # Working memory of nested_commutator_norms: one pass over a run of rows
 # takes at most _BLOCK_BYTES // _TERM_BYTES three-step walks, unless one
-# row has more, _TERM_BYTES being a generous count of what a walk's terms
-# take across their index, column, value and sort arrays.
+# row has more.  A walk keeps three entry indices, a row index and three
+# labels (44 bytes) and up to two terms of a key and a value (24 each);
+# making the terms gathers its three values (48) and index temporaries.
+# Traced at n = 12, d = 4, the peak is 112 bytes a walk, within 128.
 _BLOCK_BYTES = 1 << 21
 _TERM_BYTES = 128
-
-
-def _expand(start: np.ndarray, count: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """start[i] + k for every k < count[i], i ascending, and each one's i."""
-    parent = np.repeat(np.arange(count.size), count)
-    shift = np.repeat(start - np.cumsum(count) + count, count)
-    return np.arange(parent.size) + shift, parent
 
 
 def _runs(size: np.ndarray):
@@ -334,53 +328,50 @@ def _runs(size: np.ndarray):
 
 
 class _Terms:
-    """The terms (row, col, value) of a sparse product, to be summed by
-    (row, col), each sum over its terms in the order they were added, as
-    np.add.reduceat sums.
+    """The terms (row, col, value) of a sparse product, row < rows and tag
+    < tags, to be summed by (row, col) one by one, in the order of their
+    tags, then in the order they were added.
 
-    The sort key packs each term's index below its row and column, so a
-    plain sort of the keys, faster than an argsort, groups the terms by
-    (row, col) in the order they were added and says where each value is.
+    The sort key packs each term's tag and index below its row and column,
+    so a plain sort of the keys, faster than an argsort, puts the terms in
+    that order and says where each value is.
     """
 
-    def __init__(self):
-        self.parts, self.vals, self.n = [], [], 0
+    def __init__(self, rows: int, dim: int, tags: int):
+        self.dim = dim
+        self.col_bits = max(int(dim - 1).bit_length(), 1)
+        self.tag_bits = int(tags - 1).bit_length()
+        self.bits = int(rows - 1).bit_length() + self.col_bits + self.tag_bits
+        self.heads, self.vals = [], []
 
-    def add(self, row: np.ndarray, col: np.ndarray, val: np.ndarray) -> None:
-        self.parts.append((row, col, np.arange(self.n, self.n + row.size)))
+    def add(self, row: np.ndarray, col: np.ndarray, val: np.ndarray,
+            tag=0) -> None:
+        self.heads.append((row << self.col_bits | col) << self.tag_bits | tag)
         self.vals.append(val)
-        self.n += row.size
 
-    def sums(self, rows: int, dim: int
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row, column and sum of each distinct (row, col), sorted; rows
-        bounds the row numbers."""
-        row, col, index = (np.concatenate(part) for part in zip(*self.parts))
-        vals = np.concatenate(self.vals)
-        self.parts = self.vals = None
-        if not row.size:
-            return row, col, vals
-        low = max(int(self.n - 1).bit_length(), 1)
-        col_bits = max(int(dim - 1).bit_length(), 1)
-        if int(rows - 1).bit_length() + col_bits + low > 63:
-            raise PlanError(
-                f"dimension {dim} too large for the commutator norms")
-        key = (row << col_bits | col) << low | index
-        key.sort()
-        head = key >> low
-        start = np.flatnonzero(np.r_[True, head[1:] != head[:-1]])
-        vals = vals[key & ((1 << low) - 1)]
-        head = head[start]
-        return (head >> col_bits, head & ((1 << col_bits) - 1),
-                np.add.reduceat(vals, start))
-
-    def row_sums(self, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row that has terms, and the sum of |entry| along it in
         column order, added one by one as numerics.max_row_sum adds them."""
-        row, _, sums = self.sums(rows, dim)
+        key, vals = np.concatenate(self.heads), np.concatenate(self.vals)
+        self.heads = self.vals = None
+        low = max(int(key.size - 1).bit_length(), 1)
+        if self.bits + low > 63:
+            raise PlanError(
+                f"dimension {self.dim} too large for the commutator norms")
+        key <<= low
+        key |= np.arange(key.size)
+        key.sort()
+        head = key >> (low + self.tag_bits)
+        vals = vals[key & ((1 << low) - 1)]
+        new = np.diff(head, prepend=-1) != 0
+        group = np.cumsum(new) - 1
+        # bincount adds one term at a time, in order; np.add.reduceat's
+        # partial sums of a long run leave a residue where terms cancel
+        sums = np.abs(np.bincount(group, vals.real)
+                      + 1j * np.bincount(group, vals.imag))
+        row = head[new] >> self.col_bits
         first = np.diff(row, prepend=-1) != 0
-        return row[first], np.bincount(np.cumsum(first) - 1,
-                                       weights=np.abs(sums))
+        return row[first], np.bincount(np.cumsum(first) - 1, weights=sums)
 
 
 class _Walks:
@@ -390,32 +381,41 @@ class _Walks:
     A step along an entry of piece l is a step of H_g for g = l and of the
     suffix S_g = H_{g+1} + ... + H_{m-1} for g < l: each entry is in one
     piece, so a walk's pieces say which products it is a term of.
+
+    The set-up fills one array each of keys (row dim + col), values and
+    pieces, a table at a time, and sorts them one at a time.
     """
 
     def __init__(self, tables: list[OneSparseTable]):
         self.m = m = len(tables)
         self.dim = dim = tables[0].dim
-        coo = [t.entries() for t in tables]
-        piece = np.repeat(np.arange(m, dtype=np.int32),
-                          [c[0].size for c in coo])
-        rows, cols, vals = (np.concatenate(part) for part in zip(*coo))
-        del coo
-        # sorted by row, then column, a zero value being no entry
-        order = np.flatnonzero(vals != 0)
-        order = order[np.argsort(rows[order] * dim + cols[order])]
-        rows, self.col, self.val, self.piece = (
-            rows[order], cols[order], vals[order], piece[order])
-        del order, cols, vals, piece
-        shared = np.flatnonzero((rows[1:] == rows[:-1])
-                                & (self.col[1:] == self.col[:-1]))
+        # a zero value is no entry; pairs are validated nonzero
+        size = [np.count_nonzero(t.diag_h) + 2 * t.pair_lo.size
+                for t in tables]
+        key = np.empty(sum(size), dtype=np.int64)
+        self.val = np.empty(key.size, dtype=np.complex128)
+        self.piece = np.repeat(np.arange(m, dtype=np.int32), size)
+        for t, end, n in zip(tables, np.cumsum(size), size):
+            rows, cols, vals = t.entries()
+            kept = vals != 0
+            key[end - n:end] = rows[kept] * dim + cols[kept]
+            self.val[end - n:end] = vals[kept]
+        order = np.argsort(key)
+        key = key[order]
+        self.val = self.val[order]
+        self.piece = self.piece[order]
+        del order
+        shared = np.flatnonzero(key[1:] == key[:-1])
         if shared.size:
-            x, y = rows[shared[0]], self.col[shared[0]]
+            x, y = divmod(int(key[shared[0]]), dim)
             raise PlanError(f"two pieces hold entry ({x}, {y}): "
                             f"the pieces must partition H")
+        rows, self.col = np.divmod(key, dim)
+        del key
         self.ptr = np.zeros(dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=dim), out=self.ptr[1:])
         # the rows that hold an entry, and the three-step walks from each
-        length = np.diff(self.ptr)
+        length = np.diff(self.ptr).astype(np.float64)
         two = np.bincount(rows, weights=length[self.col], minlength=dim)
         three = np.bincount(rows, weights=two[self.col], minlength=dim)
         self.rows = np.flatnonzero(length)
@@ -424,33 +424,18 @@ class _Walks:
     def steps(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The entries of rows x, in row then column order, and the
         position in x of each one's row."""
-        return _expand(self.ptr[x], self.ptr[x + 1] - self.ptr[x])
+        start, count = self.ptr[x], self.ptr[x + 1] - self.ptr[x]
+        at = np.repeat(np.arange(x.size), count)
+        shift = np.repeat(start - np.cumsum(count) + count, count)
+        return np.arange(at.size) + shift, at
 
-    def inner(self, src: np.ndarray, top: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows of C_g = [S_g, H_g] at rows src, for g <= top[s] at src[s]:
-        the row key s m + g of each entry, then its column and value, sorted
-        by key and column, duplicates summed and zeros dropped.
 
-        A walk x -> j -> c of pieces l1 != l2 is a term of C_g for g =
-        min(l1, l2): +S_g H_g if g is its second piece, -H_g S_g if its
-        first.
-        """
-        m = self.m
-        e1, s = self.steps(src)
-        e2, i = self.steps(self.col[e1])
-        e1, s = e1[i], s[i]
-        l1, l2 = self.piece[e1], self.piece[e2]
-        g = np.minimum(l1, l2)
-        terms = _Terms()
-        for side, negate in ((l2 < l1, False), (l1 < l2, True)):
-            k = np.flatnonzero(side & (g <= top[s]))
-            v1 = self.val[e1[k]]
-            terms.add(s[k] * m + g[k], self.col[e2[k]],
-                      (-v1 if negate else v1) * self.val[e2[k]])
-        row, col, val = terms.sums(src.size * m, self.dim)
-        nonzero = val != 0
-        return row[nonzero], col[nonzero], val[nonzero]
+def _pair(val: np.ndarray, e: np.ndarray, f: np.ndarray,
+          first: np.ndarray) -> np.ndarray:
+    """C_g's terms of the steps e then f: H_g's value times S_g's, e being
+    the step of H_g where first holds, and there negated (-H_g S_g)."""
+    out = val[np.where(first, e, f)] * val[np.where(first, f, e)]
+    return np.negative(out, out=out, where=first)
 
 
 def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
@@ -461,23 +446,27 @@ def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
     after g (see suzuki.commutator_alpha).  A nested commutator of
     Hermitian matrices is Hermitian, so its largest absolute row sum
     bounds its spectral norm.  Duplicate entries are summed before the
-    row sums, so commuting pieces give exactly 0.
+    row sums, so commuting pieces give 0, exactly where the two products
+    of each entry of C_g below come out equal.
 
     The pieces must act on one dimension and partition H, as a
     coloring's pieces do: pieces of different dimensions, or two pieces
     holding the same (row, col), raise PlanError, the latter naming the
     entry, before H is laid out.  A zero value is no entry.  H's entries
     are laid out once, sorted by row, each with its piece (_Walks), and
-    every term of the products is a walk along them: row x of C_g =
-    [S_g, H_g] sums the two-step walks from x, and rows of [S_g, C_g]
-    and [H_g, C_g] add one step, x -> a before C_g's row a, or C_g's row
-    x before b -> c.  Walks from x start at x, so the rows are taken in
-    runs, each run's C_g rows recomputed at its rows and their
-    neighbours.  Each (row, col) is summed over its own terms only, in
-    the order they are listed: C_g's terms of S_g H_g before those of
-    H_g S_g, and an outer row's left terms before its right ones.  The
-    norms match those of re-sorting and re-padding S_g for each g to a
-    relative 1e-12.
+    each term of [X, C_g] = X C_g - C_g X, C_g = [S_g, H_g], X = S_g (side
+    0) or H_g (side 1), is a walk x -> a -> b -> c along them whose pieces
+    l1, l2, l3 say its g, side and sign (a step of piece l is one of S_g
+    for l > g, of H_g for l = g).  Left, X C_g: g = min(l2, l3) if l2 !=
+    l3 and l1 >= g, the value v1 (+-v2 v3), - if l2 = g; side l1 = g.
+    Right, -C_g X: g = min(l1, l2) if l1 != l2 and l3 >= g, the value
+    (-+v1 v2) v3, - if l2 = g; side l3 = g.  C_g's pair is multiplied
+    first, H_g's value times S_g's, and negated exactly.  Each run of
+    rows lists its walks once; each (row, col) sums its left terms in
+    walk order, then its right ones by l3 (which says b), one by one, so
+    the two terms of each entry of C_g are added one after the other and
+    cancel where its two products come out equal.  The norms match those
+    of re-sorting and re-padding S_g for each g to a relative 1e-12.
 
     Cost: with rows of H at most w long (w <= d for a coloring of a
     d-sparse H), an entry starts at most w^2 three-step walks, so all g
@@ -492,35 +481,30 @@ def nested_commutator_norms(tables: list[OneSparseTable]) -> np.ndarray:
     if any(t.dim != tables[0].dim for t in tables):
         raise PlanError("pieces act on different dimensions")
     h = _Walks(tables)
-    m = h.m
+    m, val = h.m, h.val
     for run in _runs(h.three):
-        x = h.rows[run]
-        # the steps x -> a, and C_g's rows at x for every g and at each a
-        # for g up to the step's piece
-        e, at = h.steps(x)
-        src = np.concatenate([x, h.col[e]])
-        c_row, c_col, c_val = h.inner(
-            src, np.concatenate([np.full(x.size, m), h.piece[e]]))
-        count = np.bincount(c_row // m, minlength=src.size)
-        c_start = np.cumsum(count) - count
-        # outer row key (i m + g) 2 + side: row x[i] of [S_g, C_g] at side
-        # 0, of [H_g, C_g] at side 1, a step of piece g being one of H_g
-        terms = _Terms()
-        # left: the step x -> a times C_g's row a
-        f, k = _expand(c_start[x.size:], count[x.size:])
-        g = c_row[f] % m
-        terms.add((at[k] * m + g) * 2 + (g == h.piece[e[k]]), c_col[f],
-                  h.val[e[k]] * c_val[f])
-        # right: C_g's row x times the step b -> c, negated
-        f, i = _expand(c_start[:x.size], count[:x.size])
-        e, j = h.steps(c_col[f])
-        f, i, l = f[j], i[j], h.piece[e]
-        g = c_row[f] % m
-        k = np.flatnonzero(l >= g)
-        f, i, e, g = f[k], i[k], e[k], g[k]
-        terms.add((i * m + g) * 2 + (l[k] == g), h.col[e],
-                  -c_val[f] * h.val[e])
-        rows, sums = terms.row_sums(2 * x.size * m, h.dim)
+        # the walks from the run's rows: entries e1, e2, e3, the row's
+        # position i in the run, and their pieces
+        e1, i = h.steps(h.rows[run])
+        e2, j = h.steps(h.col[e1])
+        e1, i = e1[j], i[j]
+        e3, j = h.steps(h.col[e2])
+        e1, e2, i = e1[j], e2[j], i[j]
+        del j
+        l1, l2, l3 = h.piece[e1], h.piece[e2], h.piece[e3]
+        # outer row key (i m + g) 2 + side, at column c
+        terms = _Terms(2 * (run.stop - run.start) * m, h.dim, m + 1)
+        k = np.flatnonzero((l2 != l3) & (l1 >= np.minimum(l2, l3)))
+        g = np.minimum(l2[k], l3[k])
+        terms.add((i[k] * m + g) * 2 + (l1[k] == g), h.col[e3[k]],
+                  val[e1[k]] * _pair(val, e2[k], e3[k], l2[k] == g))
+        k = np.flatnonzero((l1 != l2) & (l3 >= np.minimum(l1, l2)))
+        g = np.minimum(l1[k], l2[k])
+        terms.add((i[k] * m + g) * 2 + (l3[k] == g), h.col[e3[k]],
+                  -_pair(val, e1[k], e2[k], l1[k] == g) * val[e3[k]],
+                  l3[k] + 1)
+        del e1, e2, e3, i, l1, l2, l3, g, k
+        rows, sums = terms.row_sums()
         np.maximum.at(norms.reshape(-1), rows % (2 * m), sums)
     return norms
 

@@ -221,11 +221,12 @@ def from_columns(n: int, d: int,
         if out:
             cols[x] = out
     # Hermitian pair consistency: presence and conjugate values both ways.
+    lookup = {x: dict(row) for x, row in cols.items()}
     for x, row in cols.items():
         for y, v in row:
             if y == x:
                 continue
-            back = dict(cols.get(y, ()))
+            back = lookup.get(y, {})
             if x not in back:
                 raise OracleError(f"entry ({x}, {y}) has no mirror at row {y}")
             if abs(back[x] - v.conjugate()) > _PAIR_TOL:

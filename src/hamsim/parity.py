@@ -209,8 +209,8 @@ def run_parity(instance: ParityInstance, eps: float,
     bits they consumed; any strategy needs at least N/4 column queries, and
     the run is checked against that floor.
     """
-    if not eps > 0:
-        raise PlanError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise PlanError(f"eps must be a finite positive number, got {eps}")
     if quantize_bits is not None:
         check_bits(quantize_bits)
     N = instance.size

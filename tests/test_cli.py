@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -666,6 +667,17 @@ def test_parity_refuses_a_bad_bit_count_before_reading_a_bit(bits, capsys):
     if type(bits) is int:  # --quantize itself refuses text that is no integer
         assert main(["parity", "--bits", "1011", f"--quantize={bits}"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_parity_refuses_a_bad_eps_before_reading_a_bit(eps, capsys):
+    instance = parity.ParityInstance([1, 0, 1, 1])
+    message = f"eps must be a finite positive number, got {eps}"
+    with pytest.raises(PlanError, match=re.escape(message)):
+        parity.run_parity(instance, eps)
+    assert instance.counter.count == 0
+    assert main(["parity", "--bits", "1011", f"--eps={eps}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def run_module(*args):

@@ -879,8 +879,9 @@ def test_nested_commutator_norms_memory(monkeypatch):
       arrays of 8 bytes a row; every row here holds an entry, which the
       tables keep in 16 bytes, so they fit in 4 width times the tables'
       bytes;
-    - one run of rows: its C_g rows and its outer terms, one budget each,
-      and as much again for temporaries.
+    - one run of rows: its three-step walks and their terms, one budget
+      (traced, about 112 of the 128 bytes a walk it allows), and three
+      budgets more for temporaries.
     """
     tables = sorted((tb for tb in coloring.piece_tables(
         oracle.random_sparse(11, 4, seed=1)) if tb.entry_count),
@@ -898,6 +899,39 @@ def test_nested_commutator_norms_memory(monkeypatch):
     want, reference_peak = _traced_peak(per_suffix_norms, tables)
     np.testing.assert_allclose(norms, want, rtol=1e-12, atol=1e-13)
     assert peak < bound < reference_peak
+
+
+def test_walks_set_up_peak_stays_below_twice_what_it_keeps():
+    """_Walks fills its keys, values and pieces a table at a time and sorts
+    them one array at a time, so at n = 11, d = 4, largest first, its
+    traced peak is below twice the bytes of the arrays it keeps."""
+    tables = sorted((tb for tb in coloring.piece_tables(
+        oracle.random_sparse(11, 4, seed=1)) if tb.entry_count),
+        key=lambda tb: -tb.entry_count)
+    walks, peak = _traced_peak(one_sparse._Walks, tables)
+    kept = sum(a.nbytes for a in vars(walks).values()
+               if isinstance(a, np.ndarray))
+    assert peak < 2 * kept
+
+
+def test_commuting_pieces_of_pairs_give_exact_zeros():
+    """Pieces that each flip one bit, with one complex amplitude each,
+    commute; every entry of each C_g then has two products that agree bit
+    for bit, in every piece order, so the norms are exactly 0."""
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        bits = int(rng.integers(2, 6))
+        dim = 1 << bits
+        tables = []
+        for bit in range(bits):
+            lo = np.array([x for x in range(dim) if not x >> bit & 1])
+            amp = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-3, 3)
+            tables.append(OneSparseTable(dim, [], [], lo, lo | 1 << bit,
+                                         np.full(lo.size, amp)))
+        rng.shuffle(tables)
+        for order in (tables, tables[::-1]):
+            assert np.array_equal(nested_commutator_norms(order),
+                                  np.zeros((bits, 2)))
 
 
 @pytest.mark.parametrize("tau,d,k,eps,want", [
