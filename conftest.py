@@ -1,5 +1,5 @@
-"""The suite runs with no skips: a skipped test, or a module skipped as a
-whole at collection, is reported as a failure."""
+"""The suite, tests/ and bench/ alike, runs with no skips: a skipped test,
+or a module skipped as a whole at collection, is reported as a failure."""
 
 import pytest
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -281,10 +282,12 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     """Decompose, evolve, and account: the whole toolchain as one call.
 
     One counted read of every slot (dim * d base queries) gives the piece
-    tables and the checked entries.  Verification checks the tables against
-    the entries and cold piece lookups; the measured error compares the
-    evolved state with exp(-iHt) psi0 from the entries; norm_bound, the
-    largest absolute row sum, bounds ||H|| and sets the precision grid.
+    tables and the entries.  entries_from_slots checks it once, before any
+    table is built, with or without verify.  Verification checks the
+    tables against the entries and cold piece lookups; the measured error
+    compares the evolved state with exp(-iHt) psi0 from the entries;
+    norm_bound, the largest absolute row sum, bounds ||H|| and sets the
+    precision grid.
     No dense matrix is built at any size.  A non-finite t and an eps that
     is not finite and positive are refused before any query is spent, as
     are a given k or r that is not a positive integer and a quantize bit
@@ -315,8 +318,8 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     base_before = orc.counter.count
     slots = oracle_mod.read_slots(orc, orc.query)
     base_queries = orc.counter.count - base_before
-    tables = coloring.tables_from_slots(orc.n, *slots)
     entries = oracle_mod.entries_from_slots(*slots)
+    tables = coloring.tables_from_slots(orc.n, *slots)
 
     verification = None
     if verify:
@@ -442,6 +445,7 @@ def cmd_decompose(args) -> int:
     orc = _load_oracle(args.input, args.gen)
     labels = coloring.enumerate_labels(orc.d, orc.n)
     slots = oracle_mod.read_slots(orc, orc.query)
+    entries = oracle_mod.entries_from_slots(*slots)
     tables = coloring.tables_from_slots(orc.n, *slots)
     rows = []
     for label, table in zip(labels, tables):
@@ -462,8 +466,7 @@ def cmd_decompose(args) -> int:
         "pieces": rows,
     }
     if not args.no_verify:
-        report = coloring.verify_coloring(
-            orc, tables, oracle_mod.entries_from_slots(*slots))
+        report = coloring.verify_coloring(orc, tables, entries)
         payload["verified"] = report.ok
         payload["lookups_checked"] = report.lookups_checked
         payload["failures"] = list(report.failures)
@@ -499,26 +502,12 @@ def cmd_parity(args) -> int:
     res, notes = _recording(parity_mod.run_parity, instance, args.eps,
                             quantize_bits=quantize_bits)
     payload = {
+        **dataclasses.asdict(res),
         "bits": "".join(str(b) for b in bits),
         "size": instance.size,
         "register_bits": parity_mod.register_bits(instance.size),
-        "parity": res.parity,
         "expected_parity": instance.parity(),
-        "correct": res.correct,
-        "trace_error": res.trace_error,
-        "eps": res.eps,
         "error_ok": res.trace_error <= args.eps,
-        "r": res.r,
-        "r_rule": res.r_rule,
-        "r_paper": res.r_paper,
-        "r_sharp": res.r_sharp,
-        "error_bound": res.error_bound,
-        "bound_slack": res.bound_slack,
-        "n_exp": res.n_exp,
-        "bit_queries": res.bit_queries,
-        "h_queries": res.h_queries,
-        "lower_bound_ok": res.lower_bound_ok,
-        "quantize_bits": res.quantize_bits,
         "backend": _kernels.BACKEND,
         "warnings": notes,
     }

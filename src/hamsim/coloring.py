@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ColoringError, OracleError, dense_cap
-from .one_sparse import _HERM_TOL, OneSparseTable
-from .oracle import QueryCounter, SparseOracle, read_entries, read_slots
+from .config import ColoringError, dense_cap
+from .one_sparse import OneSparseTable
+from .oracle import (QueryCounter, SparseOracle, entries_from_slots,
+                     read_entries, read_slots)
 
 # The complete value set after the final round whenever z_n >= 1: one bit
 # plus a two-bit position that never reaches 3.
@@ -353,8 +354,11 @@ def _chain_tags(lo: np.ndarray, up: np.ndarray, asc: np.ndarray, n: int,
 
 def piece_tables(oracle: SparseOracle) -> list[OneSparseTable]:
     """tables_from_slots of one counted read of every (x, i) slot, dim * d
-    base queries in all."""
-    return tables_from_slots(oracle.n, *read_slots(oracle, oracle.query))
+    base queries in all, checked by entries_from_slots before any table is
+    built."""
+    slots = read_slots(oracle, oracle.query)
+    entries_from_slots(*slots)
+    return tables_from_slots(oracle.n, *slots)
 
 
 def tables_from_slots(n: int, nbr: np.ndarray,
@@ -365,9 +369,10 @@ def tables_from_slots(n: int, nbr: np.ndarray,
     is what extract_table would scan through colored_query: the diagonal
     of x in piece (i, i, zeros) when slot i of x is x itself, and an
     ascending (i, j)-edge (x, y) in piece (i, j, upsilon(x, i, j)), stored
-    as (x, y, H[x, y]) in ascending x.  Empty pieces are included.  A
-    diagonal must be real and the two slots of an edge must hold conjugate
-    values, within extract_table's tolerance and with its messages.
+    as (x, y, H[x, y]) in ascending x.  Empty pieces are included.  The
+    read must have passed entries_from_slots, which is not repeated here:
+    padding last, no duplicate neighbors or explicit zeros, finite values,
+    real diagonals and Hermitian pairs.
     """
     dim, d = nbr.shape
     z = iterate_count(n)
@@ -378,25 +383,12 @@ def tables_from_slots(n: int, nbr: np.ndarray,
         up = nbr[:, i]
         diag = np.flatnonzero((up == xs) & (val[:, i] != 0))
         diag_v = val[diag, i]
-        bad = np.abs(diag_v.imag) > _HERM_TOL * np.maximum(1.0, np.abs(diag_v))
-        if bad.any():
-            at = int(np.flatnonzero(bad)[0])
-            raise OracleError(f"diagonal entry at {diag[at]} is not real: "
-                              f"{complex(diag_v[at])}")
         for j in range(d):
             asc = (up > xs) & (nbr[up, j] == xs)
             lo = np.flatnonzero(asc)
             hi = up[lo]
-            amp, back = val[lo, i], val[hi, j]
-            bad = (np.abs(back - amp.conj())
-                   > _HERM_TOL * np.maximum(1.0, np.abs(amp)))
-            if bad.any():
-                at = int(np.flatnonzero(bad)[0])
-                raise OracleError(
-                    f"non-Hermitian pair ({lo[at]}, {hi[at]}): "
-                    f"{complex(amp[at])} vs {complex(back[at])}")
+            amp = val[lo, i]
             tags = _chain_tags(lo, up, asc, n, z)
-            tags[amp == 0] = -1        # extract_table skips zero values
             for nu in final_alphabet(n):
                 on = tags == int(nu, 2)
                 diag_idx, diag_h = no_diag

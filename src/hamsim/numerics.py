@@ -219,9 +219,14 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def random_hermitian(dim: int, rng: np.random.Generator,
                      norm: float | None = None) -> np.ndarray:
-    """Random dense Hermitian matrix, optionally rescaled to a spectral norm."""
+    """Random dense Hermitian matrix, optionally rescaled to a spectral norm.
+
+    A dim above the dense cap is refused before anything is drawn."""
     if norm is not None and not (norm > 0 and np.isfinite(norm)):
         raise NumericsError(f"norm target must be finite and positive, got {norm}")
+    cap = dense_cap()
+    if dim > cap:
+        raise NumericsError(f"matrix dimension {dim} exceeds dense cap {cap}")
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     H = 0.5 * (G + G.conj().T)
     if norm is not None:

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .config import OracleError, PlanError
+from .config import TOL, OracleError, PlanError
 from .numerics import require_state
 from .suzuki import ProductFormulaPlan, build_plan, is_integer
-
-_HERM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def extract_table(piece) -> OneSparseTable:
         if v == 0:
             continue
         if y == x:
-            if abs(v.imag) > _HERM_TOL * max(1.0, abs(v)):
+            if abs(v.imag) > TOL.hermiticity * max(1.0, abs(v)):
                 raise OracleError(f"diagonal entry at {x} is not real: {v}")
             diag_idx.append(x)
             diag_h.append(v.real)
@@ -134,7 +132,7 @@ def extract_table(piece) -> OneSparseTable:
         back = complex(back)
         if back == 0 or back_y != x:
             raise OracleError(f"column {y} does not claim its partner {x}")
-        if abs(back - v.conjugate()) > _HERM_TOL * max(1.0, abs(v)):
+        if abs(back - v.conjugate()) > TOL.hermiticity * max(1.0, abs(v)):
             raise OracleError(f"non-Hermitian pair ({x}, {y}): {v} vs {back}")
         seen[y] = True
         pair_lo.append(x)

@@ -10,10 +10,13 @@ the same tally; a thread can also read what it alone has spent.
 Verification bridges (read_entries and the dense and entry-list extractions
 built on it) go through the uncounted peek() so measured query complexity
 reflects the algorithms alone.
-A run that needs both the pieces and the entries reads each slot once
-through query() and checks the entries of that read (entries_from_slots).
-Neither memoises answers: an oracle's function may itself spend counted
-queries (parity's pieces read hidden bits), and each call must spend them.
+A run that needs the pieces reads each slot once through query() and
+checks that read once, with entries_from_slots, before any piece table is
+built from it; the checked entries of the same read serve verification.
+That holds with verification off too (decompose --no-verify).
+Neither query() nor peek() memoises answers: an oracle's function may
+itself spend counted queries (parity's pieces read hidden bits), and each
+call must spend them.
 """
 
 from __future__ import annotations
@@ -26,10 +29,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import OracleError, dense_cap
-
-# tolerance for Hermitian pair consistency of caller-supplied columns
-_PAIR_TOL = 1e-12
+from .config import TOL, OracleError, dense_cap
 
 
 class _Tally(threading.local):
@@ -168,7 +168,7 @@ class EntryList:
                 raise OracleError(f"zero value stored for pair ({x}, {y})")
             if not (np.isfinite(v.real) and np.isfinite(v.imag)):
                 raise OracleError(f"non-finite value for pair ({x}, {y})")
-            if x == y and abs(v - v.conjugate()) > _PAIR_TOL:
+            if x == y and abs(v - v.conjugate()) > TOL.hermiticity:
                 raise OracleError(f"diagonal entry at {x} must be real, got {v}")
 
 
@@ -213,7 +213,7 @@ def from_columns(n: int, d: int,
                 raise OracleError(f"explicit zero entry at ({x}, {y})")
             if not (np.isfinite(v.real) and np.isfinite(v.imag)):
                 raise OracleError(f"non-finite entry at ({x}, {y})")
-            if y == x and abs(v - v.conjugate()) > _PAIR_TOL:
+            if y == x and abs(v - v.conjugate()) > TOL.hermiticity:
                 raise OracleError(f"diagonal entry at {x} must be real, got {v}")
             out.append((y, v))
         if sort:
@@ -229,7 +229,7 @@ def from_columns(n: int, d: int,
             back = lookup.get(y, {})
             if x not in back:
                 raise OracleError(f"entry ({x}, {y}) has no mirror at row {y}")
-            if abs(back[x] - v.conjugate()) > _PAIR_TOL:
+            if abs(back[x] - v.conjugate()) > TOL.hermiticity:
                 raise OracleError(
                     f"non-Hermitian pair ({x}, {y}): {v} vs {back[x]}")
     return SparseOracle(n, d, _columns_fn(cols))
@@ -272,8 +272,10 @@ def entries_from_slots(ys: np.ndarray, vs: np.ndarray
 
     Entries come row by row in slot order, padding dropped.  Checks on the
     way: padding only after the nonzero slots, no duplicate neighbors, no
-    explicit zeros, finite values, and Hermitian pairing within _PAIR_TOL,
-    found by matching the sorted (x, y) keys against the (y, x) keys.
+    explicit zeros, finite values, and Hermitian pairing within
+    TOL.hermiticity, found by matching the sorted (x, y) keys against the
+    (y, x) keys.  It is the one structural check of a read: piece tables
+    are built only from a read that has passed it.
     """
     dim, d = ys.shape
     xs = np.broadcast_to(np.arange(dim, dtype=np.int64)[:, None], (dim, d))
@@ -310,7 +312,7 @@ def entries_from_slots(ys: np.ndarray, vs: np.ndarray
         at = np.searchsorted(sorted_keys, want).clip(max=vals.size - 1)
         mirror = np.where(sorted_keys[at] == want, sorted_vals[at], 0)
         dev = float(np.abs(vals - mirror.conj()).max())
-        if dev > _PAIR_TOL:
+        if dev > TOL.hermiticity:
             raise OracleError(
                 f"oracle is not Hermitian: max deviation {dev:.3e}")
     return rows, cols, vals

@@ -445,16 +445,12 @@ def test_piece_tables_equal_extracted_pieces(n):
                     assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-def test_piece_tables_follow_extract_table_on_malformed_slots():
-    # an edge whose two slots both hold zero is left out, as extract_table
-    # leaves it out; a diagonal that is not real and a pair that is not
-    # Hermitian raise extract_table's own messages
+def test_piece_tables_refuse_malformed_slots_as_read_entries_does():
+    # a diagonal that is not real, a pair that is not Hermitian and an
+    # edge whose two slots both hold zero are refused before any table is
+    # built, with read_entries' own messages
     def zero_fn(x, i):
         return (7 - x, 0j) if i == 1 and x in (2, 5) else (x, 0j)
-
-    orc = oracle.SparseOracle(3, 2, zero_fn)
-    assert not any(t.entry_count for t in coloring.piece_tables(orc))
-    assert not any(extract_table(p).entry_count for p in decompose(orc))
 
     def diag_fn(x, i):
         return (3, 0.5 + 1e-6j) if (x, i) == (3, 1) else (x, 0j)
@@ -464,13 +460,17 @@ def test_piece_tables_follow_extract_table_on_malformed_slots():
             return (7 - x, 1.0 + 0.5j if x == 2 else 1.0 - 0.25j)
         return (x, 0j)
 
-    for fn in (diag_fn, pair_fn):
+    for fn, message in (
+            (zero_fn, "row 2: explicit zero at slot 1"),
+            (diag_fn, "oracle is not Hermitian: max deviation 2.000e-06"),
+            (pair_fn, "oracle is not Hermitian: max deviation 2.500e-01")):
         orc = oracle.SparseOracle(3, 2, fn)
         with pytest.raises(OracleError) as want:
-            [extract_table(p) for p in decompose(orc)]
-        with pytest.raises(OracleError, match="not real|non-Hermitian") as got:
+            oracle.read_entries(orc)
+        assert str(want.value) == message
+        with pytest.raises(OracleError) as got:
             coloring.piece_tables(orc)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == message
 
 
 # ---------------------------------------------------------------------------

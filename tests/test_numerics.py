@@ -165,6 +165,22 @@ def test_random_hermitian_norm_target():
             numerics.random_hermitian(12, rng, norm=bad)
 
 
+def test_random_hermitian_refuses_a_dim_above_the_cap_before_drawing(
+        monkeypatch):
+    want = numerics.random_hermitian(16, np.random.default_rng(4), norm=1.0)
+    monkeypatch.setenv("HAMSIM_DENSE_CAP", "16")
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    for norm in (None, 1.0):
+        with pytest.raises(NumericsError) as exc:
+            numerics.random_hermitian(17, rng, norm=norm)
+        # the message the spectral norm of a drawn matrix would give
+        assert str(exc.value) == "matrix dimension 17 exceeds dense cap 16"
+        assert rng.bit_generator.state == state
+    # a draw at the cap is the draw without one
+    assert np.array_equal(numerics.random_hermitian(16, rng, norm=1.0), want)
+
+
 # the oracles of the reference grid, with a diagonal-only and a zero one
 ACTION_CASES = {
     **{f"random n={n} d={d}": oracle.random_sparse(n, d, seed=10 * n + d)

@@ -368,19 +368,20 @@ def test_read_entries_structural_checks(name):
 @pytest.mark.parametrize("name", sorted(BAD_ORACLES))
 def test_malformed_oracles_fail_simulate_and_decompose_as_they_read(
         name, monkeypatch, capsys):
-    # the tables are checked before the entries, as piece_tables then
-    # read_entries check them
-    rows, _ = BAD_ORACLES[name]
-    with pytest.raises(OracleError) as want:
+    # the read is checked once, as read_entries checks it, before any table
+    # is built from it, with verification on or off
+    rows, message = BAD_ORACLES[name]
+    with pytest.raises(OracleError) as got:
         coloring.piece_tables(raw_oracle(rows))
-        oracle.read_entries(raw_oracle(rows))
+    assert str(got.value) == message
     for verify in (True, False):
         with pytest.raises(OracleError) as got:
             cli.simulate_pipeline(raw_oracle(rows), 1.0, 1e-2, verify=verify)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == message
     monkeypatch.setattr(cli, "_load_oracle", lambda *_: raw_oracle(rows))
-    assert cli.main(["decompose", "--gen", "random:n=2,d=2"]) == 1
-    assert capsys.readouterr().err == f"error: {want.value}\n"
+    for extra in ([], ["--no-verify"]):
+        assert cli.main(["decompose", "--gen", "random:n=2,d=2", *extra]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_read_entries_runs_above_the_dense_cap(monkeypatch):
