@@ -73,8 +73,8 @@ apply_plan takes the full-vector form when its C and B arrays, distinct
 paired steps x dim x 32 B, fit in _FULL_FORM_BYTES (4 MiB), and the layout
 form otherwise, so the choice depends on the input alone.  Of the
 benchmark workloads, parity-ladder (2 steps at 130, the ladder's own
-2(N+1) states, 8 KiB), sim-deep (22 at 256, 176 KiB) and sim-wide (29 at
-512, 464 KiB) run the full-vector form, and kernel-wide (13 steps at
+2(N+1) states, 8 KiB), sim-deep (8 at 256, 64 KiB) and sim-wide (15 at
+512, 240 KiB) run the full-vector form, and kernel-wide (13 steps at
 65,536, 26 MiB) the layout form, with 12.4 MB of cache and five moves.
 There, against gathering and scattering each step's pairs and diagonal
 entries by index, the layout form cut the median solve from 0.317 to

@@ -293,12 +293,21 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     are a given k or r that is not a positive integer and a quantize bit
     count that is not an integer in 1..62.
 
-    The non-empty pieces run in order of entry count, largest first, ties
-    in label order.  The commutator bound holds for any order of the
-    terms, and with the largest pieces outermost their suffix sums S_g
-    are smallest, so alpha and r shrink.  The norms, alpha, quantization,
-    packing and the plan all use this one list, so the bound describes
-    the plan that runs.
+    Verification checks the coloring's pieces; then merge_disjoint merges
+    the non-empty ones that share no state, first fit, largest first, and
+    the merged pieces run in order of entry count, largest first.  Both
+    bounds hold for any split of H into Hermitian terms in any order; a
+    merged piece's norm is its largest constituent's, so tau does not
+    grow while m shrinks, and with the largest pieces outermost their
+    suffix sums S_g are smallest, so alpha and r shrink.  The norms,
+    alpha, tau, the paper's (k, r), quantization, packing and the plan
+    all use this one list, so the bound describes the plan that runs;
+    m_pieces counts it, piece_labels names each piece's constituent
+    labels, and m_pieces_floor, the longest row of H, is the fewest
+    pieces any merge can reach.  A lookup of a merged piece runs its
+    constituents' lookups, so the paper's budget base_query_bound is
+    2(z+2) constituent_lookups, r times the constituents of the plan's
+    steps; unmerged that is 2(z+2) n_exp.
     """
     if not math.isfinite(t):
         raise PlanError(f"evolution time must be finite, got {t}")
@@ -332,9 +341,10 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
             raise ColoringError(
                 "decomposition failed verification: " + "; ".join(report.failures))
 
-    # stable: equal entry counts keep label order
-    tables = sorted((tb for tb in tables if tb.entry_count),
-                    key=lambda tb: -tb.entry_count)
+    labels = coloring.enumerate_labels(orc.d, orc.n)
+    kept = [g for g, tb in enumerate(tables) if tb.entry_count]
+    tables, groups = one_sparse.merge_disjoint([tables[g] for g in kept])
+    piece_labels = [[labels[kept[c]] for c in group] for group in groups]
     m = len(tables)
 
     lam_piece = max((tb.norm for tb in tables), default=0.0)
@@ -361,7 +371,9 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     if quantize_bits is not None and norm_bound > 0:
         tables = [one_sparse.quantize_table(tb, quantize_bits, norm_bound)
                   for tb in tables]
-        tables = [tb for tb in tables if tb.entry_count]
+        kept = [g for g, tb in enumerate(tables) if tb.entry_count]
+        tables = [tables[g] for g in kept]
+        piece_labels = [piece_labels[g] for g in kept]
         m = len(tables)
 
     if state_seed is None:
@@ -371,13 +383,14 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         psi0 = numerics.random_state(dim, rng)
 
     if m == 0:
-        psi, n_exp, plan_length = psi0.copy(), 0, 0
+        psi, n_exp, plan_length, lookups = psi0.copy(), 0, 0, 0
     else:
         # checked before the plan is built, whose length grows as 5^(k-1)
         n_exp = one_sparse.exponential_total(
             r, suzuki.exponential_count(k, m))
         plan = suzuki.build_plan(k, m)
         plan_length = len(plan.steps)
+        lookups = r * sum(len(piece_labels[s.term - 1]) for s in plan.steps)
         psi = one_sparse.apply_product_formula(
             one_sparse.pack_tables(tables), plan, t, r, psi0)
 
@@ -394,13 +407,17 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     measured = numerics.pure_state_distance(psi, exact)
     error_ok = measured <= eps
 
-    base_bound = 2 * (z + 2) * n_exp
+    base_bound = 2 * (z + 2) * lookups
     result = {
         "n": orc.n, "d": orc.d, "dim": dim, "z": z,
         "time": t, "eps": eps, "k": k, "r": r,
         "r_paper": r_paper, "r_commutator": r_commutator, "r_rule": r_rule,
         "commutator_alpha": alpha,
         "m_pieces": m,
+        "m_pieces_floor": int(np.bincount(entries[0], minlength=1).max()),
+        "piece_labels": [[[lb.i, lb.j, lb.nu] for lb in group]
+                         for group in piece_labels],
+        "constituent_lookups": lookups,
         "plan_length": plan_length,
         "n_exp": n_exp,
         "tau": tau,

@@ -6,8 +6,9 @@ e^{-iHt} therefore factors into scalar phases and 2x2 rotations, so each
 piece is evolved exactly, and a full product-formula pass is a sequence of
 such exact sweeps.  The module also covers the finite-precision side: how
 many bits the per-pair phases need, and rounding piece tables onto that
-grid; and it bounds the nested commutators of the pieces, sparsely, for
-the commutator-scaling slice count of suzuki.
+grid; it merges pieces that share no state into fewer, larger ones; and
+it bounds the nested commutators of the pieces, sparsely, for the
+commutator-scaling slice count of suzuki.
 
 Pieces are any objects exposing ``dim`` and ``column(x) -> (y, v)``:
 1-sparse SparseOracles and ColoredOracles both qualify.
@@ -198,6 +199,48 @@ def random_one_sparse_table(dim: int, seed: int | None = None,
                                table.pair_lo, table.pair_hi,
                                table.pair_amp * scale)
     return table
+
+
+def merge_disjoint(tables: list[OneSparseTable]
+                   ) -> tuple[list[OneSparseTable], list[list[int]]]:
+    """Merge pieces that share no state into fewer, larger pieces.
+
+    Two 1-sparse Hermitian pieces whose touched states are disjoint sum to
+    one: the union of two matchings on disjoint vertex sets is a matching.
+    First fit: the pieces are taken largest first by entry count, ties in
+    the order given, and each joins the first merged piece whose touched
+    states it misses, or opens a new one.  A merged piece's norm is the
+    largest of its constituents', and together the merged pieces hold each
+    entry of the pieces once.
+
+    Returns the merged pieces, largest first by entry count, ties in the
+    order of their first constituents, and each one's constituents as
+    indices into tables, in the order they joined.
+    """
+    if any(t.dim != tables[0].dim for t in tables):
+        raise PlanError("pieces act on different dimensions")
+    touched: list[np.ndarray] = []
+    groups: list[list[int]] = []
+    # stable: equal entry counts keep the order given
+    for i in sorted(range(len(tables)), key=lambda i: -tables[i].entry_count):
+        tb = tables[i]
+        states = np.concatenate([tb.diag_idx, tb.pair_lo, tb.pair_hi])
+        for mask, group in zip(touched, groups):
+            if not mask[states].any():
+                break
+        else:
+            mask, group = np.zeros(tb.dim, dtype=bool), []
+            touched.append(mask)
+            groups.append(group)
+        mask[states] = True
+        group.append(i)
+    fields = ("diag_idx", "diag_h", "pair_lo", "pair_hi", "pair_amp")
+    merged = [OneSparseTable(tables[g[0]].dim,
+                             *(np.concatenate([getattr(tables[i], f)
+                                               for i in g]) for f in fields))
+              for g in groups]
+    order = sorted(range(len(merged)), key=lambda g: -merged[g].entry_count)
+    return [merged[g] for g in order], [groups[g] for g in order]
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ query() call with a vertex and slot in range bumps an exact, monotone,
 thread-safe counter before its answer is checked.  The counter keeps one
 tally per thread, so a count takes no lock and no two threads ever write
 the same tally; a thread can also read what it alone has spent.
-Verification bridges (read_entries and the dense and entry-list extractions
-built on it) go through the uncounted peek() so measured query complexity
-reflects the algorithms alone.
+Verification bridges (read_entries and the dense extraction built on it)
+go through the uncounted peek() so measured query complexity reflects the
+algorithms alone.
 A run that needs the pieces reads each slot once through query() and
 checks that read once, with entries_from_slots, before any piece table is
 built from it; the checked entries of the same read serve verification.
@@ -334,29 +334,6 @@ def to_dense(oracle: SparseOracle) -> np.ndarray:
     return H
 
 
-def to_entry_list(oracle: SparseOracle) -> EntryList:
-    """Uncounted extraction to the canonical x <= y entry list."""
-    rows, cols, vals = read_entries(oracle)
-    upper = rows <= cols
-    rows, cols, vals = rows[upper], cols[upper], vals[upper]
-    order = np.lexsort((cols, rows))
-    entries = zip(rows[order].tolist(), cols[order].tolist(),
-                  vals[order].tolist())
-    return EntryList(oracle.n, oracle.d, tuple(entries))
-
-
-def entry_list_to_text(el: EntryList) -> str:
-    """Text form: header line `n d`, then `x y re im` per entry.
-
-    Values are printed with 17 significant digits, which round-trips IEEE
-    doubles exactly.
-    """
-    lines = [f"{el.n} {el.d}"]
-    for x, y, v in el.entries:
-        lines.append(f"{x} {y} {v.real:.17g} {v.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def text_to_entry_list(text: str) -> EntryList:
     """Parse the entry-list format; blank lines and `#` comments are skipped."""
     header: tuple[int, int] | None = None
@@ -384,11 +361,6 @@ def text_to_entry_list(text: str) -> EntryList:
     if header is None:
         raise OracleError("missing `n d` header line")
     return EntryList(header[0], header[1], tuple(entries))
-
-
-def save_entry_list(el: EntryList, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(entry_list_to_text(el))
 
 
 def load_entry_list(path: str) -> EntryList:
@@ -458,20 +430,3 @@ def random_sparse(n: int, d: int, seed: int,
         columns = {x: [(y, v * scale) for y, v in row]
                    for x, row in columns.items()}
     return from_columns(n, d, columns, sort=True)
-
-
-def shuffled_columns(oracle: SparseOracle, seed: int) -> SparseOracle:
-    """Same Hamiltonian, each row's slot order permuted (deterministically).
-
-    Exercises the promise that algorithms must not rely on any particular
-    neighbor order, only on its stability.
-    """
-    if seed < 0:
-        raise OracleError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
-    columns: dict[int, list[tuple[int, complex]]] = {}
-    for x, y, v in zip(*(a.tolist() for a in read_entries(oracle))):
-        columns.setdefault(x, []).append((y, v))
-    columns = {x: [row[j] for j in rng.permutation(len(row))]
-               for x, row in columns.items()}
-    return from_columns(oracle.n, oracle.d, columns, sort=False)

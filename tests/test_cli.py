@@ -19,6 +19,7 @@ from hamsim import cli, coloring, one_sparse, oracle, parity, suzuki
 from hamsim.cli import fit_loglog_slope, main
 from hamsim.config import ColoringError, PlanError
 from hamsim.oracle import EntryList
+from oracle_helpers import save_entry_list, shuffled_columns
 
 
 def run_json(capsys, argv):
@@ -113,8 +114,8 @@ def test_simulate_takes_the_cheaper_slice_rule(capsys):
     assert rc == 0
     assert data["r_rule"] == "commutator" and data["k"] == 1
     assert data["r"] == data["r_commutator"] == 2
-    assert data["r_paper"] == 305  # the paper's k = 1 count at tau = 0.45
-    assert data["n_exp"] == 2 * data["plan_length"] == 18
+    assert data["r_paper"] == 142  # the paper's k = 1 count at tau = 0.45
+    assert data["n_exp"] == 2 * data["plan_length"] == 10
     assert data["restriction_ok"] is False
     assert data["error_bound_paper"] is None
     assert data["error_bound"] == data["error_bound_commutator"]
@@ -126,14 +127,14 @@ def test_simulate_takes_the_cheaper_slice_rule(capsys):
 def test_simulate_slice_rule_overrides(capsys):
     _, data = run_json(capsys, SMALL + ["--k", "2"])
     assert data["r_rule"] == "paper" and data["k"] == 2
-    assert data["r"] == data["r_paper"] == 393
+    assert data["r"] == data["r_paper"] == 208
     assert data["error_bound_commutator"] is None  # k = 1 only
     assert data["error_bound"] == data["error_bound_paper"]
     _, data = run_json(capsys, SMALL + ["--k", "1"])
     assert data["r_rule"] == "commutator" and data["r"] == 2
     _, data = run_json(capsys, SMALL + ["--r", "5"])
     assert data["r_rule"] == "given" and (data["k"], data["r"]) == (1, 5)
-    assert data["r_commutator"] == 2 and data["r_paper"] == 305
+    assert data["r_commutator"] == 2 and data["r_paper"] == 142
     assert data["error_bound"] == data["error_bound_commutator"]
     _, data = run_json(capsys, SMALL + ["--k", "3", "--r", "2"])
     assert data["r_rule"] == "given" and (data["k"], data["r"]) == (3, 2)
@@ -143,28 +144,31 @@ def test_simulate_slice_rule_overrides(capsys):
 
 
 def test_simulate_paper_rule_output_is_unchanged(capsys):
-    """Recorded before the commutator rule existed; --k 2 keeps the paper
-    rule, so every earlier field must come out the same."""
+    """--k 2 keeps the paper rule; recorded on the merged pieces, three
+    where the coloring has five, so every field must come out the same."""
     _, data = run_json(capsys, SMALL + ["--k", "2", "--state-seed", "3"])
-    exact = {"base_queries": 16, "base_query_bound": 96678,
-             "base_queries_ok": True, "k": 2, "m_pieces": 5, "n_exp": 16113,
-             "plan_length": 41, "precision_bits_recommended": 18, "r": 393,
-             "restriction_ok": True, "error_ok": True, "warnings": []}
+    exact = {"base_queries": 16, "base_query_bound": 41184,
+             "base_queries_ok": True, "k": 2, "m_pieces": 3, "n_exp": 4368,
+             "plan_length": 21, "precision_bits_recommended": 18, "r": 208,
+             "restriction_ok": True, "error_ok": True, "warnings": [],
+             "m_pieces_floor": 2, "constituent_lookups": 6864,
+             "piece_labels": [[[1, 1, "000"], [1, 1, "001"], [2, 2, "000"]],
+                              [[2, 1, "000"]], [[2, 2, "001"]]]}
     assert {key: data[key] for key in exact} == exact
-    close = {"error_bound": 0.0012464019796024288,
-             "measured_error": 2.003319683856356e-13,
+    close = {"error_bound": 0.0012351828233573908,
+             "measured_error": 6.44848694025457e-14,
              "tau": 0.4527741887607683, "norm_bound": 1.088729578321261,
              "piece_norm_max": 0.6468202696582405}
     for key, val in close.items():
         assert data[key] == pytest.approx(val, abs=1e-12), key
-    state = [[0.36707464648080795, -0.17799724143910758],
-             [-0.3948622163419989, 0.6835387585015499],
-             [0.024326259593462813, -0.09319331014616215],
-             [-0.14045530751289928, -0.05349957669209645],
-             [-0.04750279269184058, -0.007835475596697847],
-             [-0.24968156629579807, -0.20948080808431527],
-             [-0.1555039186912881, 0.1468171906928717],
-             [-0.14086613382303653, -0.06666405509181127]]
+    state = [[0.36707464648083904, -0.17799724143912074],
+             [-0.39486221634208374, 0.6835387585016498],
+             [0.024326259593454205, -0.09319331014616616],
+             [-0.14045530751288562, -0.053499576692090635],
+             [-0.04750279269183959, -0.007835475596699457],
+             [-0.24968156629584531, -0.20948080808437286],
+             [-0.1555039186913417, 0.1468171906929058],
+             [-0.1408661338230358, -0.06666405509177838]]
     assert np.allclose(data["state"], state, rtol=0, atol=1e-12)
 
 
@@ -192,30 +196,29 @@ def test_simulate_commutator_rule_on_the_n8_instance():
     data = cli.simulate_pipeline(
         oracle.random_sparse(8, 3, seed=1, norm_target=1.0), 1.0, 1e-2,
         verify=False)
-    assert (data["m_pieces"], data["r_paper"], data["r_commutator"]) == (22, 3793, 7)
-    assert data["n_exp"] == 301 and data["base_queries_ok"] is True
-    assert data["commutator_alpha"] == pytest.approx(0.3601068769410045,
+    assert (data["m_pieces"], data["r_paper"], data["r_commutator"]) == (8, 832, 6)
+    assert data["n_exp"] == 90 and data["base_queries_ok"] is True
+    assert data["commutator_alpha"] == pytest.approx(0.272339802264257,
                                                      rel=1e-12)
     assert data["measured_error"] <= data["error_bound"] <= 1e-2
     # and the (9, 4) instance at eps 0.1
     data = cli.simulate_pipeline(
         oracle.random_sparse(9, 4, seed=1, norm_target=1.0), 1.0, 0.1,
         verify=False)
-    assert data["commutator_alpha"] == pytest.approx(0.5918503892677458,
+    assert data["commutator_alpha"] == pytest.approx(0.47747889426399887,
                                                      rel=1e-12)
-    assert (data["r_commutator"], data["n_exp"]) == (3, 171)
+    assert (data["r_commutator"], data["n_exp"]) == (3, 87)
 
 
-def test_simulate_runs_the_largest_pieces_outermost(monkeypatch):
-    """The plan that runs has non-increasing entry counts, ties in label
-    order, and its measured error stays under the commutator bound at
-    every given r of the k = 1 plan."""
+def _record_tables(monkeypatch):
+    """Lists that keep the per-label tables of the last tables_from_slots
+    call and the tables of the last pack_tables call."""
     label_order, planned = [], []
     real_tables, real_pack = coloring.tables_from_slots, one_sparse.pack_tables
 
     def record_tables(*args):
-        label_order[:] = real_tables(*args)
-        return label_order
+        label_order[:] = tables = real_tables(*args)
+        return tables
 
     def record_pack(tables):
         planned[:] = tables
@@ -223,22 +226,126 @@ def test_simulate_runs_the_largest_pieces_outermost(monkeypatch):
 
     monkeypatch.setattr(coloring, "tables_from_slots", record_tables)
     monkeypatch.setattr(one_sparse, "pack_tables", record_pack)
+    return label_order, planned
+
+
+def _label_index(d, n):
+    return {(lb.i, lb.j, lb.nu): g
+            for g, lb in enumerate(coloring.enumerate_labels(d, n))}
+
+
+def _by_row_and_col(dim, rows, cols, vals):
+    order = np.argsort(rows * dim + cols)
+    return rows[order], cols[order], vals[order]
+
+
+def _entry_set(tables):
+    return {(int(x), int(y), complex(v)) for tb in tables
+            for x, y, v in zip(*tb.entries())}
+
+
+def test_simulate_runs_the_largest_pieces_outermost(monkeypatch):
+    """The merged pieces that run have non-increasing entry counts, ties
+    in the order of their first constituents, taken from the per-label
+    pieces largest first, ties in label order; each is the sum of its
+    constituents, and the measured error stays under the commutator bound
+    at every given r of the k = 1 plan."""
+    label_order, planned = _record_tables(monkeypatch)
     points = informative = 0
     for n, d, seed in itertools.product(range(4, 9), range(2, 5), (1, 2, 3)):
         orc = oracle.random_sparse(n, d, seed=seed, norm_target=1.0)
+        index = _label_index(d, n)
         for t, r in itertools.product((0.5, 2.0), (1, 2, 4)):
             data = cli.simulate_pipeline(orc, t, 1e-2, k=1, r=r, verify=False)
             bound = data["error_bound_commutator"]
             assert data["measured_error"] <= bound, (n, d, seed, t, r)
-            position = {id(tb): i for i, tb in enumerate(label_order)}
-            keys = [(-tb.entry_count, position[id(tb)]) for tb in planned]
+            rank = {g: i for i, g in enumerate(sorted(
+                (g for g, tb in enumerate(label_order) if tb.entry_count),
+                key=lambda g: -label_order[g].entry_count))}
+            groups = [[index[tuple(lb)] for lb in group]
+                      for group in data["piece_labels"]]
+            keys = [(-tb.entry_count, rank[group[0]])
+                    for tb, group in zip(planned, groups)]
             assert keys == sorted(keys) and len(keys) == data["m_pieces"]
+            for tb, group in zip(planned, groups):
+                assert [rank[g] for g in group] == sorted(rank[g] for g in group)
+                constituents = [label_order[g] for g in group]
+                assert _entry_set([tb]) == _entry_set(constituents)
+                assert tb.entry_count == sum(c.entry_count for c in constituents)
             # the bound is the one of the plan that ran
             assert data["commutator_alpha"] == suzuki.commutator_alpha(
                 one_sparse.nested_commutator_norms(planned))
             points += 1
             informative += bound < 2.0  # unitaries differ by at most 2
     assert points == 270 and informative >= 240, informative
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_merged_pieces_partition_h_and_keep_both_bounds(n, monkeypatch):
+    """At d 2-4, seeds 1-3, norm=1: the merged pieces hold exactly the
+    checked read's entries, each once; m_pieces lies between
+    m_pieces_floor, the longest row, and the per-label count; simulate's
+    verification is verify_coloring's report on the per-label pieces; the
+    query budget counts constituent lookups; and at eps 1e-1 and 1e-2 the
+    measured error is at most error_bound, itself at most eps, under the
+    commutator rule at k = 1 and the paper's rule at k = 2."""
+    _, planned = _record_tables(monkeypatch)
+    for d, seed in itertools.product(range(2, 5), (1, 2, 3)):
+        orc = oracle.random_sparse(n, d, seed=seed, norm_target=1.0)
+        for eps, k in itertools.product((1e-1, 1e-2), (1, 2)):
+            verify = (eps, k) == (1e-1, 1)
+            data = cli.simulate_pipeline(orc, 1.0, eps, k=k, verify=verify)
+            assert data["r_rule"] == ("commutator" if k == 1 else "paper")
+            assert data["measured_error"] <= data["error_bound"] <= eps, (
+                n, d, seed, eps, k)
+            assert data["constituent_lookups"] >= data["n_exp"]
+            assert data["base_query_bound"] == (
+                2 * (data["z"] + 2) * data["constituent_lookups"])
+            if not verify:
+                continue
+            slots = oracle.read_slots(orc, orc.query)
+            rows, cols, vals = oracle.entries_from_slots(*slots)
+            per_label = coloring.tables_from_slots(n, *slots)
+            report = coloring.verify_coloring(orc, per_label,
+                                              (rows, cols, vals))
+            assert data["verification"] == {
+                "ok": True, "nonzero_pieces": report.nonzero_pieces,
+                "max_queries_per_call": report.max_queries_per_call,
+                "query_bound": report.query_bound,
+                "lookups_checked": report.lookups_checked, "failures": []}
+            merged = map(np.concatenate,
+                         zip(*(tb.entries() for tb in planned)))
+            for a, b in zip(_by_row_and_col(orc.dim, *merged),
+                            _by_row_and_col(orc.dim, rows, cols, vals)):
+                assert np.array_equal(a, b), (n, d, seed)
+            count = sum(1 for tb in per_label if tb.entry_count)
+            floor = int(np.bincount(rows).max())
+            assert data["m_pieces_floor"] == floor <= d
+            assert floor <= data["m_pieces"] <= count
+            index = _label_index(d, n)
+            assert sorted(index[tuple(lb)] for group in data["piece_labels"]
+                          for lb in group) == [
+                g for g, tb in enumerate(per_label) if tb.entry_count]
+
+
+@pytest.mark.parametrize("n, d, eps, n_exp, base_bound",
+                         [(8, 3, 1e-2, 90, 2_580), (9, 4, 1e-1, 87, 2_052)])
+def test_the_benchmark_simulate_instances_pass_its_checks(n, d, eps, n_exp,
+                                                          base_bound):
+    """What the benchmark checks of sim-deep and sim-wide, at state seeds
+    1-3.  sim-wide's budget of 2,052 base queries clears its 2,048 by 4:
+    its last merged piece, run once a slice, has one constituent."""
+    orc = oracle.random_sparse(n, d, seed=1, norm_target=1.0)
+    for state_seed in (1, 2, 3):
+        data = cli.simulate_pipeline(orc, 1.0, eps, state_seed=state_seed,
+                                     verify=True)
+        ver = data["verification"]
+        assert ver["ok"] is True
+        assert ver["max_queries_per_call"] <= ver["query_bound"]
+        assert data["error_ok"] is True
+        assert data["base_queries_ok"] is True
+        assert (data["n_exp"], data["base_query_bound"]) == (n_exp, base_bound)
+        assert data["base_queries"] == orc.dim * d <= base_bound
 
 
 def test_simulate_measures_the_error_above_the_dense_cap(monkeypatch):
@@ -268,7 +375,7 @@ def test_norm_bound_is_a_rigorous_bound_on_the_matrix_norm(monkeypatch):
     for n in range(2, 9):
         for d in range(1, 5):
             base = oracle.random_sparse(n, d, seed=10 * n + d)
-            for orc in (base, oracle.shuffled_columns(base, seed=n)):
+            for orc in (base, shuffled_columns(base, seed=n)):
                 monkeypatch.delenv("HAMSIM_DENSE_CAP", raising=False)
                 exact = float(np.abs(np.linalg.eigvalsh(
                     oracle.to_dense(orc))).max())
@@ -368,7 +475,7 @@ def test_simulate_fails_loudly_when_error_exceeds_eps(capsys):
 def test_simulate_reads_entry_list_files(tmp_path, capsys):
     el = EntryList(2, 2, ((0, 1, 0.5 + 0.25j), (2, 3, -0.75 + 0j)))
     path = tmp_path / "h.txt"
-    oracle.save_entry_list(el, str(path))
+    save_entry_list(el, str(path))
     rc, data = run_json(capsys, ["simulate", "--input", str(path),
                                  "--time", "0.5", "--eps", "0.01"])
     assert rc == 0
@@ -558,12 +665,12 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
 def test_exponential_counts_past_2_to_53_exit_one(capsys):
     """A count of exponentials that no JSON reader holds exactly ends in
     exit 1 before any plan is built or run."""
-    # the paper's rule takes k = 10 here: r of about 9.7e22 slices of a
-    # 15,625,001-step plan
+    # the paper's rule takes k = 10 here: r of about 5.7e22 slices of a
+    # 7,812,501-step plan for the 3 merged pieces
     assert main(["simulate", "--gen", "random:n=3,d=2,seed=1", "--time", "1",
                  "--eps", "1e-300"]) == 1
     err = capsys.readouterr().err
-    assert "15625001-step plan" in err and "more than 2^53" in err
+    assert "7812501-step plan" in err and "more than 2^53" in err
     assert err.count("\n") == 1
     assert main(["parity", "--bits", "1011", "--eps", "1e-30"]) == 1
     err = capsys.readouterr().err
@@ -586,7 +693,7 @@ def test_plans_too_long_to_build_and_oversized_oracles_exit_one(capsys):
     start = time.process_time()
     assert main(["simulate", "--gen", "random:n=3,d=2,seed=1", "--k", "14",
                  "--r", "1", "--no-verify"]) == 1
-    assert "has 9765625001 steps" in capsys.readouterr().err
+    assert "has 4882812501 steps" in capsys.readouterr().err
     assert main(["sweep", "--gen", "terms:m=3,dim=4", "--k-list", "14",
                  "--r-list", "1"]) == 1
     assert "has 4882812501 steps" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from hamsim.coloring import (
     verify_coloring, vertex_bits)
 from hamsim.config import ColoringError, OracleError
 from hamsim.one_sparse import extract_table
+from oracle_helpers import shuffled_columns
 
 
 @pytest.mark.parametrize("n,z", [
@@ -294,7 +295,7 @@ def test_verify_coloring_random_oracles():
 
 def test_verify_coloring_shuffled_slots():
     orc = oracle.random_sparse(5, 3, seed=77)
-    rep = verify_coloring(oracle.shuffled_columns(orc, seed=1))
+    rep = verify_coloring(shuffled_columns(orc, seed=1))
     assert rep.ok, rep.failures
 
 
@@ -402,7 +403,7 @@ def test_upsilon_golden_digest():
 
 def twins(n, d):
     orc = oracle.random_sparse(n, d, seed=10 * n + d)
-    return orc, oracle.shuffled_columns(orc, seed=n + d)
+    return orc, shuffled_columns(orc, seed=n + d)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

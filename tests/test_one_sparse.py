@@ -265,6 +265,35 @@ def test_pack_tables_layout():
         pack_tables([t_a, OneSparseTable(8, [], [], [], [], [])])
 
 
+def test_merge_disjoint_is_first_fit_largest_first():
+    """Largest first, ties in the order given, each piece joins the first
+    merged piece it shares no state with; the merged pieces come out
+    largest first, ties by first constituent, and sum to the pieces."""
+    a = OneSparseTable(8, [], [], [0, 2], [1, 3], [1j, 2.0])
+    b = OneSparseTable(8, [4], [0.5], [], [], [])
+    c = OneSparseTable(8, [], [], [1], [5], [3 - 1j])
+    d = OneSparseTable(8, [6, 7], [-1.0, 2.0], [], [], [])
+    merged, groups = one_sparse.merge_disjoint([a, b, c, d])
+    assert groups == [[0, 3, 1], [2]]
+    assert [tb.entry_count for tb in merged] == [5, 1]
+    assert merged[0].norm == 2.0
+    # a later piece can make a later merged piece the largest
+    e = OneSparseTable(10, [], [], [0, 2, 4], [1, 3, 5], [1.0] * 3)
+    f = OneSparseTable(10, [], [], [0, 1, 2], [6, 7, 8], [1.0] * 3)
+    g = OneSparseTable(10, [3], [1.0], [], [], [])
+    assert one_sparse.merge_disjoint([e, f, g])[1] == [[1, 2], [0]]
+    for tables in [[a, b, c, d]] + [_random_tables(dim, m, 40 * dim + m)
+                                    for dim in (1, 7, 30)
+                                    for m in (1, 3, 6)]:
+        merged, groups = one_sparse.merge_disjoint(tables)
+        assert sorted(sum(groups, [])) == list(range(len(tables)))
+        assert np.array_equal(sum(map(table_to_dense, merged)),
+                              sum(map(table_to_dense, tables)))
+    assert one_sparse.merge_disjoint([]) == ([], [])
+    with pytest.raises(PlanError, match="different dimensions"):
+        one_sparse.merge_disjoint([a, e])
+
+
 def test_product_formula_matches_dense_plan_unitary():
     rng = np.random.default_rng(12)
     # (tables, k, t, r): a fixed case, 20 random plans, then edge shapes
@@ -740,10 +769,15 @@ def _padded_rows(rows, cols, vals, dim):
 
 
 def _sparse_commutator(a_cols, a_vals, rows, cols, vals, dim):
-    """[A, M] as combined COO entries, for Hermitian A in padded rows."""
+    """[A, M] as combined COO entries, for Hermitian A in padded rows.
+
+    Both products multiply A's value by M's, in that operand order, and
+    the right one is negated exactly: numpy's complex product can round
+    differently with its factors swapped, so only then do the two
+    products of commuting A and M cancel to exactly 0."""
     width = a_cols.shape[1]
     left_vals = a_vals[rows].conj() * vals[:, None]
-    right_vals = -vals[:, None] * a_vals[cols]
+    right_vals = np.negative(a_vals[cols] * vals[:, None])
     return _combine(
         np.concatenate([a_cols[rows].ravel(), np.repeat(rows, width)]),
         np.concatenate([np.repeat(cols, width), a_cols[cols].ravel()]),
@@ -772,14 +806,16 @@ def per_suffix_norms(tables):
 
 
 def test_nested_commutator_norms_match_the_per_suffix_reference():
-    """On coloring pieces in label and largest-first order, on random
-    pieces that partition their sum, on empty pieces, a zero diagonal
-    under another piece's entry, dimension 1, and on commuting pieces."""
+    """On coloring pieces in label and largest-first order and merged in
+    the order simulate runs them, on random pieces that partition their
+    sum, on empty pieces, a zero diagonal under another piece's entry,
+    dimension 1, and on commuting pieces, where both give exactly 0."""
     cases = []
     for n, d, seed in itertools.product(range(4, 10), (2, 3, 4), (1, 2, 3)):
         tables = [tb for tb in coloring.piece_tables(
             oracle.random_sparse(n, d, seed=seed)) if tb.entry_count]
-        cases += [tables, sorted(tables, key=lambda tb: -tb.entry_count)]
+        cases += [tables, sorted(tables, key=lambda tb: -tb.entry_count),
+                  one_sparse.merge_disjoint(tables)[0]]
     rng = np.random.default_rng(20)
     for case in range(100):
         dim, m = int(rng.integers(2, 34)), int(rng.integers(2, 7))
@@ -798,11 +834,13 @@ def test_nested_commutator_norms_match_the_per_suffix_reference():
         np.testing.assert_allclose(nested_commutator_norms(tables),
                                    per_suffix_norms(tables),
                                    rtol=1e-12, atol=1e-13)
-    commuting = _commuting_tables(10, 4, 5)
-    for tables in (commuting, commuting[::-1]):
-        for norms in (nested_commutator_norms(tables),
-                      per_suffix_norms(tables)):
-            assert np.array_equal(norms, np.zeros((4, 2)))
+    commuting = [_commuting_tables(10, 4, 5)]
+    commuting += [_bit_flip_tables(seed) for seed in range(8)]
+    for tables in commuting:
+        for order in (tables, tables[::-1]):
+            for norms in (nested_commutator_norms(order),
+                          per_suffix_norms(order)):
+                assert np.array_equal(norms, np.zeros((len(order), 2)))
 
 
 def test_nested_commutator_norms_refuse_overlapping_pieces():
@@ -914,24 +952,31 @@ def test_walks_set_up_peak_stays_below_twice_what_it_keeps():
     assert peak < 2 * kept
 
 
+def _bit_flip_tables(seed):
+    """Pieces of pairs that each flip one bit, with one complex amplitude
+    each, in a seeded order: they commute."""
+    rng = np.random.default_rng(seed)
+    bits = int(rng.integers(2, 6))
+    dim = 1 << bits
+    tables = []
+    for bit in range(bits):
+        lo = np.array([x for x in range(dim) if not x >> bit & 1])
+        amp = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-3, 3)
+        tables.append(OneSparseTable(dim, [], [], lo, lo | 1 << bit,
+                                     np.full(lo.size, amp)))
+    rng.shuffle(tables)
+    return tables
+
+
 def test_commuting_pieces_of_pairs_give_exact_zeros():
-    """Pieces that each flip one bit, with one complex amplitude each,
-    commute; every entry of each C_g then has two products that agree bit
-    for bit, in every piece order, so the norms are exactly 0."""
+    """Every entry of each C_g of commuting pieces of pairs has two
+    products that agree bit for bit, in every piece order, so the norms
+    are exactly 0."""
     for seed in range(8):
-        rng = np.random.default_rng(seed)
-        bits = int(rng.integers(2, 6))
-        dim = 1 << bits
-        tables = []
-        for bit in range(bits):
-            lo = np.array([x for x in range(dim) if not x >> bit & 1])
-            amp = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-3, 3)
-            tables.append(OneSparseTable(dim, [], [], lo, lo | 1 << bit,
-                                         np.full(lo.size, amp)))
-        rng.shuffle(tables)
+        tables = _bit_flip_tables(seed)
         for order in (tables, tables[::-1]):
             assert np.array_equal(nested_commutator_norms(order),
-                                  np.zeros((bits, 2)))
+                                  np.zeros((len(order), 2)))
 
 
 @pytest.mark.parametrize("tau,d,k,eps,want", [

@@ -9,6 +9,8 @@ import pytest
 from hamsim import cli, coloring, numerics, oracle, parity
 from hamsim.config import OracleError
 from hamsim.oracle import EntryList
+from oracle_helpers import (entry_list_to_text, save_entry_list,
+                            shuffled_columns, to_entry_list)
 
 
 def two_bit_example():
@@ -43,7 +45,7 @@ def test_counter_counts_exactly_the_query_calls():
     # peeks and dense extraction are instrument-side, never counted
     orc.peek(0, 1)
     oracle.to_dense(orc)
-    oracle.to_entry_list(orc)
+    to_entry_list(orc)
     assert orc.counter.count == 4
     orc.counter.reset()
     assert orc.counter.count == 0
@@ -226,7 +228,7 @@ def test_text_round_trip_is_exact():
         (1, 1, -0.1),
         (2, 6, 0.123456789012345678 + 1e300j),
     ))
-    text = oracle.entry_list_to_text(el)
+    text = entry_list_to_text(el)
     back = oracle.text_to_entry_list(text)
     assert back == el
 
@@ -250,9 +252,9 @@ def test_text_accepts_either_orientation():
 
 def test_file_round_trip(tmp_path):
     orc = oracle.random_sparse(4, 3, seed=11)
-    el = oracle.to_entry_list(orc)
+    el = to_entry_list(orc)
     path = tmp_path / "h.txt"
-    oracle.save_entry_list(el, str(path))
+    save_entry_list(el, str(path))
     assert oracle.load_entry_list(str(path)) == el
     # and the reconstructed oracle agrees entrywise
     H1 = oracle.to_dense(orc)
@@ -261,9 +263,9 @@ def test_file_round_trip(tmp_path):
 
 
 def test_random_sparse_deterministic_and_bounded():
-    a = oracle.to_entry_list(oracle.random_sparse(5, 3, seed=42))
-    b = oracle.to_entry_list(oracle.random_sparse(5, 3, seed=42))
-    c = oracle.to_entry_list(oracle.random_sparse(5, 3, seed=43))
+    a = to_entry_list(oracle.random_sparse(5, 3, seed=42))
+    b = to_entry_list(oracle.random_sparse(5, 3, seed=42))
+    c = to_entry_list(oracle.random_sparse(5, 3, seed=43))
     assert a == b
     assert a != c
     H = oracle.to_dense(oracle.from_entry_list(a))
@@ -275,7 +277,7 @@ def test_negative_seeds_are_refused():
     with pytest.raises(OracleError, match="nonnegative"):
         oracle.random_sparse(3, 2, seed=-1)
     with pytest.raises(OracleError, match="nonnegative"):
-        oracle.shuffled_columns(oracle.random_sparse(3, 2, seed=1), seed=-1)
+        shuffled_columns(oracle.random_sparse(3, 2, seed=1), seed=-1)
 
 
 def test_random_sparse_refuses_a_dimension_past_the_largest_index():
@@ -306,7 +308,7 @@ def test_queries_stable_across_scans():
 
 def test_shuffled_columns_preserve_matrix():
     orc = oracle.random_sparse(4, 3, seed=5)
-    shuf = oracle.shuffled_columns(orc, seed=1)
+    shuf = shuffled_columns(orc, seed=1)
     assert np.array_equal(oracle.to_dense(orc), oracle.to_dense(shuf))
     # stable across calls
     row1 = [shuf.peek(7, i) for i in (1, 2, 3)]
@@ -357,7 +359,7 @@ def raw_oracle(rows, n=2, d=2):
 @pytest.mark.parametrize("name", sorted(BAD_ORACLES))
 def test_read_entries_structural_checks(name):
     rows, message = BAD_ORACLES[name]
-    for extract in (oracle.read_entries, oracle.to_dense, oracle.to_entry_list):
+    for extract in (oracle.read_entries, oracle.to_dense, to_entry_list):
         with pytest.raises(OracleError) as exc:
             extract(raw_oracle(rows))
         assert str(exc.value) == message
@@ -392,11 +394,11 @@ def test_read_entries_runs_above_the_dense_cap(monkeypatch):
     dense = np.zeros_like(H)
     dense[rows, cols] = vals
     assert np.array_equal(dense, H)
-    el = oracle.to_entry_list(orc)
+    el = to_entry_list(orc)
     monkeypatch.setenv("HAMSIM_DENSE_CAP", "16")
     with pytest.raises(OracleError, match="exceeds dense cap"):
         oracle.to_dense(orc)
     again = oracle.read_entries(orc)
     assert all(np.array_equal(a, b) for a, b in zip(again, (rows, cols, vals)))
-    assert oracle.to_entry_list(orc) == el
+    assert to_entry_list(orc) == el
     assert orc.counter.count == 0
