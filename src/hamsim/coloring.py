@@ -14,9 +14,11 @@ pieces.  Only the finished tag is written out as a bit string.
 
 Chains only ever need z_n + 2 elements, so one piece lookup touches the
 base oracle at most 2(z_n + 2) times.  colored_query is that per-lookup
-algorithm, the paper's piece oracle; piece_tables computes every piece at
-once from one read of each slot, running the same rounds on whole columns
-of chains, and colored_query is the reference it is verified against.
+algorithm, the paper's piece oracle, in two parts: edge_claims reads the
+(i, j)-chains at both endpoints of x once, and pick chooses the tag's
+answer from what they claim.  piece_tables computes every piece at once
+from one read of each slot, running the same rounds on whole columns of
+chains, and colored_query is the reference it is verified against.
 """
 
 from __future__ import annotations
@@ -246,38 +248,87 @@ def enumerate_labels(d: int, n: int) -> tuple[EdgeLabel, ...]:
                  for nu in alphabet)
 
 
-def colored_query(oracle: SparseOracle, x: int, label: EdgeLabel,
-                  cache: QueryCache | None = None,
-                  tags: TagMemo | None = None) -> tuple[int, complex]:
-    """Row x of the 1-sparse piece named by label: (y, value) or (x, 0).
+# What row x can answer under slots (i, j), for every tag at once: the
+# diagonal value (only when i = j), then (tag, y, value) of the edge with x
+# as its lower endpoint, then of the edge with x as its upper endpoint; None
+# where x has no such entry.
+EdgeClaims = tuple[int, complex | None, tuple[str, int, complex] | None,
+                   tuple[str, int, complex] | None]
 
-    Three claims are tested in order: the diagonal of x sits at slot i = j
-    with the all-zeros tag; x is the lower endpoint of an (i, j)-edge whose
-    tag matches; or x is the upper endpoint of such an edge (the tag is then
-    computed at the lower endpoint).  Tag distinctness of adjacent edges
-    makes the claims mutually exclusive.  With a fresh cache this costs at
-    most 2(z_n + 2) base queries, each a counted oracle.query with its
-    checks; the cache only spares asking one (vertex, slot) twice.  A tags
-    memo (see upsilon) spares halving rounds, never a query.
+# Memo of edge_claims by (x, i, j), for one verify_coloring call: the
+# lookups of one (i, j, x) make the same reads and differ only in the tag.
+ClaimsMemo = dict[tuple[int, int, int], EdgeClaims]
+
+
+def edge_claims(oracle: SparseOracle, x: int, i: int, j: int,
+                cache: QueryCache | None = None,
+                tags: TagMemo | None = None) -> EdgeClaims:
+    """Every claim row x can make under slots (i, j), from one set of reads.
+
+    The diagonal of x sits at slot i = j; x may be the lower endpoint of an
+    (i, j)-edge, tagged by upsilon at x, and the upper endpoint of another,
+    tagged by upsilon at its lower endpoint.  Both endpoints are always
+    read, so with a fresh cache this costs what a lookup whose tag matches
+    nothing costs, at most 2(z_n + 2) base queries, each a counted
+    oracle.query with its checks; the cache only spares asking one
+    (vertex, slot) twice.  A tags memo (see upsilon) spares halving rounds,
+    never a query.
     """
-    i, j, nu = label.i, label.j, label.nu
     if cache is None:
         yi, vi = hit = oracle.query(x, i)
         cache = {(x, i): hit}
     else:
         yi, vi = _query(oracle, x, i, cache)
-    if yi == x and vi != 0 and i == j and nu == "0" * len(nu):
-        return (x, vi)
+    diag = vi if yi == x and vi != 0 and i == j else None
+    lower = upper = None
     if yi > x:
         back, _ = _query(oracle, yi, j, cache)
-        if back == x and upsilon(oracle, x, i, j, cache, tags) == nu:
-            return (yi, vi)
+        if back == x:
+            lower = (upsilon(oracle, x, i, j, cache, tags), yi, vi)
     yj, vj = _query(oracle, x, j, cache)
     if yj < x:
         fwd, _ = _query(oracle, yj, i, cache)
-        if fwd == x and upsilon(oracle, yj, i, j, cache, tags) == nu:
-            return (yj, vj)
+        if fwd == x:
+            upper = (upsilon(oracle, yj, i, j, cache, tags), yj, vj)
+    return (x, diag, lower, upper)
+
+
+def pick(claims: EdgeClaims, nu: str) -> tuple[int, complex]:
+    """The answer of tag nu among claims: (y, value) or (x, 0).
+
+    The diagonal needs the all-zeros tag; it is tried first, then the lower
+    endpoint's edge, then the upper's.  Tag distinctness of adjacent edges
+    makes the claims mutually exclusive, so the order only matters to a
+    faulty coloring.
+    """
+    x, diag, lower, upper = claims
+    if diag is not None and nu == "0" * len(nu):
+        return (x, diag)
+    if lower is not None and lower[0] == nu:
+        return lower[1:]
+    if upper is not None and upper[0] == nu:
+        return upper[1:]
     return (x, 0j)
+
+
+def colored_query(oracle: SparseOracle, x: int, label: EdgeLabel,
+                  cache: QueryCache | None = None,
+                  tags: TagMemo | None = None,
+                  claims: ClaimsMemo | None = None) -> tuple[int, complex]:
+    """Row x of the 1-sparse piece named by label: (y, value) or (x, 0).
+
+    pick of edge_claims at (x, i, j), so its spend does not depend on nu
+    and stays within 2(z_n + 2) base queries with a fresh cache.  A claims
+    memo answers a lookup whose (x, i, j) it holds with no read at all; the
+    reads are made, and memoised, by the first lookup of that (x, i, j).
+    """
+    i, j = label.i, label.j
+    if claims is None:
+        return pick(edge_claims(oracle, x, i, j, cache, tags), label.nu)
+    got = claims.get((x, i, j))
+    if got is None:
+        got = claims[x, i, j] = edge_claims(oracle, x, i, j, cache, tags)
+    return pick(got, label.nu)
 
 
 class ColoredOracle:
@@ -288,16 +339,19 @@ class ColoredOracle:
     base oracle's counter keeps tallying the underlying lookups.  Both
     count in the probing thread's own tally, with no lock per probe.  A
     shared cache may be attached so a whole decomposition reuses base
-    queries, and a tags memo so that one verification reuses halving rounds.
+    queries; a tags memo and a claims memo let one verification run the
+    halving rounds once per chain and the reads once per (x, i, j).
     """
 
     def __init__(self, base: SparseOracle, label: EdgeLabel,
                  cache: QueryCache | None = None,
-                 tags: TagMemo | None = None) -> None:
+                 tags: TagMemo | None = None,
+                 claims: ClaimsMemo | None = None) -> None:
         self.base = base
         self.label = label
         self.cache = cache
         self.tags = tags
+        self.claims = claims
         self.counter = QueryCounter()
 
     @property
@@ -306,7 +360,8 @@ class ColoredOracle:
 
     def column(self, x: int) -> tuple[int, complex]:
         self.counter._tally.cell[0] += 1      # increment(), inlined
-        return colored_query(self.base, x, self.label, self.cache, self.tags)
+        return colored_query(self.base, x, self.label, self.cache, self.tags,
+                             self.claims)
 
 
 def decompose(oracle: SparseOracle,
@@ -429,25 +484,27 @@ def verify_coloring(oracle: SparseOracle,
     oracle; a run that read it once passes what it read.  No dense matrix
     is built.  The tables must be pairwise disjoint and their union must
     equal the entries exactly.  Each checked lookup, ColoredOracle(oracle,
-    label).column(x) with a cold cache, must give the table's answer at x
-    within the 2(z_n + 2) base-query budget: every (label, x) inside the
-    dense cap, a fixed-seed sample of VERIFY_SAMPLE above it.  A lookup's
-    spend is read from the calling thread's own tally of the oracle's
-    counter, so queries other threads make meanwhile are not charged to it.
-    Every lookup reads its chains through the oracle and spends its queries
-    in full; the halving rounds run once per distinct chain in each call,
-    through a tags memo that is emptied when the call ends, by return or by
-    exception.
+    label).column(x), must give the table's answer at x: every (label, x)
+    inside the dense cap, a fixed-seed sample of VERIFY_SAMPLE above it.
+    The lookups run by slots (i, j), then x, then tag, through a claims
+    memo: the first lookup of each (i, j, x) reads cold, through a fresh
+    cache, what every tag there answers from, and that spend must stay
+    within the 2(z_n + 2) base-query budget; the other tags pick from the
+    memo.  A lookup's spend is read from the calling thread's own tally of
+    the oracle's counter, so queries other threads make meanwhile are not
+    charged to it.  The halving rounds run once per distinct chain through
+    a tags memo.  Both memos live for one call and are emptied when it
+    ends, by return or by exception.
     """
     dim = oracle.dim
     z = iterate_count(oracle.n)
     bound = 2 * (z + 2)
     labels = enumerate_labels(oracle.d, oracle.n)
+    per_slots = len(final_alphabet(oracle.n))
     if tables is None:
         tables = piece_tables(oracle)
     if entries is None:
         entries = read_entries(oracle)
-    failures: list[str] = []
 
     total = len(labels) * dim
     # read the cap first, so a malformed HAMSIM_DENSE_CAP fails every run
@@ -456,38 +513,58 @@ def verify_coloring(oracle: SparseOracle,
     else:
         picks = np.sort(np.random.default_rng(VERIFY_SEED).choice(
             total, size=VERIFY_SAMPLE, replace=False))
-    # picks are sorted, so each label's share is one slice
-    ends = np.searchsorted(picks, np.arange(len(labels) + 1) * dim)
+    # labels run tag-innermost and picks are sorted, so each (i, j)'s share
+    # is one slice
+    ends = np.searchsorted(picks, np.arange(0, len(labels) + 1, per_slots)
+                           * dim)
     # this thread's own tally: another thread's queries are not this spend
     mine = oracle.counter.thread_tally()
     max_calls = 0
+    over: list[list[str]] = [[] for _ in labels]
+    wrong: list[list[int]] = [[] for _ in labels]
     tags: TagMemo = {}
+    claims: ClaimsMemo = {}
     try:
-        for g, label in enumerate(labels):
-            xs = picks[ends[g]:ends[g + 1]] - g * dim
+        for s in range(len(ends) - 1):
+            first = s * per_slots
+            ks, xs = np.divmod(picks[ends[s]:ends[s + 1]] - first * dim, dim)
             if not xs.size:
                 continue
-            at, to, val = (a.tolist() for a in tables[g].entries())
-            want = dict(zip(at, zip(to, val)))
-            piece = ColoredOracle(oracle, label, tags=tags)
-            wrong: list[int] = []
-            for x in xs.tolist():
+            order = np.lexsort((ks, xs))
+            pieces = [ColoredOracle(oracle, labels[g], tags=tags,
+                                    claims=claims)
+                      for g in range(first, first + per_slots)]
+            wants = []
+            for table in tables[first:first + per_slots]:
+                at, to, val = (a.tolist() for a in table.entries())
+                wants.append(dict(zip(at, zip(to, val))))
+            row = -1
+            for k, x in zip(ks[order].tolist(), xs[order].tolist()):
+                if x != row:
+                    # the claims of the last row are not asked for again
+                    claims.clear()
+                    row = x
                 # the cell, not the locked total: this runs twice per lookup
                 before = mine[0]
-                got = piece.column(x)
+                got = pieces[k].column(x)
                 used = mine[0] - before
                 if used > max_calls:
                     max_calls = used
                 if used > bound:
-                    failures.append(f"label {label}: lookup at {x} used "
-                                    f"{used} > {bound} queries")
-                if got != want.get(x, (x, 0j)):
-                    wrong.append(x)
-            if wrong:
-                failures.append(f"label {label}: lookup at {wrong[0]} "
-                                f"disagrees with the table ({len(wrong)} in all)")
+                    over[first + k].append(
+                        f"label {labels[first + k]}: lookup at {x} used "
+                        f"{used} > {bound} queries")
+                if got != wants[k].get(x, (x, 0j)):
+                    wrong[first + k].append(x)
     finally:
         tags.clear()
+        claims.clear()
+    failures: list[str] = []
+    for label, spent, xs_wrong in zip(labels, over, wrong):
+        failures += spent
+        if xs_wrong:
+            failures.append(f"label {label}: lookup at {xs_wrong[0]} "
+                            f"disagrees with the table ({len(xs_wrong)} in all)")
 
     def by_key(rows, cols, vals):
         keys = rows * dim + cols

@@ -217,23 +217,26 @@ def merge_disjoint(tables: list[OneSparseTable]
     order of their first constituents, and each one's constituents as
     indices into tables, in the order they joined.
     """
+    if not tables:
+        return [], []
     if any(t.dim != tables[0].dim for t in tables):
         raise PlanError("pieces act on different dimensions")
-    touched: list[np.ndarray] = []
+    # bit g % 64 of owner[s, g // 64] is set once merged piece g touches
+    # state s; there are never more merged pieces than pieces
+    owner = np.zeros((tables[0].dim, (len(tables) + 63) // 64), np.uint64)
     groups: list[list[int]] = []
     # stable: equal entry counts keep the order given
     for i in sorted(range(len(tables)), key=lambda i: -tables[i].entry_count):
         tb = tables[i]
         states = np.concatenate([tb.diag_idx, tb.pair_lo, tb.pair_hi])
-        for mask, group in zip(touched, groups):
-            if not mask[states].any():
-                break
-        else:
-            mask, group = np.zeros(tb.dim, dtype=bool), []
-            touched.append(mask)
-            groups.append(group)
-        mask[states] = True
-        group.append(i)
+        taken = int.from_bytes(np.bitwise_or.reduce(owner[states]).astype(
+            "<u8").tobytes(), "little")
+        # the lowest merged piece that touches none of states
+        g = (~taken & (taken + 1)).bit_length() - 1
+        if g == len(groups):
+            groups.append([])
+        groups[g].append(i)
+        owner[states, g // 64] |= np.uint64(1 << g % 64)
     fields = ("diag_idx", "diag_h", "pair_lo", "pair_hi", "pair_amp")
     merged = [OneSparseTable(tables[g[0]].dim,
                              *(np.concatenate([getattr(tables[i], f)

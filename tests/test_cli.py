@@ -437,12 +437,12 @@ def test_simulate_verifies_above_the_cap_without_dense_matrices(monkeypatch):
     assert data["norm_bound"] > 0 and data["error_ok"] is True
 
 
-@pytest.mark.parametrize("n, d, lookups, base", [(9, 4, 135_998, 2_048),
-                                                 (8, 3, 36_961, 768)])
+@pytest.mark.parametrize("n, d, lookups, base", [(9, 4, 22_827, 2_048),
+                                                 (8, 3, 6_214, 768)])
 def test_simulate_reads_each_slot_once(n, d, lookups, base):
     # one counted read of dim * d slots feeds the tables, the entries and
-    # verify_coloring; the rest are the cold lookups, as verify_coloring
-    # alone spends them
+    # verify_coloring; the rest are the lookups' cold reads, one per
+    # (i, j, x), as verify_coloring alone spends them
     orc = oracle.random_sparse(n, d, seed=1, norm_target=1.0)
     data = cli.simulate_pipeline(orc, 1.0, 1e-1)
     assert data["verification"]["ok"] is True

@@ -15,7 +15,7 @@ from hamsim.coloring import (
     QueryCache, build_chain, coin_toss_level, colored_query, decompose,
     enumerate_labels, final_alphabet, halving_trace, iterate_count, upsilon,
     verify_coloring, vertex_bits)
-from hamsim.config import ColoringError, OracleError
+from hamsim.config import ColoringError, OracleError, dense_cap
 from hamsim.one_sparse import extract_table
 from oracle_helpers import shuffled_columns
 
@@ -233,15 +233,12 @@ def test_colored_query_claims_edges_consistently():
 def test_colored_query_per_call_budget_is_tight():
     orc = path_fixture()
     bound = 2 * (iterate_count(18) + 2)
-    # mismatching tag forces both endpoint cases through full chains
-    before = orc.counter.count
-    colored_query(orc, X_V[0], EdgeLabel(1, 3, "001"))
-    used = orc.counter.count - before
-    assert used == bound
-    # a successful lookup stays under it
-    before = orc.counter.count
-    colored_query(orc, X_V[0], EdgeLabel(1, 3, "000"))
-    assert orc.counter.count - before <= bound
+    # both endpoint cases run through full chains, whatever the tag: a
+    # mismatching one and a matching one spend the same
+    for nu in ("001", "000"):
+        before = orc.counter.count
+        colored_query(orc, X_V[0], EdgeLabel(1, 3, nu))
+        assert orc.counter.count - before == bound
 
 
 def test_colored_query_diagonal_case():
@@ -363,10 +360,10 @@ def test_verify_coloring_reports_overlap_once(monkeypatch):
     # such piece is reported once, where its lookups first leave its table.
     real = coloring.colored_query
 
-    def aliased(orc, x, label, cache=None, tags=None):
+    def aliased(orc, x, label, cache=None, tags=None, claims=None):
         if label.nu == "001":
             label = EdgeLabel(label.i, label.j, "000")
-        return real(orc, x, label, cache, tags)
+        return real(orc, x, label, cache, tags, claims)
 
     monkeypatch.setattr(coloring, "colored_query", aliased)
     rep = verify_coloring(oracle.random_sparse(4, 3, seed=21))
@@ -592,9 +589,9 @@ def test_verify_coloring_catches_a_lookup_over_budget(monkeypatch):
     bound = 2 * (iterate_count(5) + 2)
     real = coloring.colored_query
 
-    def costly(base, x, label, cache=None, tags=None):
+    def costly(base, x, label, cache=None, tags=None, claims=None):
         before = base.counter.count
-        out = real(base, x, label, cache, tags)
+        out = real(base, x, label, cache, tags, claims)
         if (label, x) == (labels[7], 9):
             for _ in range(bound + 1 - (base.counter.count - before)):
                 base.query(x, 1)
@@ -615,9 +612,10 @@ def test_verify_coloring_spends_an_exact_query_count():
     orc = oracle.random_sparse(9, 4, seed=1, norm_target=1.0)
     rep = verify_coloring(orc)
     assert rep.ok, rep.failures
-    assert orc.counter.count == 138_046
+    assert orc.counter.count == 24_875
     assert (rep.max_queries_per_call, rep.lookups_checked) == (10, 49_152)
-    # dim * d of them read the tables, the other 135,998 the lookups
+    # dim * d of them read the tables, the other 22,827 the lookups: one
+    # cold read per (i, j, x), which all six tags there pick from
     before = orc.counter.count
     coloring.piece_tables(orc)
     assert orc.counter.count - before == 2_048
@@ -649,7 +647,8 @@ def test_verify_coloring_charges_each_lookup_its_own_thread_spend():
 
 def test_cold_lookups_make_the_same_queries_in_the_same_order():
     # every (label, x) of one oracle through a fresh cache: how many base
-    # queries each lookup spent, and every (x, i) asked, in order
+    # queries each lookup spent, and every (x, i) asked, in order; the
+    # spend does not depend on the tag, so each count comes in sixes
     base = oracle.random_sparse(8, 3, seed=1, norm_target=1.0)
     asked = []
 
@@ -664,15 +663,16 @@ def test_cold_lookups_make_the_same_queries_in_the_same_order():
             before = orc.counter.count
             colored_query(orc, x, label)
             spent[orc.counter.count - before] += 1
-    assert spent == {1: 564, 2: 6390, 3: 4891, 4: 1393, 5: 305, 6: 182,
-                     7: 57, 8: 27, 9: 10, 10: 5}
-    assert len(asked) == orc.counter.count == 36_961
+    assert spent == {1: 564, 2: 6390, 3: 4722, 4: 1476, 5: 348, 6: 210,
+                     7: 66, 8: 30, 9: 12, 10: 6}
+    assert len(asked) == orc.counter.count == 37_284
     digest = hashlib.sha256(repr(asked).encode()).hexdigest()
     assert digest == (
-        "8e0687172ec02b0c2f99312a3d428c3e1764a9b34bd483d35743bbe764985e63")
+        "25e6b8abd97db629302374a9182e8d56c7529375e3e9e3895a3aeb911999c4d9")
+    # verification reads the slots once, then one cold lookup per (i, j, x)
     before = orc.counter.count
     assert verify_coloring(orc).ok
-    assert orc.counter.count - before == 37_729
+    assert orc.counter.count - before == 6_982 == orc.dim * 3 + 37_284 // 6
 
 
 def test_verify_coloring_looks_up_through_colored_oracle_column(monkeypatch):
@@ -692,6 +692,161 @@ def test_verify_coloring_looks_up_through_colored_oracle_column(monkeypatch):
     calls.clear()
     rep = verify_coloring(oracle.random_sparse(7, 3, seed=1))
     assert rep.ok and len(calls) == rep.lookups_checked == VERIFY_SAMPLE
+
+
+# ---------------------------------------------------------------------------
+# the grouped check against an independent reference: every (label, x)
+# looked up cold and on its own, by the lazy lookup that stops at the first
+# claim that holds
+
+def lazy_lookup(orc, x, label, cache):
+    """Row x of piece label, reading only as far as the answer needs."""
+    def ask(y, slot):
+        if (y, slot) not in cache:
+            cache[y, slot] = orc.query(y, slot)
+        return cache[y, slot]
+
+    i, j, nu = label.i, label.j, label.nu
+    yi, vi = ask(x, i)
+    if yi == x and vi != 0 and i == j and nu == "0" * len(nu):
+        return (x, vi)
+    if yi > x and ask(yi, j)[0] == x and coloring.upsilon(
+            orc, x, i, j, cache) == nu:
+        return (yi, vi)
+    yj, vj = ask(x, j)
+    if yj < x and ask(yj, i)[0] == x and coloring.upsilon(
+            orc, yj, i, j, cache) == nu:
+        return (yj, vj)
+    return (x, 0j)
+
+
+def reference_report(orc, tables, lookup=lazy_lookup):
+    """verify_coloring's verdict with one fresh cache per (label, x), in
+    label order, and the overlap and sum-back checks on Python dicts."""
+    dim, labels = orc.dim, enumerate_labels(orc.d, orc.n)
+    bound = 2 * (iterate_count(orc.n) + 2)
+    total = len(labels) * dim
+    if dim <= dense_cap() or total <= VERIFY_SAMPLE:
+        picks = range(total)
+    else:
+        picks = sorted(np.random.default_rng(coloring.VERIFY_SEED).choice(
+            total, size=VERIFY_SAMPLE, replace=False).tolist())
+    checked = collections.defaultdict(list)
+    for p in picks:
+        checked[p // dim].append(p % dim)
+    failures, most = [], 0
+    for g, label in enumerate(labels):
+        at, to, val = (a.tolist() for a in tables[g].entries())
+        want = dict(zip(at, zip(to, val)))
+        wrong = []
+        for x in checked[g]:
+            before = orc.counter.count
+            got = lookup(orc, x, label, {})
+            used = orc.counter.count - before
+            most = max(most, used)
+            if used > bound:
+                failures.append(f"label {label}: lookup at {x} used "
+                                f"{used} > {bound} queries")
+            if got != want.get(x, (x, 0j)):
+                wrong.append(x)
+        if wrong:
+            failures.append(f"label {label}: lookup at {wrong[0]} disagrees "
+                            f"with the table ({len(wrong)} in all)")
+    claimed = collections.Counter()
+    held = {}
+    for table in tables:
+        for r, c, v in zip(*(a.tolist() for a in table.entries())):
+            claimed[r, c] += 1
+            held[r, c] = v
+    overlap = any(k > 1 for k in claimed.values())
+    if overlap:
+        failures.append("pieces overlap: some entry claimed more than once")
+    rows, cols, vals = (a.tolist() for a in oracle.read_entries(orc))
+    if overlap or held != dict(zip(zip(rows, cols), vals)):
+        failures.append("pieces do not sum back to the Hamiltonian")
+    return dict(ok=not failures, failures=tuple(failures),
+                nonzero_pieces=sum(1 for t in tables if t.entry_count),
+                lookups_checked=len(picks), max_queries_per_call=most)
+
+
+def grouped_report(rep):
+    return dict(ok=rep.ok, failures=rep.failures,
+                nonzero_pieces=rep.nonzero_pieces,
+                lookups_checked=rep.lookups_checked,
+                max_queries_per_call=rep.max_queries_per_call)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grouped_check_equals_the_cold_reference(n):
+    # d runs to 4 or the dimension, the most slots a row can fill
+    for d in range(1, min(4, 2 ** n) + 1):
+        for seed in range(1, 4):
+            orc = oracle.random_sparse(n, d, seed=seed)
+            want = reference_report(orc, coloring.piece_tables(orc))
+            assert want["ok"], (n, d, seed, want["failures"][:3])
+            assert grouped_report(verify_coloring(orc)) == want, (n, d, seed)
+
+
+def test_grouped_check_above_the_cap_may_only_spend_more(monkeypatch):
+    # a sampled lookup whose tag matches early reads less than the claims
+    # of its (i, j, x) read cold: the reported most may rise (once on this
+    # grid), never past the budget
+    monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
+    rose = []
+    for n in (7, 8, 9):
+        for d in range(1, 5):
+            for seed in range(1, 4):
+                orc = oracle.random_sparse(n, d, seed=seed)
+                want = reference_report(orc, coloring.piece_tables(orc))
+                rep = verify_coloring(orc)
+                got = grouped_report(rep)
+                most = got.pop("max_queries_per_call")
+                cold = want.pop("max_queries_per_call")
+                assert cold <= most <= rep.query_bound
+                assert got == want and want["ok"], (n, d, seed)
+                if most > cold:
+                    rose.append((n, d, seed, cold, most))
+    assert rose == [(9, 4, 3, 8, 9)]
+
+
+def test_grouped_check_and_the_reference_fail_mutants_alike(monkeypatch):
+    # the lookups disagree with good tables (constant or aliased tags), or
+    # good lookups disagree with faulty tables (a dropped entry, one ulp)
+    orc = oracle.random_sparse(4, 3, seed=6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "upsilon", lambda *args, **kwargs: "000")
+        want = reference_report(orc, coloring.piece_tables(orc))
+        assert grouped_report(verify_coloring(orc)) == want
+    assert len(want["failures"]) == 13
+
+    def alias(label):
+        if label.nu == "001":
+            return EdgeLabel(label.i, label.j, "000")
+        return label
+
+    real = coloring.colored_query
+    orc = oracle.random_sparse(4, 3, seed=21)
+    want = reference_report(orc, coloring.piece_tables(orc),
+                            lambda o, x, label, c: lazy_lookup(
+                                o, x, alias(label), c))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "colored_query",
+                   lambda o, x, label, *memos: real(o, x, alias(label),
+                                                    *memos))
+        assert grouped_report(verify_coloring(orc)) == want
+    assert len(want["failures"]) == 7
+
+    orc = oracle.random_sparse(**VERIFY_ORACLE)
+    good = coloring.piece_tables(orc)
+    g = first_pair(good)
+    amp = good[g].pair_amp.copy()
+    amp[0] = complex(np.nextafter(amp[0].real, np.inf), amp[0].imag)
+    for tables in ([*good[:g], without_first_pair(good[g]), *good[g + 1:]],
+                   [*good[:g], dataclasses.replace(good[g], pair_amp=amp),
+                    *good[g + 1:]]):
+        want = reference_report(orc, tables)
+        assert grouped_report(verify_coloring(orc, tables)) == want
+        assert len(want["failures"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -760,10 +915,12 @@ def test_upsilon_outside_verify_runs_every_round(monkeypatch):
         assert upsilon(orc, X_V[0], 1, 3) == "000"
     assert len(rounds) == 3 * z
     rounds.clear()
+    # a lookup tags the edges at both endpoints, whether its tag matches
+    # the first or not
     for _ in range(2):
         assert colored_query(orc, X_V[0], EdgeLabel(1, 3, "000")) == (
             X_V[1], 1.0 + 0j)
-    assert len(rounds) == 2 * z
+    assert len(rounds) == 2 * 2 * z
 
 
 def test_verify_stays_independent_of_the_tables(monkeypatch):
@@ -784,3 +941,63 @@ def test_verify_stays_independent_of_the_tables(monkeypatch):
                    for a, b in zip(want.entries(), got.entries()))
     with pytest.raises(ColoringError):
         cli.simulate_pipeline(orc, 1.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the claims memo: one cold read per (i, j, x) within one verify_coloring
+# call only
+
+def test_verify_reads_each_row_and_slots_once_cold(monkeypatch):
+    real = coloring.edge_claims
+    seen = []
+
+    def watched(orc, x, i, j, cache=None, tags=None):
+        seen.append((x, i, j, cache))
+        return real(orc, x, i, j, cache, tags)
+
+    monkeypatch.setattr(coloring, "edge_claims", watched)
+    orc = oracle.random_sparse(4, 3, seed=2)
+    assert verify_coloring(orc).ok
+    assert [k[:3] for k in seen] == [(x, i, j) for i in range(1, 4)
+                                     for j in range(1, 4)
+                                     for x in range(orc.dim)]
+    assert all(cache is None for *_, cache in seen)
+    # above the cap, once for each (i, j, x) the sample holds
+    monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
+    seen.clear()
+    orc = oracle.random_sparse(7, 3, seed=1)
+    labels = enumerate_labels(3, 7)
+    picks = np.random.default_rng(coloring.VERIFY_SEED).choice(
+        len(labels) * orc.dim, size=VERIFY_SAMPLE, replace=False)
+    want = {(labels[p // orc.dim].i, labels[p // orc.dim].j, p % orc.dim)
+            for p in picks.tolist()}
+    assert verify_coloring(orc).ok
+    assert [(i, j, x) for x, i, j, _ in seen] == sorted(want)
+
+
+def test_verify_empties_its_claims_memo_on_return_and_on_raise(monkeypatch):
+    # the memo holds the current row's claims only, is the same for every
+    # lookup of a call, and is empty once the call is over
+    real = coloring.colored_query
+    memos = []
+    stop = None
+
+    def watched(orc, x, label, cache=None, tags=None, claims=None):
+        if len(memos) == stop:
+            raise RuntimeError("stopped")
+        out = real(orc, x, label, cache, tags, claims)
+        memos.append((claims, len(claims)))
+        return out
+
+    monkeypatch.setattr(coloring, "colored_query", watched)
+    orc = oracle.random_sparse(6, 4, seed=6)
+    for stop in (None, 200):
+        memos.clear()
+        if stop is None:
+            assert verify_coloring(orc).ok
+        else:
+            with pytest.raises(RuntimeError, match="stopped"):
+                verify_coloring(orc)
+        memo = memos[0][0]
+        assert all(seen is memo and size == 1 for seen, size in memos)
+        assert not memo

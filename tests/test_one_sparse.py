@@ -294,6 +294,51 @@ def test_merge_disjoint_is_first_fit_largest_first():
         one_sparse.merge_disjoint([a, e])
 
 
+def first_fit(tables):
+    """merge_disjoint's groups, by a first fit over Python sets."""
+    touched: list[set] = []
+    groups: list[list[int]] = []
+    for i in sorted(range(len(tables)), key=lambda i: -tables[i].entry_count):
+        states = set(tables[i].entries()[0].tolist())
+        g = next((g for g, seen in enumerate(touched) if not seen & states),
+                 len(touched))
+        if g == len(touched):
+            touched.append(set())
+            groups.append([])
+        touched[g] |= states
+        groups[g].append(i)
+    return sorted(groups, key=lambda g: -sum(tables[i].entry_count
+                                             for i in g))
+
+
+def test_merge_disjoint_matches_first_fit_past_64_merged_pieces():
+    # most pieces hold the diagonal at state 0, so they all conflict and
+    # the merged pieces outnumber one 64-bit word of the state masks
+    rng = np.random.default_rng(3)
+    dim = 300
+    tables = []
+    for _ in range(200):
+        k = int(rng.integers(0, 3))
+        st = rng.choice(np.arange(1, dim), size=2 * k, replace=False)
+        diag = [0] if rng.random() < 0.7 else []
+        tables.append(OneSparseTable(
+            dim, diag, [1.0] * len(diag), np.minimum(st[0::2], st[1::2]),
+            np.maximum(st[0::2], st[1::2]), [1.0] * k))
+    # 70 pieces of 33 entries share state 0, so each is a merged piece of
+    # its own; a last piece of 32 pairs meets pieces 0-63 and first fits
+    # beside piece 64, in the second word
+    spread = [OneSparseTable(2400, [0, *range(1 + 32 * k, 33 + 32 * k)],
+                             [1.0] * 33, [], [], []) for k in range(70)]
+    last = OneSparseTable(2400, [], [], range(1, 64 * 32, 64),
+                          range(33, 64 * 32, 64), [1.0] * 32)
+    for case in (tables, spread + [last]):
+        merged, groups = one_sparse.merge_disjoint(case)
+        assert len(groups) > 64
+        assert groups == first_fit(case)
+        assert [tb.entry_count for tb in merged] == [
+            sum(case[i].entry_count for i in g) for g in groups]
+
+
 def test_product_formula_matches_dense_plan_unitary():
     rng = np.random.default_rng(12)
     # (tables, k, t, r): a fixed case, 20 random plans, then edge shapes
