@@ -142,9 +142,8 @@ def halving_trace(values: tuple[str, ...] | list[str],
     return out
 
 
-# Memo of base-oracle answers by (vertex, slot).  One cache shared by a
-# whole run makes the base-query count the number of distinct probes; a
-# fresh one per lookup realizes the worst-case per-call bound instead.
+# Memo of base-oracle answers by (vertex, slot) for one piece lookup: its
+# two endpoint chains share their reads through it.
 QueryCache = dict[tuple[int, int], tuple[int, complex]]
 
 
@@ -261,24 +260,20 @@ ClaimsMemo = dict[tuple[int, int, int], EdgeClaims]
 
 
 def edge_claims(oracle: SparseOracle, x: int, i: int, j: int,
-                cache: QueryCache | None = None,
                 tags: TagMemo | None = None) -> EdgeClaims:
     """Every claim row x can make under slots (i, j), from one set of reads.
 
     The diagonal of x sits at slot i = j; x may be the lower endpoint of an
     (i, j)-edge, tagged by upsilon at x, and the upper endpoint of another,
     tagged by upsilon at its lower endpoint.  Both endpoints are always
-    read, so with a fresh cache this costs what a lookup whose tag matches
-    nothing costs, at most 2(z_n + 2) base queries, each a counted
+    read, through one fresh cache, so this costs what a lookup whose tag
+    matches nothing costs, at most 2(z_n + 2) base queries, each a counted
     oracle.query with its checks; the cache only spares asking one
-    (vertex, slot) twice.  A tags memo (see upsilon) spares halving rounds,
-    never a query.
+    (vertex, slot) twice within the lookup.  A tags memo (see upsilon)
+    spares halving rounds, never a query.
     """
-    if cache is None:
-        yi, vi = hit = oracle.query(x, i)
-        cache = {(x, i): hit}
-    else:
-        yi, vi = _query(oracle, x, i, cache)
+    yi, vi = hit = oracle.query(x, i)
+    cache = {(x, i): hit}
     diag = vi if yi == x and vi != 0 and i == j else None
     lower = upper = None
     if yi > x:
@@ -312,22 +307,21 @@ def pick(claims: EdgeClaims, nu: str) -> tuple[int, complex]:
 
 
 def colored_query(oracle: SparseOracle, x: int, label: EdgeLabel,
-                  cache: QueryCache | None = None,
                   tags: TagMemo | None = None,
                   claims: ClaimsMemo | None = None) -> tuple[int, complex]:
     """Row x of the 1-sparse piece named by label: (y, value) or (x, 0).
 
     pick of edge_claims at (x, i, j), so its spend does not depend on nu
-    and stays within 2(z_n + 2) base queries with a fresh cache.  A claims
-    memo answers a lookup whose (x, i, j) it holds with no read at all; the
-    reads are made, and memoised, by the first lookup of that (x, i, j).
+    and stays within 2(z_n + 2) base queries.  A claims memo answers a
+    lookup whose (x, i, j) it holds with no read at all; the reads are
+    made, and memoised, by the first lookup of that (x, i, j).
     """
     i, j = label.i, label.j
     if claims is None:
-        return pick(edge_claims(oracle, x, i, j, cache, tags), label.nu)
+        return pick(edge_claims(oracle, x, i, j, tags), label.nu)
     got = claims.get((x, i, j))
     if got is None:
-        got = claims[x, i, j] = edge_claims(oracle, x, i, j, cache, tags)
+        got = claims[x, i, j] = edge_claims(oracle, x, i, j, tags)
     return pick(got, label.nu)
 
 
@@ -337,19 +331,17 @@ class ColoredOracle:
     column(x) is the single-probe interface shared with 1-sparse
     SparseOracles; its own counter tallies piece-level probes while the
     base oracle's counter keeps tallying the underlying lookups.  Both
-    count in the probing thread's own tally, with no lock per probe.  A
-    shared cache may be attached so a whole decomposition reuses base
-    queries; a tags memo and a claims memo let one verification run the
-    halving rounds once per chain and the reads once per (x, i, j).
+    count in the probing thread's own tally, with no lock per probe.  Each
+    probe is a lookup of its own, with its own fresh cache; a tags memo and
+    a claims memo let one verification run the halving rounds once per
+    chain and the reads once per (x, i, j).
     """
 
     def __init__(self, base: SparseOracle, label: EdgeLabel,
-                 cache: QueryCache | None = None,
                  tags: TagMemo | None = None,
                  claims: ClaimsMemo | None = None) -> None:
         self.base = base
         self.label = label
-        self.cache = cache
         self.tags = tags
         self.claims = claims
         self.counter = QueryCounter()
@@ -360,15 +352,13 @@ class ColoredOracle:
 
     def column(self, x: int) -> tuple[int, complex]:
         self.counter._tally.cell[0] += 1      # increment(), inlined
-        return colored_query(self.base, x, self.label, self.cache, self.tags,
-                             self.claims)
+        return colored_query(self.base, x, self.label, self.tags, self.claims)
 
 
-def decompose(oracle: SparseOracle,
-              cache: QueryCache | None = None) -> list[ColoredOracle]:
-    """All pieces of the coloring, sharing one query cache."""
-    cache = cache if cache is not None else {}
-    return [ColoredOracle(oracle, label, cache)
+def decompose(oracle: SparseOracle) -> list[ColoredOracle]:
+    """All pieces of the coloring, one ColoredOracle per label in
+    enumerate_labels order."""
+    return [ColoredOracle(oracle, label)
             for label in enumerate_labels(oracle.d, oracle.n)]
 
 
@@ -421,7 +411,7 @@ def tables_from_slots(n: int, nbr: np.ndarray,
     """Every piece of the coloring as a table, in enumerate_labels order.
 
     nbr and val are read_slots' arrays of an oracle on n bits.  Each piece
-    is what extract_table would scan through colored_query: the diagonal
+    is what extract_table would read through colored_query: the diagonal
     of x in piece (i, i, zeros) when slot i of x is x itself, and an
     ascending (i, j)-edge (x, y) in piece (i, j, upsilon(x, i, j)), stored
     as (x, y, H[x, y]) in ascending x.  Empty pieces are included.  The
@@ -534,10 +524,15 @@ def verify_coloring(oracle: SparseOracle,
             pieces = [ColoredOracle(oracle, labels[g], tags=tags,
                                     claims=claims)
                       for g in range(first, first + per_slots)]
+            # only the rows this (i, j) checks; below the cap, every row
+            asked = np.zeros(dim, dtype=bool)
+            asked[xs] = True
             wants = []
             for table in tables[first:first + per_slots]:
-                at, to, val = (a.tolist() for a in table.entries())
-                wants.append(dict(zip(at, zip(to, val))))
+                at, to, val = table.entries()
+                on = asked[at]
+                wants.append(dict(zip(at[on].tolist(),
+                                      zip(to[on].tolist(), val[on].tolist()))))
             row = -1
             for k, x in zip(ks[order].tolist(), xs[order].tolist()):
                 if x != row:

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .config import TOL, OracleError, PlanError
+from .config import OracleError, PlanError
 from .numerics import require_state
+from .oracle import entries_from_slots
 from .suzuki import ProductFormulaPlan, build_plan, is_integer
 
 
@@ -95,51 +96,32 @@ class OneSparseTable:
 
 
 def extract_table(piece) -> OneSparseTable:
-    """Scan a piece into a table with exactly one probe per column.
+    """Read a piece into a table with exactly one probe per column.
 
-    Columns are scanned in ascending order, so a coupling is discovered at
-    its lower index; the partner is confirmed on the spot and never probed
-    again.  Diagonal values must be real, and inconsistent pairings (partner
-    pointing elsewhere, non-Hermitian back value) are rejected.
+    The columns are read once each, in ascending order, as the (dim, 1)
+    slot arrays of a 1-sparse oracle, and checked as any read is, by
+    entries_from_slots: (x, 0) for an empty column, no explicit zeros,
+    finite values, and Hermitian pairs and real diagonals within
+    TOL.hermiticity.  A partner out of range is refused first.  Every
+    partner must also claim its column back exactly: the shared check
+    counts a missing mirror as 0, so it lets a one-way entry of at most
+    TOL.hermiticity through.
     """
     dim = piece.dim
-    seen = np.zeros(dim, dtype=bool)
-    diag_idx: list[int] = []
-    diag_h: list[float] = []
-    pair_lo: list[int] = []
-    pair_hi: list[int] = []
-    pair_amp: list[complex] = []
-    for x in range(dim):
-        if seen[x]:
-            continue
-        seen[x] = True
-        y, v = piece.column(x)
-        v = complex(v)
-        if v == 0:
-            continue
-        if y == x:
-            if abs(v.imag) > TOL.hermiticity * max(1.0, abs(v)):
-                raise OracleError(f"diagonal entry at {x} is not real: {v}")
-            diag_idx.append(x)
-            diag_h.append(v.real)
-            continue
-        y = int(y)
+    read = [piece.column(x) for x in range(dim)]
+    for x, (y, _) in enumerate(read):
         if not 0 <= y < dim:
             raise OracleError(f"partner {y} of {x} out of range")
-        if y < x:
-            # y was scanned first and did not claim x.
-            raise OracleError(f"one-way pairing between {x} and {y}")
-        back_y, back = piece.column(y)
-        back = complex(back)
-        if back == 0 or back_y != x:
-            raise OracleError(f"column {y} does not claim its partner {x}")
-        if abs(back - v.conjugate()) > TOL.hermiticity * max(1.0, abs(v)):
-            raise OracleError(f"non-Hermitian pair ({x}, {y}): {v} vs {back}")
-        seen[y] = True
-        pair_lo.append(x)
-        pair_hi.append(y)
-        pair_amp.append(v)
-    return OneSparseTable(dim, diag_idx, diag_h, pair_lo, pair_hi, pair_amp)
+    ys = np.array([y for y, _ in read], dtype=np.int64).reshape(dim, 1)
+    vs = np.array([v for _, v in read], dtype=np.complex128).reshape(dim, 1)
+    rows, cols, vals = entries_from_slots(ys, vs)
+    one_way = np.flatnonzero(ys[cols, 0] != rows)
+    if one_way.size:
+        x, y = rows[one_way[0]], cols[one_way[0]]
+        raise OracleError(f"column {y} does not claim its partner {x}")
+    diag, pair = rows == cols, rows < cols
+    return OneSparseTable(dim, rows[diag], vals[diag].real, rows[pair],
+                          cols[pair], vals[pair])
 
 
 def table_to_dense(table: OneSparseTable) -> np.ndarray:

@@ -360,10 +360,10 @@ def test_verify_coloring_reports_overlap_once(monkeypatch):
     # such piece is reported once, where its lookups first leave its table.
     real = coloring.colored_query
 
-    def aliased(orc, x, label, cache=None, tags=None, claims=None):
+    def aliased(orc, x, label, tags=None, claims=None):
         if label.nu == "001":
             label = EdgeLabel(label.i, label.j, "000")
-        return real(orc, x, label, cache, tags, claims)
+        return real(orc, x, label, tags, claims)
 
     monkeypatch.setattr(coloring, "colored_query", aliased)
     rep = verify_coloring(oracle.random_sparse(4, 3, seed=21))
@@ -589,9 +589,9 @@ def test_verify_coloring_catches_a_lookup_over_budget(monkeypatch):
     bound = 2 * (iterate_count(5) + 2)
     real = coloring.colored_query
 
-    def costly(base, x, label, cache=None, tags=None, claims=None):
+    def costly(base, x, label, tags=None, claims=None):
         before = base.counter.count
-        out = real(base, x, label, cache, tags, claims)
+        out = real(base, x, label, tags, claims)
         if (label, x) == (labels[7], 9):
             for _ in range(bound + 1 - (base.counter.count - before)):
                 base.query(x, 1)
@@ -951,17 +951,15 @@ def test_verify_reads_each_row_and_slots_once_cold(monkeypatch):
     real = coloring.edge_claims
     seen = []
 
-    def watched(orc, x, i, j, cache=None, tags=None):
-        seen.append((x, i, j, cache))
-        return real(orc, x, i, j, cache, tags)
+    def watched(orc, x, i, j, tags=None):
+        seen.append((x, i, j))
+        return real(orc, x, i, j, tags)
 
     monkeypatch.setattr(coloring, "edge_claims", watched)
     orc = oracle.random_sparse(4, 3, seed=2)
     assert verify_coloring(orc).ok
-    assert [k[:3] for k in seen] == [(x, i, j) for i in range(1, 4)
-                                     for j in range(1, 4)
-                                     for x in range(orc.dim)]
-    assert all(cache is None for *_, cache in seen)
+    assert seen == [(x, i, j) for i in range(1, 4) for j in range(1, 4)
+                    for x in range(orc.dim)]
     # above the cap, once for each (i, j, x) the sample holds
     monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
     seen.clear()
@@ -972,7 +970,7 @@ def test_verify_reads_each_row_and_slots_once_cold(monkeypatch):
     want = {(labels[p // orc.dim].i, labels[p // orc.dim].j, p % orc.dim)
             for p in picks.tolist()}
     assert verify_coloring(orc).ok
-    assert [(i, j, x) for x, i, j, _ in seen] == sorted(want)
+    assert [(i, j, x) for x, i, j in seen] == sorted(want)
 
 
 def test_verify_empties_its_claims_memo_on_return_and_on_raise(monkeypatch):
@@ -982,10 +980,10 @@ def test_verify_empties_its_claims_memo_on_return_and_on_raise(monkeypatch):
     memos = []
     stop = None
 
-    def watched(orc, x, label, cache=None, tags=None, claims=None):
+    def watched(orc, x, label, tags=None, claims=None):
         if len(memos) == stop:
             raise RuntimeError("stopped")
-        out = real(orc, x, label, cache, tags, claims)
+        out = real(orc, x, label, tags, claims)
         memos.append((claims, len(claims)))
         return out
 

@@ -57,7 +57,7 @@ def test_classify_kinds():
 
 
 def test_classify_rejects_complex_diagonal():
-    with pytest.raises(OracleError, match="not real"):
+    with pytest.raises(OracleError, match="not Hermitian"):
         extract_table(_Piece(2, {0: (0, 1j)}))
 
 
@@ -74,14 +74,42 @@ def test_extract_table_contents_and_probe_count():
 
 
 def test_extract_table_rejects_inconsistent_pieces():
-    with pytest.raises(OracleError, match="one-way"):
-        extract_table(_Piece(4, {2: (1, 1.0 + 0j)}))
-    with pytest.raises(OracleError, match="does not claim"):
-        extract_table(_Piece(4, {0: (3, 1.0 + 0j), 3: (2, 1.0 + 0j)}))
-    with pytest.raises(OracleError, match="non-Hermitian"):
-        extract_table(_Piece(4, {0: (3, 1.0 + 0j), 3: (0, 0.5 + 0j)}))
-    with pytest.raises(OracleError, match="out of range"):
+    # one-way pairing, a partner that claims another column, and a
+    # non-Hermitian pair all fail the read's shared Hermiticity check
+    for mapping in ({2: (1, 1.0 + 0j)},
+                    {0: (3, 1.0 + 0j), 3: (2, 1.0 + 0j)},
+                    {0: (3, 1.0 + 0j), 3: (0, 0.5 + 0j)}):
+        with pytest.raises(OracleError, match="oracle is not Hermitian"):
+            extract_table(_Piece(4, mapping))
+    with pytest.raises(OracleError, match="partner 9 of 0 out of range"):
         extract_table(_Piece(4, {0: (9, 1.0 + 0j)}))
+    # a one-way entry within the Hermiticity tolerance still needs its
+    # partner to claim it back
+    for x, y in ((2, 1), (1, 2)):
+        with pytest.raises(OracleError,
+                           match=f"column {y} does not claim its partner {x}"):
+            extract_table(_Piece(4, {x: (y, 1e-13 + 0j)}))
+
+
+def test_extract_table_refuses_what_an_oracle_read_refuses():
+    # entries_from_slots' absolute tolerance and its explicit-zero rule,
+    # the same as from_columns and EntryList apply
+    with pytest.raises(OracleError, match="not Hermitian: max deviation 5"):
+        extract_table(_Piece(4, {0: (3, 100 + 0j), 3: (0, 100 + 5e-11j)}))
+    with pytest.raises(OracleError, match="not Hermitian: max deviation 1.6"):
+        extract_table(_Piece(2, {0: (0, 1 + 8e-13j)}))
+    with pytest.raises(OracleError, match="row 0: explicit zero at slot 1"):
+        extract_table(_Piece(4, {0: (2, 0j)}))
+
+
+def test_extract_table_probes_each_column_once():
+    pieces = [coloring.ColoredOracle(oracle.random_sparse(4, 3, seed=2),
+                                      coloring.EdgeLabel(3, 1, "000")),
+              *parity.split_even_odd(parity.ParityInstance([1, 0, 1, 1]))]
+    for piece in pieces:
+        table = extract_table(piece)
+        assert piece.counter.count == piece.dim
+        assert table.entry_count
 
 
 def test_table_validation():
