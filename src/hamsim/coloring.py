@@ -415,9 +415,10 @@ def tables_from_slots(n: int, nbr: np.ndarray,
     of x in piece (i, i, zeros) when slot i of x is x itself, and an
     ascending (i, j)-edge (x, y) in piece (i, j, upsilon(x, i, j)), stored
     as (x, y, H[x, y]) in ascending x.  Empty pieces are included.  The
-    read must have passed entries_from_slots, which is not repeated here:
-    padding last, no duplicate neighbors or explicit zeros, finite values,
-    real diagonals and Hermitian pairs.
+    read must have passed entries_from_slots, the check every row set,
+    read or built, passes, which is not repeated here: padding last, no
+    duplicate neighbors or explicit zeros, finite values, real diagonals
+    and Hermitian pairs, and every mirror stored, checked exactly.
     """
     dim, d = nbr.shape
     z = iterate_count(n)

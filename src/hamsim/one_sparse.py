@@ -99,13 +99,11 @@ def extract_table(piece) -> OneSparseTable:
     """Read a piece into a table with exactly one probe per column.
 
     The columns are read once each, in ascending order, as the (dim, 1)
-    slot arrays of a 1-sparse oracle, and checked as any read is, by
-    entries_from_slots: (x, 0) for an empty column, no explicit zeros,
-    finite values, and Hermitian pairs and real diagonals within
-    TOL.hermiticity.  A partner out of range is refused first.  Every
-    partner must also claim its column back exactly: the shared check
-    counts a missing mirror as 0, so it lets a one-way entry of at most
-    TOL.hermiticity through.
+    slot arrays of a 1-sparse oracle, and checked as every row set, read
+    or built, is checked, by entries_from_slots: (x, 0) for an empty
+    column, no explicit zeros, finite values, Hermitian pairs and real
+    diagonals within TOL.hermiticity, and every partner claiming its
+    column back exactly.  A partner out of range is refused first.
     """
     dim = piece.dim
     read = [piece.column(x) for x in range(dim)]
@@ -115,10 +113,6 @@ def extract_table(piece) -> OneSparseTable:
     ys = np.array([y for y, _ in read], dtype=np.int64).reshape(dim, 1)
     vs = np.array([v for _, v in read], dtype=np.complex128).reshape(dim, 1)
     rows, cols, vals = entries_from_slots(ys, vs)
-    one_way = np.flatnonzero(ys[cols, 0] != rows)
-    if one_way.size:
-        x, y = rows[one_way[0]], cols[one_way[0]]
-        raise OracleError(f"column {y} does not claim its partner {x}")
     diag, pair = rows == cols, rows < cols
     return OneSparseTable(dim, rows[diag], vals[diag].real, rows[pair],
                           cols[pair], vals[pair])

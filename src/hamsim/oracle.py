@@ -10,10 +10,13 @@ the same tally; a thread can also read what it alone has spent.
 Verification bridges (read_entries and the dense extraction built on it)
 go through the uncounted peek() so measured query complexity reflects the
 algorithms alone.
-A run that needs the pieces reads each slot once through query() and
-checks that read once, with entries_from_slots, before any piece table is
-built from it; the checked entries of the same read serve verification.
-That holds with verification off too (decompose --no-verify).
+entries_from_slots is the one check of an oracle's rows, read or built:
+from_columns lays out the rows it is given as slot arrays and passes them
+in, and a read's slots pass it whole, mirrors checked exactly.  A run that
+needs the pieces reads each slot once through query() and checks that read
+once, before any piece table is built from it; the checked entries of the
+same read serve verification.  That holds with verification off too
+(decompose --no-verify).
 Neither query() nor peek() memoises answers: an oracle's function may
 itself spend counted queries (parity's pieces read hidden bits), and each
 call must spend them.
@@ -172,15 +175,20 @@ class EntryList:
                 raise OracleError(f"diagonal entry at {x} must be real, got {v}")
 
 
-def _columns_fn(columns: dict[int, list[tuple[int, complex]]]
-                ) -> Callable[[int, int], tuple[int, complex]]:
-    def fn(x: int, i: int) -> tuple[int, complex]:
-        row = columns.get(x)
-        if row is not None and i <= len(row):
-            return row[i - 1]
-        return (x, 0j)
-
-    return fn
+def _index(value, dim: int, what: str) -> int:
+    """value as a vertex number in [0, dim) that int64 holds; what names
+    it in messages, with {} where the value goes."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise OracleError(
+            f"{what.format(repr(value))} is not an integer") from None
+    if not 0 <= index < dim:
+        raise OracleError(f"{what.format(index)} out of range")
+    if index > sys.maxsize:
+        raise OracleError(f"{what.format(index)} exceeds the largest "
+                          f"index, {sys.maxsize}")
+    return index
 
 
 def from_columns(n: int, d: int,
@@ -190,49 +198,41 @@ def from_columns(n: int, d: int,
 
     With sort=True (canonical) neighbors are ordered by ascending index;
     sort=False keeps the given order, which lets tests pin down arbitrary
-    but stable slot layouts.  Validates range, degree, duplicates, and
-    Hermitian pair consistency.
+    but stable slot layouts.  The given rows, and only those, are laid out
+    as slot arrays and pass entries_from_slots, the check every read
+    passes: no duplicates, finite values, Hermitian pairs and real
+    diagonals, and an exact mirror for every entry.  Refused here first is
+    what a slot read cannot see: a vertex or neighbor that is not an
+    integer in range, more than d entries in a row, and an explicit zero,
+    which would read as padding at the end of its own row.
     """
-    dim = 1 << n
-    cols: dict[int, list[tuple[int, complex]]] = {}
+    slots: dict[int, list[tuple[int, complex]]] = {}
+
+    def fn(x: int, i: int) -> tuple[int, complex]:
+        row = slots.get(x)
+        return (x, 0j) if row is None else row[i - 1]
+
+    oracle = SparseOracle(n, d, fn)
     for x, row in columns.items():
-        if not 0 <= x < dim:
-            raise OracleError(f"vertex {x} out of range")
+        x = _index(x, oracle.dim, "vertex {}")
         if len(row) > d:
             raise OracleError(f"row {x} has {len(row)} neighbors, exceeds d={d}")
-        seen: set[int] = set()
         out = []
         for y, v in row:
-            if not 0 <= y < dim:
-                raise OracleError(f"neighbor {y} of {x} out of range")
-            if y in seen:
-                raise OracleError(f"duplicate neighbor {y} in row {x}")
-            seen.add(y)
+            y = _index(y, oracle.dim, f"neighbor {{}} of {x}")
             v = complex(v)
             if v == 0:
                 raise OracleError(f"explicit zero entry at ({x}, {y})")
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise OracleError(f"non-finite entry at ({x}, {y})")
-            if y == x and abs(v - v.conjugate()) > TOL.hermiticity:
-                raise OracleError(f"diagonal entry at {x} must be real, got {v}")
             out.append((y, v))
         if sort:
             out.sort(key=lambda e: e[0])
-        if out:
-            cols[x] = out
-    # Hermitian pair consistency: presence and conjugate values both ways.
-    lookup = {x: dict(row) for x, row in cols.items()}
-    for x, row in cols.items():
-        for y, v in row:
-            if y == x:
-                continue
-            back = lookup.get(y, {})
-            if x not in back:
-                raise OracleError(f"entry ({x}, {y}) has no mirror at row {y}")
-            if abs(back[x] - v.conjugate()) > TOL.hermiticity:
-                raise OracleError(
-                    f"non-Hermitian pair ({x}, {y}): {v} vs {back[x]}")
-    return SparseOracle(n, d, _columns_fn(cols))
+        slots[x] = out + [(x, 0j)] * (d - len(out))
+    xs = sorted(slots)
+    ys = np.array([[y for y, _ in slots[x]] for x in xs], dtype=np.int64)
+    vs = np.array([[v for _, v in slots[x]] for x in xs], dtype=np.complex128)
+    entries_from_slots(ys.reshape(-1, d), vs.reshape(-1, d),
+                       np.array(xs, dtype=np.int64))
+    return oracle
 
 
 def from_entry_list(el: EntryList) -> SparseOracle:
@@ -266,37 +266,50 @@ def read_entries(oracle: SparseOracle
     return entries_from_slots(*read_slots(oracle, oracle.peek))
 
 
-def entries_from_slots(ys: np.ndarray, vs: np.ndarray
+def entries_from_slots(ys: np.ndarray, vs: np.ndarray,
+                       xs: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every stored entry of read_slots' arrays as (rows, cols, vals).
 
-    Entries come row by row in slot order, padding dropped.  Checks on the
-    way: padding only after the nonzero slots, no duplicate neighbors, no
-    explicit zeros, finite values, and Hermitian pairing within
-    TOL.hermiticity, found by matching the sorted (x, y) keys against the
-    (y, x) keys.  It is the one structural check of a read: piece tables
-    are built only from a read that has passed it.
+    Row r of the arrays is vertex xs[r], vertex r by default.  Entries come
+    row by row in slot order, padding dropped.  This is the one check of
+    an oracle's rows, read or built: padding only after the nonzero slots,
+    no duplicate neighbors, no explicit zeros, finite values, Hermitian
+    pairs and real diagonals within TOL.hermiticity (a missing mirror
+    counts as 0 there), and then a stored mirror for every entry, exactly.
+    Entries are keyed on the ranks of the vertex numbers, which are the
+    numbers themselves for a full read, so a few rows of a large oracle
+    are checked as exactly as a full read.  Piece tables are built only
+    from a read that has passed it.
     """
-    dim, d = ys.shape
-    xs = np.broadcast_to(np.arange(dim, dtype=np.int64)[:, None], (dim, d))
+    rows_in, d = ys.shape
+    if xs is None:
+        xs = np.arange(rows_in, dtype=np.int64)
+    xs = np.broadcast_to(xs[:, None], (rows_in, d))
+    ids, rank = np.unique(np.concatenate([xs[:, 0], ys.ravel()]),
+                          return_inverse=True)
+    m = ids.size
+    rx = rank[:rows_in, None]
+    ry = rank[rows_in:].reshape(rows_in, d)
     pad = (ys == xs) & (vs == 0)
     after_pad = ~pad & np.logical_or.accumulate(pad, axis=1)
-    keys = xs * dim + ys
+    keys = rx * m + ry
     # a repeat of an earlier non-padding key in the same row; keys are in
     # row-major slot order, so the stable sort puts the earlier slot first
     flat = keys.ravel()
     order = np.argsort(flat, kind="stable")
     repeat = np.zeros(flat.size, dtype=bool)
     repeat[order[1:]] = flat[order[1:]] == flat[order[:-1]]
-    duplicate = repeat.reshape(dim, d) & ~pad
+    duplicate = repeat.reshape(rows_in, d) & ~pad
     zero = ~pad & (vs == 0)
     bad = after_pad | duplicate | zero
     if bad.any():
-        x, i = divmod(int(np.flatnonzero(bad)[0]), d)
-        if after_pad[x, i]:
+        r, i = divmod(int(np.flatnonzero(bad)[0]), d)
+        x = xs[r, 0]
+        if after_pad[r, i]:
             raise OracleError(f"row {x}: nonzero slot {i + 1} after padding")
-        if duplicate[x, i]:
-            raise OracleError(f"row {x}: duplicate neighbor {ys[x, i]}")
+        if duplicate[r, i]:
+            raise OracleError(f"row {x}: duplicate neighbor {ys[r, i]}")
         raise OracleError(f"row {x}: explicit zero at slot {i + 1}")
     keep = ~pad
     rows, cols, vals = xs[keep], ys[keep], vs[keep]
@@ -304,17 +317,21 @@ def entries_from_slots(ys: np.ndarray, vs: np.ndarray
         at = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise OracleError(f"non-finite entry at ({rows[at]}, {cols[at]})")
     if vals.size:
-        # |H[x, y] - conj(H[y, x])| at every stored (x, y); a missing
-        # mirror counts as 0, as it would in the dense matrix
+        # |H[x, y] - conj(H[y, x])| at every stored (x, y)
         order = np.argsort(keys[keep])
         sorted_keys, sorted_vals = keys[keep][order], vals[order]
-        want = cols * dim + rows
+        want = (ry * m + rx)[keep]
         at = np.searchsorted(sorted_keys, want).clip(max=vals.size - 1)
-        mirror = np.where(sorted_keys[at] == want, sorted_vals[at], 0)
+        found = sorted_keys[at] == want
+        mirror = np.where(found, sorted_vals[at], 0)
         dev = float(np.abs(vals - mirror.conj()).max())
         if dev > TOL.hermiticity:
             raise OracleError(
                 f"oracle is not Hermitian: max deviation {dev:.3e}")
+        if not found.all():
+            at = int(np.flatnonzero(~found)[0])
+            raise OracleError(f"entry ({rows[at]}, {cols[at]}) has no "
+                              f"mirror at row {cols[at]}")
     return rows, cols, vals
 
 

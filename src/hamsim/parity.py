@@ -99,6 +99,12 @@ def _edge(instance: ParityInstance, k: int, j: int,
             complex(math.sqrt((N - low) * (low + 1)) / 2.0))
 
 
+def _lower_levels(N: int, j: int) -> list[int]:
+    """Lower levels of the edges at level j, the edge down first: j - 1
+    when j > 0, then j when j < N."""
+    return [low for low in (j - 1, j) if 0 <= low < N]
+
+
 def build_parity_oracle(instance: ParityInstance) -> SparseOracle:
     """2-sparse oracle for the ladder; a column costs at most two bits.
 
@@ -113,14 +119,10 @@ def build_parity_oracle(instance: ParityInstance) -> SparseOracle:
         if kj is None:
             return (x, 0j)
         k, j = kj
-        edges = []
-        if j > 0:
-            edges.append(("down", j - 1))
-        if j < N:
-            edges.append(("up", j))
-        if i > len(edges):
+        lows = _lower_levels(N, j)
+        if i > len(lows):
             return (x, 0j)
-        return _edge(instance, k, j, edges[i - 1][1])
+        return _edge(instance, k, j, lows[i - 1])
 
     return SparseOracle(n, 2, fn)
 
@@ -142,13 +144,10 @@ def split_even_odd(instance: ParityInstance
             if kj is None:
                 return (x, 0j)
             k, j = kj
-            if j > 0 and (j - 1) % 2 == par:
-                low = j - 1
-            elif j < N and j % 2 == par:
-                low = j
-            else:
-                return (x, 0j)
-            return _edge(instance, k, j, low)
+            for low in _lower_levels(N, j):
+                if low % 2 == par:
+                    return _edge(instance, k, j, low)
+            return (x, 0j)
 
         return fn
 

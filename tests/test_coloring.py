@@ -181,6 +181,21 @@ def path_fixture():
     return oracle.from_columns(18, 3, cols, sort=False)
 
 
+def test_path_fixture_lays_out_only_its_rows(monkeypatch):
+    # 2^18 vertices, but the build checks only the rows it is given
+    shapes = []
+    real = oracle.entries_from_slots
+
+    def spy(ys, vs, xs=None):
+        shapes.append(ys.shape)
+        return real(ys, vs, xs)
+
+    monkeypatch.setattr(oracle, "entries_from_slots", spy)
+    orc = path_fixture()
+    assert shapes == [(16, 3)]       # the chain, 6 fillers and 2 extras
+    assert orc.query(X_V[0], 1) == (X_V[1], 1 + 0j)
+
+
 def test_build_chain_on_path_fixture():
     orc = path_fixture()
     # six-element cap: x6 is reachable but the chain stops at z+2 = 6

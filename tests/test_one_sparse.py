@@ -87,7 +87,7 @@ def test_extract_table_rejects_inconsistent_pieces():
     # partner to claim it back
     for x, y in ((2, 1), (1, 2)):
         with pytest.raises(OracleError,
-                           match=f"column {y} does not claim its partner {x}"):
+                           match=rf"entry \({x}, {y}\) has no mirror at row {y}"):
             extract_table(_Piece(4, {x: (y, 1e-13 + 0j)}))
 
 

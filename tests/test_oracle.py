@@ -218,7 +218,8 @@ def test_non_hermitian_pair_rejected():
         oracle.from_columns(1, 1, {0: [(1, 1.0 + 0j)], 1: [(0, 1.0 + 0.5j)]})
     with pytest.raises(OracleError):
         oracle.from_columns(1, 1, {0: [(1, 1.0 + 0j)]})  # missing mirror
-    with pytest.raises(OracleError, match="must be real"):
+    with pytest.raises(OracleError,
+                       match="oracle is not Hermitian: max deviation 1.600e-12"):
         oracle.from_columns(1, 1, {0: [(0, 1 + 8e-13j)]})  # its own mirror
 
 
@@ -345,6 +346,10 @@ BAD_ORACLES = {
                             "row 1: explicit zero at slot 1"),
     "padding before a repeat": ({1: [(1, 0.0), (1, 2.0)]},
                                 "row 1: nonzero slot 2 after padding"),
+    # within the Hermiticity tolerance, but its mirror is still required
+    "one-way within tolerance": ({0: [(1, 1e-13), (2, 0.5)], 2: [(0, 0.5)],
+                                  3: [(3, 1.0)]},
+                                 "entry (0, 1) has no mirror at row 1"),
 }
 
 
@@ -365,6 +370,58 @@ def test_read_entries_structural_checks(name):
         assert str(exc.value) == message
     with pytest.raises(OracleError, match=r"non-finite entry at \(0, 1\)"):
         oracle.read_entries(raw_oracle({0: [(1, np.nan)], 1: [(0, np.nan)]}))
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (rows, _) in BAD_ORACLES.items()
+    if all(v != 0 for row in rows.values() for _, v in row)))
+def test_from_columns_refuses_a_bad_row_set_as_a_read_does(name):
+    # the rows a build is given pass the check every read passes
+    non_finite = ({0: [(1, np.nan)], 1: [(0, np.nan)]},
+                  "non-finite entry at (0, 1)")
+    for rows, message in (BAD_ORACLES[name], non_finite):
+        with pytest.raises(OracleError) as exc:
+            oracle.from_columns(2, 2, rows, sort=False)
+        assert str(exc.value) == message
+
+
+def test_from_columns_refuses_what_a_slot_read_cannot_see():
+    for n, cols, message in (
+            (2, {1.5: [(1.5, 2.0)]}, "vertex 1.5 is not an integer"),
+            (2, {0: [(1.0, 2.0)], 1: [(0, 2.0)]},
+             "neighbor 1.0 of 0 is not an integer"),
+            (2, {4: [(4, 1.0)]}, "vertex 4 out of range"),
+            (2, {0: [(-1, 1.0)]}, "neighbor -1 of 0 out of range"),
+            (2, {0: [(1, 1.0), (2, 1.0), (3, 1.0)]},
+             "row 0 has 3 neighbors, exceeds d=2"),
+            (2, {0: [(1, 0.0)]}, "explicit zero entry at (0, 1)"),
+            # numbers that int64 cannot hold
+            (64, {1 << 63: [(1 << 63, 1.0)]},
+             f"vertex {1 << 63} exceeds the largest index, {sys.maxsize}"),
+            (64, {0: [(1 << 63, 1.0)]},
+             f"neighbor {1 << 63} of 0 exceeds the largest index, "
+             f"{sys.maxsize}")):
+        with pytest.raises(OracleError) as exc:
+            oracle.from_columns(n, 2, cols)
+        assert str(exc.value) == message
+
+
+def test_from_columns_checks_a_few_rows_of_a_large_oracle_exactly():
+    # keys x * dim + y would overflow int64 at these vertices
+    a, b = 1 << 39, (1 << 39) + 1
+    orc = oracle.from_columns(40, 2, {a: [(b, 0.5j), (a, 2.0)],
+                                      b: [(a, -0.5j)]})
+    assert orc.query(a, 1) == (a, 2 + 0j)
+    assert orc.query(a, 2) == (b, 0.5j)
+    assert orc.query(b, 1) == (a, -0.5j)
+    assert orc.query(b, 2) == (b, 0j)
+    assert orc.query(0, 1) == (0, 0j)
+    with pytest.raises(OracleError) as exc:
+        oracle.from_columns(40, 2, {a: [(b, 0.5j)], b: [(a, 0.5j)]})
+    assert str(exc.value) == "oracle is not Hermitian: max deviation 1.000e+00"
+    with pytest.raises(OracleError) as exc:
+        oracle.from_columns(40, 2, {a: [(b, 1e-13)], b: [(b, 1.0)]})
+    assert str(exc.value) == f"entry ({a}, {b}) has no mirror at row {b}"
 
 
 @pytest.mark.parametrize("name", sorted(BAD_ORACLES))
