@@ -303,11 +303,12 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     alpha, tau, the paper's (k, r), quantization, packing and the plan
     all use this one list, so the bound describes the plan that runs;
     m_pieces counts it, piece_labels names each piece's constituent
-    labels, and m_pieces_floor, the longest row of H, is the fewest
-    pieces any merge can reach.  A lookup of a merged piece runs its
-    constituents' lookups, so the paper's budget base_query_bound is
-    2(z+2) constituent_lookups, r times the constituents of the plan's
-    steps; unmerged that is 2(z+2) n_exp.
+    labels, and m_pieces_floor, the longest row of H, is a lower bound
+    on the pieces any merge can reach (a 1-sparse piece holds at most one
+    entry of a row), not a count any merge is known to reach.  A lookup
+    of a merged piece runs its constituents' lookups, so the paper's
+    budget base_query_bound is 2(z+2) constituent_lookups, r times the
+    constituents of the plan's steps; unmerged that is 2(z+2) n_exp.
     """
     if not math.isfinite(t):
         raise PlanError(f"evolution time must be finite, got {t}")

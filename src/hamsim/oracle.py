@@ -25,6 +25,8 @@ call must spend them.
 from __future__ import annotations
 
 import operator
+import os
+import struct
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -147,32 +149,42 @@ class SparseOracle:
 
 @dataclass(frozen=True)
 class EntryList:
-    """Serializable description: entries are (x, y, H[x, y]) with x <= y."""
+    """Serializable description: entries are (x, y, H[x, y]) with x <= y.
+
+    Checked here is only what the text format itself needs: a header with
+    n >= 1 and 1 <= d <= 2^n, every x and y in range, and x <= y.  Whether
+    the entries make a valid row set is checked where every row set is
+    checked, when from_entry_list builds the oracle: at most d entries per
+    row and no explicit zero in from_columns, and no duplicate pair,
+    finite values and real diagonals in entries_from_slots.
+    """
 
     n: int
     d: int
     entries: tuple[tuple[int, int, complex], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        dim = 1 << self.n
-        if self.n < 1 or not 1 <= self.d <= dim:
+        if self.n < 1 or not 1 <= self.d <= 1 << self.n:
             raise OracleError(f"bad header n={self.n} d={self.d}")
-        seen: set[tuple[int, int]] = set()
-        for x, y, v in self.entries:
+        dim = 1 << self.n
+        for x, y, _ in self.entries:
             if not (0 <= x < dim and 0 <= y < dim):
                 raise OracleError(f"entry ({x}, {y}) out of range")
             if x > y:
                 raise OracleError(f"entry ({x}, {y}) must be stored with x <= y")
-            if (x, y) in seen:
-                raise OracleError(f"duplicate entry for pair ({x}, {y})")
-            seen.add((x, y))
-            v = complex(v)
-            if v == 0:
-                raise OracleError(f"zero value stored for pair ({x}, {y})")
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise OracleError(f"non-finite value for pair ({x}, {y})")
-            if x == y and abs(v - v.conjugate()) > TOL.hermiticity:
-                raise OracleError(f"diagonal entry at {x} must be real, got {v}")
+
+
+_POINTER = struct.calcsize("P")
+
+
+def _check_memory(what: str, count: int, unit: str, unit_bytes: int) -> None:
+    """Refuse, before it starts, an allocation of count units of at least
+    unit_bytes each that the machine's physical memory cannot hold."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if count * unit_bytes > memory:
+        raise OracleError(
+            f"{what} exceeds memory: {count} {unit} x {unit_bytes} bytes "
+            f"> {memory} bytes of physical memory")
 
 
 def _index(value, dim: int, what: str) -> int:
@@ -251,8 +263,15 @@ def read_slots(oracle: SparseOracle,
                ) -> tuple[np.ndarray, np.ndarray]:
     """Every slot of the oracle, each read once through read (its query or
     its peek), as (dim, d) neighbor and value arrays; column i - 1 holds
-    slot i, padding included."""
+    slot i, padding included.  A read whose dim * d slots physical memory
+    cannot hold is refused before the first query."""
     dim, d = oracle.dim, oracle.d
+    # per slot, held at once while vs is built: a pointer in slots and one
+    # in the list vs is built from, an int64 of ys and a complex128 of vs;
+    # the answers themselves come on top
+    _check_memory(f"full read of dim*d = 2^{oracle.n}*{d}", dim * d, "slots",
+                  2 * _POINTER + np.dtype(np.int64).itemsize
+                  + np.dtype(np.complex128).itemsize)
     slots = [read(x, i) for x in range(dim) for i in range(1, d + 1)]
     ys = np.array([y for y, _ in slots], dtype=np.int64).reshape(dim, d)
     vs = np.array([v for _, v in slots], dtype=np.complex128).reshape(dim, d)
@@ -262,7 +281,8 @@ def read_slots(oracle: SparseOracle,
 def read_entries(oracle: SparseOracle
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uncounted read of every stored entry: entries_from_slots of a
-    read_slots through peek, with no dense cap."""
+    read_slots through peek.  No dense cap applies; read_slots' memory
+    rule does."""
     return entries_from_slots(*read_slots(oracle, oracle.peek))
 
 
@@ -396,13 +416,15 @@ def random_sparse(n: int, d: int, seed: int,
     Mixes real diagonal entries with complex off-diagonal pairs; every row
     keeps at most d nonzeros.  With norm_target the whole matrix is rescaled
     to that spectral norm (requires the dimension to be under the dense cap).
+    A dimension 2^n whose per-vertex lists physical memory cannot hold is
+    refused before they are allocated.
     """
     if n < 1:
         raise OracleError(f"need at least one vertex bit, got n={n}")
-    if 1 << n > sys.maxsize:
-        # the per-vertex lists below could not be allocated
-        raise OracleError(
-            f"dimension 2^{n} exceeds the largest index, {sys.maxsize}")
+    # per vertex, before any entry: a pointer in deg and one in neighbors,
+    # and the empty set neighbors[x] starts as
+    _check_memory(f"dimension 2^{n}", 1 << n, "vertices",
+                  2 * _POINTER + sys.getsizeof(set()))
     if seed < 0:
         raise OracleError(f"seed must be nonnegative, got {seed}")
     if norm_target is not None and not (norm_target > 0 and np.isfinite(norm_target)):

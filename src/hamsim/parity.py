@@ -34,8 +34,8 @@ from .suzuki import (build_plan, choose_r, choose_r_sharp,
 class ParityInstance:
     """Hidden bitstring with counted bit access.
 
-    bit(i) is 1-indexed and counted; parity() and prefix_parity() are
-    reference views for verification, never part of the query budget.
+    bit(i) is 1-indexed and counted; parity() and bits are reference
+    views for verification, never part of the query budget.
     """
 
     def __init__(self, bits: Sequence[int]) -> None:
@@ -64,12 +64,6 @@ class ParityInstance:
 
     def parity(self) -> int:
         return sum(self._bits) % 2
-
-    def prefix_parity(self, j: int) -> int:
-        # parity of X_1..X_j, uncounted
-        if not 0 <= j <= self.size:
-            raise OracleError(f"prefix length {j} outside 0..{self.size}")
-        return sum(self._bits[:j]) % 2
 
 
 def register_bits(N: int) -> int:

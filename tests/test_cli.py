@@ -483,6 +483,34 @@ def test_simulate_reads_entry_list_files(tmp_path, capsys):
     assert data["error_ok"] is True
 
 
+def test_an_entry_list_below_one_vertex_bit_exits_one(tmp_path, capsys):
+    path = tmp_path / "h.txt"
+    path.write_text("-1 1\n")
+    assert main(["simulate", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad header n=-1 d=1" in err
+    assert "Traceback" not in err
+
+
+def test_full_reads_memory_cannot_hold_exit_one(tmp_path, capsys):
+    """simulate, decompose and sweep refuse a header whose dim * d slots
+    memory cannot hold before the first query, and simulate a random
+    instance whose per-vertex lists it cannot hold."""
+    path = tmp_path / "h.txt"
+    path.write_text("40 1\n0 1 1.0 0.0\n")
+    start = time.process_time()
+    for command in ("simulate", "decompose", "sweep"):
+        assert main([command, "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: full read of dim*d = 2^40*1 exceeds memory")
+    assert main(["simulate", "--gen", "random:n=40,d=1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dimension 2^40 exceeds memory")
+    assert "Traceback" not in err
+    assert time.process_time() - start < 5
+
+
 def test_decompose_listing_and_all_flag(capsys):
     rc, data = run_json(capsys, ["decompose", "--gen",
                                  "random:n=3,d=2,seed=4"])

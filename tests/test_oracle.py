@@ -192,19 +192,63 @@ def test_to_dense_matches_entries():
 
 def test_entry_list_validation():
     with pytest.raises(OracleError):
-        EntryList(2, 2, ((1, 0, 1.0),))          # stored with x > y
+        # stored with x > y
+        oracle.from_entry_list(EntryList(2, 2, ((1, 0, 1.0),)))
     with pytest.raises(OracleError):
-        EntryList(2, 2, ((0, 1, 1.0), (0, 1, 1.0)))  # duplicate pair
+        # duplicate pair
+        oracle.from_entry_list(EntryList(2, 2, ((0, 1, 1.0), (0, 1, 1.0))))
     with pytest.raises(OracleError):
-        EntryList(2, 2, ((0, 0, 1.0j),))         # imaginary diagonal
-    with pytest.raises(OracleError, match="must be real"):
+        # imaginary diagonal
+        oracle.from_entry_list(EntryList(2, 2, ((0, 0, 1.0j),)))
+    with pytest.raises(OracleError,
+                       match="oracle is not Hermitian: max deviation 1.600e-12"):
         # |v - conj(v)| = 1.6e-12, past the tolerance entries_from_slots
         # measures a read's pairs against
-        EntryList(2, 2, ((0, 0, 1 + 8e-13j),))
+        oracle.from_entry_list(EntryList(2, 2, ((0, 0, 1 + 8e-13j),)))
     with pytest.raises(OracleError):
-        EntryList(2, 2, ((0, 1, 0.0),))          # explicit zero
+        # explicit zero
+        oracle.from_entry_list(EntryList(2, 2, ((0, 1, 0.0),)))
     with pytest.raises(OracleError):
-        EntryList(2, 2, ((0, 7, 1.0),))          # out of range
+        # out of range
+        oracle.from_entry_list(EntryList(2, 2, ((0, 7, 1.0),)))
+
+
+@pytest.mark.parametrize("d, entries, rows, message", [
+    (2, ((0, 1, 1.0), (0, 1, 1.0)),
+     {0: [(1, 1.0), (1, 1.0)], 1: [(0, 1.0), (0, 1.0)]},
+     "row 0: duplicate neighbor 1"),
+    (1, ((0, 1, 1.0), (0, 1, 1.0)),
+     {0: [(1, 1.0), (1, 1.0)], 1: [(0, 1.0), (0, 1.0)]},
+     "row 0 has 2 neighbors, exceeds d=1"),
+    (2, ((0, 1, 0.0),), {0: [(1, 0.0)], 1: [(0, 0.0)]},
+     "explicit zero entry at (0, 1)"),
+    (2, ((0, 1, np.nan),), {0: [(1, np.nan)], 1: [(0, np.nan)]},
+     "non-finite entry at (0, 1)"),
+    (2, ((0, 0, 1 + 1j),), {0: [(0, 1 + 1j)]},
+     "oracle is not Hermitian: max deviation 2.000e+00"),
+    (2, ((0, 0, 1 + 8e-13j),), {0: [(0, 1 + 8e-13j)]},
+     "oracle is not Hermitian: max deviation 1.600e-12"),
+], ids=["duplicate pair", "repeat past d", "explicit zero", "NaN",
+        "complex diagonal", "diagonal past tolerance"])
+def test_an_entry_list_is_refused_as_its_mirrored_rows_are(d, entries, rows,
+                                                           message):
+    # the entry list checks only its format; the row set it stands for
+    # passes from_columns' check, the one every row set passes
+    for build in (lambda: oracle.from_entry_list(EntryList(2, d, entries)),
+                  lambda: oracle.from_columns(2, d, rows)):
+        with pytest.raises(OracleError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_full_reads_memory_cannot_hold_are_refused_before_a_query():
+    orc = oracle.from_columns(40, 1, {})
+    for read in (oracle.read_entries, coloring.piece_tables,
+                 lambda o: oracle.read_slots(o, o.query)):
+        with pytest.raises(OracleError,
+                           match=r"^full read of dim\*d = 2\^40\*1 exceeds memory"):
+            read(orc)
+    assert orc.counter.count == 0
 
 
 def test_degree_overflow_rejected():
