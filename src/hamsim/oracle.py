@@ -85,6 +85,20 @@ class QueryCounter:
             self._offset = sum(cell[0] for cell in self._cells)
 
 
+# int64 numbers the vertices, so a vertex set has at most 2^63 of them
+_MAX_WIDTH = 63
+
+
+def _check_width(n: int) -> None:
+    """Refuse a vertex width n outside 1.._MAX_WIDTH before anything is
+    shifted by it: 1 << n for a huge n asks for an n-bit number."""
+    if n < 1:
+        raise OracleError(f"need at least one vertex bit, got n={n}")
+    if n > _MAX_WIDTH:
+        raise OracleError(f"dimension 2^{n} exceeds 2^{_MAX_WIDTH}, the most "
+                          f"vertices int64 can number")
+
+
 class SparseOracle:
     """Counted query access to a d-sparse Hermitian matrix on n bits.
 
@@ -96,8 +110,7 @@ class SparseOracle:
 
     def __init__(self, n: int, d: int,
                  fn: Callable[[int, int], tuple[int, complex]]) -> None:
-        if n < 1:
-            raise OracleError(f"need at least one vertex bit, got n={n}")
+        _check_width(n)
         if not 1 <= d <= (1 << n):
             raise OracleError(f"degree bound d={d} out of range for n={n}")
         self.n = n
@@ -152,8 +165,8 @@ class EntryList:
     """Serializable description: entries are (x, y, H[x, y]) with x <= y.
 
     Checked here is only what the text format itself needs: a header with
-    n >= 1 and 1 <= d <= 2^n, every x and y in range, and x <= y.  Whether
-    the entries make a valid row set is checked where every row set is
+    1 <= n <= 63 and 1 <= d <= 2^n, every x and y in range, and x <= y.
+    Whether the entries make a valid row set is checked where every row set is
     checked, when from_entry_list builds the oracle: at most d entries per
     row and no explicit zero in from_columns, and no duplicate pair,
     finite values and real diagonals in entries_from_slots.
@@ -164,8 +177,9 @@ class EntryList:
     entries: tuple[tuple[int, int, complex], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or not 1 <= self.d <= 1 << self.n:
-            raise OracleError(f"bad header n={self.n} d={self.d}")
+        if not (1 <= self.n <= _MAX_WIDTH and 1 <= self.d <= 1 << self.n):
+            raise OracleError(f"bad header n={self.n} d={self.d}: need "
+                              f"1 <= n <= {_MAX_WIDTH} and 1 <= d <= 2^n")
         dim = 1 << self.n
         for x, y, _ in self.entries:
             if not (0 <= x < dim and 0 <= y < dim):
@@ -188,8 +202,8 @@ def _check_memory(what: str, count: int, unit: str, unit_bytes: int) -> None:
 
 
 def _index(value, dim: int, what: str) -> int:
-    """value as a vertex number in [0, dim) that int64 holds; what names
-    it in messages, with {} where the value goes."""
+    """value as a vertex number in [0, dim); what names it in messages,
+    with {} where the value goes."""
     try:
         index = operator.index(value)
     except TypeError:
@@ -197,9 +211,6 @@ def _index(value, dim: int, what: str) -> int:
             f"{what.format(repr(value))} is not an integer") from None
     if not 0 <= index < dim:
         raise OracleError(f"{what.format(index)} out of range")
-    if index > sys.maxsize:
-        raise OracleError(f"{what.format(index)} exceeds the largest "
-                          f"index, {sys.maxsize}")
     return index
 
 
@@ -419,12 +430,11 @@ def random_sparse(n: int, d: int, seed: int,
     A dimension 2^n whose per-vertex lists physical memory cannot hold is
     refused before they are allocated.
     """
-    if n < 1:
-        raise OracleError(f"need at least one vertex bit, got n={n}")
-    # per vertex, before any entry: a pointer in deg and one in neighbors,
-    # and the empty set neighbors[x] starts as
+    _check_width(n)
+    # per vertex, before any entry: a pointer in neighbors and the empty
+    # set neighbors[x] starts as
     _check_memory(f"dimension 2^{n}", 1 << n, "vertices",
-                  2 * _POINTER + sys.getsizeof(set()))
+                  _POINTER + sys.getsizeof(set()))
     if seed < 0:
         raise OracleError(f"seed must be nonnegative, got {seed}")
     if norm_target is not None and not (norm_target > 0 and np.isfinite(norm_target)):
@@ -432,26 +442,25 @@ def random_sparse(n: int, d: int, seed: int,
             f"norm target must be finite and positive, got {norm_target}")
     rng = np.random.default_rng(seed)
     dim = 1 << n
-    deg = [0] * dim
     neighbors: list[set[int]] = [set() for _ in range(dim)]
     columns: dict[int, list[tuple[int, complex]]] = {}
 
     def add(x: int, y: int, v: complex) -> None:
         columns.setdefault(x, []).append((y, v))
         neighbors[x].add(y)
-        deg[x] += 1
         if y != x:
             columns.setdefault(y, []).append((x, v.conjugate()))
             neighbors[y].add(x)
-            deg[y] += 1
 
     for x in range(dim):
-        if rng.random() < 0.25 and deg[x] < d:
+        # row x is still empty, and every d an oracle accepts is >= 1
+        if rng.random() < 0.25:
             add(x, x, complex(rng.uniform(-1.0, 1.0)))
     for _ in range(3 * d * dim):
         x = int(rng.integers(dim))
         y = int(rng.integers(dim))
-        if x == y or deg[x] >= d or deg[y] >= d or y in neighbors[x]:
+        if (x == y or len(neighbors[x]) >= d or len(neighbors[y]) >= d
+                or y in neighbors[x]):
             continue
         add(min(x, y), max(x, y),
             complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))

@@ -28,7 +28,7 @@ from .one_sparse import (apply_product_formula, check_bits, extract_table,
                          pack_tables, quantize_table)
 from .oracle import QueryCounter, SparseOracle
 from .suzuki import (build_plan, choose_r, choose_r_sharp,
-                     integrator_error_bound_sharp, restriction_values)
+                     integrator_error_bound_sharp)
 
 
 class ParityInstance:
@@ -211,8 +211,7 @@ def run_parity(instance: ParityInstance, eps: float,
     r_paper = choose_r(1, 2, tau, eps)
     r_sharp = choose_r_sharp(1, 2, tau, eps)
     r_rule, r = ("sharp", r_sharp) if r_sharp < r_paper else ("paper", r_paper)
-    bound = (integrator_error_bound_sharp(1, 2, tau, r)
-             if restriction_values(1, 2, tau, r)[0] <= 1.0 else None)
+    bound = integrator_error_bound_sharp(1, 2, tau, r)
     plan = build_plan(1, 2)
 
     bits_before = instance.counter.count

@@ -258,33 +258,31 @@ def restriction_check(k: int, m: int, tau: float, r: int) -> bool:
     return a <= 1.0 and b <= 1.0
 
 
-def integrator_error_bound(k: int, m: int, tau: float, r: int) -> float:
+def integrator_error_bound(k: int, m: int, tau: float, r: int) -> float | None:
     """Closed-form bound 5 (2 * 5^(k-1) m tau)^(2k+1) / r^(2k).
 
-    Raises PlanError naming the violated condition when the restrictions
-    do not hold.
+    The bound holds only where both restrictions of restriction_values
+    do; elsewhere it is None.  Invalid arguments raise PlanError.
     """
-    a, b = restriction_values(k, m, tau, r)
-    if a > 1.0:
-        raise PlanError(f"linear restriction violated: 4 m 5^(k-1) tau / r = {a}")
-    if b > 1.0:
-        raise PlanError(
-            f"power restriction violated: (16/3)(2  5^(k-1) m tau)^(2k+1)/r^(2k) = {b}")
+    if not restriction_check(k, m, tau, r):
+        return None
     if tau == 0:
         return 0.0
     x = 2.0 * 5.0 ** (k - 1) * m * tau
     return _positive(_ratio_power(5.0, x, k, r))
 
 
-def integrator_error_bound_sharp(k: int, m: int, tau: float, r: int) -> float:
+def integrator_error_bound_sharp(k: int, m: int, tau: float,
+                                 r: int) -> float | None:
     """Sharper pre-form (1 + (8/3)(2 m 5^(k-1) tau / r)^(2k+1))^r - 1.
 
-    Valid whenever the linear restriction alone holds.  Evaluated through
-    expm1/log1p so tiny per-slice terms survive the r-fold compounding.
+    The pre-form holds wherever the linear restriction alone does;
+    elsewhere it is None.  Invalid arguments raise PlanError.  Evaluated
+    through expm1/log1p so tiny per-slice terms survive the r-fold
+    compounding.
     """
-    a, _ = restriction_values(k, m, tau, r)
-    if a > 1.0:
-        raise PlanError(f"linear restriction violated: 4 m 5^(k-1) tau / r = {a}")
+    if restriction_values(k, m, tau, r)[0] > 1.0:
+        return None
     if tau == 0:
         return 0.0
     x = 2.0 * m * 5.0 ** (k - 1) * tau

@@ -66,6 +66,23 @@ def test_bound_accepts_overrides_and_window_warnings(capsys):
     assert 0.0 <= data["error_bound"] < 1e-300
 
 
+def test_bounds_read_null_where_they_do_not_hold(capsys):
+    bound = ["bound", "--m", "2", "--tau", "1", "--eps", "0.01"]
+    # r=4 fails the linear restriction, so both bounds
+    _, data = run_json(capsys, bound + ["--r", "4"])
+    assert data["error_bound"] is None and data["error_bound_sharp"] is None
+    # r=10 passes it but fails the power one, which only the closed form needs
+    _, data = run_json(capsys, bound + ["--r", "10"])
+    assert data["error_bound"] is None
+    assert data["error_bound_sharp"] == pytest.approx(3.8342880606788676)
+    rc, data = run_json(capsys, ["sweep", "--gen", "terms:m=2,dim=4,seed=1",
+                                 "--k-list", "1", "--r-list", "4,10,253"])
+    assert rc == 0
+    assert [(row["bound"] is None, row["bound_sharp"] is None)
+            for row in data["rows"]] == [(True, True), (True, False),
+                                         (False, False)]
+
+
 def test_json_output_is_deterministic(capsys):
     args = ["simulate", "--gen", "random:n=3,d=2,seed=4,norm=1",
             "--time", "0.7", "--eps", "0.01"]
@@ -141,6 +158,19 @@ def test_simulate_slice_rule_overrides(capsys):
     assert data["error_bound_paper"] is None
     assert data["error_bound_commutator"] is None
     assert data["error_bound"] is None and data["bound_slack"] is None
+
+
+def test_simulate_paper_bound_is_zero_once_quantizing_drops_every_piece(
+        tmp_path, capsys):
+    # every value 0.1+0.1i on K4: at 1 bit both parts round to 0, while
+    # tau, taken from the unquantized pieces, is not 0
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("2 3\n" + "".join(
+        f"{x} {y} 0.1 0.1\n" for x, y in itertools.combinations(range(4), 2)))
+    _, data = run_json(capsys, ["simulate", "--input", str(k4),
+                                "--quantize", "1"])
+    assert data["m_pieces"] == 0 and data["tau"] > 0
+    assert data["error_bound_paper"] == 0.0
 
 
 def test_simulate_paper_rule_output_is_unchanged(capsys):
@@ -714,10 +744,13 @@ def test_exponential_counts_past_2_to_53_exit_one(capsys):
     assert "more than 2^53" in capsys.readouterr().err
 
 
-def test_plans_too_long_to_build_and_oversized_oracles_exit_one(capsys):
+def test_plans_too_long_to_build_and_oversized_oracles_exit_one(tmp_path,
+                                                                capsys):
     """simulate and sweep refuse a plan of billions of steps before
     building it, and simulate an oracle past the largest index before
-    allocating it."""
+    allocating it, or shifting by its width."""
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1000000000000 1\n")
     start = time.process_time()
     assert main(["simulate", "--gen", "random:n=3,d=2,seed=1", "--k", "14",
                  "--r", "1", "--no-verify"]) == 1
@@ -728,6 +761,12 @@ def test_plans_too_long_to_build_and_oversized_oracles_exit_one(capsys):
     assert main(["simulate", "--gen", "random:n=70,d=1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "2^70 exceeds" in err
+    for source, message in (
+            (["--input", str(wide)], "bad header n=1000000000000 d=1"),
+            (["--gen", "random:n=1000000000000,d=1"],
+             "dimension 2^1000000000000 exceeds 2^63")):
+        assert main(["simulate", *source]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
     assert time.process_time() - start < 5
 
 
