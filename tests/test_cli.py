@@ -481,13 +481,17 @@ def test_simulate_reads_each_slot_once(n, d, lookups, base):
 
 
 def test_simulate_stays_numpy_only():
-    # scipy is a test-only cross-check; the program must not load it
+    # scipy is a test-only cross-check and numpy the one dependency at
+    # run time; the program must load neither scipy nor mpmath
     src = str(Path(hamsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys\n"
             "from hamsim import cli, oracle\n"
             "cli.simulate_pipeline(oracle.random_sparse(4, 2, seed=1), 1.0, 1e-2)\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+            "from hamsim import suzuki\n"
+            "suzuki.build_plan(3, 2)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
@@ -744,11 +748,12 @@ def test_exponential_counts_past_2_to_53_exit_one(capsys):
     assert "more than 2^53" in capsys.readouterr().err
 
 
-def test_plans_too_long_to_build_and_oversized_oracles_exit_one(tmp_path,
-                                                                capsys):
+def test_plans_too_long_to_build_and_oversized_oracles_exit_one(
+        tmp_path, capsys, monkeypatch):
     """simulate and sweep refuse a plan of billions of steps before
-    building it, and simulate an oracle past the largest index before
-    allocating it, or shifting by its width."""
+    building it, simulate an oracle past the largest index before
+    allocating it, or shifting by its width, and parity a ladder whose
+    read memory cannot hold before drawing its bits."""
     wide = tmp_path / "wide.txt"
     wide.write_text("1000000000000 1\n")
     start = time.process_time()
@@ -767,6 +772,16 @@ def test_plans_too_long_to_build_and_oversized_oracles_exit_one(tmp_path,
              "dimension 2^1000000000000 exceeds 2^63")):
         assert main(["simulate", *source]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def draw(*args, **kwargs):
+        raise AssertionError("bits were drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    assert main(["parity", "--size", "1000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --size 1000000000000: full read of 2^41 "
+                          "ladder columns exceeds memory")
+    assert err.count("\n") == 1
     assert time.process_time() - start < 5
 
 
@@ -812,12 +827,14 @@ def test_simulate_refuses_a_bad_eps_before_any_query(eps, capsys):
     ({"k": 1.5}, None, "order parameter k must be a positive integer, got 1.5"),
     ({"r": 0}, "--r=0", "repetition count must be a positive integer, got 0"),
     ({"r": 2.5}, None, "repetition count must be a positive integer, got 2.5"),
-    ({"quantize": "0"}, "--quantize=0", "bit count 0 outside 1..62"),
-    ({"quantize": "63"}, "--quantize=63", "bit count 63 outside 1..62"),
+    ({"quantize": 0}, "--quantize=0", "bit count 0 outside 1..62"),
+    ({"quantize": 63}, "--quantize=63", "bit count 63 outside 1..62"),
     ({"k": True}, None, "order parameter k must be a positive integer, got True"),
     ({"r": True}, None, "repetition count must be a positive integer, got True"),
     ({"quantize": True}, None, "bit count True outside 1..62"),
     ({"quantize": 2.7}, None, "bit count 2.7 outside 1..62"),
+    # text is parsed by --quantize alone
+    ({"quantize": "12"}, None, "bit count '12' outside 1..62"),
 ])
 def test_simulate_refuses_a_bad_plan_argument_before_any_query(
         given, flag, message, capsys):

@@ -178,7 +178,7 @@ def path_fixture():
         cols[f] = [(chain[1 + idx], 1.0 + 0j)]
     for g in extra:
         cols[g] = [(X6_V, 1.0 + 0j)]
-    return oracle.from_columns(18, 3, cols, sort=False)
+    return oracle.from_columns(18, 3, cols)
 
 
 def test_path_fixture_lays_out_only_its_rows(monkeypatch):

@@ -175,36 +175,19 @@ def _random_table_reference(dim, seed, diag_prob, empty_prob):
 
 def test_random_table_matches_the_scanning_loop_bit_for_bit():
     fields = ("diag_idx", "diag_h", "pair_lo", "pair_hi", "pair_amp")
-    for diag_prob, empty_prob in ((0.25, 0.15), (1.0, 0.0), (0.0, 0.0),
-                                  (0.0, 1.0), (0.4, 0.3)):
-        for dim in (*range(1, 40), 257, 1000):
-            for seed in range(6):
-                got = random_one_sparse_table(dim, seed=seed,
-                                              diag_prob=diag_prob,
-                                              empty_prob=empty_prob)
-                want = _random_table_reference(dim, seed, diag_prob,
-                                               empty_prob)
-                for name in fields:
-                    a, b = getattr(got, name), getattr(want, name)
-                    assert a.dtype == b.dtype, (name, dim, seed)
-                    assert a.tobytes() == b.tobytes(), (name, dim, seed)
+    for dim in (*range(1, 40), 257, 1000):
+        for seed in range(6):
+            got = random_one_sparse_table(dim, seed=seed)
+            want = _random_table_reference(dim, seed, 0.25, 0.15)
+            for name in fields:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype, (name, dim, seed)
+                assert a.tobytes() == b.tobytes(), (name, dim, seed)
 
 
 def test_random_table_refuses_negative_seed():
     with pytest.raises(OracleError, match="nonnegative"):
         random_one_sparse_table(8, seed=-1)
-
-
-def test_random_table_norm_target_is_exact():
-    table = random_one_sparse_table(24, seed=11, norm_target=2.5)
-    assert numerics.spectral_norm(table_to_dense(table)) == pytest.approx(
-        2.5, abs=1e-12)
-    # refused before the draw, so an empty piece is refused too
-    for bad in (-1.0, 0.0, float("nan"), float("inf")):
-        for empty_prob in (0.15, 1.0):
-            with pytest.raises(OracleError, match="finite and positive"):
-                random_one_sparse_table(24, seed=11, empty_prob=empty_prob,
-                                        norm_target=bad)
 
 
 def test_evolve_zero_time_is_identity():
@@ -604,9 +587,9 @@ def test_kernel_forms_on_a_seeded_grid(monkeypatch):
         tables = []
         for _ in range(m):
             empty = float(rng.random())
-            tables.append(random_one_sparse_table(
-                dim, seed=int(rng.integers(1 << 30)), empty_prob=empty,
-                diag_prob=float(rng.random()) * (1 - empty)))
+            tables.append(_random_table_reference(
+                dim, int(rng.integers(1 << 30)),
+                float(rng.random()) * (1 - empty), empty))
         packed = pack_tables(tables)
         steps = plan_steps(suzuki.build_plan(k, m), float(rng.uniform(-3, 3)),
                            reps)
@@ -725,9 +708,17 @@ def _disjoint(tables):
     return out
 
 
+def _unit_norm(tb):
+    """tb rescaled to spectral norm 1; an empty table as it is."""
+    if not tb.entry_count:
+        return tb
+    scale = 1.0 / tb.norm
+    return OneSparseTable(tb.dim, tb.diag_idx, tb.diag_h * scale, tb.pair_lo,
+                          tb.pair_hi, tb.pair_amp * scale)
+
+
 def _random_tables(dim, m, seed):
-    return _disjoint([random_one_sparse_table(dim, seed=seed + i,
-                                              norm_target=1.0)
+    return _disjoint([_unit_norm(random_one_sparse_table(dim, seed=seed + i))
                       for i in range(m)])
 
 
@@ -735,8 +726,7 @@ def _commuting_tables(dim, m, seed):
     """A piece of pairs, then m - 1 diagonal pieces, each pair's two ends
     holding one value in one of them: every piece commutes with every
     other, through products that are nonzero and cancel exactly."""
-    pairs = random_one_sparse_table(dim, seed=seed, diag_prob=0.0,
-                                    empty_prob=0.0)
+    pairs = _random_table_reference(dim, seed, 0.0, 0.0)
     h = np.random.default_rng(seed).normal(size=pairs.pair_lo.size)
     return [pairs] + [
         OneSparseTable(dim, np.r_[pairs.pair_lo[g::m - 1],
@@ -924,7 +914,7 @@ def test_nested_commutator_norms_refuse_overlapping_pieces():
     dim = 1 << 16
     twice = [OneSparseTable(dim, [7], [1.0], [], [], []),
              OneSparseTable(dim, [7], [-2.0], [], [], [])]
-    t = random_one_sparse_table(7, seed=3, empty_prob=0.0)
+    t = _random_table_reference(7, 3, 0.25, 0.0)
     negated = [t, OneSparseTable(7, t.diag_idx, -t.diag_h, t.pair_lo,
                                  t.pair_hi, -t.pair_amp)]
     shared = [random_one_sparse_table(12, seed=s) for s in (1, 2)]

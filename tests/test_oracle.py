@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from hamsim import cli, coloring, numerics, oracle, parity
+from hamsim import cli, coloring, numerics, one_sparse, oracle, parity
 from hamsim.config import OracleError
 from hamsim.oracle import EntryList
 from oracle_helpers import (entry_list_to_text, save_entry_list,
@@ -248,6 +248,10 @@ def test_full_reads_memory_cannot_hold_are_refused_before_a_query():
         with pytest.raises(OracleError,
                            match=r"^full read of dim\*d = 2\^40\*1 exceeds memory"):
             read(orc)
+    # a piece's columns, one slot each, by the same rule
+    with pytest.raises(OracleError, match=r"^full read of a piece exceeds "
+                                          r"memory: 1099511627776 columns"):
+        one_sparse.extract_table(coloring.decompose(orc)[0])
     assert orc.counter.count == 0
 
 
@@ -365,11 +369,21 @@ def test_explicit_column_order_is_respected():
     cols = {0: [(2, 1.0 + 0j), (1, 2.0 + 0j)],
             1: [(0, 2.0 + 0j)],
             2: [(0, 1.0 + 0j)]}
-    orc = oracle.from_columns(2, 2, cols, sort=False)
+    orc = oracle.from_columns(2, 2, cols)
     assert orc.query(0, 1) == (2, 1.0 + 0j)
     assert orc.query(0, 2) == (1, 2.0 + 0j)
-    sorted_orc = oracle.from_columns(2, 2, cols, sort=True)
-    assert sorted_orc.query(0, 1) == (1, 2.0 + 0j)
+    # the two builders that promise ascending slots sort their own rows
+    listed = oracle.from_entry_list(EntryList(2, 2, ((0, 2, 1.0),
+                                                     (0, 1, 2.0))))
+    assert listed.query(0, 1) == (1, 2.0 + 0j)
+    assert listed.query(0, 2) == (2, 1.0 + 0j)
+    for orc in (oracle.random_sparse(6, 4, seed=2),
+                oracle.random_sparse(5, 3, seed=1, norm_target=1.0)):
+        ys, vs = oracle.read_slots(orc, orc.peek)
+        stored = vs != 0
+        assert stored.sum() > orc.dim
+        for row, keep in zip(ys, stored):
+            assert np.all(np.diff(row[keep]) > 0)
 
 
 # (rows in slot order, the message to_dense gave before it used read_entries)
@@ -425,7 +439,7 @@ def test_from_columns_refuses_a_bad_row_set_as_a_read_does(name):
                   "non-finite entry at (0, 1)")
     for rows, message in (BAD_ORACLES[name], non_finite):
         with pytest.raises(OracleError) as exc:
-            oracle.from_columns(2, 2, rows, sort=False)
+            oracle.from_columns(2, 2, rows)
         assert str(exc.value) == message
 
 
@@ -451,7 +465,7 @@ def test_from_columns_refuses_what_a_slot_read_cannot_see():
 def test_from_columns_checks_a_few_rows_of_a_large_oracle_exactly():
     # keys x * dim + y would overflow int64 at these vertices
     a, b = 1 << 39, (1 << 39) + 1
-    orc = oracle.from_columns(40, 2, {a: [(b, 0.5j), (a, 2.0)],
+    orc = oracle.from_columns(40, 2, {a: [(a, 2.0), (b, 0.5j)],
                                       b: [(a, -0.5j)]})
     assert orc.query(a, 1) == (a, 2 + 0j)
     assert orc.query(a, 2) == (b, 0.5j)

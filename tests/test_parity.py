@@ -224,6 +224,8 @@ def test_run_parity_quantized_pipeline():
     nbits = precision_bits(np.pi * N / 2, 2, 1, eps)
     res = run_parity(ParityInstance(bits), eps, quantize_bits=nbits)
     assert res.quantize_bits == nbits
+    # "auto" is that count, from run_parity's own tau
+    assert run_parity(ParityInstance(bits), eps, quantize_bits="auto") == res
     assert res.correct
     assert res.trace_error <= eps
     # query budget is untouched by table-level rounding

@@ -1,7 +1,10 @@
 """Product-formula plans, step-count/error bounds, and simulation."""
 
+import decimal
+import hashlib
 import math
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,9 +15,9 @@ from hamsim.suzuki import BoundResult, PlanStep
 
 # Frozen reference constants, computed independently with mpmath at 40
 # digits from the defining formulas.
-P2 = 0.4144907717943757371423541
-P3 = 0.373065827733272824775863
-P4 = 0.3595846493499922526124173
+P2 = Decimal("0.4144907717943757371423541")
+P3 = Decimal("0.373065827733272824775863")
+P4 = Decimal("0.3595846493499922526124173")
 LEMMA_1_2_1_253 = 320.0 / 64009.0            # 0.0049992969738630505
 SHARP_1_2_1_253 = 0.0026698353493890298113
 NEXP_1_2_1_001 = 2828.4271247461900976       # = 2000 sqrt(2)
@@ -24,11 +27,39 @@ NOISE = 1e-12  # roundoff allowance for measured operator-norm errors
 
 
 def test_p_coefficient_frozen_values():
-    assert suzuki.p_coefficient(2) == pytest.approx(P2, rel=1e-15)
-    assert suzuki.p_coefficient(3) == pytest.approx(P3, rel=1e-15)
-    assert suzuki.p_coefficient(4) == pytest.approx(P4, rel=1e-15)
-    with pytest.raises(PlanError):
-        suzuki.p_coefficient(1)
+    # to the digits the constants carry, far past a float's
+    for k, want in ((2, P2), (3, P3), (4, P4)):
+        assert abs(suzuki.p_coefficient(k) - want) < Decimal("1e-24")
+    for bad in (1, 2.0, True):  # 2.0 after 2 is cached, too
+        with pytest.raises(PlanError):
+            suzuki.p_coefficient(bad)
+
+
+# sha256 of float.hex of every fraction of build_plan(k, m), for k 1..5
+# and, within each k, m 1..6
+PLAN_FRACTIONS_SHA256 = (
+    "50382671c7c0d811f52d23d80db4f9fb9b4b312b88166b94a8a152ed087fae75")
+
+
+def test_plan_fractions_are_frozen_bit_for_bit():
+    digest = hashlib.sha256()
+    for k in range(1, 6):
+        for m in range(1, 7):
+            digest.update("".join(float.hex(st.fraction) for st in
+                                  suzuki.build_plan(k, m).steps).encode())
+    assert digest.hexdigest() == PLAN_FRACTIONS_SHA256
+
+
+def test_plans_ignore_the_callers_decimal_context():
+    want_p, want = suzuki.p_coefficient(3), suzuki.build_plan(3, 2)
+    suzuki.p_coefficient.cache_clear()
+    suzuki.build_plan.cache_clear()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        ctx.rounding = decimal.ROUND_FLOOR
+        ctx.traps[decimal.Inexact] = True
+        assert suzuki.build_plan(3, 2) == want
+        assert suzuki.p_coefficient(3) == want_p
 
 
 def test_plan_base_cases():
@@ -42,7 +73,7 @@ def test_plan_base_cases():
 
 def test_plan_second_order_two_terms():
     # Hand-expanded merge of the five scaled copies of the order-2 base.
-    p = suzuki.p_coefficient(2)
+    p = float(suzuki.p_coefficient(2))
     q = 1.0 - 4.0 * p
     expected = [(1, p / 2), (2, p), (1, p), (2, p), (1, (p + q) / 2),
                 (2, q), (1, (p + q) / 2), (2, p), (1, p), (2, p), (1, p / 2)]
