@@ -13,12 +13,14 @@ at 64-bit vertex labels) at most six values remain, giving at most 6 d^2
 pieces.  Only the finished tag is written out as a bit string.
 
 Chains only ever need z_n + 2 elements, so one piece lookup touches the
-base oracle at most 2(z_n + 2) times.  colored_query is that per-lookup
-algorithm, the paper's piece oracle, in two parts: edge_claims reads the
-(i, j)-chains at both endpoints of x once, and pick chooses the tag's
-answer from what they claim.  piece_tables computes every piece at once
-from one read of each slot, running the same rounds on whole columns of
-chains, and colored_query is the reference it is verified against.
+base oracle at most 2(z_n + 2) times, and those base queries are the only
+cost counted.  colored_query is that per-lookup algorithm, the paper's
+piece oracle, in two parts: edge_claims reads the (i, j)-chains at both
+endpoints of x once and runs the halving rounds on each, and pick chooses
+the tag's answer from what they claim.  piece_tables computes every piece
+at once from one read of each slot, running the same rounds on whole
+columns of chains, and colored_query is the reference it is verified
+against.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import numpy as np
 
 from .config import ColoringError, dense_cap
 from .one_sparse import OneSparseTable
-from .oracle import (QueryCounter, SparseOracle, entries_from_slots,
-                     read_entries, read_slots)
+from .oracle import SparseOracle, entries_from_slots, read_entries, read_slots
 
 # The complete value set after the final round whenever z_n >= 1: one bit
 # plus a two-bit position that never reaches 3.
@@ -186,39 +187,23 @@ def build_chain(oracle: SparseOracle, x: int, i: int, j: int,
     return chain
 
 
-# Memo of finished tags by (chain, n), for one verify_coloring call: the
-# halving rounds are a function of the chain's values alone, and a cold
-# replay meets each chain once per tag and from both of its endpoints.
-TagMemo = dict[tuple[tuple[int, ...], int], str]
-
-
 def upsilon(oracle: SparseOracle, x: int, i: int, j: int,
-            cache: QueryCache | None = None,
-            tags: TagMemo | None = None) -> str:
+            cache: QueryCache | None = None) -> str:
     """Tag of the (i, j)-edge whose lower endpoint is x.
 
     For n <= 2 the raw vertex label already fits the alphabet budget and is
     used as-is (no queries).  Otherwise the chain from x is read through
-    the oracle and shrunk through z_n halving rounds, and the first
-    element's final value is the tag.  The chain is always read; a tags
-    memo only spares running the rounds again on a chain it has seen.
+    the oracle and shrunk through all z_n halving rounds, and the first
+    element's final value is the tag.
     """
     n = oracle.n
     z = iterate_count(n)
     if z == 0:
         return vertex_bits(x, n)
-    chain = tuple(build_chain(oracle, x, i, j, cache))
-    if tags is not None:
-        tag = tags.get((chain, n))
-        if tag is not None:
-            return tag
-    values, width = chain, n
+    values, width = tuple(build_chain(oracle, x, i, j, cache)), n
     for _ in range(z):
         values, width = coin_toss_level(values, width)
-    tag = vertex_bits(values[0], width)
-    if tags is not None:
-        tags[chain, n] = tag
-    return tag
+    return vertex_bits(values[0], width)
 
 
 @dataclass(frozen=True)
@@ -259,8 +244,7 @@ EdgeClaims = tuple[int, complex | None, tuple[str, int, complex] | None,
 ClaimsMemo = dict[tuple[int, int, int], EdgeClaims]
 
 
-def edge_claims(oracle: SparseOracle, x: int, i: int, j: int,
-                tags: TagMemo | None = None) -> EdgeClaims:
+def edge_claims(oracle: SparseOracle, x: int, i: int, j: int) -> EdgeClaims:
     """Every claim row x can make under slots (i, j), from one set of reads.
 
     The diagonal of x sits at slot i = j; x may be the lower endpoint of an
@@ -269,8 +253,8 @@ def edge_claims(oracle: SparseOracle, x: int, i: int, j: int,
     read, through one fresh cache, so this costs what a lookup whose tag
     matches nothing costs, at most 2(z_n + 2) base queries, each a counted
     oracle.query with its checks; the cache only spares asking one
-    (vertex, slot) twice within the lookup.  A tags memo (see upsilon)
-    spares halving rounds, never a query.
+    (vertex, slot) twice within the lookup.  Each tag runs all z_n halving
+    rounds.
     """
     yi, vi = hit = oracle.query(x, i)
     cache = {(x, i): hit}
@@ -279,12 +263,12 @@ def edge_claims(oracle: SparseOracle, x: int, i: int, j: int,
     if yi > x:
         back, _ = _query(oracle, yi, j, cache)
         if back == x:
-            lower = (upsilon(oracle, x, i, j, cache, tags), yi, vi)
+            lower = (upsilon(oracle, x, i, j, cache), yi, vi)
     yj, vj = _query(oracle, x, j, cache)
     if yj < x:
         fwd, _ = _query(oracle, yj, i, cache)
         if fwd == x:
-            upper = (upsilon(oracle, yj, i, j, cache, tags), yj, vj)
+            upper = (upsilon(oracle, yj, i, j, cache), yj, vj)
     return (x, diag, lower, upper)
 
 
@@ -307,7 +291,6 @@ def pick(claims: EdgeClaims, nu: str) -> tuple[int, complex]:
 
 
 def colored_query(oracle: SparseOracle, x: int, label: EdgeLabel,
-                  tags: TagMemo | None = None,
                   claims: ClaimsMemo | None = None) -> tuple[int, complex]:
     """Row x of the 1-sparse piece named by label: (y, value) or (x, 0).
 
@@ -318,10 +301,10 @@ def colored_query(oracle: SparseOracle, x: int, label: EdgeLabel,
     """
     i, j = label.i, label.j
     if claims is None:
-        return pick(edge_claims(oracle, x, i, j, tags), label.nu)
+        return pick(edge_claims(oracle, x, i, j), label.nu)
     got = claims.get((x, i, j))
     if got is None:
-        got = claims[x, i, j] = edge_claims(oracle, x, i, j, tags)
+        got = claims[x, i, j] = edge_claims(oracle, x, i, j)
     return pick(got, label.nu)
 
 
@@ -329,30 +312,24 @@ class ColoredOracle:
     """1-sparse piece of a d-sparse oracle, addressed like any other piece.
 
     column(x) is the single-probe interface shared with 1-sparse
-    SparseOracles; its own counter tallies piece-level probes while the
-    base oracle's counter keeps tallying the underlying lookups.  Both
-    count in the probing thread's own tally, with no lock per probe.  Each
-    probe is a lookup of its own, with its own fresh cache; a tags memo and
-    a claims memo let one verification run the halving rounds once per
-    chain and the reads once per (x, i, j).
+    SparseOracles.  A piece keeps no counter: only the base queries a probe
+    makes count, on the base oracle's counter.  Each probe is a lookup of
+    its own, with its own fresh cache; a claims memo lets one verification
+    make the reads once per (x, i, j).
     """
 
     def __init__(self, base: SparseOracle, label: EdgeLabel,
-                 tags: TagMemo | None = None,
                  claims: ClaimsMemo | None = None) -> None:
         self.base = base
         self.label = label
-        self.tags = tags
         self.claims = claims
-        self.counter = QueryCounter()
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def column(self, x: int) -> tuple[int, complex]:
-        self.counter._tally.cell[0] += 1      # increment(), inlined
-        return colored_query(self.base, x, self.label, self.tags, self.claims)
+        return colored_query(self.base, x, self.label, self.claims)
 
 
 def decompose(oracle: SparseOracle) -> list[ColoredOracle]:
@@ -447,10 +424,6 @@ def tables_from_slots(n: int, nbr: np.ndarray,
 
 @dataclass(frozen=True)
 class ColoringReport:
-    n: int
-    d: int
-    z: int
-    label_count: int
     nonzero_pieces: int
     max_queries_per_call: int
     query_bound: int
@@ -483,9 +456,8 @@ def verify_coloring(oracle: SparseOracle,
     within the 2(z_n + 2) base-query budget; the other tags pick from the
     memo.  A lookup's spend is read from the calling thread's own tally of
     the oracle's counter, so queries other threads make meanwhile are not
-    charged to it.  The halving rounds run once per distinct chain through
-    a tags memo.  Both memos live for one call and are emptied when it
-    ends, by return or by exception.
+    charged to it.  The memo is a local of the call, holding one row's
+    claims at a time.
     """
     dim = oracle.dim
     z = iterate_count(oracle.n)
@@ -513,48 +485,42 @@ def verify_coloring(oracle: SparseOracle,
     max_calls = 0
     over: list[list[str]] = [[] for _ in labels]
     wrong: list[list[int]] = [[] for _ in labels]
-    tags: TagMemo = {}
     claims: ClaimsMemo = {}
-    try:
-        for s in range(len(ends) - 1):
-            first = s * per_slots
-            ks, xs = np.divmod(picks[ends[s]:ends[s + 1]] - first * dim, dim)
-            if not xs.size:
-                continue
-            order = np.lexsort((ks, xs))
-            pieces = [ColoredOracle(oracle, labels[g], tags=tags,
-                                    claims=claims)
-                      for g in range(first, first + per_slots)]
-            # only the rows this (i, j) checks; below the cap, every row
-            asked = np.zeros(dim, dtype=bool)
-            asked[xs] = True
-            wants = []
-            for table in tables[first:first + per_slots]:
-                at, to, val = table.entries()
-                on = asked[at]
-                wants.append(dict(zip(at[on].tolist(),
-                                      zip(to[on].tolist(), val[on].tolist()))))
-            row = -1
-            for k, x in zip(ks[order].tolist(), xs[order].tolist()):
-                if x != row:
-                    # the claims of the last row are not asked for again
-                    claims.clear()
-                    row = x
-                # the cell, not the locked total: this runs twice per lookup
-                before = mine[0]
-                got = pieces[k].column(x)
-                used = mine[0] - before
-                if used > max_calls:
-                    max_calls = used
-                if used > bound:
-                    over[first + k].append(
-                        f"label {labels[first + k]}: lookup at {x} used "
-                        f"{used} > {bound} queries")
-                if got != wants[k].get(x, (x, 0j)):
-                    wrong[first + k].append(x)
-    finally:
-        tags.clear()
-        claims.clear()
+    for s in range(len(ends) - 1):
+        first = s * per_slots
+        ks, xs = np.divmod(picks[ends[s]:ends[s + 1]] - first * dim, dim)
+        if not xs.size:
+            continue
+        order = np.lexsort((ks, xs))
+        pieces = [ColoredOracle(oracle, labels[g], claims=claims)
+                  for g in range(first, first + per_slots)]
+        # only the rows this (i, j) checks; below the cap, every row
+        asked = np.zeros(dim, dtype=bool)
+        asked[xs] = True
+        wants = []
+        for table in tables[first:first + per_slots]:
+            at, to, val = table.entries()
+            on = asked[at]
+            wants.append(dict(zip(at[on].tolist(),
+                                  zip(to[on].tolist(), val[on].tolist()))))
+        row = -1
+        for k, x in zip(ks[order].tolist(), xs[order].tolist()):
+            if x != row:
+                # the claims of the last row are not asked for again
+                claims.clear()
+                row = x
+            # the cell, not the locked total: this runs twice per lookup
+            before = mine[0]
+            got = pieces[k].column(x)
+            used = mine[0] - before
+            if used > max_calls:
+                max_calls = used
+            if used > bound:
+                over[first + k].append(
+                    f"label {labels[first + k]}: lookup at {x} used "
+                    f"{used} > {bound} queries")
+            if got != wants[k].get(x, (x, 0j)):
+                wrong[first + k].append(x)
     failures: list[str] = []
     for label, spent, xs_wrong in zip(labels, over, wrong):
         failures += spent
@@ -576,7 +542,6 @@ def verify_coloring(oracle: SparseOracle,
         failures.append("pieces do not sum back to the Hamiltonian")
 
     return ColoringReport(
-        n=oracle.n, d=oracle.d, z=z, label_count=len(labels),
         nonzero_pieces=sum(1 for t in tables if t.entry_count),
         max_queries_per_call=max_calls, query_bound=bound,
         lookups_checked=int(picks.size), ok=not failures,

@@ -128,16 +128,16 @@ def table_to_dense(table: OneSparseTable) -> np.ndarray:
     return H
 
 
-def random_one_sparse_table(dim: int, seed: int | None = None
-                            ) -> OneSparseTable:
-    """Random 1-sparse Hermitian piece of arbitrary dimension.
+def random_one_sparse_table(dim: int, seed: int) -> OneSparseTable:
+    """Random 1-sparse Hermitian piece of arbitrary dimension, the same
+    for the same seed.
 
     A walk along a random order of the indices leaves each index it
     reaches empty (probability 0.15), makes it diagonal (0.25) or pairs
     it with the next index, which the walk then skips."""
     if dim < 1:
         raise OracleError(f"bad dimension {dim}")
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise OracleError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(dim).tolist()

@@ -186,7 +186,7 @@ def _emit(k: int, m: int, scale: Decimal, out: list[list]) -> None:
 _MAX_PLAN_STEPS = 2 ** 22
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_plan(k: int, m: int) -> ProductFormulaPlan:
     """Merged exponential sequence of the order-2k integrator for m terms.
 
@@ -195,9 +195,13 @@ def build_plan(k: int, m: int) -> ProductFormulaPlan:
     accumulated as Decimals of 60 significant digits, whatever the
     caller's decimal context, and rounded to a float once, so per-term
     sums hit 1 to full double accuracy at any supported order.  A plan
-    longer than _MAX_PLAN_STEPS is refused before it is built.
+    longer than _MAX_PLAN_STEPS is refused before it is built.  A one-term
+    plan merges into the single step (1, 1.0) at every order, and is
+    returned without walking the 5^(k-1) leaves of the recursion.
     """
     length = exponential_count(k, m)
+    if m == 1:
+        return ProductFormulaPlan(k, 1, (PlanStep(1, 1.0),))
     if length > _MAX_PLAN_STEPS:
         raise PlanError(
             f"the order-{2 * k} plan for {m} terms has {length} steps, "

@@ -589,6 +589,56 @@ def test_sweep_over_decomposed_oracle(capsys):
     assert abs(data["slopes"]["1"] - (-2.0)) < 0.4
 
 
+def test_sweep_csv_holds_what_its_json_holds(capsys):
+    argv = ["sweep", "--gen", "terms:m=2,dim=4,seed=1", "--k-list", "1,2",
+            "--r-list", "1,4,16"]
+    rc, data = run_json(capsys, argv)
+    assert rc == 0
+    assert main([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    fields = ["k", "r", "measured_error", "bound", "bound_sharp",
+              "restriction_ok", "n_exp", "wall_time"]
+    assert lines[0] == ",".join(fields)
+    rows = [dict(zip(fields, line.split(",")))
+            for line in lines[1:1 + len(data["rows"])]]
+    # None is written as an empty cell, and r = 1 leaves the bounds None
+    assert any(row["bound"] is None for row in data["rows"])
+    for got, want in zip(rows, data["rows"], strict=True):
+        del got["wall_time"]
+        assert got == {key: "" if val is None else str(val)
+                       for key, val in want.items() if key != "wall_time"}
+    assert lines[1 + len(rows):] == [f"# slope k={k}: {data['slopes'][k]}"
+                                     for k in ("1", "2")]
+
+
+def test_malformed_generators_and_sweep_inputs_exit_one(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    save_entry_list(EntryList(2, 2, ()), str(empty))
+    for argv, message in (
+            (["simulate", "--gen", "random:n=3,d"],
+             "generator option 'd' is not key=value"),
+            (["sweep", "--gen", "terms:m=2,dim=4,bogus=1"],
+             "unknown generator options ['bogus']"),
+            (["sweep", "--input", str(empty)],
+             "the matrix is zero, nothing to sweep"),
+            (["sweep", "--gen", "terms:m=2,dim=4", "--k-list", ""],
+             "--k-list is empty")):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_one_term_plans_of_high_order_run_at_once(capsys):
+    start = time.process_time()
+    assert main(["simulate", "--gen", "random:n=1,d=1,seed=0", "--k", "30",
+                 "--r", "1"]) == 0
+    assert main(["sweep", "--gen", "terms:m=1,dim=2", "--k-list", "20",
+                 "--r-list", "1"]) == 0
+    assert time.process_time() - start < 5
+    capsys.readouterr()
+
+
 def test_parity_explicit_and_random(capsys):
     rc, data = run_json(capsys, ["parity", "--bits", "10110101",
                                  "--eps", "0.2"])

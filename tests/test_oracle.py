@@ -67,8 +67,7 @@ def test_counter_is_exact_per_thread_and_across_reset():
     probe_cost = orc.counter.thread_tally()[0] - probe_cost
     own = queries + probe_cost
     orc.counter.reset()
-    piece.counter.reset()
-    assert (orc.counter.count, piece.counter.count) == (0, 0)
+    assert orc.counter.count == 0
 
     def work(tallies):
         start.wait()
@@ -78,7 +77,6 @@ def test_counter_is_exact_per_thread_and_across_reset():
         for x in range(probes):
             piece.column(x % orc.dim)
         tallies.append((orc.counter.thread_tally()[0],
-                        piece.counter.thread_tally()[0],
                         inst.counter.thread_tally()[0]))
 
     def run_round():
@@ -96,17 +94,15 @@ def test_counter_is_exact_per_thread_and_across_reset():
     try:
         start = threading.Barrier(threads)
         tallies = run_round()
-        assert tallies == [(own, probes, reads)] * threads
+        assert tallies == [(own, reads)] * threads
         assert orc.counter.count == threads * own
-        assert piece.counter.count == threads * probes
         assert inst.counter.count == threads * reads
-        for counter in (orc.counter, piece.counter, inst.counter):
+        for counter in (orc.counter, inst.counter):
             counter.reset()
             assert counter.count == 0
         assert orc.counter.thread_tally()[0] == probe_cost  # reset skips it
-        assert run_round() == [(own, probes, reads)] * threads
+        assert run_round() == [(own, reads)] * threads
         assert orc.counter.count == threads * own
-        assert piece.counter.count == threads * probes
         assert inst.counter.count == threads * reads
     finally:
         sys.setswitchinterval(interval)

@@ -71,6 +71,26 @@ def test_plan_base_cases():
                            PlanStep(2, 0.5), PlanStep(1, 0.5))
 
 
+def test_one_term_plans_skip_the_recursion():
+    """A one-term plan is the single step (1, 1.0) at every order, built
+    without walking the 5^(k-1) leaves of the order recursion."""
+    start = time.process_time()
+    for k in (10, 30, 60):
+        assert suzuki.build_plan(k, 1).steps == (PlanStep(1, 1.0),)
+    assert time.process_time() - start < 1
+
+
+def test_plan_cache_keeps_argument_types_apart():
+    # once the int plans are cached, a float or bool argument equal to
+    # their k or m is still refused
+    suzuki.build_plan(2, 3)
+    suzuki.build_plan(1, 3)
+    suzuki.build_plan(2, 1)
+    for k, m in ((2.0, 3), (True, 3), (2, True)):
+        with pytest.raises(PlanError, match="must be a positive integer"):
+            suzuki.build_plan(k, m)
+
+
 def test_plan_second_order_two_terms():
     # Hand-expanded merge of the five scaled copies of the order-2 base.
     p = float(suzuki.p_coefficient(2))
