@@ -36,7 +36,7 @@ from . import suzuki
 from .config import ColoringError, HamsimError, PlanError
 
 
-def fit_loglog_slope(xs, ys, floor: float = 1e-12) -> float | None:
+def fit_loglog_slope(xs, ys, floor: float) -> float | None:
     """Least-squares slope of log(y) against log(x), ignoring y at or
     below the noise floor.  None when fewer than two points survive."""
     pts = [(float(x), float(y)) for x, y in zip(xs, ys) if y > floor]
@@ -113,7 +113,7 @@ def _load_terms(args) -> list[np.ndarray]:
         rng = np.random.default_rng(seed)
         return [numerics.random_hermitian(dim, rng, norm=norm) for _ in range(m)]
     orc = _load_oracle(args.input, args.gen)
-    hams = [one_sparse.table_to_dense(t) for t in coloring.piece_tables(orc)
+    hams = [one_sparse.table_to_dense(t) for t in coloring.decompose(orc)[1]
             if t.entry_count]
     if not hams:
         raise HamsimError("the matrix is zero, nothing to sweep")
@@ -267,13 +267,13 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
                       verify: bool = True) -> dict:
     """Decompose, evolve, and account: the whole toolchain as one call.
 
-    One counted read of every slot (dim * d base queries) gives the piece
-    tables and the entries.  entries_from_slots checks it once, before any
-    table is built, with or without verify.  Verification checks the
-    tables against the entries and cold piece lookups; the measured error
-    compares the evolved state with exp(-iHt) psi0 from the entries;
-    norm_bound, the largest absolute row sum, bounds ||H|| and sets the
-    precision grid.
+    coloring.decompose, one counted read of every slot (dim * d base
+    queries), gives the piece tables and the entries; it checks the read
+    once, before any table is built, with or without verify.  Verification
+    checks the tables against the entries and cold piece lookups; the
+    measured error compares the evolved state with exp(-iHt) psi0 from the
+    entries; norm_bound, the largest absolute row sum, bounds ||H|| and
+    sets the precision grid.
     No dense matrix is built at any size.  quantize is None (off),
     "auto" (precision_bits_recommended) or a bit count.  A non-finite t
     and an eps that is not finite and positive are refused before any
@@ -288,11 +288,13 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     grow while m shrinks, and with the largest pieces outermost their
     suffix sums S_g are smallest, so alpha and r shrink.  The norms,
     alpha, tau, the paper's (k, r), quantization, packing and the plan
-    all use this one list, so the bound describes the plan that runs;
-    m_pieces counts it, piece_labels names each piece's constituent
-    labels, and m_pieces_floor, the longest row of H, is a lower bound
-    on the pieces any merge can reach (a 1-sparse piece holds at most one
-    entry of a row), not a count any merge is known to reach.  A lookup
+    all use this one list, so the bound describes the plan that runs.
+    Quantizing may then drop pieces; the bounds and the restriction keep
+    the count that chose r, and m_pieces counts what is left.
+    piece_labels names each piece's constituent labels, and
+    m_pieces_floor, the longest row of H, is a lower bound on the pieces
+    any merge can reach (a 1-sparse piece holds at most one entry of a
+    row), not a count any merge is known to reach.  A lookup
     of a merged piece runs its constituents' lookups, so the paper's
     budget base_query_bound is 2(z+2) constituent_lookups, r times the
     constituents of the plan's steps; unmerged that is 2(z+2) n_exp.
@@ -312,10 +314,8 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     rng = np.random.default_rng(_check_seed(state_seed, "--state-seed"))
 
     base_before = orc.counter.count
-    slots = oracle_mod.read_slots(orc, orc.query)
+    entries, tables = coloring.decompose(orc)
     base_queries = orc.counter.count - base_before
-    entries = oracle_mod.entries_from_slots(*slots)
-    tables = coloring.tables_from_slots(orc.n, *slots)
 
     verification = None
     if verify:
@@ -380,9 +380,9 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         psi = one_sparse.apply_product_formula(
             one_sparse.pack_tables(tables), plan, t, r, psi0)
 
-    restriction_ok = suzuki.restriction_check(k, max(m, 1), tau, r)
-    # quantizing can drop every piece while tau, taken before, is not 0
-    bound_paper = suzuki.integrator_error_bound(k, m, tau, r) if m else 0.0
+    # m_plan, tau and alpha all describe the unquantized pieces that chose r
+    restriction_ok = suzuki.restriction_check(k, m_plan, tau, r)
+    bound_paper = suzuki.integrator_error_bound(k, m_plan, tau, r)
     # the commutator bound covers the symmetric k = 1 plan only
     bound_commutator = (suzuki.commutator_error_bound(alpha, t, r)
                         if k == 1 else None)
@@ -448,9 +448,7 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     orc = _load_oracle(args.input, args.gen)
     labels = coloring.enumerate_labels(orc.d, orc.n)
-    slots = oracle_mod.read_slots(orc, orc.query)
-    entries = oracle_mod.entries_from_slots(*slots)
-    tables = coloring.tables_from_slots(orc.n, *slots)
+    entries, tables = coloring.decompose(orc)
     rows = []
     for label, table in zip(labels, tables):
         if not table.entry_count and not args.all:

@@ -17,10 +17,11 @@ base oracle at most 2(z_n + 2) times, and those base queries are the only
 cost counted.  colored_query is that per-lookup algorithm, the paper's
 piece oracle, in two parts: edge_claims reads the (i, j)-chains at both
 endpoints of x once and runs the halving rounds on each, and pick chooses
-the tag's answer from what they claim.  piece_tables computes every piece
-at once from one read of each slot, running the same rounds on whole
-columns of chains, and colored_query is the reference it is verified
-against.
+the tag's answer from what they claim.  decompose is the one step that
+reads an oracle for its pieces: one counted read of each slot, checked
+once, and every piece table built from it at once by running the same
+rounds on whole columns of chains; colored_query is the reference those
+tables are verified against.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .config import ColoringError, dense_cap
 from .one_sparse import OneSparseTable
-from .oracle import SparseOracle, entries_from_slots, read_entries, read_slots
+from .oracle import SparseOracle, entries_from_slots, read_slots
 
 # The complete value set after the final round whenever z_n >= 1: one bit
 # plus a two-bit position that never reaches 3.
@@ -158,14 +159,13 @@ def _query(oracle: SparseOracle, x: int, i: int,
 
 
 def build_chain(oracle: SparseOracle, x: int, i: int, j: int,
-                cache: QueryCache | None = None) -> list[int]:
+                cache: QueryCache) -> list[int]:
     """Ascending chain of (i, j)-edges from x, truncated at z_n + 2 elements.
 
     Requires a genuine ascending edge at x: the slot-i neighbor y of x is
     above x and the slot-j neighbor of y is x again.  The chain extends the
     same way from y and stops at the first break or at the length cap.
     """
-    cache = cache if cache is not None else {}
     limit = iterate_count(oracle.n) + 2
     y, _ = _query(oracle, x, i, cache)
     if y <= x:
@@ -188,7 +188,7 @@ def build_chain(oracle: SparseOracle, x: int, i: int, j: int,
 
 
 def upsilon(oracle: SparseOracle, x: int, i: int, j: int,
-            cache: QueryCache | None = None) -> str:
+            cache: QueryCache) -> str:
     """Tag of the (i, j)-edge whose lower endpoint is x.
 
     For n <= 2 the raw vertex label already fits the alphabet budget and is
@@ -332,13 +332,6 @@ class ColoredOracle:
         return colored_query(self.base, x, self.label, self.claims)
 
 
-def decompose(oracle: SparseOracle) -> list[ColoredOracle]:
-    """All pieces of the coloring, one ColoredOracle per label in
-    enumerate_labels order."""
-    return [ColoredOracle(oracle, label)
-            for label in enumerate_labels(oracle.d, oracle.n)]
-
-
 def _chain_tags(lo: np.ndarray, up: np.ndarray, asc: np.ndarray, n: int,
                 z: int) -> np.ndarray:
     """upsilon for every lower endpoint in lo at once, as integers.
@@ -374,13 +367,21 @@ def _chain_tags(lo: np.ndarray, up: np.ndarray, asc: np.ndarray, n: int,
     return chain[:, 0]
 
 
-def piece_tables(oracle: SparseOracle) -> list[OneSparseTable]:
-    """tables_from_slots of one counted read of every (x, i) slot, dim * d
-    base queries in all, checked by entries_from_slots before any table is
-    built."""
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def decompose(oracle: SparseOracle
+              ) -> tuple[Entries, list[OneSparseTable]]:
+    """Every piece of the coloring, from one counted read of the oracle.
+
+    Each (x, i) slot is read once through query, dim * d base queries in
+    all.  entries_from_slots checks that read, and gives its entries as
+    (rows, cols, vals), before tables_from_slots builds the piece tables
+    from it, in enumerate_labels order.  Returns (entries, tables).
+    """
     slots = read_slots(oracle, oracle.query)
-    entries_from_slots(*slots)
-    return tables_from_slots(oracle.n, *slots)
+    entries = entries_from_slots(*slots)
+    return entries, tables_from_slots(oracle.n, *slots)
 
 
 def tables_from_slots(n: int, nbr: np.ndarray,
@@ -440,14 +441,14 @@ VERIFY_SEED = 0
 
 def verify_coloring(oracle: SparseOracle,
                     tables: list[OneSparseTable] | None = None,
-                    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
-                    | None = None) -> ColoringReport:
+                    entries: Entries | None = None) -> ColoringReport:
     """Check piece tables against the entries and the piece lookups.
 
-    tables and entries default to piece_tables and read_entries of the
-    oracle; a run that read it once passes what it read.  No dense matrix
-    is built.  The tables must be pairwise disjoint and their union must
-    equal the entries exactly.  Each checked lookup, ColoredOracle(oracle,
+    tables and entries are both those of one decompose of the oracle;
+    given neither, the oracle is decomposed here, and a run that has
+    decomposed it already passes both.  No dense matrix is built.  The
+    tables must be pairwise disjoint and their union must equal the
+    entries exactly.  Each checked lookup, ColoredOracle(oracle,
     label).column(x), must give the table's answer at x: every (label, x)
     inside the dense cap, a fixed-seed sample of VERIFY_SAMPLE above it.
     The lookups run by slots (i, j), then x, then tag, through a claims
@@ -465,9 +466,7 @@ def verify_coloring(oracle: SparseOracle,
     labels = enumerate_labels(oracle.d, oracle.n)
     per_slots = len(final_alphabet(oracle.n))
     if tables is None:
-        tables = piece_tables(oracle)
-    if entries is None:
-        entries = read_entries(oracle)
+        entries, tables = decompose(oracle)
 
     total = len(labels) * dim
     # read the cap first, so a malformed HAMSIM_DENSE_CAP fails every run

@@ -7,16 +7,16 @@ query() call with a vertex and slot in range bumps an exact, monotone,
 thread-safe counter before its answer is checked.  The counter keeps one
 tally per thread, so a count takes no lock and no two threads ever write
 the same tally; a thread can also read what it alone has spent.
-Verification bridges (read_entries and the dense extraction built on it)
-go through the uncounted peek() so measured query complexity reflects the
+The one verification bridge, to_dense (through read_entries), goes
+through the uncounted peek() so measured query complexity reflects the
 algorithms alone.
 entries_from_slots is the one check of an oracle's rows, read or built:
 from_columns lays out the rows it is given as slot arrays and passes them
 in, and a read's slots pass it whole, mirrors checked exactly.  A run that
-needs the pieces reads each slot once through query() and checks that read
-once, before any piece table is built from it; the checked entries of the
-same read serve verification.  That holds with verification off too
-(decompose --no-verify).
+needs the pieces calls coloring.decompose, which reads each slot once
+through query() and checks that read once, before any piece table is
+built from it; the checked entries of the same read serve verification.
+That holds with verification off too (decompose --no-verify).
 Neither query() nor peek() memoises answers: an oracle's function may
 itself spend counted queries (parity's pieces read hidden bits), and each
 call must spend them.

@@ -1,8 +1,10 @@
 """Oracle tools that only the tests use: the canonical entry list of an
-oracle, its text form and file, and a slot-order shuffle."""
+oracle, its text form and file, a slot-order shuffle, and the coloring's
+pieces as per-label lookups."""
 
 import numpy as np
 
+from hamsim.coloring import ColoredOracle, enumerate_labels
 from hamsim.config import OracleError
 from hamsim.oracle import (EntryList, SparseOracle, from_columns,
                            read_entries)
@@ -51,3 +53,10 @@ def shuffled_columns(oracle: SparseOracle, seed: int) -> SparseOracle:
     columns = {x: [row[j] for j in rng.permutation(len(row))]
                for x, row in columns.items()}
     return from_columns(oracle.n, oracle.d, columns)
+
+
+def colored_pieces(oracle: SparseOracle) -> list[ColoredOracle]:
+    """Every piece of the coloring as a lookup, one ColoredOracle per label
+    in enumerate_labels order."""
+    return [ColoredOracle(oracle, label)
+            for label in enumerate_labels(oracle.d, oracle.n)]

@@ -160,17 +160,30 @@ def test_simulate_slice_rule_overrides(capsys):
     assert data["error_bound"] is None and data["bound_slack"] is None
 
 
-def test_simulate_paper_bound_is_zero_once_quantizing_drops_every_piece(
+def test_simulate_bounds_keep_the_plan_count_once_quantizing_drops_every_piece(
         tmp_path, capsys):
-    # every value 0.1+0.1i on K4: at 1 bit both parts round to 0, while
-    # tau, taken from the unquantized pieces, is not 0
+    # every value 0.1+0.1i on K4: at 1 bit both parts round to 0, while the
+    # piece count, tau and alpha that chose r are those of the unquantized
+    # pieces; the bounds are taken from the same three, so the paper's
+    # restriction fails at r = 4 and only the commutator bound is left
     k4 = tmp_path / "k4.txt"
     k4.write_text("2 3\n" + "".join(
         f"{x} {y} 0.1 0.1\n" for x, y in itertools.combinations(range(4), 2)))
-    _, data = run_json(capsys, ["simulate", "--input", str(k4),
-                                "--quantize", "1"])
-    assert data["m_pieces"] == 0 and data["tau"] > 0
-    assert data["error_bound_paper"] == 0.0
+    argv = ["simulate", "--input", str(k4), "--time", "10", "--eps", "0.1"]
+    rc, data = run_json(capsys, argv + ["--quantize", "1"])
+    assert rc == 1 and data["m_pieces"] == 0 and data["tau"] > 0
+    assert (data["k"], data["r"], data["r_rule"]) == (1, 4, "commutator")
+    assert data["error_bound_paper"] is None
+    assert data["restriction_ok"] is False
+    assert data["error_bound"] == data["error_bound_commutator"] == (
+        pytest.approx(0.0625, rel=1e-12))
+    assert data["measured_error"] == pytest.approx(0.7521742657593801,
+                                                   rel=1e-12)
+    _, plain = run_json(capsys, argv)
+    assert plain["m_pieces"] > 0
+    for key in ("k", "r", "restriction_ok", "error_bound",
+                "error_bound_paper", "error_bound_commutator"):
+        assert data[key] == plain[key], key
 
 
 def test_simulate_paper_rule_output_is_unchanged(capsys):
@@ -333,9 +346,7 @@ def test_merged_pieces_partition_h_and_keep_both_bounds(n, monkeypatch):
                 2 * (data["z"] + 2) * data["constituent_lookups"])
             if not verify:
                 continue
-            slots = oracle.read_slots(orc, orc.query)
-            rows, cols, vals = oracle.entries_from_slots(*slots)
-            per_label = coloring.tables_from_slots(n, *slots)
+            (rows, cols, vals), per_label = coloring.decompose(orc)
             report = coloring.verify_coloring(orc, per_label,
                                               (rows, cols, vals))
             assert data["verification"] == {
@@ -478,6 +489,34 @@ def test_simulate_reads_each_slot_once(n, d, lookups, base):
     assert data["verification"]["ok"] is True
     assert data["base_queries"] == base == orc.dim * d
     assert orc.counter.count == base + lookups
+
+
+def test_every_run_reads_the_oracle_once(monkeypatch, capsys):
+    # simulate, decompose, sweep on a generated oracle and verify_coloring
+    # given the oracle alone each read its slots once, counted, through
+    # coloring.decompose; every hamsim module that binds read_slots is
+    # watched, so a second read anywhere shows
+    real = oracle.read_slots
+    reads = []
+
+    def watched(orc, read):
+        reads.append(read.__name__)
+        return real(orc, read)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("hamsim")
+                and getattr(module, "read_slots", None) is real):
+            monkeypatch.setattr(module, "read_slots", watched)
+    gen = "random:n=4,d=2,seed=1"
+    for argv in (["simulate", "--gen", gen], ["decompose", "--gen", gen],
+                 ["sweep", "--gen", gen, "--r-list", "4,8"]):
+        reads.clear()
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert reads == ["query"], argv
+    reads.clear()
+    assert coloring.verify_coloring(oracle.random_sparse(4, 2, seed=1)).ok
+    assert reads == ["query"]
 
 
 def test_simulate_stays_numpy_only():
@@ -949,12 +988,12 @@ def test_package_runs_as_a_module():
 
 def test_fit_loglog_slope():
     rs = [4, 8, 16, 32]
-    assert fit_loglog_slope(rs, [1.0 / r ** 2 for r in rs]) == pytest.approx(
-        -2.0, abs=1e-9)
+    assert fit_loglog_slope(rs, [1.0 / r ** 2 for r in rs],
+                            floor=1e-12) == pytest.approx(-2.0, abs=1e-9)
     # points at the floor are discarded
     ys = [1e-2, 1e-3, 1e-15, 1e-16]
-    kept = fit_loglog_slope(rs, ys)
+    kept = fit_loglog_slope(rs, ys, floor=1e-12)
     assert kept == pytest.approx(
         np.polyfit(np.log(rs[:2]), np.log(ys[:2]), 1)[0], abs=1e-9)
-    assert fit_loglog_slope([4, 8], [1e-14, 1e-15]) is None
-    assert fit_loglog_slope([4], [1.0]) is None
+    assert fit_loglog_slope([4, 8], [1e-14, 1e-15], floor=1e-12) is None
+    assert fit_loglog_slope([4], [1.0], floor=1e-12) is None

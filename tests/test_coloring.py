@@ -12,12 +12,11 @@ import pytest
 from hamsim import cli, coloring, numerics, oracle
 from hamsim.coloring import (
     REFERENCE_TRACE_MAIN, REFERENCE_TRACE_SHIFTED, VERIFY_SAMPLE, EdgeLabel,
-    QueryCache, build_chain, coin_toss_level, colored_query, decompose,
-    enumerate_labels, final_alphabet, halving_trace, iterate_count, upsilon,
+    QueryCache, build_chain, coin_toss_level, colored_query, enumerate_labels, final_alphabet, halving_trace, iterate_count, upsilon,
     verify_coloring, vertex_bits)
 from hamsim.config import ColoringError, OracleError, dense_cap
 from hamsim.one_sparse import extract_table
-from oracle_helpers import shuffled_columns
+from oracle_helpers import colored_pieces, shuffled_columns
 
 
 @pytest.mark.parametrize("n,z", [
@@ -199,24 +198,24 @@ def test_path_fixture_lays_out_only_its_rows(monkeypatch):
 def test_build_chain_on_path_fixture():
     orc = path_fixture()
     # six-element cap: x6 is reachable but the chain stops at z+2 = 6
-    assert build_chain(orc, X_V[0], 1, 3) == X_V
-    assert build_chain(orc, W_V, 1, 3) == [W_V] + X_V[:5]
+    assert build_chain(orc, X_V[0], 1, 3, {}) == X_V
+    assert build_chain(orc, W_V, 1, 3, {}) == [W_V] + X_V[:5]
     # one vertex further in, the natural seventh element appears instead
-    assert build_chain(orc, X_V[1], 1, 3) == X_V[1:] + [X6_V]
+    assert build_chain(orc, X_V[1], 1, 3, {}) == X_V[1:] + [X6_V]
 
 
 def test_build_chain_preconditions():
     orc = path_fixture()
     with pytest.raises(ColoringError):
-        build_chain(orc, X_V[1], 3, 1)       # slot 3 points downward
+        build_chain(orc, X_V[1], 3, 1, {})       # slot 3 points downward
     with pytest.raises(ColoringError):
-        build_chain(orc, 1, 1, 3)            # filler's partner loops elsewhere
+        build_chain(orc, 1, 1, 3, {})            # filler's partner loops elsewhere
 
 
 def test_upsilon_matches_reference_tags():
     orc = path_fixture()
-    assert upsilon(orc, X_V[0], 1, 3) == "000"
-    assert upsilon(orc, W_V, 1, 3) == "100"
+    assert upsilon(orc, X_V[0], 1, 3, {}) == "000"
+    assert upsilon(orc, W_V, 1, 3, {}) == "100"
 
 
 def test_upsilon_cache_reuse():
@@ -237,7 +236,7 @@ def test_colored_query_claims_edges_consistently():
     assert colored_query(orc, W_V, lbl_w) == (X_V[0], 1.0 + 0j)
     assert colored_query(orc, X_V[0], lbl_w) == (W_V, 1.0 + 0j)
     # x1's own upward edge carries the tag of the chain starting at x1
-    up_tag = upsilon(orc, X_V[1], 1, 3)
+    up_tag = upsilon(orc, X_V[1], 1, 3, {})
     assert colored_query(orc, X_V[1], EdgeLabel(1, 3, up_tag)) == (X_V[2], 1.0 + 0j)
     # and a tag belonging to neither adjacent edge stays silent there
     silent = next(nu for nu in coloring.FINAL_ALPHABET
@@ -289,8 +288,8 @@ def test_case_conditions_mutually_exclusive():
                         c3 = True
                     if c2 and c3:
                         # both structural claims: tags must disagree
-                        assert (upsilon(orc, x, i, j)
-                                != upsilon(orc, yj, i, j))
+                        assert (upsilon(orc, x, i, j, {})
+                                != upsilon(orc, yj, i, j, {}))
                     assert not (c1 and c2)
                     assert not (c1 and c3)
 
@@ -324,7 +323,7 @@ def test_verify_coloring_trivial_cases():
 def test_decompose_sums_to_dense():
     orc = oracle.random_sparse(4, 2, seed=12)
     H = oracle.to_dense(orc)
-    pieces = decompose(orc)
+    pieces = colored_pieces(orc)
     assert len(pieces) == 6 * 4
     total = np.zeros_like(H)
     for piece in pieces:
@@ -390,7 +389,7 @@ def test_upsilon_golden_digest():
         for i in range(1, 5):
             for j in range(1, 5):
                 try:
-                    tag = upsilon(orc, x, i, j)
+                    tag = upsilon(orc, x, i, j, {})
                 except ColoringError:
                     tag = "-"
                 lines.append(f"{x} {i} {j} {tag}")
@@ -401,7 +400,7 @@ def test_upsilon_golden_digest():
 
 
 # ---------------------------------------------------------------------------
-# piece_tables, the vectorized pass, against the per-lookup path
+# decompose's tables, the vectorized pass, against the per-lookup path
 
 def twins(n, d):
     orc = oracle.random_sparse(n, d, seed=10 * n + d)
@@ -416,7 +415,7 @@ def test_piece_tables_tags_equal_upsilon(n):
         for orc in twins(n, d):
             labels = enumerate_labels(d, n)
             tagged = {}
-            for label, table in zip(labels, coloring.piece_tables(orc)):
+            for label, table in zip(labels, coloring.decompose(orc)[1]):
                 for x in table.pair_lo.tolist():
                     assert (x, label.i, label.j) not in tagged
                     tagged[x, label.i, label.j] = label.nu
@@ -437,9 +436,9 @@ def test_piece_tables_equal_extracted_pieces(n):
     for d in range(1, 5):
         for orc in twins(n, d):
             before = orc.counter.count
-            tables = coloring.piece_tables(orc)
+            tables = coloring.decompose(orc)[1]
             assert orc.counter.count - before == orc.dim * d
-            extracted = [extract_table(p) for p in decompose(orc)]
+            extracted = [extract_table(p) for p in colored_pieces(orc)]
             assert len(tables) == len(extracted) == len(enumerate_labels(d, n))
             for got, want in zip(tables, extracted):
                 assert got.dim == want.dim
@@ -472,7 +471,7 @@ def test_piece_tables_refuse_malformed_slots_as_read_entries_does():
             oracle.read_entries(orc)
         assert str(want.value) == message
         with pytest.raises(OracleError) as got:
-            coloring.piece_tables(orc)
+            coloring.decompose(orc)
         assert str(got.value) == message
 
 
@@ -481,9 +480,9 @@ def test_piece_tables_refuse_malformed_slots_as_read_entries_does():
 
 def verify_with(orc, corrupt, monkeypatch):
     """verify_coloring(orc) with its tables passed through corrupt."""
-    real = coloring.piece_tables
-    monkeypatch.setattr(coloring, "piece_tables",
-                        lambda o: corrupt(list(real(o))))
+    real = coloring.tables_from_slots
+    monkeypatch.setattr(coloring, "tables_from_slots",
+                        lambda *slots: corrupt(list(real(*slots))))
     return verify_coloring(orc)
 
 
@@ -503,7 +502,7 @@ VERIFY_ORACLE = dict(n=5, d=3, seed=8)
 def test_verify_coloring_catches_a_dropped_entry(monkeypatch):
     orc = oracle.random_sparse(**VERIFY_ORACLE)
     labels = enumerate_labels(3, 5)
-    good = coloring.piece_tables(orc)
+    good = coloring.decompose(orc)[1]
     g = first_pair(good)
 
     def drop(tables):
@@ -521,7 +520,7 @@ def test_verify_coloring_catches_a_dropped_entry(monkeypatch):
 def test_verify_coloring_catches_one_ulp(monkeypatch):
     orc = oracle.random_sparse(**VERIFY_ORACLE)
     labels = enumerate_labels(3, 5)
-    good = coloring.piece_tables(orc)
+    good = coloring.decompose(orc)[1]
     g = first_pair(good)
 
     def nudge(tables):
@@ -542,7 +541,7 @@ def test_verify_coloring_catches_an_entry_under_another_label(monkeypatch):
     # the union and the disjointness still hold: only the lookups see it
     orc = oracle.random_sparse(**VERIFY_ORACLE)
     labels = enumerate_labels(3, 5)
-    good = coloring.piece_tables(orc)
+    good = coloring.decompose(orc)[1]
     g = first_pair(good)
     lo, hi = int(good[g].pair_lo[0]), int(good[g].pair_hi[0])
     h = next(h for h, t in enumerate(good) if h != g and not np.isin(
@@ -566,7 +565,7 @@ def test_verify_coloring_catches_an_entry_under_another_label(monkeypatch):
 def test_verify_coloring_catches_an_entry_claimed_twice(monkeypatch):
     orc = oracle.random_sparse(**VERIFY_ORACLE)
     labels = enumerate_labels(3, 5)
-    good = coloring.piece_tables(orc)
+    good = coloring.decompose(orc)[1]
     g = first_pair(good)
     lo, hi = int(good[g].pair_lo[0]), int(good[g].pair_hi[0])
     h = next(h for h, t in enumerate(good) if h != g and not np.isin(
@@ -622,7 +621,7 @@ def test_verify_coloring_spends_an_exact_query_count():
     # dim * d of them read the tables, the other 22,827 the lookups: one
     # cold read per (i, j, x), which all six tags there pick from
     before = orc.counter.count
-    coloring.piece_tables(orc)
+    coloring.decompose(orc)
     assert orc.counter.count - before == 2_048
 
 
@@ -787,7 +786,7 @@ def test_grouped_check_equals_the_cold_reference(n):
     for d in range(1, min(4, 2 ** n) + 1):
         for seed in range(1, 4):
             orc = oracle.random_sparse(n, d, seed=seed)
-            want = reference_report(orc, coloring.piece_tables(orc))
+            want = reference_report(orc, coloring.decompose(orc)[1])
             assert want["ok"], (n, d, seed, want["failures"][:3])
             assert grouped_report(verify_coloring(orc)) == want, (n, d, seed)
 
@@ -802,7 +801,7 @@ def test_grouped_check_above_the_cap_may_only_spend_more(monkeypatch):
         for d in range(1, 5):
             for seed in range(1, 4):
                 orc = oracle.random_sparse(n, d, seed=seed)
-                want = reference_report(orc, coloring.piece_tables(orc))
+                want = reference_report(orc, coloring.decompose(orc)[1])
                 rep = verify_coloring(orc)
                 got = grouped_report(rep)
                 most = got.pop("max_queries_per_call")
@@ -820,7 +819,7 @@ def test_grouped_check_and_the_reference_fail_mutants_alike(monkeypatch):
     orc = oracle.random_sparse(4, 3, seed=6)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coloring, "upsilon", lambda *args, **kwargs: "000")
-        want = reference_report(orc, coloring.piece_tables(orc))
+        want = reference_report(orc, coloring.decompose(orc)[1])
         assert grouped_report(verify_coloring(orc)) == want
     assert len(want["failures"]) == 13
 
@@ -831,7 +830,7 @@ def test_grouped_check_and_the_reference_fail_mutants_alike(monkeypatch):
 
     real = coloring.colored_query
     orc = oracle.random_sparse(4, 3, seed=21)
-    want = reference_report(orc, coloring.piece_tables(orc),
+    want = reference_report(orc, coloring.decompose(orc)[1],
                             lambda o, x, label, c: lazy_lookup(
                                 o, x, alias(label), c))
     with pytest.MonkeyPatch.context() as mp:
@@ -842,7 +841,7 @@ def test_grouped_check_and_the_reference_fail_mutants_alike(monkeypatch):
     assert len(want["failures"]) == 7
 
     orc = oracle.random_sparse(**VERIFY_ORACLE)
-    good = coloring.piece_tables(orc)
+    entries, good = coloring.decompose(orc)
     g = first_pair(good)
     amp = good[g].pair_amp.copy()
     amp[0] = complex(np.nextafter(amp[0].real, np.inf), amp[0].imag)
@@ -850,7 +849,7 @@ def test_grouped_check_and_the_reference_fail_mutants_alike(monkeypatch):
                    [*good[:g], dataclasses.replace(good[g], pair_amp=amp),
                     *good[g + 1:]]):
         want = reference_report(orc, tables)
-        assert grouped_report(verify_coloring(orc, tables)) == want
+        assert grouped_report(verify_coloring(orc, tables, entries)) == want
         assert len(want["failures"]) == 2
 
 
@@ -864,7 +863,7 @@ def all_tags(orc):
         for i in range(1, orc.d + 1):
             for j in range(1, orc.d + 1):
                 try:
-                    out.append(upsilon(orc, x, i, j))
+                    out.append(upsilon(orc, x, i, j, {}))
                 except ColoringError:
                     out.append("-")
     return out
@@ -896,7 +895,7 @@ def test_upsilon_outside_verify_runs_every_round(monkeypatch):
     orc = path_fixture()
     z = iterate_count(18)
     for _ in range(3):
-        assert upsilon(orc, X_V[0], 1, 3) == "000"
+        assert upsilon(orc, X_V[0], 1, 3, {}) == "000"
     assert len(rounds) == 3 * z
     rounds.clear()
     # a lookup tags the edges at both endpoints, whether its tag matches
@@ -909,7 +908,8 @@ def test_upsilon_outside_verify_runs_every_round(monkeypatch):
 
 def test_verify_stays_independent_of_the_tables(monkeypatch):
     # an end-rule mutant of the per-lookup halving (position 1 in place of
-    # 0) leaves piece_tables alone, and a verified simulate must refuse it
+    # 0) leaves decompose's tables alone, and a verified simulate must
+    # refuse it
     real = coloring.coin_toss_level
 
     def end_rule_at_one(values, width):
@@ -918,9 +918,9 @@ def test_verify_stays_independent_of_the_tables(monkeypatch):
 
     orc = oracle.random_sparse(6, 3, seed=1)
     assert cli.simulate_pipeline(orc, 1.0, 0.1)["verification"]["ok"]
-    tables = coloring.piece_tables(orc)
+    tables = coloring.decompose(orc)[1]
     monkeypatch.setattr(coloring, "coin_toss_level", end_rule_at_one)
-    for want, got in zip(tables, coloring.piece_tables(orc)):
+    for want, got in zip(tables, coloring.decompose(orc)[1]):
         assert all(np.array_equal(a, b)
                    for a, b in zip(want.entries(), got.entries()))
     with pytest.raises(ColoringError):

@@ -17,6 +17,7 @@ from hamsim.one_sparse import (OneSparseTable, apply_product_formula,
                                precision_bits, quantize_table,
                                random_one_sparse_table, table_to_dense)
 from hamsim.oracle import EntryList, from_entry_list
+from oracle_helpers import colored_pieces
 
 # frozen spot values (independent 40-digit arithmetic)
 PAIR_SPOT_COS = 0.6599831458849821703954
@@ -251,7 +252,7 @@ def test_extract_table_from_decomposition_pieces():
     orc = oracle.random_sparse(3, 2, seed=9)
     dense = oracle.to_dense(orc)
     total = np.zeros_like(dense)
-    for piece in coloring.decompose(orc):
+    for piece in colored_pieces(orc):
         total += table_to_dense(extract_table(piece))
     assert np.array_equal(total, dense)
 
@@ -514,7 +515,7 @@ def test_kernel_layer_schedule(monkeypatch):
 
 def test_kernel_decomposition_pieces_exactly(monkeypatch):
     for seed in (1, 2, 3):
-        pieces = coloring.decompose(oracle.random_sparse(6, 3, seed=seed))
+        pieces = colored_pieces(oracle.random_sparse(6, 3, seed=seed))
         packed = pack_tables([extract_table(piece) for piece in pieces])
         psi0 = numerics.random_state(packed.dim, np.random.default_rng(seed))
         for k, t, r in ((1, 0.8, 5), (2, -1.3, 2)):
@@ -683,7 +684,7 @@ def _commutator(a, b):
 
 def _decomposition_tables(n, d, seed):
     orc = oracle.random_sparse(n, d, seed=seed, norm_target=1.0)
-    tables = [extract_table(p) for p in coloring.decompose(orc)]
+    tables = [extract_table(p) for p in colored_pieces(orc)]
     return [tb for tb in tables if tb.entry_count]
 
 
@@ -870,8 +871,8 @@ def test_nested_commutator_norms_match_the_per_suffix_reference():
     dimension 1, and on commuting pieces, where both give exactly 0."""
     cases = []
     for n, d, seed in itertools.product(range(4, 10), (2, 3, 4), (1, 2, 3)):
-        tables = [tb for tb in coloring.piece_tables(
-            oracle.random_sparse(n, d, seed=seed)) if tb.entry_count]
+        tables = [tb for tb in coloring.decompose(
+            oracle.random_sparse(n, d, seed=seed))[1] if tb.entry_count]
         cases += [tables, sorted(tables, key=lambda tb: -tb.entry_count),
                   one_sparse.merge_disjoint(tables)[0]]
     rng = np.random.default_rng(20)
@@ -940,8 +941,8 @@ def test_nested_commutator_norms_do_not_depend_on_the_pass_budget(
         monkeypatch):
     """Runs of one row each give the norms of the default runs, bit for
     bit: every row's walks start at that row."""
-    coloring_case = sorted((tb for tb in coloring.piece_tables(
-        oracle.random_sparse(7, 3, seed=2)) if tb.entry_count),
+    coloring_case = sorted((tb for tb in coloring.decompose(
+        oracle.random_sparse(7, 3, seed=2))[1] if tb.entry_count),
         key=lambda tb: -tb.entry_count)
     for tables in (coloring_case, _random_tables(33, 6, 7)):
         want = nested_commutator_norms(tables)
@@ -979,8 +980,8 @@ def test_nested_commutator_norms_memory(monkeypatch):
       (traced, about 112 of the 128 bytes a walk it allows), and three
       budgets more for temporaries.
     """
-    tables = sorted((tb for tb in coloring.piece_tables(
-        oracle.random_sparse(11, 4, seed=1)) if tb.entry_count),
+    tables = sorted((tb for tb in coloring.decompose(
+        oracle.random_sparse(11, 4, seed=1))[1] if tb.entry_count),
         key=lambda tb: -tb.entry_count)
     entry_bytes = sum(a.nbytes for tb in tables
                       for a in (tb.diag_idx, tb.diag_h, tb.pair_lo,
@@ -1001,8 +1002,8 @@ def test_walks_set_up_peak_stays_below_twice_what_it_keeps():
     """_Walks fills its keys, values and pieces a table at a time and sorts
     them one array at a time, so at n = 11, d = 4, largest first, its
     traced peak is below twice the bytes of the arrays it keeps."""
-    tables = sorted((tb for tb in coloring.piece_tables(
-        oracle.random_sparse(11, 4, seed=1)) if tb.entry_count),
+    tables = sorted((tb for tb in coloring.decompose(
+        oracle.random_sparse(11, 4, seed=1))[1] if tb.entry_count),
         key=lambda tb: -tb.entry_count)
     walks, peak = _traced_peak(one_sparse._Walks, tables)
     kept = sum(a.nbytes for a in vars(walks).values()
@@ -1078,7 +1079,7 @@ def test_precision_bits_clamps_and_validation():
 def quantized_pieces(orc, bits, lam):
     """The oracle's coloring pieces as tables, each rounded by quantize_table."""
     return [quantize_table(extract_table(piece), bits, lam)
-            for piece in coloring.decompose(orc)]
+            for piece in colored_pieces(orc)]
 
 
 def pieces_to_dense(tables):

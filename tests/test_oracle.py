@@ -9,8 +9,8 @@ import pytest
 from hamsim import cli, coloring, numerics, one_sparse, oracle, parity
 from hamsim.config import OracleError
 from hamsim.oracle import EntryList
-from oracle_helpers import (entry_list_to_text, save_entry_list,
-                            shuffled_columns, to_entry_list)
+from oracle_helpers import (colored_pieces, entry_list_to_text,
+                            save_entry_list, shuffled_columns, to_entry_list)
 
 
 def two_bit_example():
@@ -239,7 +239,7 @@ def test_an_entry_list_is_refused_as_its_mirrored_rows_are(d, entries, rows,
 
 def test_full_reads_memory_cannot_hold_are_refused_before_a_query():
     orc = oracle.from_columns(40, 1, {})
-    for read in (oracle.read_entries, coloring.piece_tables,
+    for read in (oracle.read_entries, coloring.decompose,
                  lambda o: oracle.read_slots(o, o.query)):
         with pytest.raises(OracleError,
                            match=r"^full read of dim\*d = 2\^40\*1 exceeds memory"):
@@ -247,7 +247,7 @@ def test_full_reads_memory_cannot_hold_are_refused_before_a_query():
     # a piece's columns, one slot each, by the same rule
     with pytest.raises(OracleError, match=r"^full read of a piece exceeds "
                                           r"memory: 1099511627776 columns"):
-        one_sparse.extract_table(coloring.decompose(orc)[0])
+        one_sparse.extract_table(colored_pieces(orc)[0])
     assert orc.counter.count == 0
 
 
@@ -483,7 +483,7 @@ def test_malformed_oracles_fail_simulate_and_decompose_as_they_read(
     # is built from it, with verification on or off
     rows, message = BAD_ORACLES[name]
     with pytest.raises(OracleError) as got:
-        coloring.piece_tables(raw_oracle(rows))
+        coloring.decompose(raw_oracle(rows))
     assert str(got.value) == message
     for verify in (True, False):
         with pytest.raises(OracleError) as got:
