@@ -25,7 +25,6 @@ import json
 import math
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -33,7 +32,9 @@ from . import __version__, _kernels, coloring, numerics, one_sparse
 from . import oracle as oracle_mod
 from . import parity as parity_mod
 from . import suzuki
-from .config import ColoringError, HamsimError, PlanError
+from .config import HamsimError, PlanError
+# bench/workloads.py and bench/spans.py reach simulate_pipeline through cli
+from .planner import check_seed, recording, simulate_pipeline
 
 
 def fit_loglog_slope(xs, ys, floor: float) -> float | None:
@@ -73,13 +74,6 @@ def _gen_number(kind: str, opts: dict[str, str], key: str, cast,
             f"{kind} generator option {key}={raw!r} is not a number") from None
 
 
-def _check_seed(seed: int | None, name: str) -> int | None:
-    """Pass a user seed through; numpy accepts only nonnegative ones."""
-    if seed is not None and seed < 0:
-        raise HamsimError(f"{name} must be nonnegative, got {seed}")
-    return seed
-
-
 def _load_oracle(input_path: str | None, gen: str | None):
     if (input_path is None) == (gen is None):
         raise HamsimError("exactly one of --input and --gen is required")
@@ -102,8 +96,8 @@ def _load_terms(args) -> list[np.ndarray]:
         kind, opts = _gen_options(args.gen)
         m = _gen_number(kind, opts, "m", int)
         dim = _gen_number(kind, opts, "dim", int)
-        seed = _check_seed(_gen_number(kind, opts, "seed", int, "0"),
-                           f"{kind} generator seed")
+        seed = check_seed(_gen_number(kind, opts, "seed", int, "0"),
+                          f"{kind} generator seed")
         norm = _gen_number(kind, opts, "norm", float, "1.0")
         if opts:
             raise HamsimError(f"unknown generator options {sorted(opts)}")
@@ -139,13 +133,6 @@ def _emit_json(args, payload) -> None:
                                  default=lambda obj: obj.item()) + "\n")
 
 
-def _recording(fn, *fargs, **fkw):
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        out = fn(*fargs, **fkw)
-    return out, [str(w.message) for w in rec]
-
-
 def _quantize_option(text: str | None) -> int | str | None:
     """--quantize as None (off), "auto" or a bit count."""
     if text in (None, "off"):
@@ -173,11 +160,8 @@ def cmd_bound(args) -> int:
     m, tau, eps = args.m, args.tau, args.eps
     k_free, free = suzuki.nexp_bound_optimal(m, tau, eps)
     k = args.k if args.k is not None else k_free
-    notes: list[str] = []
-    if args.r is not None:
-        r = args.r
-    else:
-        r, notes = _recording(suzuki.choose_r, k, m, tau, eps)
+    r, notes = ((args.r, []) if args.r is not None
+                else recording(suzuki.choose_r, k, m, tau, eps))
     lin, power = suzuki.restriction_values(k, m, tau, r)
     per_k = suzuki.nexp_bound(k, m, tau, eps)
     count = suzuki.exponential_count(k, m)
@@ -261,175 +245,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
-                      r: int | None = None, state_seed: int | None = None,
-                      quantize: int | str | None = None,
-                      verify: bool = True) -> dict:
-    """Decompose, evolve, and account: the whole toolchain as one call.
-
-    coloring.decompose, one counted read of every slot (dim * d base
-    queries), gives the piece tables and the entries; it checks the read
-    once, before any table is built, with or without verify.  Verification
-    checks the tables against the entries and cold piece lookups; the
-    measured error compares the evolved state with exp(-iHt) psi0 from the
-    entries; norm_bound, the largest absolute row sum, bounds ||H|| and
-    sets the precision grid.
-    No dense matrix is built at any size.  quantize is None (off),
-    "auto" (precision_bits_recommended) or a bit count.  A non-finite t
-    and an eps that is not finite and positive are refused before any
-    query is spent, as are a given k or r that is not a positive integer
-    and a quantize that is none of those three.
-
-    Verification checks the coloring's pieces; then merge_disjoint merges
-    the non-empty ones that share no state, first fit, largest first, and
-    the merged pieces run in order of entry count, largest first.  Both
-    bounds hold for any split of H into Hermitian terms in any order; a
-    merged piece's norm is its largest constituent's, so tau does not
-    grow while m shrinks, and with the largest pieces outermost their
-    suffix sums S_g are smallest, so alpha and r shrink.  The norms,
-    alpha, tau, the paper's (k, r), quantization, packing and the plan
-    all use this one list, so the bound describes the plan that runs.
-    Quantizing may then drop pieces; the bounds and the restriction keep
-    the count that chose r, and m_pieces counts what is left.
-    piece_labels names each piece's constituent labels, and
-    m_pieces_floor, the longest row of H, is a lower bound on the pieces
-    any merge can reach (a 1-sparse piece holds at most one entry of a
-    row), not a count any merge is known to reach.  A lookup
-    of a merged piece runs its constituents' lookups, so the paper's
-    budget base_query_bound is 2(z+2) constituent_lookups, r times the
-    constituents of the plan's steps; unmerged that is 2(z+2) n_exp.
-    """
-    if not math.isfinite(t):
-        raise PlanError(f"evolution time must be finite, got {t}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise PlanError(f"eps must be a finite positive number, got {eps}")
-    if k is not None:
-        suzuki.check_order(k)
-    if r is not None:
-        one_sparse.check_repetitions(r)
-    if quantize not in (None, "auto"):
-        one_sparse.check_bits(quantize)
-    dim = orc.dim
-    z = coloring.iterate_count(orc.n)
-    rng = np.random.default_rng(_check_seed(state_seed, "--state-seed"))
-
-    base_before = orc.counter.count
-    entries, tables = coloring.decompose(orc)
-    base_queries = orc.counter.count - base_before
-
-    verification = None
-    if verify:
-        report = coloring.verify_coloring(orc, tables, entries)
-        verification = {key: getattr(report, key) for key in (
-            "ok", "nonzero_pieces", "max_queries_per_call", "query_bound",
-            "lookups_checked")}
-        verification["failures"] = list(report.failures)
-        if not report.ok:
-            raise ColoringError(
-                "decomposition failed verification: " + "; ".join(report.failures))
-
-    labels = coloring.enumerate_labels(orc.d, orc.n)
-    kept = [g for g, tb in enumerate(tables) if tb.entry_count]
-    tables, groups = one_sparse.merge_disjoint([tables[g] for g in kept])
-    piece_labels = [[labels[kept[c]] for c in group] for group in groups]
-    m = len(tables)
-
-    lam_piece = max((tb.norm for tb in tables), default=0.0)
-    tau = lam_piece * abs(t)
-    # the commutator bound's alpha, like tau, from the unquantized pieces
-    alpha = suzuki.commutator_alpha(one_sparse.nested_commutator_norms(tables))
-    m_plan = max(m, 1)
-    k_paper = k if k is not None else suzuki.choose_k(m_plan, tau, eps)
-    r_paper, notes = _recording(suzuki.choose_r, k_paper, m_plan, tau, eps)
-    r_commutator = suzuki.choose_r_commutator(alpha, t, eps)
-    commutator_cheaper = (r_commutator * suzuki.exponential_count(1, m_plan)
-                          <= r_paper * suzuki.exponential_count(k_paper, m_plan))
-    if r is not None:
-        r_rule, k, notes = "given", k_paper, []
-    elif k == 1 or (k is None and commutator_cheaper):
-        r_rule, k, r = "commutator", 1, r_commutator
-    else:
-        r_rule, k, r = "paper", k_paper, r_paper
-
-    norm_bound = numerics.max_row_sum(entries[0], entries[2])
-    bits_needed = one_sparse.precision_bits(norm_bound * abs(t), orc.d, k, eps)
-    quantize_bits = bits_needed if quantize == "auto" else quantize
-    if quantize_bits is not None and norm_bound > 0:
-        tables = [one_sparse.quantize_table(tb, quantize_bits, norm_bound)
-                  for tb in tables]
-        kept = [g for g, tb in enumerate(tables) if tb.entry_count]
-        tables = [tables[g] for g in kept]
-        piece_labels = [piece_labels[g] for g in kept]
-        m = len(tables)
-
-    if state_seed is None:
-        psi0 = np.zeros(dim, dtype=np.complex128)
-        psi0[0] = 1.0
-    else:
-        psi0 = numerics.random_state(dim, rng)
-
-    if m == 0:
-        psi, n_exp, plan_length, lookups = psi0.copy(), 0, 0, 0
-    else:
-        # checked before the plan is built, whose length grows as 5^(k-1)
-        n_exp = one_sparse.exponential_total(
-            r, suzuki.exponential_count(k, m))
-        plan = suzuki.build_plan(k, m)
-        plan_length = len(plan.steps)
-        lookups = r * sum(len(piece_labels[s.term - 1]) for s in plan.steps)
-        psi = one_sparse.apply_product_formula(
-            one_sparse.pack_tables(tables), plan, t, r, psi0)
-
-    # m_plan, tau and alpha all describe the unquantized pieces that chose r
-    restriction_ok = suzuki.restriction_check(k, m_plan, tau, r)
-    bound_paper = suzuki.integrator_error_bound(k, m_plan, tau, r)
-    # the commutator bound covers the symmetric k = 1 plan only
-    bound_commutator = (suzuki.commutator_error_bound(alpha, t, r)
-                        if k == 1 else None)
-    bound = min((b for b in (bound_paper, bound_commutator) if b is not None),
-                default=None)
-
-    exact = numerics.expm_action(*entries, t, psi0)
-    measured = numerics.pure_state_distance(psi, exact)
-    error_ok = measured <= eps
-
-    base_bound = 2 * (z + 2) * lookups
-    result = {
-        "n": orc.n, "d": orc.d, "dim": dim, "z": z,
-        "time": t, "eps": eps, "k": k, "r": r,
-        "r_paper": r_paper, "r_commutator": r_commutator, "r_rule": r_rule,
-        "commutator_alpha": alpha,
-        "m_pieces": m,
-        "m_pieces_floor": int(np.bincount(entries[0], minlength=1).max()),
-        "piece_labels": [[[lb.i, lb.j, lb.nu] for lb in group]
-                         for group in piece_labels],
-        "constituent_lookups": lookups,
-        "plan_length": plan_length,
-        "n_exp": n_exp,
-        "tau": tau,
-        "piece_norm_max": lam_piece,
-        "norm_bound": norm_bound,
-        "verification": verification,
-        "base_queries": base_queries,
-        "base_query_bound": base_bound,
-        "base_queries_ok": (base_queries <= base_bound) if n_exp else None,
-        "precision_bits_recommended": bits_needed,
-        "quantize_bits": quantize_bits,
-        "restriction_ok": restriction_ok,
-        "error_bound": bound,
-        "error_bound_paper": bound_paper,
-        "error_bound_commutator": bound_commutator,
-        "bound_slack": measured / bound if bound else None,
-        "measured_error": measured,
-        "error_ok": error_ok,
-        "backend": _kernels.BACKEND,
-        "warnings": notes,
-    }
-    if dim <= 64:
-        result["state"] = [[float(a.real), float(a.imag)] for a in psi]
-    return result
-
-
 def cmd_simulate(args) -> int:
     quantize = _quantize_option(args.quantize)
     orc = _load_oracle(args.input, args.gen)
@@ -500,11 +315,11 @@ def cmd_parity(args) -> int:
         oracle_mod.check_memory(
             f"--size {args.size}: full read of 2^{n} ladder columns", 1 << n,
             "columns", oracle_mod.SLOT_BYTES)
-        rng = np.random.default_rng(_check_seed(args.seed, "--seed"))
+        rng = np.random.default_rng(check_seed(args.seed, "--seed"))
         bits = [int(b) for b in rng.integers(0, 2, size=args.size)]
     instance = parity_mod.ParityInstance(bits)
-    res, notes = _recording(parity_mod.run_parity, instance, args.eps,
-                            quantize_bits=quantize_bits)
+    res = parity_mod.run_parity(instance, args.eps,
+                                quantize_bits=quantize_bits)
     payload = {
         **dataclasses.asdict(res),
         "bits": "".join(str(b) for b in bits),
@@ -513,7 +328,6 @@ def cmd_parity(args) -> int:
         "expected_parity": instance.parity(),
         "error_ok": res.trace_error <= args.eps,
         "backend": _kernels.BACKEND,
-        "warnings": notes,
     }
     _emit_json(args, payload)
     return 0 if res.correct and payload["error_ok"] else 1

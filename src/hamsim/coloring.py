@@ -446,7 +446,8 @@ def verify_coloring(oracle: SparseOracle,
 
     tables and entries are both those of one decompose of the oracle;
     given neither, the oracle is decomposed here, and a run that has
-    decomposed it already passes both.  No dense matrix is built.  The
+    decomposed it already passes both.  One without the other is refused
+    with a ColoringError before any query.  No dense matrix is built.  The
     tables must be pairwise disjoint and their union must equal the
     entries exactly.  Each checked lookup, ColoredOracle(oracle,
     label).column(x), must give the table's answer at x: every (label, x)
@@ -460,6 +461,9 @@ def verify_coloring(oracle: SparseOracle,
     charged to it.  The memo is a local of the call, holding one row's
     claims at a time.
     """
+    if (tables is None) != (entries is None):
+        raise ColoringError("verify_coloring takes the tables and the "
+                            "entries of one decompose together, or neither")
     dim = oracle.dim
     z = iterate_count(oracle.n)
     bound = 2 * (z + 2)

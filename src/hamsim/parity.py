@@ -22,13 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import OracleError, PlanError
+from .config import OracleError
 from .numerics import pure_state_distance
-from .one_sparse import (apply_product_formula, check_bits, extract_table,
-                         pack_tables, precision_bits, quantize_table)
+# unused here since plan_and_run applies the plan; bench/test_bench.py
+# checks that a traced run restores this binding
+from .one_sparse import apply_product_formula  # noqa: F401
+from .one_sparse import extract_table
 from .oracle import QueryCounter, SparseOracle
-from .suzuki import (build_plan, choose_r, choose_r_sharp,
-                     integrator_error_bound_sharp)
+from .planner import check_request, plan_and_run
 
 
 class ParityInstance:
@@ -162,12 +163,18 @@ def initial_state(N: int) -> np.ndarray:
     return psi
 
 
+# the figures of plan_and_run that a parity run reports, by their names
+_PLAN_FIGURES = ("k", "r", "n_exp", "r_rule", "r_paper", "r_sharp",
+                 "r_commutator", "error_bound", "quantize_bits")
+
+
 @dataclass(frozen=True)
 class ParityRunResult:
     parity: int
     correct: bool
     trace_error: float
     eps: float
+    k: int
     r: int
     n_exp: int
     bit_queries: int
@@ -176,20 +183,28 @@ class ParityRunResult:
     r_rule: str
     r_paper: int
     r_sharp: int
+    r_commutator: int
     error_bound: float | None
     bound_slack: float | None
-    quantize_bits: int | None = None
+    quantize_bits: int | None
+    warnings: tuple[str, ...]
 
 
 def run_parity(instance: ParityInstance, eps: float,
                quantize_bits: int | str | None = None) -> ParityRunResult:
     """Simulate the ladder for time pi and read the parity off the rail.
 
-    The slice count is the smaller of the paper's closed-form rule
-    (choose_r) and the smallest r its sharp pre-form allows
-    (choose_r_sharp), both at k = 1 for the two pieces; a tie goes to the
-    paper's.  r_rule names the winner, and error_bound is the sharp bound
-    at the chosen r, None where its linear restriction fails.
+    The two pieces, even first, go to planner.plan_and_run at norm N/2
+    and d = 2, which takes the cheapest of three rules by exponential
+    count: the commutator rule at k = 1, the paper's (choose_k, then
+    choose_r) and the sharp pre-form's at the paper's k.  r_rule names
+    the winner, r_paper, r_sharp and r_commutator each rule's r, and
+    error_bound is plan_and_run's: at the chosen (k, r), the smaller of
+    the paper's and the commutator bound that hold, or the sharp pre-form
+    where the sharp rule chose r.  warnings are choose_r's validity-window
+    warnings.  A bad eps or quantize_bits is refused before a bit is read.
+    eps bounds the trace distance to the target, so the read-out parity
+    is sure to be right only for eps < 1/sqrt(2).
 
     Only the ladder's 2(N+1) states, which come first in the register,
     are evolved, and that is exact: the pieces have no entry on the
@@ -203,55 +218,34 @@ def run_parity(instance: ParityInstance, eps: float,
     the run is checked against that floor.
 
     quantize_bits is None (off), a bit count, or "auto" for
-    precision_bits at this tau, d = 2 and k = 1; the result reports the
-    count used.  The pieces are rounded onto the grid (N/2) / 2^bits.
+    precision_bits(pi N/2, 2, k, eps); the result reports the count used.
+    The pieces are rounded onto the grid (N/2) / 2^bits.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise PlanError(f"eps must be a finite positive number, got {eps}")
+    check_request(math.pi, eps, None, None, quantize_bits)
     N = instance.size
-    tau = math.pi * N / 2.0  # time pi at norm N/2
-    if quantize_bits == "auto":
-        quantize_bits = precision_bits(tau, 2, 1, eps)
-    elif quantize_bits is not None:
-        check_bits(quantize_bits)
-    r_paper = choose_r(1, 2, tau, eps)
-    r_sharp = choose_r_sharp(1, 2, tau, eps)
-    r_rule, r = ("sharp", r_sharp) if r_sharp < r_paper else ("paper", r_paper)
-    bound = integrator_error_bound_sharp(1, 2, tau, r)
-    plan = build_plan(1, 2)
-
     bits_before = instance.counter.count
     even, odd = split_even_odd(instance)
     # the tables at the ladder's own dimension: their validation rejects
     # any index that reaches it
     ladder = 2 * (N + 1)
     tables = [replace(extract_table(p), dim=ladder) for p in (even, odd)]
-    if quantize_bits is not None:
-        tables = [quantize_table(t, quantize_bits, N / 2.0) for t in tables]
     h_queries = even.counter.count + odd.counter.count
     bit_queries = instance.counter.count - bits_before
 
     psi = initial_state(N)
-    psi[:ladder] = apply_product_formula(pack_tables(tables), plan, math.pi,
-                                         r, psi[:ladder])
+    figures, evolved, _ = plan_and_run(
+        tables, math.pi, eps, psi[:ladder], N / 2.0, 2, k=None, r=None,
+        quantize=quantize_bits)
+    psi[:ladder] = evolved
 
     top = state_index(N, 1, N)
     parity = int(abs(psi[top]) > abs(psi[state_index(N, 0, N)]))
-    err = pure_state_distance(psi, exact_target_state(instance))
+    err = float(pure_state_distance(psi, exact_target_state(instance)))
+    bound = figures["error_bound"]
     return ParityRunResult(
-        parity=parity,
-        correct=parity == instance.parity(),
-        trace_error=float(err),
-        eps=float(eps),
-        r=r,
-        n_exp=r * len(plan.steps),
-        bit_queries=bit_queries,
-        h_queries=h_queries,
+        parity=parity, correct=parity == instance.parity(), trace_error=err,
+        eps=float(eps), bit_queries=bit_queries, h_queries=h_queries,
         lower_bound_ok=h_queries >= N / 4.0,
-        r_rule=r_rule,
-        r_paper=r_paper,
-        r_sharp=r_sharp,
-        error_bound=bound,
-        bound_slack=float(err) / bound if bound else None,
-        quantize_bits=quantize_bits,
-    )
+        bound_slack=err / bound if bound else None,
+        warnings=tuple(figures["warnings"]),
+        **{key: figures[key] for key in _PLAN_FIGURES})

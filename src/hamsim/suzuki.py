@@ -300,7 +300,7 @@ def integrator_error_bound_sharp(k: int, m: int, tau: float,
     The pre-form holds wherever the linear restriction alone does;
     elsewhere it is None.  Invalid arguments raise PlanError.  Evaluated
     through expm1/log1p so tiny per-slice terms survive the r-fold
-    compounding.
+    compounding; inf past float range.
     """
     if restriction_values(k, m, tau, r)[0] > 1.0:
         return None
@@ -308,11 +308,14 @@ def integrator_error_bound_sharp(k: int, m: int, tau: float,
         return 0.0
     x = 2.0 * m * 5.0 ** (k - 1) * tau
     u = (8.0 / 3.0) * (x / r) ** (2 * k + 1)
-    if u < sys.float_info.min:
-        # u lost its digits to underflow; r log1p(u) is r u here, kept as
-        # (8/3) x^(2k+1) / r^(2k), so a huge r cannot read as a zero bound
-        return _positive(math.expm1(_ratio_power(8.0 / 3.0, x, k, r)))
-    return _positive(math.expm1(r * math.log1p(u)))
+    # u lost its digits to underflow; r log1p(u) is r u there, kept as
+    # (8/3) x^(2k+1) / r^(2k), so a huge r cannot read as a zero bound
+    exponent = (_ratio_power(8.0 / 3.0, x, k, r) if u < sys.float_info.min
+                else r * math.log1p(u))
+    try:
+        return _positive(math.expm1(exponent))
+    except OverflowError:
+        return math.inf
 
 
 def choose_r_sharp(k: int, m: int, tau: float, eps: float) -> int:

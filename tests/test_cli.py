@@ -253,6 +253,45 @@ def test_simulate_commutator_rule_on_the_n8_instance():
     assert (data["r_commutator"], data["n_exp"]) == (3, 87)
 
 
+# the benchmark's sim-deep and sim-wide instances at state seed 1: the
+# chosen (k, r, n_exp, rule), the error bound and the measured error, and
+# every key simulate printed before the sharp rule's r and bound were added
+SIM_WORKLOADS = [
+    ((8, 3, 1e-2), (1, 6, 90, "commutator"),
+     0.007564994507340473, 0.0004826125720369835),
+    ((9, 4, 1e-1), (1, 3, 87, "commutator"),
+     0.053053210473777646, 0.00176263775529402),
+]
+SIMULATE_KEYS = {
+    "backend", "base_queries", "base_queries_ok", "base_query_bound",
+    "bound_slack", "commutator_alpha", "constituent_lookups", "d", "dim",
+    "eps", "error_bound", "error_bound_commutator", "error_bound_paper",
+    "error_ok", "k", "m_pieces", "m_pieces_floor", "measured_error", "n",
+    "n_exp", "norm_bound", "piece_labels", "piece_norm_max", "plan_length",
+    "precision_bits_recommended", "quantize_bits", "r", "r_commutator",
+    "r_paper", "r_rule", "restriction_ok", "tau", "time", "verification",
+    "warnings", "z"}
+
+
+@pytest.mark.parametrize("size,plan,bound,measured", SIM_WORKLOADS,
+                         ids=["sim-deep", "sim-wide"])
+def test_simulate_benchmark_instances_keep_their_plan_and_bound(
+        size, plan, bound, measured):
+    n, d, eps = size
+    data = cli.simulate_pipeline(
+        oracle.random_sparse(n, d, seed=1, norm_target=1.0), 1.0, eps,
+        state_seed=1)
+    assert (data["k"], data["r"], data["n_exp"], data["r_rule"]) == plan
+    assert data["error_bound"] == pytest.approx(bound, rel=0, abs=1e-12)
+    assert data["measured_error"] == pytest.approx(measured, rel=0,
+                                                   abs=1e-12)
+    assert set(data) - SIMULATE_KEYS == {"r_sharp", "error_bound_sharp"}
+    # the sharp rule would take 431 and 264 slices at k = 1, and its
+    # linear restriction fails at the commutator's r
+    assert data["r_sharp"] == {8: 431, 9: 264}[n]
+    assert data["error_bound_sharp"] is None
+
+
 def _record_tables(monkeypatch):
     """Lists that keep the per-label tables of the last tables_from_slots
     call and the tables of the last pack_tables call."""
@@ -689,12 +728,15 @@ def test_parity_explicit_and_random(capsys):
     assert data["bit_queries"] == 4 * 8
     assert data["lower_bound_ok"] is True
     assert data["backend"] == "py"
-    # recorded at r = 1,363, where the sharp rule beats the paper's 2,520
-    assert data["trace_error"] == pytest.approx(7.368122061145853e-06,
+    # recorded at r = 28, where the commutator rule beats the sharp
+    # rule's 570 and the paper's 1,054
+    assert data["trace_error"] == pytest.approx(0.017558446603663395,
                                                 abs=1e-12)
-    assert data["r_rule"] == "sharp" and data["r"] == data["r_sharp"] == 1363
-    assert data["r_paper"] == 2520 and data["r"] <= data["r_paper"]
-    assert data["n_exp"] == 3 * 1363
+    assert data["r_rule"] == "commutator" and data["k"] == 1
+    assert data["r"] == data["r_commutator"] == 28
+    assert (data["r_sharp"], data["r_paper"]) == (570, 1054)
+    assert data["n_exp"] == 3 * 28
+    assert data["warnings"] == []
     assert data["trace_error"] <= data["error_bound"] <= data["eps"]
     assert data["bound_slack"] == data["trace_error"] / data["error_bound"]
     rc, d1 = run_json(capsys, ["parity", "--size", "6", "--seed", "3"])
@@ -705,13 +747,15 @@ def test_parity_explicit_and_random(capsys):
 
 def test_parity_reports_why_it_fails_on_error(capsys):
     """One quantization bit leaves the right parity but a trace error of
-    0.45 against eps 0.2: exit 1, and the JSON says the error is why."""
+    0.46 against eps 0.2: exit 1, and the JSON says the error is why."""
     rc, data = run_json(capsys, ["parity", "--bits", "101", "--quantize",
                                  "1"])
     assert rc == 1
     assert data["correct"] is True
-    assert data["trace_error"] == pytest.approx(0.4546, abs=1e-4)
+    assert data["trace_error"] == pytest.approx(0.4590, abs=1e-4)
     assert data["error_ok"] is False
+    # the bound covers the unquantized pieces, which quantizing left behind
+    assert data["error_bound"] < data["trace_error"]
 
 
 def test_parity_quantize_auto(capsys):
@@ -816,17 +860,19 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
 def test_exponential_counts_past_2_to_53_exit_one(capsys):
     """A count of exponentials that no JSON reader holds exactly ends in
     exit 1 before any plan is built or run."""
-    # the paper's rule takes k = 10 here: r of about 5.7e22 slices of a
+    # the sharp rule takes k = 10 here: r of about 2.9e22 slices of a
     # 7,812,501-step plan for the 3 merged pieces
     assert main(["simulate", "--gen", "random:n=3,d=2,seed=1", "--time", "1",
                  "--eps", "1e-300"]) == 1
     err = capsys.readouterr().err
     assert "7812501-step plan" in err and "more than 2^53" in err
     assert err.count("\n") == 1
-    assert main(["parity", "--bits", "1011", "--eps", "1e-30"]) == 1
+    # at eps 1e-30 the sharp rule's k = 3 plan would fit, in 6.2e9
+    # exponentials; at 1e-100 its k = 6 plan, the cheapest, does not
+    assert main(["parity", "--bits", "1011", "--eps", "1e-100"]) == 1
     err = capsys.readouterr().err
-    assert ("205752042746042608 slices of a 3-step plan make "
-            "617256128238127824 exponentials, more than 2^53") in err
+    assert ("27612879807578 slices of a 6251-step plan make "
+            "172608111677170078 exponentials, more than 2^53") in err
     # 3 steps per slice: 2^53 // 3 slices fit, one more does not
     fit = 2 ** 53 // 3
     rc, data = run_json(capsys, ["sweep", "--gen", "terms:m=2,dim=3,seed=1",

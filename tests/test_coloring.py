@@ -320,6 +320,19 @@ def test_verify_coloring_trivial_cases():
     assert rep.ok and rep.nonzero_pieces >= 1
 
 
+def test_verify_coloring_refuses_half_a_decompose_before_any_query():
+    """tables without entries, or entries without tables, end in a
+    ColoringError before the oracle is asked anything."""
+    orc = oracle.random_sparse(3, 2, seed=1)
+    entries, tables = coloring.decompose(orc)
+    orc.counter.reset()
+    for given in ({"tables": tables}, {"entries": entries}):
+        with pytest.raises(ColoringError, match="together, or neither"):
+            verify_coloring(orc, **given)
+    assert orc.counter.count == 0
+    assert verify_coloring(orc, tables, entries).ok
+
+
 def test_decompose_sums_to_dense():
     orc = oracle.random_sparse(4, 2, seed=12)
     H = oracle.to_dense(orc)

@@ -1,11 +1,13 @@
 """Parity ladder: structure, norm, exact transfer, end-to-end runs."""
 
 import itertools
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hamsim import numerics, oracle, parity, suzuki
+from hamsim import numerics, one_sparse, oracle, suzuki
 from hamsim.config import OracleError, PlanError, ValidityWindowWarning
 from hamsim.one_sparse import (extract_table, pack_tables, precision_bits,
                                quantize_table, table_to_dense)
@@ -143,34 +145,82 @@ def test_run_parity_error_shrinks_with_eps():
     assert b.trace_error <= 0.05
 
 
+def _ladder_rules(N, eps):
+    """Each rule's (k, r) for an N-bit ladder, from suzuki and the pieces:
+    tau is pi times the largest edge, max_j sqrt((N-j)(j+1))/2, and alpha
+    the commutator prefactor of the two pieces, even first."""
+    tau = np.pi * max(np.sqrt((N - j) * (j + 1)) / 2 for j in range(N))
+    # the bits only relabel the ladder states, which leaves alpha alone
+    inst = ParityInstance([1] * N)
+    tables = [replace(extract_table(p), dim=2 * (N + 1))
+              for p in split_even_odd(inst)]
+    alpha = suzuki.commutator_alpha(one_sparse.nested_commutator_norms(tables))
+    k = suzuki.choose_k(2, tau, eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWindowWarning)
+        r_paper = suzuki.choose_r(k, 2, tau, eps)
+    return {"commutator": (1, suzuki.choose_r_commutator(alpha, np.pi, eps)),
+            "paper": (k, r_paper),
+            "sharp": (k, suzuki.choose_r_sharp(k, 2, tau, eps))}, tau, alpha
+
+
 def test_run_parity_takes_the_smaller_rule_and_stays_within_its_bound():
-    """On ladders of 1 to 8 bits: the chosen r is the smaller of the two
-    rules, and trace error <= sharp bound <= eps."""
+    """On ladders of 1 to 8 bits: each rule's r is what suzuki gives for
+    the ladder's pieces, the commutator rule is the cheapest and chooses
+    r, and trace error <= error_bound <= eps, the bound being the smaller
+    of the paper's and the commutator's at the chosen (k, r)."""
     rng = np.random.default_rng(3)
-    rules = set()
     for N in range(1, 9):
-        tau = np.pi * N / 2.0
         for eps in (0.5, 0.2, 0.02):
-            inst = ParityInstance(rng.integers(0, 2, size=N))
-            res = run_parity(inst, eps)
-            assert res.r_paper == suzuki.choose_r(1, 2, tau, eps)
-            assert res.r_sharp == suzuki.choose_r_sharp(1, 2, tau, eps)
-            assert res.r == min(res.r_paper, res.r_sharp)
-            assert res.r_rule == ("sharp" if res.r_sharp < res.r_paper
-                                  else "paper")
-            assert res.error_bound == suzuki.integrator_error_bound_sharp(
-                1, 2, tau, res.r)
-            assert res.correct
-            assert res.trace_error <= res.error_bound <= eps, (N, eps)
-            assert res.bound_slack == res.trace_error / res.error_bound
-            rules.add(res.r_rule)
-    assert rules == {"sharp"}
-    # far outside the window the paper's r is smaller, and too small for
-    # the linear restriction, so no bound covers it
-    with pytest.warns(ValidityWindowWarning):
-        res = run_parity(ParityInstance([1]), 100.0)
-    assert (res.r_rule, res.r, res.r_sharp) == ("paper", 5, 13)
-    assert res.error_bound is None and res.bound_slack is None
+            rules, tau, alpha = _ladder_rules(N, eps)
+            res = run_parity(ParityInstance(rng.integers(0, 2, size=N)), eps)
+            assert (res.r_commutator, res.r_paper, res.r_sharp) == (
+                rules["commutator"][1], rules["paper"][1], rules["sharp"][1])
+            assert (res.r_rule, res.k, res.r) == (
+                "commutator", 1, res.r_commutator)
+            bounds = [b for b in (
+                suzuki.integrator_error_bound(1, 2, tau, res.r),
+                suzuki.commutator_error_bound(alpha, np.pi, res.r))
+                if b is not None]
+            assert res.error_bound == min(bounds)
+            assert res.correct and res.warnings == ()
+            # at N = 1 the one edge piece runs exactly and the bound is 0;
+            # the trace error is roundoff there
+            assert res.trace_error <= res.error_bound + 1e-15 <= eps, (N, eps)
+            assert res.bound_slack == (res.trace_error / res.error_bound
+                                       if res.error_bound else None)
+    # far outside the paper's window its rule warns; one edge piece
+    # commutes with itself, so the commutator rule takes one slice
+    res = run_parity(ParityInstance([1]), 100.0)
+    assert (res.r_rule, res.r, res.r_paper, res.r_sharp) == (
+        "commutator", 1, 5, 13)
+    assert res.n_exp == 1  # the empty odd piece is not run
+    assert res.error_bound == 0.0 and res.bound_slack is None
+    assert len(res.warnings) == 1 and "outside its window" in res.warnings[0]
+
+
+def test_run_parity_takes_the_cheapest_rule_on_a_grid():
+    """N = 1..8 and 64 at eps 100, 0.5, 0.2 and 1e-2, and N = 256 at 0.2:
+    the chosen rule needs the fewest exponentials, a tie going to the
+    commutator rule, then the paper's, then the sharp one; every query
+    floor holds, trace error <= error_bound <= eps, and the parity is
+    right wherever eps < 1/sqrt(2), below which a state within eps of the
+    target has more weight on the right rail than on the wrong one."""
+    rng = np.random.default_rng(7)
+    grid = [(N, eps) for N in [*range(1, 9), 64]
+            for eps in (100.0, 0.5, 0.2, 1e-2)] + [(256, 0.2)]
+    for N, eps in grid:
+        rules, _, _ = _ladder_rules(N, eps)
+        cost = {rule: r * suzuki.exponential_count(k, 2)
+                for rule, (k, r) in rules.items()}
+        res = run_parity(ParityInstance(rng.integers(0, 2, size=N)), eps)
+        assert res.r_rule == min(cost, key=cost.get), (N, eps)
+        assert (res.k, res.r) == rules[res.r_rule]
+        assert res.lower_bound_ok
+        if eps < 2 ** -0.5:
+            assert res.correct, (N, eps)
+        if res.error_bound is not None:
+            assert res.trace_error <= res.error_bound + 1e-15 <= eps, (N, eps)
 
 
 def test_run_parity_on_the_benchmark_ladder():
@@ -179,8 +229,9 @@ def test_run_parity_on_the_benchmark_ladder():
     bits = np.random.default_rng(1).integers(0, 2, 64)
     res = run_parity(ParityInstance([int(b) for b in bits]), 0.2)
     assert res.correct
-    assert (res.r, res.n_exp) == (30840, 92520)
-    assert res.trace_error == 2.7405491542842317e-06
+    assert (res.r_rule, res.r, res.n_exp) == ("commutator", 576, 1728)
+    assert res.trace_error == 0.007861662442512142
+    assert res.trace_error <= res.error_bound <= 0.2
 
 
 def test_run_parity_evolves_the_ladder_states_alone(monkeypatch):
@@ -189,7 +240,7 @@ def test_run_parity_evolves_the_ladder_states_alone(monkeypatch):
     spied run reports what an unspied one does, and its trace error is
     that of evolving the whole register, bit for bit."""
     rng = np.random.default_rng(17)
-    apply = parity.apply_product_formula
+    apply = one_sparse.apply_product_formula
     for N in range(1, 9):
         bits = [int(b) for b in rng.integers(0, 2, N)]
         for quantize in (None, 1):
@@ -201,7 +252,7 @@ def test_run_parity_evolves_the_ladder_states_alone(monkeypatch):
                 return apply(packed, plan, t, r, psi)
 
             with monkeypatch.context() as m:
-                m.setattr(parity, "apply_product_formula", spy)
+                m.setattr(one_sparse, "apply_product_formula", spy)
                 got = run_parity(ParityInstance(bits), 0.2, quantize)
             assert sizes == [(2 * (N + 1), 2 * (N + 1))]
             assert ((got.r, got.n_exp, got.h_queries, got.trace_error)
@@ -211,8 +262,11 @@ def test_run_parity_evolves_the_ladder_states_alone(monkeypatch):
             if quantize is not None:
                 tables = [quantize_table(t, quantize, N / 2.0)
                           for t in tables]
-            psi = apply(pack_tables(tables), suzuki.build_plan(1, 2), np.pi,
-                        got.r, initial_state(N))
+            # the odd piece of a 1-bit ladder is empty and is not run
+            tables = [t for t in tables if t.entry_count]
+            psi = apply(pack_tables(tables),
+                        suzuki.build_plan(got.k, len(tables)), np.pi, got.r,
+                        initial_state(N))
             assert numerics.pure_state_distance(
                 psi, exact_target_state(inst)) == got.trace_error
 

@@ -254,6 +254,16 @@ def test_sharp_bound_keeps_an_underflowed_slice_term():
         pytest.approx(8.0 / 3.0 * 64.0 * 1e-240, rel=1e-12))
 
 
+def test_sharp_bound_reads_inf_past_float_range():
+    # at the linear restriction's edge u = (8/3)(1/2)^3 = 1/3, and
+    # (4/3)^8000 - 1 is past float range: inf, not an OverflowError
+    assert suzuki.restriction_values(1, 2, 1000.0, 8000)[0] == 1.0
+    assert suzuki.integrator_error_bound_sharp(1, 2, 1000.0, 8000) == math.inf
+    # so choose_r_sharp can bisect across such counts
+    r = suzuki.choose_r_sharp(10, 3, 9e249, 1e-300)
+    assert suzuki.integrator_error_bound_sharp(10, 3, 9e249, r) <= 1e-300
+
+
 def test_commutator_bound_stays_positive_past_float_range():
     # 0.7^3 x 2 / r^2 = 6.9e-401
     assert suzuki.commutator_error_bound(2.0, -0.7, 10 ** 200) == math.ulp(0.0)
