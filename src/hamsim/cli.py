@@ -11,7 +11,8 @@ Subcommands:
 Oracles come from --input (an entry-list file) or --gen, a compact
 generator spec like random:n=4,d=3,seed=7,norm=1.  Sweeps also accept
 terms:m=3,dim=8,seed=1,norm=1 for plain random Hermitian term lists.
-Output is deterministic JSON (sorted keys) except where noted; exit codes
+Output is deterministic JSON (sorted keys, null for a figure past float
+range) except where noted; exit codes
 are 0 on success, 1 for domain or verification failures, 2 for usage.
 """
 
@@ -126,11 +127,25 @@ def _write_text(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _finite(obj):
+    """obj with every inf and nan float as None, which JSON can hold."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(val) for val in obj]
+    return obj
+
+
 def _emit_json(args, payload) -> None:
     # numpy's int64 and bool_ leak into payloads and json takes neither;
-    # its float64 is a float, which json prints as .item() would
-    _write_text(args, json.dumps(payload, sort_keys=True, indent=2,
-                                 default=lambda obj: obj.item()) + "\n")
+    # its float64 is a float, which json prints as .item() would.  A
+    # figure past float range prints as null: strict readers take no
+    # Infinity
+    _write_text(args, json.dumps(
+        _finite(payload), sort_keys=True, indent=2, allow_nan=False,
+        default=lambda obj: _finite(obj.item())) + "\n")
 
 
 def _quantize_option(text: str | None) -> int | str | None:

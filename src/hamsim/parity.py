@@ -164,8 +164,12 @@ def initial_state(N: int) -> np.ndarray:
 
 
 # the figures of plan_and_run that a parity run reports, by their names
-_PLAN_FIGURES = ("k", "r", "n_exp", "r_rule", "r_paper", "r_sharp",
-                 "r_commutator", "error_bound", "quantize_bits")
+_PLAN_FIGURES = ("k", "r", "n_exp", "r_rule", "r_paper", "r_commutator",
+                 "error_bound", "quantize_bits")
+# the loosest eps a run plans at: below 1/sqrt(2), a state within trace
+# distance eps of |parity, N> has more weight on the right rail than on
+# the wrong one, so the read-out parity is sure to be right
+READOUT_EPS = 0.5
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,6 @@ class ParityRunResult:
     lower_bound_ok: bool
     r_rule: str
     r_paper: int
-    r_sharp: int
     r_commutator: int
     error_bound: float | None
     bound_slack: float | None
@@ -195,16 +198,15 @@ def run_parity(instance: ParityInstance, eps: float,
     """Simulate the ladder for time pi and read the parity off the rail.
 
     The two pieces, even first, go to planner.plan_and_run at norm N/2
-    and d = 2, which takes the cheapest of three rules by exponential
-    count: the commutator rule at k = 1, the paper's (choose_k, then
-    choose_r) and the sharp pre-form's at the paper's k.  r_rule names
-    the winner, r_paper, r_sharp and r_commutator each rule's r, and
-    error_bound is plan_and_run's: at the chosen (k, r), the smaller of
-    the paper's and the commutator bound that hold, or the sharp pre-form
-    where the sharp rule chose r.  warnings are choose_r's validity-window
-    warnings.  A bad eps or quantize_bits is refused before a bit is read.
-    eps bounds the trace distance to the target, so the read-out parity
-    is sure to be right only for eps < 1/sqrt(2).
+    and d = 2, which takes the cheaper of two rules by exponential count:
+    the commutator rule at k = 1 and the paper's (choose_k, then
+    choose_r).  r_rule names the winner, r_paper and r_commutator each
+    rule's r, and error_bound is plan_and_run's: at the chosen (k, r), the
+    smaller of the paper's and the commutator bound that hold.  warnings
+    are choose_r's validity-window warnings.  A bad eps or quantize_bits
+    is refused before a bit is read.
+    The run plans at min(eps, READOUT_EPS), so error_bound is at most eps
+    and 1/2, and an unquantized run reads the right parity at any eps.
 
     Only the ladder's 2(N+1) states, which come first in the register,
     are evolved, and that is exact: the pieces have no entry on the
@@ -218,7 +220,7 @@ def run_parity(instance: ParityInstance, eps: float,
     the run is checked against that floor.
 
     quantize_bits is None (off), a bit count, or "auto" for
-    precision_bits(pi N/2, 2, k, eps); the result reports the count used.
+    precision_bits(pi N/2, 2, k, min(eps, READOUT_EPS)); the result reports the count used.
     The pieces are rounded onto the grid (N/2) / 2^bits.
     """
     check_request(math.pi, eps, None, None, quantize_bits)
@@ -234,7 +236,7 @@ def run_parity(instance: ParityInstance, eps: float,
 
     psi = initial_state(N)
     figures, evolved, _ = plan_and_run(
-        tables, math.pi, eps, psi[:ladder], N / 2.0, 2, k=None, r=None,
+        tables, math.pi, min(eps, READOUT_EPS), psi[:ladder], N / 2.0, 2, k=None, r=None,
         quantize=quantize_bits)
     psi[:ladder] = evolved
 

@@ -2,7 +2,7 @@
 
 `simulate` (the merged coloring pieces of an oracle) and `parity` (the
 ladder's two pieces) hand their pieces to plan_and_run.  It picks (k, r)
-by the cheapest of three rigorous rules, reports every bound at the chosen
+by the cheaper of two rigorous rules, reports every bound at the chosen
 (k, r), then quantizes, packs, builds the plan and applies it.
 simulate_pipeline, the whole `simulate` toolchain as one call, lives here
 too; the CLI keeps argument parsing and JSON.
@@ -60,24 +60,21 @@ def plan_and_run(pieces: list[one_sparse.OneSparseTable], t: float,
     """Choose (k, r), bound the error, and evolve psi0 by the pieces' plan.
 
     The pieces run in the order given (term 1 outermost), and their
-    arguments are those check_request accepts.  Three rules offer a
-    (k, r), each from the unquantized pieces: the paper's (choose_k, then
-    choose_r at tau = |t| times the largest piece norm), the smallest r its
-    sharp pre-form allows at the same k (choose_r_sharp), and the
-    commutator rule at k = 1 (choose_r_commutator, from the nested
-    commutator norms of the pieces in this order).  The fewest
-    exponentials wins, a tie going to the commutator rule, then the
-    paper's, then the sharp one.  A given k = 1 takes the commutator rule
-    and any other given k the paper's; a given r is used as given, at the
-    given k or choose_k's.
+    arguments are those check_request accepts.  Two rules offer a (k, r),
+    each from the unquantized pieces: the commutator rule at k = 1
+    (choose_r_commutator, from the nested commutator norms of the pieces
+    in this order) and the paper's (choose_k, then choose_r at tau = |t|
+    times the largest piece norm).  The fewest exponentials wins, a tie
+    going to the commutator rule.  A given k = 1 takes the commutator
+    rule and any other given k the paper's; a given r is used as given,
+    at the given k or choose_k's.
 
     Every bound is taken at the chosen (k, r) and is None where it does
-    not hold or apply: error_bound_paper (the closed form),
-    error_bound_sharp (its pre-form) and error_bound_commutator (k = 1
-    only).  error_bound is the smallest of the paper's and the
-    commutator's that hold, or the sharp pre-form where the sharp rule
-    chose r.  The piece count that chose r, m_plan, and tau and alpha
-    all describe the pieces given, so quantizing cannot move the bounds.
+    not hold or apply: error_bound_paper (the closed form) and
+    error_bound_commutator (k = 1 only); error_bound is the smaller of
+    those that hold.  The piece count that chose r, m_plan, and tau and
+    alpha all describe the pieces given, so quantizing cannot move the
+    bounds.
 
     norm bounds ||H|| and d is H's sparsity: quantize "auto" takes
     precision_bits(norm |t|, d, k, eps), reported either way as
@@ -93,11 +90,9 @@ def plan_and_run(pieces: list[one_sparse.OneSparseTable], t: float,
     m_plan = max(len(pieces), 1)
     k_paper = k if k is not None else suzuki.choose_k(m_plan, tau, eps)
     r_paper, notes = recording(suzuki.choose_r, k_paper, m_plan, tau, eps)
-    r_sharp = suzuki.choose_r_sharp(k_paper, m_plan, tau, eps)
     r_commutator = suzuki.choose_r_commutator(alpha, t, eps)
     # (rule, k, r), in the order that breaks a tie
-    rules = [("commutator", 1, r_commutator), ("paper", k_paper, r_paper),
-             ("sharp", k_paper, r_sharp)]
+    rules = [("commutator", 1, r_commutator), ("paper", k_paper, r_paper)]
     if r is not None:
         r_rule, k, notes = "given", k_paper, []
     elif k is None:
@@ -108,13 +103,8 @@ def plan_and_run(pieces: list[one_sparse.OneSparseTable], t: float,
         r_rule, k, r = rules[0 if k == 1 else 1]
 
     bound_paper = suzuki.integrator_error_bound(k, m_plan, tau, r)
-    bound_sharp = suzuki.integrator_error_bound_sharp(k, m_plan, tau, r)
     bound_commutator = (suzuki.commutator_error_bound(alpha, t, r)
                         if k == 1 else None)
-    # the pre-form counts only where its rule chose r, so a paper-rule
-    # run's error_bound stays the closed form it has always reported
-    counted = (bound_paper, bound_commutator,
-               bound_sharp if r_rule == "sharp" else None)
 
     bits_needed = one_sparse.precision_bits(norm * abs(t), d, k, eps)
     quantize_bits = bits_needed if quantize == "auto" else quantize
@@ -135,15 +125,15 @@ def plan_and_run(pieces: list[one_sparse.OneSparseTable], t: float,
         psi, n_exp, plan_length = psi0.copy(), 0, 0
     figures = {
         "k": k, "r": r, "r_rule": r_rule, "r_paper": r_paper,
-        "r_sharp": r_sharp, "r_commutator": r_commutator,
+        "r_commutator": r_commutator,
         "commutator_alpha": alpha, "tau": tau, "piece_norm_max": lam,
         "m_pieces": len(kept), "plan_length": plan_length, "n_exp": n_exp,
         "precision_bits_recommended": bits_needed,
         "quantize_bits": quantize_bits,
         "restriction_ok": suzuki.restriction_check(k, m_plan, tau, r),
-        "error_bound": min((b for b in counted if b is not None),
-                           default=None),
-        "error_bound_paper": bound_paper, "error_bound_sharp": bound_sharp,
+        "error_bound": min((b for b in (bound_paper, bound_commutator)
+                            if b is not None), default=None),
+        "error_bound_paper": bound_paper,
         "error_bound_commutator": bound_commutator, "warnings": notes}
     return figures, psi, kept
 

@@ -51,11 +51,12 @@ def test_bound_accepts_overrides_and_window_warnings(capsys):
                                  "--eps", "0.5"])
     assert rc == 0
     assert data["warnings"]  # outside the window, flagged not fatal
-    # past float range the bounds are infinite, not a traceback
+    # past float range the bounds read null, not a traceback or a token
+    # that strict JSON readers refuse
     rc, data = run_json(capsys, ["bound", "--m", "2", "--tau", "1e300",
                                  "--eps", "0.1", "--r", "5"])
     assert rc == 0 and data["restriction_ok"] is False
-    assert data["nexp_bound"] == data["nexp_bound_order_free"] == float("inf")
+    assert data["nexp_bound"] is None and data["nexp_bound_order_free"] is None
     assert data["r_sharp"] is None and data["n_exp_sharp"] is None
     # a huge r makes the power condition tiny, not infinite
     rc, data = run_json(capsys, ["bound", "--m", "2", "--tau", "1",
@@ -81,6 +82,22 @@ def test_bounds_read_null_where_they_do_not_hold(capsys):
     assert [(row["bound"] is None, row["bound_sharp"] is None)
             for row in data["rows"]] == [(True, True), (True, False),
                                          (False, False)]
+
+
+def test_bound_past_float_range_prints_strict_json(capsys):
+    """At the linear restriction's edge the sharp pre-form, (4/3)^8000 - 1,
+    is past float range: bound prints it as null, and its output parses
+    with a reader that refuses Infinity and NaN."""
+    assert main(["bound", "--m", "2", "--tau", "1000", "--eps", "0.1",
+                 "--r", "8000"]) == 0
+    out = capsys.readouterr().out
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    data = json.loads(out, parse_constant=refuse)
+    assert data["restriction_linear"] == 1.0
+    assert data["error_bound_sharp"] is None and data["error_bound"] is None
 
 
 def test_json_output_is_deterministic(capsys):
@@ -255,7 +272,7 @@ def test_simulate_commutator_rule_on_the_n8_instance():
 
 # the benchmark's sim-deep and sim-wide instances at state seed 1: the
 # chosen (k, r, n_exp, rule), the error bound and the measured error, and
-# every key simulate printed before the sharp rule's r and bound were added
+# every key simulate printed before it moved to the one planner
 SIM_WORKLOADS = [
     ((8, 3, 1e-2), (1, 6, 90, "commutator"),
      0.007564994507340473, 0.0004826125720369835),
@@ -285,11 +302,7 @@ def test_simulate_benchmark_instances_keep_their_plan_and_bound(
     assert data["error_bound"] == pytest.approx(bound, rel=0, abs=1e-12)
     assert data["measured_error"] == pytest.approx(measured, rel=0,
                                                    abs=1e-12)
-    assert set(data) - SIMULATE_KEYS == {"r_sharp", "error_bound_sharp"}
-    # the sharp rule would take 431 and 264 slices at k = 1, and its
-    # linear restriction fails at the commutator's r
-    assert data["r_sharp"] == {8: 431, 9: 264}[n]
-    assert data["error_bound_sharp"] is None
+    assert set(data) == SIMULATE_KEYS
 
 
 def _record_tables(monkeypatch):
@@ -728,13 +741,12 @@ def test_parity_explicit_and_random(capsys):
     assert data["bit_queries"] == 4 * 8
     assert data["lower_bound_ok"] is True
     assert data["backend"] == "py"
-    # recorded at r = 28, where the commutator rule beats the sharp
-    # rule's 570 and the paper's 1,054
+    # recorded at r = 28, where the commutator rule beats the paper's 1,054
     assert data["trace_error"] == pytest.approx(0.017558446603663395,
                                                 abs=1e-12)
     assert data["r_rule"] == "commutator" and data["k"] == 1
     assert data["r"] == data["r_commutator"] == 28
-    assert (data["r_sharp"], data["r_paper"]) == (570, 1054)
+    assert data["r_paper"] == 1054
     assert data["n_exp"] == 3 * 28
     assert data["warnings"] == []
     assert data["trace_error"] <= data["error_bound"] <= data["eps"]
@@ -860,19 +872,19 @@ def test_domain_errors_exit_one(capsys, tmp_path, monkeypatch):
 def test_exponential_counts_past_2_to_53_exit_one(capsys):
     """A count of exponentials that no JSON reader holds exactly ends in
     exit 1 before any plan is built or run."""
-    # the sharp rule takes k = 10 here: r of about 2.9e22 slices of a
+    # the paper's rule takes k = 10 here: r of about 5.7e22 slices of a
     # 7,812,501-step plan for the 3 merged pieces
     assert main(["simulate", "--gen", "random:n=3,d=2,seed=1", "--time", "1",
                  "--eps", "1e-300"]) == 1
     err = capsys.readouterr().err
     assert "7812501-step plan" in err and "more than 2^53" in err
     assert err.count("\n") == 1
-    # at eps 1e-30 the sharp rule's k = 3 plan would fit, in 6.2e9
-    # exponentials; at 1e-100 its k = 6 plan, the cheapest, does not
+    # at eps 1e-30 the paper's k = 3 plan would fit, in 1.2e10
+    # exponentials; at 1e-100 its k = 6 plan, the cheaper, does not
     assert main(["parity", "--bits", "1011", "--eps", "1e-100"]) == 1
     err = capsys.readouterr().err
-    assert ("27612879807578 slices of a 6251-step plan make "
-            "172608111677170078 exponentials, more than 2^53") in err
+    assert ("54929541153873 slices of a 6251-step plan make "
+            "343364561752860123 exponentials, more than 2^53") in err
     # 3 steps per slice: 2^53 // 3 slices fit, one more does not
     fit = 2 ** 53 // 3
     rc, data = run_json(capsys, ["sweep", "--gen", "terms:m=2,dim=3,seed=1",

@@ -11,7 +11,7 @@ from hamsim import numerics, one_sparse, oracle, suzuki
 from hamsim.config import OracleError, PlanError, ValidityWindowWarning
 from hamsim.one_sparse import (extract_table, pack_tables, precision_bits,
                                quantize_table, table_to_dense)
-from hamsim.parity import (ParityInstance, build_parity_oracle,
+from hamsim.parity import (READOUT_EPS, ParityInstance, build_parity_oracle,
                            exact_target_state, initial_state, register_bits,
                            run_parity, split_even_odd, state_index)
 
@@ -148,7 +148,9 @@ def test_run_parity_error_shrinks_with_eps():
 def _ladder_rules(N, eps):
     """Each rule's (k, r) for an N-bit ladder, from suzuki and the pieces:
     tau is pi times the largest edge, max_j sqrt((N-j)(j+1))/2, and alpha
-    the commutator prefactor of the two pieces, even first."""
+    the commutator prefactor of the two pieces, even first.  eps is the
+    one the run plans at, capped at READOUT_EPS."""
+    eps = min(eps, READOUT_EPS)
     tau = np.pi * max(np.sqrt((N - j) * (j + 1)) / 2 for j in range(N))
     # the bits only relabel the ladder states, which leaves alpha alone
     inst = ParityInstance([1] * N)
@@ -160,13 +162,24 @@ def _ladder_rules(N, eps):
         warnings.simplefilter("ignore", ValidityWindowWarning)
         r_paper = suzuki.choose_r(k, 2, tau, eps)
     return {"commutator": (1, suzuki.choose_r_commutator(alpha, np.pi, eps)),
-            "paper": (k, r_paper),
-            "sharp": (k, suzuki.choose_r_sharp(k, 2, tau, eps))}, tau, alpha
+            "paper": (k, r_paper)}, tau, alpha
+
+
+def _assert_within_bound(N, eps, res):
+    """trace error <= error_bound <= eps, and the slack is their ratio.
+    A 1-bit ladder is one edge piece, which runs exactly: its bound is
+    0.0 and its trace error roundoff."""
+    if N == 1:
+        assert res.error_bound == 0.0 and res.bound_slack is None
+        assert res.trace_error < 1e-12
+    else:
+        assert res.trace_error <= res.error_bound <= eps, (N, eps)
+        assert res.bound_slack == res.trace_error / res.error_bound
 
 
 def test_run_parity_takes_the_smaller_rule_and_stays_within_its_bound():
     """On ladders of 1 to 8 bits: each rule's r is what suzuki gives for
-    the ladder's pieces, the commutator rule is the cheapest and chooses
+    the ladder's pieces, the commutator rule is the cheaper and chooses
     r, and trace error <= error_bound <= eps, the bound being the smaller
     of the paper's and the commutator's at the chosen (k, r)."""
     rng = np.random.default_rng(3)
@@ -174,8 +187,8 @@ def test_run_parity_takes_the_smaller_rule_and_stays_within_its_bound():
         for eps in (0.5, 0.2, 0.02):
             rules, tau, alpha = _ladder_rules(N, eps)
             res = run_parity(ParityInstance(rng.integers(0, 2, size=N)), eps)
-            assert (res.r_commutator, res.r_paper, res.r_sharp) == (
-                rules["commutator"][1], rules["paper"][1], rules["sharp"][1])
+            assert (res.r_commutator, res.r_paper) == (
+                rules["commutator"][1], rules["paper"][1])
             assert (res.r_rule, res.k, res.r) == (
                 "commutator", 1, res.r_commutator)
             bounds = [b for b in (
@@ -184,28 +197,23 @@ def test_run_parity_takes_the_smaller_rule_and_stays_within_its_bound():
                 if b is not None]
             assert res.error_bound == min(bounds)
             assert res.correct and res.warnings == ()
-            # at N = 1 the one edge piece runs exactly and the bound is 0;
-            # the trace error is roundoff there
-            assert res.trace_error <= res.error_bound + 1e-15 <= eps, (N, eps)
-            assert res.bound_slack == (res.trace_error / res.error_bound
-                                       if res.error_bound else None)
-    # far outside the paper's window its rule warns; one edge piece
-    # commutes with itself, so the commutator rule takes one slice
+            _assert_within_bound(N, eps, res)
+    # eps 100 plans at READOUT_EPS; one edge piece commutes with itself,
+    # so the commutator rule takes one slice
     res = run_parity(ParityInstance([1]), 100.0)
-    assert (res.r_rule, res.r, res.r_paper, res.r_sharp) == (
-        "commutator", 1, 5, 13)
+    assert (res.r_rule, res.r, res.r_paper) == (
+        "commutator", 1, _ladder_rules(1, READOUT_EPS)[0]["paper"][1])
     assert res.n_exp == 1  # the empty odd piece is not run
-    assert res.error_bound == 0.0 and res.bound_slack is None
-    assert len(res.warnings) == 1 and "outside its window" in res.warnings[0]
+    assert res.correct and res.eps == 100.0
+    _assert_within_bound(1, 100.0, res)
 
 
 def test_run_parity_takes_the_cheapest_rule_on_a_grid():
     """N = 1..8 and 64 at eps 100, 0.5, 0.2 and 1e-2, and N = 256 at 0.2:
-    the chosen rule needs the fewest exponentials, a tie going to the
-    commutator rule, then the paper's, then the sharp one; every query
-    floor holds, trace error <= error_bound <= eps, and the parity is
-    right wherever eps < 1/sqrt(2), below which a state within eps of the
-    target has more weight on the right rail than on the wrong one."""
+    the chosen rule needs the fewer exponentials, a tie going to the
+    commutator rule; every query floor holds, trace error <= error_bound
+    <= eps, and the parity is right at every eps, since a run plans at
+    most at READOUT_EPS."""
     rng = np.random.default_rng(7)
     grid = [(N, eps) for N in [*range(1, 9), 64]
             for eps in (100.0, 0.5, 0.2, 1e-2)] + [(256, 0.2)]
@@ -216,11 +224,8 @@ def test_run_parity_takes_the_cheapest_rule_on_a_grid():
         res = run_parity(ParityInstance(rng.integers(0, 2, size=N)), eps)
         assert res.r_rule == min(cost, key=cost.get), (N, eps)
         assert (res.k, res.r) == rules[res.r_rule]
-        assert res.lower_bound_ok
-        if eps < 2 ** -0.5:
-            assert res.correct, (N, eps)
-        if res.error_bound is not None:
-            assert res.trace_error <= res.error_bound + 1e-15 <= eps, (N, eps)
+        assert res.correct and res.lower_bound_ok, (N, eps)
+        _assert_within_bound(N, eps, res)
 
 
 def test_run_parity_on_the_benchmark_ladder():
