@@ -12,8 +12,8 @@ Oracles come from --input (an entry-list file) or --gen, a compact
 generator spec like random:n=4,d=3,seed=7,norm=1.  Sweeps also accept
 terms:m=3,dim=8,seed=1,norm=1 for plain random Hermitian term lists.
 Output is deterministic JSON (sorted keys, null for a figure past float
-range) except where noted; exit codes
-are 0 on success, 1 for domain or verification failures, 2 for usage.
+range) except where noted; exit codes are 0 on success, 1 for domain or
+verification failures, 2 for usage.
 """
 
 from __future__ import annotations

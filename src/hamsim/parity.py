@@ -220,7 +220,8 @@ def run_parity(instance: ParityInstance, eps: float,
     the run is checked against that floor.
 
     quantize_bits is None (off), a bit count, or "auto" for
-    precision_bits(pi N/2, 2, k, min(eps, READOUT_EPS)); the result reports the count used.
+    precision_bits(pi N/2, 2, k, min(eps, READOUT_EPS)); the result
+    reports the count used.
     The pieces are rounded onto the grid (N/2) / 2^bits.
     """
     check_request(math.pi, eps, None, None, quantize_bits)
@@ -236,8 +237,8 @@ def run_parity(instance: ParityInstance, eps: float,
 
     psi = initial_state(N)
     figures, evolved, _ = plan_and_run(
-        tables, math.pi, min(eps, READOUT_EPS), psi[:ladder], N / 2.0, 2, k=None, r=None,
-        quantize=quantize_bits)
+        tables, math.pi, min(eps, READOUT_EPS), psi[:ladder], N / 2.0, 2,
+        k=None, r=None, quantize=quantize_bits)
     psi[:ladder] = evolved
 
     top = state_index(N, 1, N)
