@@ -108,8 +108,8 @@ def _load_terms(args) -> list[np.ndarray]:
         rng = np.random.default_rng(seed)
         return [numerics.random_hermitian(dim, rng, norm=norm) for _ in range(m)]
     orc = _load_oracle(args.input, args.gen)
-    hams = [one_sparse.table_to_dense(t) for t in coloring.decompose(orc)[1]
-            if t.entry_count]
+    hams = [one_sparse.table_to_dense(t)
+            for t in coloring.decompose(orc).tables if t.entry_count]
     if not hams:
         raise HamsimError("the matrix is zero, nothing to sweep")
     return hams
@@ -278,9 +278,9 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     orc = _load_oracle(args.input, args.gen)
     labels = coloring.enumerate_labels(orc.d, orc.n)
-    entries, tables = coloring.decompose(orc)
+    dec = coloring.decompose(orc)
     rows = []
-    for label, table in zip(labels, tables):
+    for label, table in zip(labels, dec.tables):
         if not table.entry_count and not args.all:
             continue
         rows.append({
@@ -298,7 +298,7 @@ def cmd_decompose(args) -> int:
         "pieces": rows,
     }
     if not args.no_verify:
-        report = coloring.verify_coloring(orc, tables, entries)
+        report = coloring.verify_coloring(orc, dec)
         payload["verified"] = report.ok
         payload["lookups_checked"] = report.lookups_checked
         payload["failures"] = list(report.failures)

@@ -20,7 +20,8 @@ endpoints of x once and runs the halving rounds on each, and pick chooses
 the tag's answer from what they claim.  decompose is the one step that
 reads an oracle for its pieces: one counted read of each slot, checked
 once, and every piece table built from it at once by running the same
-rounds on whole columns of chains; colored_query is the reference those
+rounds on whole columns of chains.  It returns one Decomposition value,
+which verify_coloring takes whole; colored_query is the reference those
 tables are verified against.
 """
 
@@ -370,18 +371,36 @@ def _chain_tags(lo: np.ndarray, up: np.ndarray, asc: np.ndarray, n: int,
 Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def decompose(oracle: SparseOracle
-              ) -> tuple[Entries, list[OneSparseTable]]:
+@dataclass(frozen=True)
+class Decomposition:
+    """One read of a d-sparse oracle on n bits, split into its pieces.
+
+    entries are the read's checked (rows, cols, vals); tables holds every
+    piece, empty ones included, in enumerate_labels(d, n) order; queries
+    is the base queries the read spent, dim * d.
+    """
+
+    n: int
+    d: int
+    entries: Entries
+    tables: tuple[OneSparseTable, ...]
+    queries: int
+
+
+def decompose(oracle: SparseOracle) -> Decomposition:
     """Every piece of the coloring, from one counted read of the oracle.
 
     Each (x, i) slot is read once through query, dim * d base queries in
     all.  entries_from_slots checks that read, and gives its entries as
     (rows, cols, vals), before tables_from_slots builds the piece tables
-    from it, in enumerate_labels order.  Returns (entries, tables).
+    from it.
     """
+    before = oracle.counter.count
     slots = read_slots(oracle, oracle.query)
     entries = entries_from_slots(*slots)
-    return entries, tables_from_slots(oracle.n, *slots)
+    return Decomposition(oracle.n, oracle.d, entries,
+                         tuple(tables_from_slots(oracle.n, *slots)),
+                         oracle.counter.count - before)
 
 
 def tables_from_slots(n: int, nbr: np.ndarray,
@@ -440,37 +459,37 @@ VERIFY_SEED = 0
 
 
 def verify_coloring(oracle: SparseOracle,
-                    tables: list[OneSparseTable] | None = None,
-                    entries: Entries | None = None) -> ColoringReport:
-    """Check piece tables against the entries and the piece lookups.
+                    dec: Decomposition | None = None) -> ColoringReport:
+    """Check a decomposition's tables against its entries and the lookups.
 
-    tables and entries are both those of one decompose of the oracle;
-    given neither, the oracle is decomposed here, and a run that has
-    decomposed it already passes both.  One without the other is refused
-    with a ColoringError before any query.  No dense matrix is built.  The
-    tables must be pairwise disjoint and their union must equal the
-    entries exactly.  Each checked lookup, ColoredOracle(oracle,
-    label).column(x), must give the table's answer at x: every (label, x)
-    inside the dense cap, a fixed-seed sample of VERIFY_SAMPLE above it.
-    The lookups run by slots (i, j), then x, then tag, through a claims
-    memo: the first lookup of each (i, j, x) reads cold, through a fresh
-    cache, what every tag there answers from, and that spend must stay
-    within the 2(z_n + 2) base-query budget; the other tags pick from the
-    memo.  A lookup's spend is read from the calling thread's own tally of
-    the oracle's counter, so queries other threads make meanwhile are not
-    charged to it.  The memo is a local of the call, holding one row's
-    claims at a time.
+    dec is a decompose of the oracle; given none, the oracle is decomposed
+    here, and a run that has decomposed it already passes its value.  A
+    value whose (n, d) is not the oracle's is refused with a ColoringError
+    before any query.  No dense matrix is built.  The tables must be
+    pairwise disjoint and their union must equal the entries exactly.
+    Each checked lookup, ColoredOracle(oracle, label).column(x), must give
+    the table's answer at x: every (label, x) inside the dense cap, a
+    fixed-seed sample of VERIFY_SAMPLE above it.  The lookups run by slots
+    (i, j), then x, then tag, through a claims memo: the first lookup of
+    each (i, j, x) reads cold, through a fresh cache, what every tag there
+    answers from, and that spend must stay within the 2(z_n + 2)
+    base-query budget; the other tags pick from the memo.  A lookup's
+    spend is read from the calling thread's own tally of the oracle's
+    counter, so queries other threads make meanwhile are not charged to
+    it.  The memo is a local of the call, holding one row's claims at a
+    time.
     """
-    if (tables is None) != (entries is None):
-        raise ColoringError("verify_coloring takes the tables and the "
-                            "entries of one decompose together, or neither")
+    if dec is not None and (dec.n, dec.d) != (oracle.n, oracle.d):
+        raise ColoringError(
+            f"a decomposition of n={dec.n}, d={dec.d} cannot verify an "
+            f"oracle of n={oracle.n}, d={oracle.d}")
     dim = oracle.dim
     z = iterate_count(oracle.n)
     bound = 2 * (z + 2)
     labels = enumerate_labels(oracle.d, oracle.n)
     per_slots = len(final_alphabet(oracle.n))
-    if tables is None:
-        entries, tables = decompose(oracle)
+    if dec is None:
+        dec = decompose(oracle)
 
     total = len(labels) * dim
     # read the cap first, so a malformed HAMSIM_DENSE_CAP fails every run
@@ -501,7 +520,7 @@ def verify_coloring(oracle: SparseOracle,
         asked = np.zeros(dim, dtype=bool)
         asked[xs] = True
         wants = []
-        for table in tables[first:first + per_slots]:
+        for table in dec.tables[first:first + per_slots]:
             at, to, val = table.entries()
             on = asked[at]
             wants.append(dict(zip(at[on].tolist(),
@@ -536,16 +555,16 @@ def verify_coloring(oracle: SparseOracle,
         order = np.argsort(keys, kind="stable")
         return keys[order], vals[order]
 
-    keys, vals = by_key(*(np.concatenate(parts)
-                          for parts in zip(*(t.entries() for t in tables))))
+    keys, vals = by_key(*map(np.concatenate,
+                             zip(*(t.entries() for t in dec.tables))))
     if np.any(keys[1:] == keys[:-1]):
         failures.append("pieces overlap: some entry claimed more than once")
-    e_keys, e_vals = by_key(*entries)
+    e_keys, e_vals = by_key(*dec.entries)
     if not (np.array_equal(keys, e_keys) and np.array_equal(vals, e_vals)):
         failures.append("pieces do not sum back to the Hamiltonian")
 
     return ColoringReport(
-        nonzero_pieces=sum(1 for t in tables if t.entry_count),
+        nonzero_pieces=sum(1 for t in dec.tables if t.entry_count),
         max_queries_per_call=max_calls, query_bound=bound,
         lookups_checked=int(picks.size), ok=not failures,
         failures=tuple(failures))

@@ -26,7 +26,7 @@ from . import _kernels
 from .config import OracleError, PlanError
 from .numerics import require_state
 from .oracle import SLOT_BYTES, check_memory, entries_from_slots
-from .suzuki import ProductFormulaPlan, build_plan, is_integer
+from .suzuki import ProductFormulaPlan, build_plan, check_slices, is_integer
 
 
 @dataclass(frozen=True)
@@ -281,12 +281,6 @@ def exponential_total(r: int, steps: int) -> int:
     return total
 
 
-def check_repetitions(r: int) -> None:
-    if not (is_integer(r, numbers.Integral) and r >= 1):
-        raise PlanError(
-            f"repetition count must be a positive integer, got {r}")
-
-
 def apply_product_formula(packed: PackedPieces, plan: ProductFormulaPlan,
                           t: float, r: int, psi: np.ndarray) -> np.ndarray:
     """State after r repetitions of the plan with time slice t/r.
@@ -294,7 +288,7 @@ def apply_product_formula(packed: PackedPieces, plan: ProductFormulaPlan,
     Every sweep is exact per piece; the only approximation left is the
     product-formula splitting itself.
     """
-    check_repetitions(r)
+    check_slices(r)
     if not math.isfinite(t):
         raise PlanError(f"evolution time must be finite, got {t}")
     if plan.m != packed.count:

@@ -15,8 +15,10 @@ from_columns lays out the rows it is given as slot arrays and passes them
 in, and a read's slots pass it whole, mirrors checked exactly.  A run that
 needs the pieces calls coloring.decompose, which reads each slot once
 through query() and checks that read once, before any piece table is
-built from it; the checked entries of the same read serve verification.
-That holds with verification off too (decompose --no-verify).
+built from it.  That holds with verification off too (decompose
+--no-verify).  decompose returns one Decomposition of the read, holding
+the checked entries, the piece tables and the queries spent, and
+verification takes that value whole.
 Neither query() nor peek() memoises answers: an oracle's function may
 itself spend counted queries (parity's pieces read hidden bits), and each
 call must spend them.

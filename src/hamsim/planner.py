@@ -48,7 +48,7 @@ def check_request(t: float, eps: float, k: int | None, r: int | None,
     if k is not None:
         suzuki.check_order(k)
     if r is not None:
-        one_sparse.check_repetitions(r)
+        suzuki.check_slices(r)
     if quantize not in (None, "auto"):
         one_sparse.check_bits(quantize)
 
@@ -144,10 +144,11 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
                       verify: bool = True) -> dict:
     """Decompose, evolve, and account: the whole toolchain as one call.
 
-    coloring.decompose, one counted read of every slot (dim * d base
-    queries), gives the piece tables and the entries; it checks the read
-    once, before any table is built, with or without verify.  Verification
-    checks the tables against the entries and cold piece lookups; the
+    coloring.decompose, one counted read of every slot, gives the
+    Decomposition: the piece tables, the entries and the read's dim * d
+    base queries; it checks the read once, before any table is built, with
+    or without verify.  Verification takes that value and checks the
+    tables against the entries and cold piece lookups; the
     measured error compares the evolved state with exp(-iHt) psi0 from the
     entries; norm_bound, the largest absolute row sum, bounds ||H|| and
     sets the precision grid.
@@ -177,13 +178,11 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
     z = coloring.iterate_count(orc.n)
     rng = np.random.default_rng(check_seed(state_seed, "--state-seed"))
 
-    base_before = orc.counter.count
-    entries, tables = coloring.decompose(orc)
-    base_queries = orc.counter.count - base_before
+    dec = coloring.decompose(orc)
 
     verification = None
     if verify:
-        report = coloring.verify_coloring(orc, tables, entries)
+        report = coloring.verify_coloring(orc, dec)
         verification = {**dataclasses.asdict(report),
                         "failures": list(report.failures)}
         if not report.ok:
@@ -191,8 +190,8 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
                 "decomposition failed verification: " + "; ".join(report.failures))
 
     labels = coloring.enumerate_labels(orc.d, orc.n)
-    kept = [g for g, tb in enumerate(tables) if tb.entry_count]
-    tables, groups = one_sparse.merge_disjoint([tables[g] for g in kept])
+    kept = [g for g, tb in enumerate(dec.tables) if tb.entry_count]
+    tables, groups = one_sparse.merge_disjoint([dec.tables[g] for g in kept])
     piece_labels = [[labels[kept[c]] for c in group] for group in groups]
 
     if state_seed is None:
@@ -200,26 +199,26 @@ def simulate_pipeline(orc, t: float, eps: float, k: int | None = None,
         psi0[0] = 1.0
     else:
         psi0 = numerics.random_state(orc.dim, rng)
-    norm_bound = numerics.max_row_sum(entries[0], entries[2])
+    norm_bound = numerics.max_row_sum(dec.entries[0], dec.entries[2])
     figures, psi, ran = plan_and_run(tables, t, eps, psi0, norm_bound,
                                      orc.d, k=k, r=r, quantize=quantize)
     piece_labels = [piece_labels[g] for g in ran]
     steps = suzuki.build_plan(figures["k"], len(ran)).steps if ran else ()
     lookups = figures["r"] * sum(len(piece_labels[s.term - 1]) for s in steps)
 
-    exact = numerics.expm_action(*entries, t, psi0)
+    exact = numerics.expm_action(*dec.entries, t, psi0)
     measured = numerics.pure_state_distance(psi, exact)
     bound = figures["error_bound"]
     base_bound = 2 * (z + 2) * lookups
     result = {
         **figures, "n": orc.n, "d": orc.d, "dim": orc.dim, "z": z,
         "time": t, "eps": eps, "norm_bound": norm_bound,
-        "m_pieces_floor": int(np.bincount(entries[0], minlength=1).max()),
+        "m_pieces_floor": int(np.bincount(dec.entries[0], minlength=1).max()),
         "piece_labels": [[[lb.i, lb.j, lb.nu] for lb in group]
                          for group in piece_labels],
         "constituent_lookups": lookups, "verification": verification,
-        "base_queries": base_queries, "base_query_bound": base_bound,
-        "base_queries_ok": (base_queries <= base_bound) if ran else None,
+        "base_queries": dec.queries, "base_query_bound": base_bound,
+        "base_queries_ok": (dec.queries <= base_bound) if ran else None,
         "bound_slack": measured / bound if bound else None,
         "measured_error": measured, "error_ok": measured <= eps,
         "backend": _kernels.BACKEND}

@@ -117,7 +117,7 @@ def _check_km(k: int, m: int) -> None:
         raise PlanError(f"term count m must be a positive integer, got {m}")
 
 
-def _check_r(r: int) -> None:
+def check_slices(r: int) -> None:
     if not (is_integer(r, numbers.Integral) and r >= 1):
         raise PlanError(f"slice count r must be a positive integer, got {r}")
     if r > sys.float_info.max:
@@ -268,7 +268,7 @@ def restriction_values(k: int, m: int, tau: float, r: int) -> tuple[float, float
     """The two validity ratios of the closed-form bound; both must be <= 1."""
     _check_km(k, m)
     _check_tau_eps(tau, 1.0)
-    _check_r(r)
+    check_slices(r)
     _check_order_range(k)
     x = 2.0 * 5.0 ** (k - 1) * m * tau
     return 2.0 * x / r, _ratio_power(16.0 / 3.0, x, k, r)
@@ -405,7 +405,7 @@ def commutator_error_bound(alpha: float, t: float, r: int) -> float:
     Each slice errs by at most |t/r|^3 alpha (commutator_alpha), and the
     errors of r unitary slices add.
     """
-    _check_r(r)
+    check_slices(r)
     _check_alpha(alpha)
     _check_tau_eps(abs(t), 1.0)
     if alpha == 0 or t == 0:
@@ -496,7 +496,7 @@ def simulate(terms: Sequence[TermEvolver], t: float, k: int, r: int,
     """
     m = len(terms)
     _check_km(k, m)
-    _check_r(r)
+    check_slices(r)
     psi = require_state(psi)
     if t == 0:
         return psi.copy()
@@ -516,7 +516,7 @@ def plan_unitary(hams: Sequence[np.ndarray], t: float, k: int, r: int) -> np.nda
     """
     m = len(hams)
     _check_km(k, m)
-    _check_r(r)
+    check_slices(r)
     dim = np.asarray(hams[0]).shape[0]
     if t == 0:
         return np.eye(dim, dtype=complex)

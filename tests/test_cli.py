@@ -398,9 +398,9 @@ def test_merged_pieces_partition_h_and_keep_both_bounds(n, monkeypatch):
                 2 * (data["z"] + 2) * data["constituent_lookups"])
             if not verify:
                 continue
-            (rows, cols, vals), per_label = coloring.decompose(orc)
-            report = coloring.verify_coloring(orc, per_label,
-                                              (rows, cols, vals))
+            dec = coloring.decompose(orc)
+            (rows, cols, vals), per_label = dec.entries, dec.tables
+            report = coloring.verify_coloring(orc, dec)
             assert data["verification"] == {
                 "ok": True, "nonzero_pieces": report.nonzero_pieces,
                 "max_queries_per_call": report.max_queries_per_call,
@@ -439,6 +439,8 @@ def test_the_benchmark_simulate_instances_pass_its_checks(n, d, eps, n_exp,
         assert data["base_queries_ok"] is True
         assert (data["n_exp"], data["base_query_bound"]) == (n_exp, base_bound)
         assert data["base_queries"] == orc.dim * d <= base_bound
+    assert (coloring.decompose(orc).queries == orc.dim * d
+            == data["base_queries"])
 
 
 def test_simulate_measures_the_error_above_the_dense_cap(monkeypatch):
@@ -972,12 +974,12 @@ def test_simulate_refuses_a_bad_eps_before_any_query(eps, capsys):
 @pytest.mark.parametrize("given,flag,message", [
     ({"k": 0}, "--k=0", "order parameter k must be a positive integer, got 0"),
     ({"k": 1.5}, None, "order parameter k must be a positive integer, got 1.5"),
-    ({"r": 0}, "--r=0", "repetition count must be a positive integer, got 0"),
-    ({"r": 2.5}, None, "repetition count must be a positive integer, got 2.5"),
+    ({"r": 0}, "--r=0", "slice count r must be a positive integer, got 0"),
+    ({"r": 2.5}, None, "slice count r must be a positive integer, got 2.5"),
     ({"quantize": 0}, "--quantize=0", "bit count 0 outside 1..62"),
     ({"quantize": 63}, "--quantize=63", "bit count 63 outside 1..62"),
     ({"k": True}, None, "order parameter k must be a positive integer, got True"),
-    ({"r": True}, None, "repetition count must be a positive integer, got True"),
+    ({"r": True}, None, "slice count r must be a positive integer, got True"),
     ({"quantize": True}, None, "bit count True outside 1..62"),
     ({"quantize": 2.7}, None, "bit count 2.7 outside 1..62"),
     # text is parsed by --quantize alone

@@ -320,17 +320,20 @@ def test_verify_coloring_trivial_cases():
     assert rep.ok and rep.nonzero_pieces >= 1
 
 
-def test_verify_coloring_refuses_half_a_decompose_before_any_query():
-    """tables without entries, or entries without tables, end in a
-    ColoringError before the oracle is asked anything."""
-    orc = oracle.random_sparse(3, 2, seed=1)
-    entries, tables = coloring.decompose(orc)
-    orc.counter.reset()
-    for given in ({"tables": tables}, {"entries": entries}):
-        with pytest.raises(ColoringError, match="together, or neither"):
-            verify_coloring(orc, **given)
+@pytest.mark.parametrize("made, given", [((4, 2), (3, 2)), ((3, 3), (3, 2))])
+def test_verify_coloring_refuses_another_oracles_decomposition(made, given):
+    """A decomposition of another (n, d) ends in a ColoringError naming
+    both shapes before the oracle is asked anything: a larger n would
+    index past the oracle, a larger d would report failures it has not."""
+    dec = coloring.decompose(oracle.random_sparse(*made, seed=1))
+    orc = oracle.random_sparse(*given, seed=1)
+    with pytest.raises(ColoringError) as exc:
+        verify_coloring(orc, dec)
+    assert str(exc.value) == (
+        f"a decomposition of n={made[0]}, d={made[1]} cannot verify an "
+        f"oracle of n={given[0]}, d={given[1]}")
     assert orc.counter.count == 0
-    assert verify_coloring(orc, tables, entries).ok
+    assert verify_coloring(orc, coloring.decompose(orc)).ok
 
 
 def test_decompose_sums_to_dense():
@@ -428,7 +431,7 @@ def test_piece_tables_tags_equal_upsilon(n):
         for orc in twins(n, d):
             labels = enumerate_labels(d, n)
             tagged = {}
-            for label, table in zip(labels, coloring.decompose(orc)[1]):
+            for label, table in zip(labels, coloring.decompose(orc).tables):
                 for x in table.pair_lo.tolist():
                     assert (x, label.i, label.j) not in tagged
                     tagged[x, label.i, label.j] = label.nu
@@ -449,7 +452,7 @@ def test_piece_tables_equal_extracted_pieces(n):
     for d in range(1, 5):
         for orc in twins(n, d):
             before = orc.counter.count
-            tables = coloring.decompose(orc)[1]
+            tables = coloring.decompose(orc).tables
             assert orc.counter.count - before == orc.dim * d
             extracted = [extract_table(p) for p in colored_pieces(orc)]
             assert len(tables) == len(extracted) == len(enumerate_labels(d, n))
@@ -515,7 +518,7 @@ VERIFY_ORACLE = dict(n=5, d=3, seed=8)
 def test_verify_coloring_catches_a_dropped_entry(monkeypatch):
     orc = oracle.random_sparse(**VERIFY_ORACLE)
     labels = enumerate_labels(3, 5)
-    good = coloring.decompose(orc)[1]
+    good = coloring.decompose(orc).tables
     g = first_pair(good)
 
     def drop(tables):
@@ -533,7 +536,7 @@ def test_verify_coloring_catches_a_dropped_entry(monkeypatch):
 def test_verify_coloring_catches_one_ulp(monkeypatch):
     orc = oracle.random_sparse(**VERIFY_ORACLE)
     labels = enumerate_labels(3, 5)
-    good = coloring.decompose(orc)[1]
+    good = coloring.decompose(orc).tables
     g = first_pair(good)
 
     def nudge(tables):
@@ -554,7 +557,7 @@ def test_verify_coloring_catches_an_entry_under_another_label(monkeypatch):
     # the union and the disjointness still hold: only the lookups see it
     orc = oracle.random_sparse(**VERIFY_ORACLE)
     labels = enumerate_labels(3, 5)
-    good = coloring.decompose(orc)[1]
+    good = coloring.decompose(orc).tables
     g = first_pair(good)
     lo, hi = int(good[g].pair_lo[0]), int(good[g].pair_hi[0])
     h = next(h for h, t in enumerate(good) if h != g and not np.isin(
@@ -578,7 +581,7 @@ def test_verify_coloring_catches_an_entry_under_another_label(monkeypatch):
 def test_verify_coloring_catches_an_entry_claimed_twice(monkeypatch):
     orc = oracle.random_sparse(**VERIFY_ORACLE)
     labels = enumerate_labels(3, 5)
-    good = coloring.decompose(orc)[1]
+    good = coloring.decompose(orc).tables
     g = first_pair(good)
     lo, hi = int(good[g].pair_lo[0]), int(good[g].pair_hi[0])
     h = next(h for h, t in enumerate(good) if h != g and not np.isin(
@@ -799,7 +802,7 @@ def test_grouped_check_equals_the_cold_reference(n):
     for d in range(1, min(4, 2 ** n) + 1):
         for seed in range(1, 4):
             orc = oracle.random_sparse(n, d, seed=seed)
-            want = reference_report(orc, coloring.decompose(orc)[1])
+            want = reference_report(orc, coloring.decompose(orc).tables)
             assert want["ok"], (n, d, seed, want["failures"][:3])
             assert grouped_report(verify_coloring(orc)) == want, (n, d, seed)
 
@@ -814,7 +817,7 @@ def test_grouped_check_above_the_cap_may_only_spend_more(monkeypatch):
         for d in range(1, 5):
             for seed in range(1, 4):
                 orc = oracle.random_sparse(n, d, seed=seed)
-                want = reference_report(orc, coloring.decompose(orc)[1])
+                want = reference_report(orc, coloring.decompose(orc).tables)
                 rep = verify_coloring(orc)
                 got = grouped_report(rep)
                 most = got.pop("max_queries_per_call")
@@ -832,7 +835,7 @@ def test_grouped_check_and_the_reference_fail_mutants_alike(monkeypatch):
     orc = oracle.random_sparse(4, 3, seed=6)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coloring, "upsilon", lambda *args, **kwargs: "000")
-        want = reference_report(orc, coloring.decompose(orc)[1])
+        want = reference_report(orc, coloring.decompose(orc).tables)
         assert grouped_report(verify_coloring(orc)) == want
     assert len(want["failures"]) == 13
 
@@ -843,7 +846,7 @@ def test_grouped_check_and_the_reference_fail_mutants_alike(monkeypatch):
 
     real = coloring.colored_query
     orc = oracle.random_sparse(4, 3, seed=21)
-    want = reference_report(orc, coloring.decompose(orc)[1],
+    want = reference_report(orc, coloring.decompose(orc).tables,
                             lambda o, x, label, c: lazy_lookup(
                                 o, x, alias(label), c))
     with pytest.MonkeyPatch.context() as mp:
@@ -854,15 +857,17 @@ def test_grouped_check_and_the_reference_fail_mutants_alike(monkeypatch):
     assert len(want["failures"]) == 7
 
     orc = oracle.random_sparse(**VERIFY_ORACLE)
-    entries, good = coloring.decompose(orc)
+    dec = coloring.decompose(orc)
+    good = dec.tables
     g = first_pair(good)
     amp = good[g].pair_amp.copy()
     amp[0] = complex(np.nextafter(amp[0].real, np.inf), amp[0].imag)
-    for tables in ([*good[:g], without_first_pair(good[g]), *good[g + 1:]],
-                   [*good[:g], dataclasses.replace(good[g], pair_amp=amp),
-                    *good[g + 1:]]):
+    for tables in ((*good[:g], without_first_pair(good[g]), *good[g + 1:]),
+                   (*good[:g], dataclasses.replace(good[g], pair_amp=amp),
+                    *good[g + 1:])):
         want = reference_report(orc, tables)
-        assert grouped_report(verify_coloring(orc, tables, entries)) == want
+        assert grouped_report(verify_coloring(
+            orc, dataclasses.replace(dec, tables=tables))) == want
         assert len(want["failures"]) == 2
 
 
@@ -931,9 +936,9 @@ def test_verify_stays_independent_of_the_tables(monkeypatch):
 
     orc = oracle.random_sparse(6, 3, seed=1)
     assert cli.simulate_pipeline(orc, 1.0, 0.1)["verification"]["ok"]
-    tables = coloring.decompose(orc)[1]
+    tables = coloring.decompose(orc).tables
     monkeypatch.setattr(coloring, "coin_toss_level", end_rule_at_one)
-    for want, got in zip(tables, coloring.decompose(orc)[1]):
+    for want, got in zip(tables, coloring.decompose(orc).tables):
         assert all(np.array_equal(a, b)
                    for a, b in zip(want.entries(), got.entries()))
     with pytest.raises(ColoringError):

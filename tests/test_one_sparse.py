@@ -378,7 +378,7 @@ def test_product_formula_argument_checks():
     packed = pack_tables(tables)
     plan = suzuki.build_plan(1, 2)
     psi = numerics.random_state(8, np.random.default_rng(2))
-    with pytest.raises(PlanError, match="repetition"):
+    with pytest.raises(PlanError, match="slice count"):
         apply_product_formula(packed, plan, 1.0, 0, psi)
     with pytest.raises(PlanError, match="covers"):
         apply_product_formula(packed, suzuki.build_plan(1, 3), 1.0, 1, psi)
@@ -872,7 +872,7 @@ def test_nested_commutator_norms_match_the_per_suffix_reference():
     cases = []
     for n, d, seed in itertools.product(range(4, 10), (2, 3, 4), (1, 2, 3)):
         tables = [tb for tb in coloring.decompose(
-            oracle.random_sparse(n, d, seed=seed))[1] if tb.entry_count]
+            oracle.random_sparse(n, d, seed=seed)).tables if tb.entry_count]
         cases += [tables, sorted(tables, key=lambda tb: -tb.entry_count),
                   one_sparse.merge_disjoint(tables)[0]]
     rng = np.random.default_rng(20)
@@ -942,7 +942,7 @@ def test_nested_commutator_norms_do_not_depend_on_the_pass_budget(
     """Runs of one row each give the norms of the default runs, bit for
     bit: every row's walks start at that row."""
     coloring_case = sorted((tb for tb in coloring.decompose(
-        oracle.random_sparse(7, 3, seed=2))[1] if tb.entry_count),
+        oracle.random_sparse(7, 3, seed=2)).tables if tb.entry_count),
         key=lambda tb: -tb.entry_count)
     for tables in (coloring_case, _random_tables(33, 6, 7)):
         want = nested_commutator_norms(tables)
@@ -981,7 +981,7 @@ def test_nested_commutator_norms_memory(monkeypatch):
       budgets more for temporaries.
     """
     tables = sorted((tb for tb in coloring.decompose(
-        oracle.random_sparse(11, 4, seed=1))[1] if tb.entry_count),
+        oracle.random_sparse(11, 4, seed=1)).tables if tb.entry_count),
         key=lambda tb: -tb.entry_count)
     entry_bytes = sum(a.nbytes for tb in tables
                       for a in (tb.diag_idx, tb.diag_h, tb.pair_lo,
@@ -1003,7 +1003,7 @@ def test_walks_set_up_peak_stays_below_twice_what_it_keeps():
     them one array at a time, so at n = 11, d = 4, largest first, its
     traced peak is below twice the bytes of the arrays it keeps."""
     tables = sorted((tb for tb in coloring.decompose(
-        oracle.random_sparse(11, 4, seed=1))[1] if tb.entry_count),
+        oracle.random_sparse(11, 4, seed=1)).tables if tb.entry_count),
         key=lambda tb: -tb.entry_count)
     walks, peak = _traced_peak(one_sparse._Walks, tables)
     kept = sum(a.nbytes for a in vars(walks).values()
