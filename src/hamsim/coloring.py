@@ -242,6 +242,9 @@ EdgeClaims = tuple[int, complex | None, tuple[str, int, complex] | None,
 
 # Memo of edge_claims by (x, i, j), for one verify_coloring call: the
 # lookups of one (i, j, x) make the same reads and differ only in the tag.
+# The call checks the labels of one (i, j) one after another and empties
+# the memo before the next (i, j), so it holds one (i, j)'s claims at a
+# time.
 ClaimsMemo = dict[tuple[int, int, int], EdgeClaims]
 
 
@@ -464,32 +467,36 @@ def verify_coloring(oracle: SparseOracle,
 
     dec is a decompose of the oracle; given none, the oracle is decomposed
     here, and a run that has decomposed it already passes its value.  A
-    value whose (n, d) is not the oracle's is refused with a ColoringError
+    value whose (n, d) is not the oracle's, or whose tables are not one
+    per label each of the oracle's dim, is refused with a ColoringError
     before any query.  No dense matrix is built.  The tables must be
     pairwise disjoint and their union must equal the entries exactly.
     Each checked lookup, ColoredOracle(oracle, label).column(x), must give
     the table's answer at x: every (label, x) inside the dense cap, a
-    fixed-seed sample of VERIFY_SAMPLE above it.  The lookups run by slots
-    (i, j), then x, then tag, through a claims memo: the first lookup of
-    each (i, j, x) reads cold, through a fresh cache, what every tag there
-    answers from, and that spend must stay within the 2(z_n + 2)
-    base-query budget; the other tags pick from the memo.  A lookup's
-    spend is read from the calling thread's own tally of the oracle's
-    counter, so queries other threads make meanwhile are not charged to
-    it.  The memo is a local of the call, holding one row's claims at a
-    time.
+    fixed-seed sample of VERIFY_SAMPLE above it.  The lookups run label
+    by label, each over its checked rows in ascending order, through a
+    claims memo: the first lookup of each (i, j, x) reads cold, through a
+    fresh cache, what every tag there answers from, and that spend must
+    stay within the 2(z_n + 2) base-query budget; later tags pick from
+    the memo.  A lookup's spend is read from the calling thread's own
+    tally of the oracle's counter, so queries other threads make
+    meanwhile are not charged to it.  The memo is a local of the call,
+    holding one (i, j)'s claims at a time.
     """
-    if dec is not None and (dec.n, dec.d) != (oracle.n, oracle.d):
-        raise ColoringError(
-            f"a decomposition of n={dec.n}, d={dec.d} cannot verify an "
-            f"oracle of n={oracle.n}, d={oracle.d}")
     dim = oracle.dim
     z = iterate_count(oracle.n)
     bound = 2 * (z + 2)
     labels = enumerate_labels(oracle.d, oracle.n)
-    per_slots = len(final_alphabet(oracle.n))
     if dec is None:
         dec = decompose(oracle)
+    elif (dec.n, dec.d) != (oracle.n, oracle.d):
+        raise ColoringError(
+            f"a decomposition of n={dec.n}, d={dec.d} cannot verify an "
+            f"oracle of n={oracle.n}, d={oracle.d}")
+    elif [t.dim for t in dec.tables] != [dim] * len(labels):
+        raise ColoringError(
+            f"a decomposition needs {len(labels)} tables of dim {dim}, got "
+            f"{len(dec.tables)} of dims {sorted({t.dim for t in dec.tables})}")
 
     total = len(labels) * dim
     # read the cap first, so a malformed HAMSIM_DENSE_CAP fails every run
@@ -498,57 +505,45 @@ def verify_coloring(oracle: SparseOracle,
     else:
         picks = np.sort(np.random.default_rng(VERIFY_SEED).choice(
             total, size=VERIFY_SAMPLE, replace=False))
-    # labels run tag-innermost and picks are sorted, so each (i, j)'s share
-    # is one slice
-    ends = np.searchsorted(picks, np.arange(0, len(labels) + 1, per_slots)
-                           * dim)
+    # pick g * dim + x checks label g at row x; sorted picks give each
+    # label its rows in ascending order
+    rows = np.split(picks % dim,
+                    np.searchsorted(picks, np.arange(1, len(labels)) * dim))
     # this thread's own tally: another thread's queries are not this spend
     mine = oracle.counter.thread_tally()
     max_calls = 0
-    over: list[list[str]] = [[] for _ in labels]
-    wrong: list[list[int]] = [[] for _ in labels]
+    failures: list[str] = []
     claims: ClaimsMemo = {}
-    for s in range(len(ends) - 1):
-        first = s * per_slots
-        ks, xs = np.divmod(picks[ends[s]:ends[s + 1]] - first * dim, dim)
-        if not xs.size:
-            continue
-        order = np.lexsort((ks, xs))
-        pieces = [ColoredOracle(oracle, labels[g], claims=claims)
-                  for g in range(first, first + per_slots)]
-        # only the rows this (i, j) checks; below the cap, every row
-        asked = np.zeros(dim, dtype=bool)
+    asked = np.zeros(dim, dtype=bool)
+    for label, table, xs in zip(labels, dec.tables, rows):
+        if label.nu == labels[0].nu:
+            # labels run tag-innermost, so this starts a new (i, j): the
+            # claims of the last are not asked for again
+            claims.clear()
+        piece = ColoredOracle(oracle, label, claims=claims)
+        # only the rows this label checks; below the cap, every row
+        at, to, val = table.entries()
         asked[xs] = True
-        wants = []
-        for table in dec.tables[first:first + per_slots]:
-            at, to, val = table.entries()
-            on = asked[at]
-            wants.append(dict(zip(at[on].tolist(),
-                                  zip(to[on].tolist(), val[on].tolist()))))
-        row = -1
-        for k, x in zip(ks[order].tolist(), xs[order].tolist()):
-            if x != row:
-                # the claims of the last row are not asked for again
-                claims.clear()
-                row = x
+        on = asked[at]
+        asked[xs] = False
+        want = dict(zip(at[on].tolist(),
+                        zip(to[on].tolist(), val[on].tolist())))
+        wrong = []
+        for x in xs.tolist():
             # the cell, not the locked total: this runs twice per lookup
             before = mine[0]
-            got = pieces[k].column(x)
+            got = piece.column(x)
             used = mine[0] - before
             if used > max_calls:
                 max_calls = used
             if used > bound:
-                over[first + k].append(
-                    f"label {labels[first + k]}: lookup at {x} used "
-                    f"{used} > {bound} queries")
-            if got != wants[k].get(x, (x, 0j)):
-                wrong[first + k].append(x)
-    failures: list[str] = []
-    for label, spent, xs_wrong in zip(labels, over, wrong):
-        failures += spent
-        if xs_wrong:
-            failures.append(f"label {label}: lookup at {xs_wrong[0]} "
-                            f"disagrees with the table ({len(xs_wrong)} in all)")
+                failures.append(f"label {label}: lookup at {x} used "
+                                f"{used} > {bound} queries")
+            if got != want.get(x, (x, 0j)):
+                wrong.append(x)
+        if wrong:
+            failures.append(f"label {label}: lookup at {wrong[0]} "
+                            f"disagrees with the table ({len(wrong)} in all)")
 
     def by_key(rows, cols, vals):
         keys = rows * dim + cols

@@ -15,7 +15,7 @@ from hamsim.coloring import (
     QueryCache, build_chain, coin_toss_level, colored_query, enumerate_labels, final_alphabet, halving_trace, iterate_count, upsilon,
     verify_coloring, vertex_bits)
 from hamsim.config import ColoringError, OracleError, dense_cap
-from hamsim.one_sparse import extract_table
+from hamsim.one_sparse import OneSparseTable, extract_table
 from oracle_helpers import colored_pieces, shuffled_columns
 
 
@@ -334,6 +334,39 @@ def test_verify_coloring_refuses_another_oracles_decomposition(made, given):
         f"oracle of n={given[0]}, d={given[1]}")
     assert orc.counter.count == 0
     assert verify_coloring(orc, coloring.decompose(orc)).ok
+
+
+def _one_table_less(tables):
+    return tables[:-1]
+
+
+def _table_4_at_dim_64(tables):
+    return (*tables[:4], dataclasses.replace(tables[4], dim=64), *tables[5:])
+
+
+def _table_4_with_row_40(tables):
+    return (*tables[:4], OneSparseTable(64, [40], [1.0], [], [], []),
+            *tables[5:])
+
+
+@pytest.mark.parametrize("mutate, dims", [
+    (_one_table_less, "23 of dims [16]"),
+    (_table_4_at_dim_64, "24 of dims [16, 64]"),
+    (_table_4_with_row_40, "24 of dims [16, 64]")],
+    ids=["one-table-less", "table-4-at-dim-64", "table-4-with-row-40"])
+def test_verify_coloring_refuses_a_malformed_decomposition(mutate, dims):
+    """A value of the right (n, d) whose tables are not one per label, each
+    of the oracle's dim, ends in a ColoringError before any query: a
+    missing table would leave its label unchecked, a wider one would pass
+    or index past the oracle."""
+    dec = coloring.decompose(oracle.random_sparse(4, 2, seed=1))
+    orc = oracle.random_sparse(4, 2, seed=1)
+    bad = dataclasses.replace(dec, tables=mutate(dec.tables))
+    with pytest.raises(ColoringError) as exc:
+        verify_coloring(orc, bad)
+    assert str(exc.value) == (
+        f"a decomposition needs 24 tables of dim 16, got {dims}")
+    assert orc.counter.count == 0
 
 
 def test_decompose_sums_to_dense():
@@ -972,21 +1005,29 @@ def test_verify_reads_each_row_and_slots_once_cold(monkeypatch):
     want = {(labels[p // orc.dim].i, labels[p // orc.dim].j, p % orc.dim)
             for p in picks.tolist()}
     assert verify_coloring(orc).ok
-    assert [(i, j, x) for x, i, j in seen] == sorted(want)
+    reads = [(i, j, x) for x, i, j in seen]
+    assert len(set(reads)) == len(reads)
+    assert set(reads) == want
+    # grouped by (i, j) in label order; within one (i, j), x follows the
+    # labels, so it need not ascend
+    slots = [(i, j) for i, j, _ in reads]
+    assert slots == sorted(slots)
 
 
-def test_verify_keeps_one_claims_memo_of_one_row(monkeypatch):
-    # the memo is the same for every lookup of a call and holds the current
-    # row's claims only
+def test_verify_keeps_one_claims_memo_of_one_slot_pair(monkeypatch):
+    # the memo is the same for every lookup of a call and holds the claims
+    # of the current lookup's (i, j) only
     real = coloring.colored_query
     memos = []
 
     def watched(orc, x, label, claims=None):
         out = real(orc, x, label, claims)
-        memos.append((claims, len(claims)))
+        memos.append((claims, label, set(claims)))
         return out
 
     monkeypatch.setattr(coloring, "colored_query", watched)
     assert verify_coloring(oracle.random_sparse(6, 4, seed=6)).ok
     memo = memos[0][0]
-    assert all(seen is memo and size == 1 for seen, size in memos)
+    assert all(seen is memo for seen, _, _ in memos)
+    assert all(key[1:] == (label.i, label.j)
+               for _, label, keys in memos for key in keys)
