@@ -21,14 +21,19 @@ the tag's answer from what they claim.  decompose is the one step that
 reads an oracle for its pieces: one counted read of each slot, checked
 once, and every piece table built from it at once by running the same
 rounds on whole columns of chains.  It returns one Decomposition value,
-which verify_coloring takes whole; colored_query is the reference those
-tables are verified against.
+which verify_coloring takes whole; the lookups are the reference those
+tables are verified against.  Since every tag of one (i, j, x) answers
+from the same reads, verify_coloring makes one cold lookup per (i, j, x)
+through ColoredOracle.column, which keeps the claims it read, and picks
+every other tag's answer from them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -218,6 +223,9 @@ class EdgeLabel:
     def __post_init__(self) -> None:
         if self.i < 1 or self.j < 1:
             raise ColoringError(f"slots must be >= 1, got ({self.i}, {self.j})")
+        for k in (self.i, self.j):
+            if not isinstance(k, Integral):
+                raise ColoringError(f"slot {k} is not an integer")
         if not self.nu or set(self.nu) - {"0", "1"}:
             raise ColoringError(f"malformed tag {self.nu!r}")
 
@@ -239,13 +247,6 @@ def enumerate_labels(d: int, n: int) -> tuple[EdgeLabel, ...]:
 # where x has no such entry.
 EdgeClaims = tuple[int, complex | None, tuple[str, int, complex] | None,
                    tuple[str, int, complex] | None]
-
-# Memo of edge_claims by (x, i, j), for one verify_coloring call: the
-# lookups of one (i, j, x) make the same reads and differ only in the tag.
-# The call checks the labels of one (i, j) one after another and empties
-# the memo before the next (i, j), so it holds one (i, j)'s claims at a
-# time.
-ClaimsMemo = dict[tuple[int, int, int], EdgeClaims]
 
 
 def edge_claims(oracle: SparseOracle, x: int, i: int, j: int) -> EdgeClaims:
@@ -294,46 +295,42 @@ def pick(claims: EdgeClaims, nu: str) -> tuple[int, complex]:
     return (x, 0j)
 
 
-def colored_query(oracle: SparseOracle, x: int, label: EdgeLabel,
-                  claims: ClaimsMemo | None = None) -> tuple[int, complex]:
+def colored_query(oracle: SparseOracle, x: int,
+                  label: EdgeLabel) -> tuple[int, complex]:
     """Row x of the 1-sparse piece named by label: (y, value) or (x, 0).
 
     pick of edge_claims at (x, i, j), so its spend does not depend on nu
-    and stays within 2(z_n + 2) base queries.  A claims memo answers a
-    lookup whose (x, i, j) it holds with no read at all; the reads are
-    made, and memoised, by the first lookup of that (x, i, j).
+    and stays within 2(z_n + 2) base queries.  Each call reads cold,
+    through a fresh cache; ColoredOracle.column is the same lookup, and
+    also keeps the claims it read.
     """
-    i, j = label.i, label.j
-    if claims is None:
-        return pick(edge_claims(oracle, x, i, j), label.nu)
-    got = claims.get((x, i, j))
-    if got is None:
-        got = claims[x, i, j] = edge_claims(oracle, x, i, j)
-    return pick(got, label.nu)
+    return pick(edge_claims(oracle, x, label.i, label.j), label.nu)
 
 
 class ColoredOracle:
     """1-sparse piece of a d-sparse oracle, addressed like any other piece.
 
     column(x) is the single-probe interface shared with 1-sparse
-    SparseOracles.  A piece keeps no counter: only the base queries a probe
-    makes count, on the base oracle's counter.  Each probe is a lookup of
-    its own, with its own fresh cache; a claims memo lets one verification
-    make the reads once per (x, i, j).
+    SparseOracles: colored_query at x, a lookup of its own through a fresh
+    cache.  A piece keeps no counter: only the base queries a probe makes
+    count, on the base oracle's counter.  claims holds the edge_claims the
+    last probe read, which every other tag of its (i, j, x) answers from
+    by pick, with no read of its own.
     """
 
-    def __init__(self, base: SparseOracle, label: EdgeLabel,
-                 claims: ClaimsMemo | None = None) -> None:
+    def __init__(self, base: SparseOracle, label: EdgeLabel) -> None:
         self.base = base
         self.label = label
-        self.claims = claims
+        self.claims: EdgeClaims | None = None
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
     def column(self, x: int) -> tuple[int, complex]:
-        return colored_query(self.base, x, self.label, self.claims)
+        label = self.label
+        self.claims = edge_claims(self.base, x, label.i, label.j)
+        return pick(self.claims, label.nu)
 
 
 def _chain_tags(lo: np.ndarray, up: np.ndarray, asc: np.ndarray, n: int,
@@ -471,17 +468,19 @@ def verify_coloring(oracle: SparseOracle,
     per label each of the oracle's dim, is refused with a ColoringError
     before any query.  No dense matrix is built.  The tables must be
     pairwise disjoint and their union must equal the entries exactly.
-    Each checked lookup, ColoredOracle(oracle, label).column(x), must give
-    the table's answer at x: every (label, x) inside the dense cap, a
-    fixed-seed sample of VERIFY_SAMPLE above it.  The lookups run label
-    by label, each over its checked rows in ascending order, through a
-    claims memo: the first lookup of each (i, j, x) reads cold, through a
-    fresh cache, what every tag there answers from, and that spend must
-    stay within the 2(z_n + 2) base-query budget; later tags pick from
-    the memo.  A lookup's spend is read from the calling thread's own
-    tally of the oracle's counter, so queries other threads make
-    meanwhile are not charged to it.  The memo is a local of the call,
-    holding one (i, j)'s claims at a time.
+    Each checked (label, x) must give the table's answer at x: every
+    (label, x) inside the dense cap, a fixed-seed sample of VERIFY_SAMPLE
+    above it.  The lookups run by (i, j), then by x, ascending over the
+    rows any tag of that (i, j) checks, then by tag.  The first label that
+    checks x makes the one cold lookup of (i, j, x),
+    ColoredOracle(oracle, label).column(x) through a fresh cache, and that
+    spend must stay within the 2(z_n + 2) base-query budget; every other
+    label that checks x picks its answer from the claims that lookup
+    read, with no read of its own.  A lookup's spend is read from the
+    calling thread's own tally of the oracle's counter, so queries other
+    threads make meanwhile are not charged to it.  Failures come in label
+    order, each label's budget failures before its first disagreement,
+    and no claims outlive the call.
     """
     dim = oracle.dim
     z = iterate_count(oracle.n)
@@ -513,37 +512,52 @@ def verify_coloring(oracle: SparseOracle,
     mine = oracle.counter.thread_tally()
     max_calls = 0
     failures: list[str] = []
-    claims: ClaimsMemo = {}
-    asked = np.zeros(dim, dtype=bool)
-    for label, table, xs in zip(labels, dec.tables, rows):
-        if label.nu == labels[0].nu:
-            # labels run tag-innermost, so this starts a new (i, j): the
-            # claims of the last are not asked for again
-            claims.clear()
-        piece = ColoredOracle(oracle, label, claims=claims)
-        # only the rows this label checks; below the cap, every row
-        at, to, val = table.entries()
-        asked[xs] = True
-        on = asked[at]
-        asked[xs] = False
-        want = dict(zip(at[on].tolist(),
-                        zip(to[on].tolist(), val[on].tolist())))
-        wrong = []
-        for x in xs.tolist():
-            # the cell, not the locked total: this runs twice per lookup
+    # labels run tag-innermost, so each (i, j) is a group of tags labels;
+    # checks[t, x] marks row x as checked by the group's label t
+    tags = len(final_alphabet(oracle.n))
+    checks = np.zeros((tags, dim), dtype=bool)
+    for g in range(0, len(labels), tags):
+        # per label: its piece, its tag, the table's answers at the rows it
+        # checks (below the cap, every row), its budget failures and the
+        # rows where it disagrees
+        group = []
+        for t, label in enumerate(labels[g:g + tags]):
+            checks[t, rows[g + t]] = True
+            at, to, val = dec.tables[g + t].entries()
+            on = checks[t, at]
+            group.append((ColoredOracle(oracle, label), label.nu,
+                          dict(zip(at[on].tolist(),
+                                   zip(to[on].tolist(), val[on].tolist()))),
+                          [], []))
+        xs = np.flatnonzero(checks.any(axis=0))
+        for x, checked in zip(xs.tolist(), checks[:, xs].T.tolist()):
+            blank = (x, 0j)
+            # the first label that checks x reads (i, j, x) cold, and the
+            # others pick from the claims it read
+            todo = itertools.compress(group, checked)
+            piece, _, want, over, wrong = next(todo)
+            # the cell, not the locked total: this runs per (i, j, x)
             before = mine[0]
             got = piece.column(x)
             used = mine[0] - before
             if used > max_calls:
                 max_calls = used
             if used > bound:
-                failures.append(f"label {label}: lookup at {x} used "
-                                f"{used} > {bound} queries")
-            if got != want.get(x, (x, 0j)):
+                over.append(f"label {piece.label}: lookup at {x} used "
+                            f"{used} > {bound} queries")
+            if got != want.get(x, blank):
                 wrong.append(x)
-        if wrong:
-            failures.append(f"label {label}: lookup at {wrong[0]} "
-                            f"disagrees with the table ({len(wrong)} in all)")
+            claims = piece.claims
+            for _, nu, want, _, wrong in todo:
+                if pick(claims, nu) != want.get(x, blank):
+                    wrong.append(x)
+        checks[:, xs] = False
+        for piece, _, _, over, wrong in group:
+            failures.extend(over)
+            if wrong:
+                failures.append(
+                    f"label {piece.label}: lookup at {wrong[0]} disagrees "
+                    f"with the table ({len(wrong)} in all)")
 
     def by_key(rows, cols, vals):
         keys = rows * dim + cols

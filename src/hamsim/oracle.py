@@ -3,10 +3,10 @@
 An oracle answers row queries: query(x, i) returns the i-th nonzero entry of
 row x as (column index y, value H[x, y]), with 1 <= i <= d, and pads with
 (x, 0) past the actual degree.  Nonzero slots always come first.  Every
-query() call with a vertex and slot in range bumps an exact, monotone,
-thread-safe counter before its answer is checked.  The counter keeps one
-tally per thread, so a count takes no lock and no two threads ever write
-the same tally; a thread can also read what it alone has spent.
+query() call with an integer vertex and slot in range bumps an exact,
+monotone, thread-safe counter before its answer is checked.  The counter
+keeps one tally per thread, so a count takes no lock and no two threads
+ever write the same tally; a thread can also read what it alone has spent.
 The one verification bridge, to_dense (through read_entries), goes
 through the uncounted peek() so measured query complexity reflects the
 algorithms alone.
@@ -32,6 +32,7 @@ import struct
 import sys
 import threading
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Iterable
 
 import numpy as np
@@ -105,8 +106,10 @@ class SparseOracle:
     """Counted query access to a d-sparse Hermitian matrix on n bits.
 
     query() is the inner step of every piece lookup, so it tests vertex and
-    slot in one comparison and returns an answer that is already an in-range
-    (int, complex) as it is; anything else takes peek()'s checked path, which
+    slot in one condition, plain ints in range, and returns an answer that
+    is already an in-range (int, complex) as it is; anything else takes
+    peek()'s checked path, which refuses a vertex or slot out of range or
+    not an integer before anything is counted (numpy integers pass), and
     converts the answer or raises OracleError with the same messages.
     """
 
@@ -126,6 +129,9 @@ class SparseOracle:
             raise OracleError(f"vertex {x} out of range for n={self.n}")
         if not 1 <= i <= self.d:
             raise OracleError(f"slot {i} out of range for d={self.d}")
+        for what, k in (("vertex", x), ("slot", i)):
+            if not isinstance(k, Integral):
+                raise OracleError(f"{what} {k} is not an integer")
 
     def _answer(self, x: int, i: int, y, v) -> tuple[int, complex]:
         """The function's answer at (x, i) as (int, complex), checked."""
@@ -141,7 +147,8 @@ class SparseOracle:
 
     def query(self, x: int, i: int) -> tuple[int, complex]:
         """Counted query: (y, H[x, y]) for the i-th nonzero of row x."""
-        if not (0 <= x < self.dim and 1 <= i <= self.d):
+        if not (type(x) is int and type(i) is int
+                and 0 <= x < self.dim and 1 <= i <= self.d):
             self._check_args(x, i)
         self.counter._tally.cell[0] += 1      # increment(), inlined
         y, v = self._fn(x, i)

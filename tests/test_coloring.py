@@ -269,6 +269,16 @@ def test_colored_query_diagonal_case():
     assert colored_query(orc, 1, EdgeLabel(2, 2, "000")) == (1, 0j)
 
 
+def test_edge_label_refuses_a_slot_that_is_not_an_integer():
+    for args, msg in (((1.5, 1, "000"), "slot 1.5 is not an integer"),
+                      ((1, 2.5, "000"), "slot 2.5 is not an integer"),
+                      ((0.5, 1, "000"), "slots must be >= 1, got (0.5, 1)")):
+        with pytest.raises(ColoringError) as err:
+            EdgeLabel(*args)
+        assert str(err.value) == msg
+    assert EdgeLabel(np.int64(2), np.int32(1), "000") == EdgeLabel(2, 1, "000")
+
+
 def test_case_conditions_mutually_exclusive():
     # For every vertex and (i, j), at most one of the three claims fires;
     # checked directly from raw structure plus tags.
@@ -411,14 +421,12 @@ def test_verify_coloring_reports_overlap_once(monkeypatch):
     # Label nu = "001" answers as "000": its lookups repeat a valid piece
     # (the diagonals among them), claiming entries a second time.  Each
     # such piece is reported once, where its lookups first leave its table.
-    real = coloring.colored_query
+    real = coloring.pick
 
-    def aliased(orc, x, label, claims=None):
-        if label.nu == "001":
-            label = EdgeLabel(label.i, label.j, "000")
-        return real(orc, x, label, claims)
+    def aliased(claims, nu):
+        return real(claims, "000" if nu == "001" else nu)
 
-    monkeypatch.setattr(coloring, "colored_query", aliased)
+    monkeypatch.setattr(coloring, "pick", aliased)
     rep = verify_coloring(oracle.random_sparse(4, 3, seed=21))
     assert rep.failures == tuple(
         f"label EdgeLabel(i={i}, j={j}, nu='001'): lookup at {x} "
@@ -640,21 +648,23 @@ def test_verify_coloring_catches_a_lookup_over_budget(monkeypatch):
     orc = oracle.random_sparse(**VERIFY_ORACLE)
     labels = enumerate_labels(3, 5)
     bound = 2 * (iterate_count(5) + 2)
-    real = coloring.colored_query
+    real = coloring.edge_claims
 
-    def costly(base, x, label, claims=None):
+    def costly(base, x, i, j):
+        # the cold lookup of (labels[7].i, labels[7].j, 9), which the first
+        # tag of that (i, j), labels[6], makes
         before = base.counter.count
-        out = real(base, x, label, claims)
-        if (label, x) == (labels[7], 9):
+        out = real(base, x, i, j)
+        if (i, j, x) == (labels[7].i, labels[7].j, 9):
             for _ in range(bound + 1 - (base.counter.count - before)):
                 base.query(x, 1)
         return out
 
-    monkeypatch.setattr(coloring, "colored_query", costly)
+    monkeypatch.setattr(coloring, "edge_claims", costly)
     rep = verify_coloring(orc)
     assert not rep.ok
     assert rep.failures == (
-        f"label {labels[7]}: lookup at 9 used {bound + 1} > {bound} queries",)
+        f"label {labels[6]}: lookup at 9 used {bound + 1} > {bound} queries",)
     assert rep.max_queries_per_call == bound + 1
 
 
@@ -730,21 +740,30 @@ def test_cold_lookups_make_the_same_queries_in_the_same_order():
 
 def test_verify_coloring_looks_up_through_colored_oracle_column(monkeypatch):
     # the benchmark counts coloring.lookups by patching this class
-    # attribute, so every checked lookup must go through it, sampled or not
+    # attribute, so every cold lookup must go through it, one per (i, j, x)
+    # checked, sampled or not
     column = coloring.ColoredOracle.column
     calls = []
 
     def counted(piece, x):
-        calls.append(x)
+        calls.append((piece.label.i, piece.label.j, x))
         return column(piece, x)
 
     monkeypatch.setattr(coloring.ColoredOracle, "column", counted)
     rep = verify_coloring(oracle.random_sparse(4, 3, seed=2))
-    assert rep.ok and len(calls) == rep.lookups_checked == 54 * 16
+    assert rep.ok and rep.lookups_checked == 54 * 16
+    assert len(calls) == len(set(calls)) == 9 * 16
     monkeypatch.setenv("HAMSIM_DENSE_CAP", "64")
     calls.clear()
-    rep = verify_coloring(oracle.random_sparse(7, 3, seed=1))
-    assert rep.ok and len(calls) == rep.lookups_checked == VERIFY_SAMPLE
+    orc = oracle.random_sparse(7, 3, seed=1)
+    labels = enumerate_labels(3, 7)
+    picks = np.random.default_rng(coloring.VERIFY_SEED).choice(
+        len(labels) * orc.dim, size=VERIFY_SAMPLE, replace=False)
+    want = {(labels[p // orc.dim].i, labels[p // orc.dim].j, p % orc.dim)
+            for p in picks.tolist()}
+    rep = verify_coloring(orc)
+    assert rep.ok and rep.lookups_checked == VERIFY_SAMPLE
+    assert len(calls) == len(want) and set(calls) == want
 
 
 # ---------------------------------------------------------------------------
@@ -877,15 +896,14 @@ def test_grouped_check_and_the_reference_fail_mutants_alike(monkeypatch):
             return EdgeLabel(label.i, label.j, "000")
         return label
 
-    real = coloring.colored_query
+    real = coloring.pick
     orc = oracle.random_sparse(4, 3, seed=21)
     want = reference_report(orc, coloring.decompose(orc).tables,
                             lambda o, x, label, c: lazy_lookup(
                                 o, x, alias(label), c))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coloring, "colored_query",
-                   lambda o, x, label, *memos: real(o, x, alias(label),
-                                                    *memos))
+        mp.setattr(coloring, "pick", lambda claims, nu: real(
+            claims, "000" if nu == "001" else nu))
         assert grouped_report(verify_coloring(orc)) == want
     assert len(want["failures"]) == 7
 
@@ -979,8 +997,7 @@ def test_verify_stays_independent_of_the_tables(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the claims memo: one cold read per (i, j, x) within one verify_coloring
-# call only
+# one cold read per (i, j, x), within one verify_coloring call only
 
 def test_verify_reads_each_row_and_slots_once_cold(monkeypatch):
     real = coloring.edge_claims
@@ -1012,22 +1029,3 @@ def test_verify_reads_each_row_and_slots_once_cold(monkeypatch):
     # labels, so it need not ascend
     slots = [(i, j) for i, j, _ in reads]
     assert slots == sorted(slots)
-
-
-def test_verify_keeps_one_claims_memo_of_one_slot_pair(monkeypatch):
-    # the memo is the same for every lookup of a call and holds the claims
-    # of the current lookup's (i, j) only
-    real = coloring.colored_query
-    memos = []
-
-    def watched(orc, x, label, claims=None):
-        out = real(orc, x, label, claims)
-        memos.append((claims, label, set(claims)))
-        return out
-
-    monkeypatch.setattr(coloring, "colored_query", watched)
-    assert verify_coloring(oracle.random_sparse(6, 4, seed=6)).ok
-    memo = memos[0][0]
-    assert all(seen is memo for seen, _, _ in memos)
-    assert all(key[1:] == (label.i, label.j)
-               for _, label, keys in memos for key in keys)

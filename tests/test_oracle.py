@@ -164,6 +164,18 @@ def test_query_contract_types_messages_and_counts():
             orc.query(x, i)
         assert str(err.value) == msg
     assert orc.counter.count == 1
+    # a vertex or slot in range that is not an integer is refused before
+    # counting, by query and by peek; numpy integers pass
+    orc = oracle.random_sparse(3, 2, seed=1)
+    for x, i, msg in ((0, 1.5, "slot 1.5 is not an integer"),
+                      (0.5, 1, "vertex 0.5 is not an integer")):
+        for ask in (orc.query, orc.peek):
+            with pytest.raises(OracleError) as err:
+                ask(x, i)
+            assert str(err.value) == msg
+    assert orc.counter.count == 0
+    assert orc.query(np.int64(1), np.int32(2)) == orc.peek(1, 2)
+    assert orc.counter.count == 1
     # a neighbor out of range is refused after counting
     for bad in (-1, 2):
         orc = oracle.SparseOracle(1, 1, lambda x, i, y=bad: (y, 1j))
