@@ -35,7 +35,7 @@ from . import parity as parity_mod
 from . import suzuki
 from .config import HamsimError, PlanError
 # bench/workloads.py and bench/spans.py reach simulate_pipeline through cli
-from .planner import check_seed, recording, simulate_pipeline
+from .planner import check_seed, simulate_pipeline
 
 
 def fit_loglog_slope(xs, ys, floor: float) -> float | None:
@@ -176,7 +176,8 @@ def cmd_bound(args) -> int:
     k_free, free = suzuki.nexp_bound_optimal(m, tau, eps)
     k = args.k if args.k is not None else k_free
     r, notes = ((args.r, []) if args.r is not None
-                else recording(suzuki.choose_r, k, m, tau, eps))
+                else (suzuki.choose_r(k, m, tau, eps),
+                      suzuki.window_notes(k, m, tau, eps)))
     lin, power = suzuki.restriction_values(k, m, tau, r)
     per_k = suzuki.nexp_bound(k, m, tau, eps)
     count = suzuki.exponential_count(k, m)

@@ -14,18 +14,18 @@ pieces.  Only the finished tag is written out as a bit string.
 
 Chains only ever need z_n + 2 elements, so one piece lookup touches the
 base oracle at most 2(z_n + 2) times, and those base queries are the only
-cost counted.  colored_query is that per-lookup algorithm, the paper's
-piece oracle, in two parts: edge_claims reads the (i, j)-chains at both
-endpoints of x once and runs the halving rounds on each, and pick chooses
-the tag's answer from what they claim.  decompose is the one step that
-reads an oracle for its pieces: one counted read of each slot, checked
-once, and every piece table built from it at once by running the same
-rounds on whole columns of chains.  It returns one Decomposition value,
-which verify_coloring takes whole; the lookups are the reference those
-tables are verified against.  Since every tag of one (i, j, x) answers
-from the same reads, verify_coloring makes one cold lookup per (i, j, x)
-through ColoredOracle.column, which keeps the claims it read, and picks
-every other tag's answer from them.
+cost counted.  ColoredOracle.column is that per-lookup algorithm, the
+paper's piece oracle, in two parts: edge_claims reads the (i, j)-chains at
+both endpoints of x once and runs the halving rounds on each, and pick
+chooses the tag's answer from what they claim.  decompose is the one step
+that reads an oracle for its pieces: one counted read of each slot,
+checked once, and every piece table built from it at once by running the
+same rounds on whole columns of chains.  It returns one Decomposition
+value, which verify_coloring takes whole; the lookups are the reference
+those tables are verified against.  Since every tag of one (i, j, x)
+answers from the same reads, verify_coloring makes one cold lookup per
+(i, j, x) through column, which keeps the claims it read, and picks every
+other tag's answer from them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -95,8 +95,11 @@ def _rounds(n: int) -> int:
 
 def vertex_bits(x: int, n: int) -> str:
     """n-bit big-endian string for a vertex number."""
-    if not 0 <= x < (1 << n):
-        raise ColoringError(f"vertex {x} out of range for n={n}")
+    if not (type(x) is int and 0 <= x < (1 << n)):
+        if isinstance(x, Real) and not 0 <= x < (1 << n):
+            raise ColoringError(f"vertex {x} out of range for n={n}")
+        if not isinstance(x, Integral):
+            raise ColoringError(f"vertex {x} is not an integer")
     return format(x, f"0{n}b")
 
 
@@ -221,9 +224,11 @@ class EdgeLabel:
     nu: str
 
     def __post_init__(self) -> None:
-        if self.i < 1 or self.j < 1:
+        slots = (self.i, self.j)
+        # real slots meet the range check first, any other only this one
+        if all(isinstance(k, Real) for k in slots) and min(slots) < 1:
             raise ColoringError(f"slots must be >= 1, got ({self.i}, {self.j})")
-        for k in (self.i, self.j):
+        for k in slots:
             if not isinstance(k, Integral):
                 raise ColoringError(f"slot {k} is not an integer")
         if not self.nu or set(self.nu) - {"0", "1"}:
@@ -295,27 +300,17 @@ def pick(claims: EdgeClaims, nu: str) -> tuple[int, complex]:
     return (x, 0j)
 
 
-def colored_query(oracle: SparseOracle, x: int,
-                  label: EdgeLabel) -> tuple[int, complex]:
-    """Row x of the 1-sparse piece named by label: (y, value) or (x, 0).
-
-    pick of edge_claims at (x, i, j), so its spend does not depend on nu
-    and stays within 2(z_n + 2) base queries.  Each call reads cold,
-    through a fresh cache; ColoredOracle.column is the same lookup, and
-    also keeps the claims it read.
-    """
-    return pick(edge_claims(oracle, x, label.i, label.j), label.nu)
-
-
 class ColoredOracle:
     """1-sparse piece of a d-sparse oracle, addressed like any other piece.
 
     column(x) is the single-probe interface shared with 1-sparse
-    SparseOracles: colored_query at x, a lookup of its own through a fresh
-    cache.  A piece keeps no counter: only the base queries a probe makes
-    count, on the base oracle's counter.  claims holds the edge_claims the
-    last probe read, which every other tag of its (i, j, x) answers from
-    by pick, with no read of its own.
+    SparseOracles: row x of the piece, (y, value) or (x, 0), as pick of
+    edge_claims at (x, i, j), so its spend does not depend on nu and stays
+    within 2(z_n + 2) base queries.  Each probe reads cold, through a
+    fresh cache.  A piece keeps no counter: only the base queries a probe
+    makes count, on the base oracle's counter.  claims holds the
+    edge_claims the last probe read, which every other tag of its
+    (i, j, x) answers from by pick, with no read of its own.
     """
 
     def __init__(self, base: SparseOracle, label: EdgeLabel) -> None:
@@ -408,7 +403,7 @@ def tables_from_slots(n: int, nbr: np.ndarray,
     """Every piece of the coloring as a table, in enumerate_labels order.
 
     nbr and val are read_slots' arrays of an oracle on n bits.  Each piece
-    is what extract_table would read through colored_query: the diagonal
+    is what extract_table would read through ColoredOracle: the diagonal
     of x in piece (i, i, zeros) when slot i of x is x itself, and an
     ascending (i, j)-edge (x, y) in piece (i, j, upsilon(x, i, j)), stored
     as (x, y, H[x, y]) in ascending x.  Empty pieces are included.  The

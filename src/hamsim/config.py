@@ -60,7 +60,3 @@ class ColoringError(HamsimError):
 
 class PlanError(HamsimError):
     """Product-formula plan construction or validation failed."""
-
-
-class ValidityWindowWarning(UserWarning):
-    """A bound or step-count formula was evaluated outside its stated window."""

@@ -32,7 +32,7 @@ import struct
 import sys
 import threading
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Iterable
 
 import numpy as np
@@ -125,10 +125,13 @@ class SparseOracle:
         self.counter = QueryCounter()
 
     def _check_args(self, x: int, i: int) -> None:
-        if not 0 <= x < self.dim:
-            raise OracleError(f"vertex {x} out of range for n={self.n}")
-        if not 1 <= i <= self.d:
-            raise OracleError(f"slot {i} out of range for d={self.d}")
+        # real numbers meet the range checks first, any other value
+        # only the integer check
+        if isinstance(x, Real) and isinstance(i, Real):
+            if not 0 <= x < self.dim:
+                raise OracleError(f"vertex {x} out of range for n={self.n}")
+            if not 1 <= i <= self.d:
+                raise OracleError(f"slot {i} out of range for d={self.d}")
         for what, k in (("vertex", x), ("slot", i)):
             if not isinstance(k, Integral):
                 raise OracleError(f"{what} {k} is not an integer")

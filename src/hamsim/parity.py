@@ -203,7 +203,8 @@ def run_parity(instance: ParityInstance, eps: float,
     choose_r).  r_rule names the winner, r_paper and r_commutator each
     rule's r, and error_bound is plan_and_run's: at the chosen (k, r), the
     smaller of the paper's and the commutator bound that hold.  warnings
-    are choose_r's validity-window warnings.  A bad eps or quantize_bits
+    holds suzuki.window_notes for the paper's rule: a note when choose_r
+    was used outside its validity window.  A bad eps or quantize_bits
     is refused before a bit is read.
     The run plans at min(eps, READOUT_EPS), so error_bound is at most eps
     and 1/2, and an unquantized run reads the right parity at any eps.

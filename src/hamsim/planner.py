@@ -3,7 +3,8 @@
 `simulate` (the merged coloring pieces of an oracle) and `parity` (the
 ladder's two pieces) hand their pieces to plan_and_run.  It picks (k, r)
 by the cheaper of two rigorous rules, reports every bound at the chosen
-(k, r), then quantizes, packs, builds the plan and applies it.
+(k, r) and the paper rule's validity-window note as a value, then
+quantizes, packs, builds the plan and applies it.
 simulate_pipeline, the whole `simulate` toolchain as one call, lives here
 too; the CLI keeps argument parsing and JSON.
 """
@@ -12,20 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 
 from . import _kernels, coloring, numerics, one_sparse, suzuki
 from .config import ColoringError, HamsimError, PlanError
-
-
-def recording(fn, *fargs, **fkw):
-    """fn's result and the messages of the warnings it raised."""
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        out = fn(*fargs, **fkw)
-    return out, [str(w.message) for w in rec]
 
 
 def check_seed(seed: int | None, name: str) -> int | None:
@@ -74,7 +66,8 @@ def plan_and_run(pieces: list[one_sparse.OneSparseTable], t: float,
     error_bound_commutator (k = 1 only); error_bound is the smaller of
     those that hold.  The piece count that chose r, m_plan, and tau and
     alpha all describe the pieces given, so quantizing cannot move the
-    bounds.
+    bounds.  warnings holds suzuki.window_notes for the paper's rule,
+    whichever rule wins, and is empty for a given r.
 
     norm bounds ||H|| and d is H's sparsity: quantize "auto" takes
     precision_bits(norm |t|, d, k, eps), reported either way as
@@ -89,7 +82,8 @@ def plan_and_run(pieces: list[one_sparse.OneSparseTable], t: float,
     alpha = suzuki.commutator_alpha(one_sparse.nested_commutator_norms(pieces))
     m_plan = max(len(pieces), 1)
     k_paper = k if k is not None else suzuki.choose_k(m_plan, tau, eps)
-    r_paper, notes = recording(suzuki.choose_r, k_paper, m_plan, tau, eps)
+    r_paper = suzuki.choose_r(k_paper, m_plan, tau, eps)
+    notes = suzuki.window_notes(k_paper, m_plan, tau, eps)
     r_commutator = suzuki.choose_r_commutator(alpha, t, eps)
     # (rule, k, r), in the order that breaks a tie
     rules = [("commutator", 1, r_commutator), ("paper", k_paper, r_paper)]

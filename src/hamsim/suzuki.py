@@ -11,7 +11,8 @@ length at exactly 2(m-1)5^(k-1) + 1.
 The bound side gives: a closed-form error bound for the r-fold slicing,
 its validity restrictions, the slice count r needed for a target error
 (from the closed form, or the smallest one its sharper pre-form allows),
-and exponential-count bounds with their validity windows.  For k = 1 it
+a note when that closed form is used outside its validity window, and
+exponential-count bounds with their validity windows.  For k = 1 it
 also gives the commutator-scaling bound, which depends on the terms
 themselves rather than on their largest norm, and its slice count.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import warnings
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from functools import lru_cache
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import TOL, PlanError, ValidityWindowWarning
+from .config import TOL, PlanError
 from .numerics import hermitian_expm, require_hermitian, require_state
 
 TermEvolver = Callable[[float, np.ndarray], np.ndarray]
@@ -220,6 +220,12 @@ def _check_tau_eps(tau: float, eps: float) -> None:
         raise PlanError(f"eps must be a finite positive number, got {eps}")
 
 
+def _check_count_args(k: int, m: int, tau: float, eps: float) -> None:
+    _check_km(k, m)
+    _check_tau_eps(tau, eps)
+    _check_order_range(k)
+
+
 def choose_k(m: int, tau: float, eps: float) -> int:
     """Near-optimal integrator order: round(sqrt(log5(m tau/eps) + 1)/2).
 
@@ -242,19 +248,12 @@ def choose_r(k: int, m: int, tau: float, eps: float) -> int:
     """Slice count ceil(4 * 5^(k-1/2) (m tau)^(1+1/2k) / eps^(1/2k)).
 
     Guarantees the closed-form error bound is at most eps inside the window
-    eps <= 1 <= 2 m 5^(k-1) tau; outside the window a warning is issued and
-    the formula value is still returned.
+    eps <= 1 <= 2 m 5^(k-1) tau; outside it the formula value is still
+    returned, and window_notes says so.
     """
-    _check_km(k, m)
-    _check_tau_eps(tau, eps)
-    _check_order_range(k)
+    _check_count_args(k, m, tau, eps)
     if tau == 0:
         return 1
-    if not eps <= 1.0 <= 2.0 * m * 5 ** (k - 1) * tau:
-        warnings.warn(
-            f"slice-count formula used outside its window "
-            f"(eps={eps}, 2m5^(k-1)tau={2.0 * m * 5 ** (k - 1) * tau})",
-            ValidityWindowWarning, stacklevel=2)
     try:
         val = (4.0 * 5.0 ** (k - 0.5) * (m * tau) ** (1.0 + 0.5 / k)
                / eps ** (0.5 / k))
@@ -262,6 +261,19 @@ def choose_r(k: int, m: int, tau: float, eps: float) -> int:
     except OverflowError:
         raise PlanError(f"slice count overflows at k={k}, m={m}, tau={tau}, "
                         f"eps={eps}") from None
+
+
+def window_notes(k: int, m: int, tau: float, eps: float) -> list[str]:
+    """choose_r's note when eps <= 1 <= 2 m 5^(k-1) tau fails, else [].
+
+    At tau = 0 choose_r returns 1 without the formula, so there is no note.
+    """
+    _check_count_args(k, m, tau, eps)
+    x = 2.0 * m * 5 ** (k - 1) * tau
+    if tau == 0 or eps <= 1.0 <= x:
+        return []
+    return [f"slice-count formula used outside its window "
+            f"(eps={eps}, 2m5^(k-1)tau={x})"]
 
 
 def restriction_values(k: int, m: int, tau: float, r: int) -> tuple[float, float]:
@@ -335,9 +347,7 @@ def choose_r_sharp(k: int, m: int, tau: float, eps: float) -> int:
     r u = log1p(eps) bounds the answer from above; the search bisects
     between it and the smallest r the linear restriction allows.
     """
-    _check_km(k, m)
-    _check_tau_eps(tau, eps)
-    _check_order_range(k)
+    _check_count_args(k, m, tau, eps)
     if tau == 0:
         return 1
     x = 2.0 * 5.0 ** (k - 1) * m * tau  # rounded as restriction_values does
@@ -441,15 +451,14 @@ class BoundResult:
 def nexp_bound(k: int, m: int, tau: float, eps: float) -> BoundResult:
     """Exponential-count bound 2 m 5^(2k) (m tau)^(1+1/2k) / eps^(1/2k).
 
-    The window flag records eps <= 1 <= 2 m 5^(k-1) tau; outside it the
-    value is still the formula's, flagged rather than raised.
+    The window flag records eps <= 1 <= 2 m 5^(k-1) tau, where window_notes
+    has no note for choose_r; outside it the value is still the formula's,
+    flagged rather than raised.
     """
-    _check_km(k, m)
-    _check_tau_eps(tau, eps)
-    _check_order_range(k)
-    window = eps <= 1.0 <= 2.0 * m * 5 ** (k - 1) * tau
-    if tau == 0:
-        return BoundResult(0.0, window)
+    _check_count_args(k, m, tau, eps)
+    if tau == 0:  # 2 m 5^(k-1) tau = 0 < 1, outside the window
+        return BoundResult(0.0, False)
+    window = not window_notes(k, m, tau, eps)
     try:
         value = (2.0 * m * 5.0 ** (2 * k) * (m * tau) ** (1.0 + 0.5 / k)
                  / eps ** (0.5 / k))
@@ -461,7 +470,7 @@ def nexp_bound(k: int, m: int, tau: float, eps: float) -> BoundResult:
 def nexp_bound_optimal(m: int, tau: float, eps: float) -> tuple[int, BoundResult]:
     """Order choice and the order-free bound 4 m^2 tau e^(2 sqrt(ln5 ln(m tau/eps))).
 
-    Returns (k, result) with the window flag recording eps <= 1 <= m tau / 25.
+    Returns (k, result), whose window flag is eps <= 1 <= m tau / 25.
     """
     _check_km(1, m)
     _check_tau_eps(tau, eps)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -268,6 +269,53 @@ def test_simulate_commutator_rule_on_the_n8_instance():
     assert data["commutator_alpha"] == pytest.approx(0.47747889426399887,
                                                      rel=1e-12)
     assert (data["r_commutator"], data["n_exp"]) == (3, 87)
+
+
+def test_concurrent_runs_each_report_their_own_window_notes(monkeypatch):
+    # the run outside the window takes choose_r only once the other run,
+    # started after it, is inside its own choose_r; a note kept in
+    # process-wide state, as a warning caught by catch_warnings is, would
+    # land in the later run's log
+    real_choose_r = suzuki.choose_r
+    waiting, inside, done = (threading.Event() for _ in range(3))
+
+    def choose_r(*args):
+        if threading.current_thread().name == "outside":
+            waiting.set()
+            assert inside.wait(timeout=30)
+            try:
+                return real_choose_r(*args)
+            finally:
+                done.set()
+        inside.set()
+        assert done.wait(timeout=30)
+        return real_choose_r(*args)
+
+    monkeypatch.setattr(suzuki, "choose_r", choose_r)
+    orc = oracle.random_sparse(4, 2, seed=1, norm_target=1.0)
+    notes = {}
+
+    def run(t):
+        data = cli.simulate_pipeline(orc, t, 1e-2, verify=False)
+        notes[threading.current_thread().name] = data["warnings"]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=run, args=(t,), name=name)
+               for name, t in (("outside", 1e-3), ("inside", 1.0))]
+    threads[0].start()
+    try:
+        assert waiting.wait(timeout=30)
+        threads[1].start()
+    finally:
+        for th in threads:
+            if th.is_alive():
+                th.join()
+        sys.setswitchinterval(interval)
+    assert notes["inside"] == []
+    assert notes["outside"] == [
+        "slice-count formula used outside its window "
+        "(eps=0.01, 2m5^(k-1)tau=0.00382608300024741)"]
 
 
 # the benchmark's sim-deep and sim-wide instances at state seed 1: the

@@ -11,8 +11,9 @@ import pytest
 
 from hamsim import cli, coloring, numerics, oracle
 from hamsim.coloring import (
-    REFERENCE_TRACE_MAIN, REFERENCE_TRACE_SHIFTED, VERIFY_SAMPLE, EdgeLabel,
-    QueryCache, build_chain, coin_toss_level, colored_query, enumerate_labels, final_alphabet, halving_trace, iterate_count, upsilon,
+    REFERENCE_TRACE_MAIN, REFERENCE_TRACE_SHIFTED, VERIFY_SAMPLE,
+    ColoredOracle, EdgeLabel, QueryCache, build_chain, coin_toss_level,
+    enumerate_labels, final_alphabet, halving_trace, iterate_count, upsilon,
     verify_coloring, vertex_bits)
 from hamsim.config import ColoringError, OracleError, dense_cap
 from hamsim.one_sparse import OneSparseTable, extract_table
@@ -231,17 +232,19 @@ def test_colored_query_claims_edges_consistently():
     orc = path_fixture()
     lbl_x = EdgeLabel(1, 3, "000")
     lbl_w = EdgeLabel(1, 3, "100")
-    assert colored_query(orc, X_V[0], lbl_x) == (X_V[1], 1.0 + 0j)
-    assert colored_query(orc, X_V[1], lbl_x) == (X_V[0], 1.0 + 0j)
-    assert colored_query(orc, W_V, lbl_w) == (X_V[0], 1.0 + 0j)
-    assert colored_query(orc, X_V[0], lbl_w) == (W_V, 1.0 + 0j)
+    assert ColoredOracle(orc, lbl_x).column(X_V[0]) == (X_V[1], 1.0 + 0j)
+    assert ColoredOracle(orc, lbl_x).column(X_V[1]) == (X_V[0], 1.0 + 0j)
+    assert ColoredOracle(orc, lbl_w).column(W_V) == (X_V[0], 1.0 + 0j)
+    assert ColoredOracle(orc, lbl_w).column(X_V[0]) == (W_V, 1.0 + 0j)
     # x1's own upward edge carries the tag of the chain starting at x1
     up_tag = upsilon(orc, X_V[1], 1, 3, {})
-    assert colored_query(orc, X_V[1], EdgeLabel(1, 3, up_tag)) == (X_V[2], 1.0 + 0j)
+    assert ColoredOracle(orc, EdgeLabel(1, 3, up_tag)).column(X_V[1]) == (
+        X_V[2], 1.0 + 0j)
     # and a tag belonging to neither adjacent edge stays silent there
     silent = next(nu for nu in coloring.FINAL_ALPHABET
                   if nu not in ("000", up_tag))
-    assert colored_query(orc, X_V[1], EdgeLabel(1, 3, silent)) == (X_V[1], 0j)
+    assert ColoredOracle(orc, EdgeLabel(1, 3, silent)).column(X_V[1]) == (
+        X_V[1], 0j)
 
 
 def test_colored_query_per_call_budget_is_tight():
@@ -251,7 +254,7 @@ def test_colored_query_per_call_budget_is_tight():
     # mismatching one and a matching one spend the same
     for nu in ("001", "000"):
         before = orc.counter.count
-        colored_query(orc, X_V[0], EdgeLabel(1, 3, nu))
+        ColoredOracle(orc, EdgeLabel(1, 3, nu)).column(X_V[0])
         assert orc.counter.count - before == bound
 
 
@@ -262,21 +265,32 @@ def test_colored_query_diagonal_case():
     z = iterate_count(3)
     assert z == 1
     # vertex 1 carries its diagonal in slot 1 (canonical ascending order)
-    assert colored_query(orc, 1, EdgeLabel(1, 1, "000")) == (1, 0.5 + 0j)
-    assert colored_query(orc, 2, EdgeLabel(1, 1, "000")) == (2, -0.25 + 0j)
+    diagonal = ColoredOracle(orc, EdgeLabel(1, 1, "000"))
+    assert diagonal.column(1) == (1, 0.5 + 0j)
+    assert diagonal.column(2) == (2, -0.25 + 0j)
     # but not under a nonzero tag or mismatched slots
-    assert colored_query(orc, 1, EdgeLabel(1, 1, "100")) == (1, 0j)
-    assert colored_query(orc, 1, EdgeLabel(2, 2, "000")) == (1, 0j)
+    assert ColoredOracle(orc, EdgeLabel(1, 1, "100")).column(1) == (1, 0j)
+    assert ColoredOracle(orc, EdgeLabel(2, 2, "000")).column(1) == (1, 0j)
 
 
 def test_edge_label_refuses_a_slot_that_is_not_an_integer():
     for args, msg in (((1.5, 1, "000"), "slot 1.5 is not an integer"),
                       ((1, 2.5, "000"), "slot 2.5 is not an integer"),
-                      ((0.5, 1, "000"), "slots must be >= 1, got (0.5, 1)")):
+                      ((0.5, 1, "000"), "slots must be >= 1, got (0.5, 1)"),
+                      (("a", 1, "000"), "slot a is not an integer"),
+                      ((1, None, "000"), "slot None is not an integer")):
         with pytest.raises(ColoringError) as err:
             EdgeLabel(*args)
         assert str(err.value) == msg
     assert EdgeLabel(np.int64(2), np.int32(1), "000") == EdgeLabel(2, 1, "000")
+    # and vertex_bits a vertex, after the range check for a real number
+    for x, msg in ((1.5, "vertex 1.5 is not an integer"),
+                   ("a", "vertex a is not an integer"),
+                   (8.5, "vertex 8.5 out of range for n=3")):
+        with pytest.raises(ColoringError) as err:
+            vertex_bits(x, 3)
+        assert str(err.value) == msg
+    assert vertex_bits(np.int64(5), 3) == "101"
 
 
 def test_case_conditions_mutually_exclusive():
@@ -724,7 +738,7 @@ def test_cold_lookups_make_the_same_queries_in_the_same_order():
     for label in enumerate_labels(3, 8):
         for x in range(orc.dim):
             before = orc.counter.count
-            colored_query(orc, x, label)
+            ColoredOracle(orc, label).column(x)
             spent[orc.counter.count - before] += 1
     assert spent == {1: 564, 2: 6390, 3: 4722, 4: 1476, 5: 348, 6: 210,
                      7: 66, 8: 30, 9: 12, 10: 6}
@@ -943,11 +957,11 @@ def test_verify_leaves_no_memo_for_another_width():
     # integer tuples while their halving rounds run at different widths
     other = oracle.random_sparse(5, 4, seed=3)
     tags = all_tags(other)
-    answers = [colored_query(other, x, label)
+    answers = [ColoredOracle(other, label).column(x)
                for label in enumerate_labels(4, 5) for x in range(other.dim)]
     assert verify_coloring(oracle.random_sparse(6, 4, seed=6)).ok
     assert all_tags(other) == tags
-    assert [colored_query(other, x, label)
+    assert [ColoredOracle(other, label).column(x)
             for label in enumerate_labels(4, 5)
             for x in range(other.dim)] == answers
 
@@ -970,7 +984,7 @@ def test_upsilon_outside_verify_runs_every_round(monkeypatch):
     # a lookup tags the edges at both endpoints, whether its tag matches
     # the first or not
     for _ in range(2):
-        assert colored_query(orc, X_V[0], EdgeLabel(1, 3, "000")) == (
+        assert ColoredOracle(orc, EdgeLabel(1, 3, "000")).column(X_V[0]) == (
             X_V[1], 1.0 + 0j)
     assert len(rounds) == 2 * 2 * z
 

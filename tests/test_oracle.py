@@ -164,11 +164,16 @@ def test_query_contract_types_messages_and_counts():
             orc.query(x, i)
         assert str(err.value) == msg
     assert orc.counter.count == 1
-    # a vertex or slot in range that is not an integer is refused before
-    # counting, by query and by peek; numpy integers pass
+    # a vertex or slot in range that is not an integer, or that is not a
+    # real number at all, is refused before counting, by query and by
+    # peek; numpy integers pass
     orc = oracle.random_sparse(3, 2, seed=1)
     for x, i, msg in ((0, 1.5, "slot 1.5 is not an integer"),
-                      (0.5, 1, "vertex 0.5 is not an integer")):
+                      (0.5, 1, "vertex 0.5 is not an integer"),
+                      ("a", 1, "vertex a is not an integer"),
+                      (0, None, "slot None is not an integer"),
+                      (0, 1j, "slot 1j is not an integer"),
+                      (None, 1, "vertex None is not an integer")):
         for ask in (orc.query, orc.peek):
             with pytest.raises(OracleError) as err:
                 ask(x, i)

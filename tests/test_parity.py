@@ -1,14 +1,13 @@
 """Parity ladder: structure, norm, exact transfer, end-to-end runs."""
 
 import itertools
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hamsim import numerics, one_sparse, oracle, suzuki
-from hamsim.config import OracleError, PlanError, ValidityWindowWarning
+from hamsim.config import OracleError, PlanError
 from hamsim.one_sparse import (extract_table, pack_tables, precision_bits,
                                quantize_table, table_to_dense)
 from hamsim.parity import (READOUT_EPS, ParityInstance, build_parity_oracle,
@@ -158,11 +157,8 @@ def _ladder_rules(N, eps):
               for p in split_even_odd(inst)]
     alpha = suzuki.commutator_alpha(one_sparse.nested_commutator_norms(tables))
     k = suzuki.choose_k(2, tau, eps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWindowWarning)
-        r_paper = suzuki.choose_r(k, 2, tau, eps)
     return {"commutator": (1, suzuki.choose_r_commutator(alpha, np.pi, eps)),
-            "paper": (k, r_paper)}, tau, alpha
+            "paper": (k, suzuki.choose_r(k, 2, tau, eps))}, tau, alpha
 
 
 def _assert_within_bound(N, eps, res):

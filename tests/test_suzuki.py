@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hamsim import numerics, suzuki
-from hamsim.config import TOL, PlanError, ValidityWindowWarning
+from hamsim.config import TOL, PlanError
 from hamsim.suzuki import BoundResult, PlanStep
 
 # Frozen reference constants, computed independently with mpmath at 40
@@ -210,14 +210,16 @@ def test_choose_r_scaling_in_tau():
 
 
 def test_choose_r_window_warning():
-    with pytest.warns(ValidityWindowWarning):
-        suzuki.choose_r(1, 1, 1.0, 2.0)       # eps > 1
-    with pytest.warns(ValidityWindowWarning):
-        suzuki.choose_r(1, 1, 0.1, 0.5)       # 2 m 5^(k-1) tau < 1
-    import warnings as _w
-    with _w.catch_warnings():
-        _w.simplefilter("error")
-        suzuki.choose_r(1, 2, 1.0, 0.01)      # inside the window: silent
+    # the note is a value; choose_r's r is the formula's either way
+    cases = [((1, 1, 1.0, 2.0), 7, "eps=2.0, 2m5^(k-1)tau=2.0"),  # eps > 1
+             ((1, 1, 0.1, 0.5), 1, "eps=0.5, 2m5^(k-1)tau=0.2"),  # tau small
+             ((1, 2, 1.0, 0.01), 253, None),  # inside the window
+             ((1, 2, 0.0, 0.01), 1, None)]  # tau = 0: no formula, no note
+    for args, r, figures in cases:
+        assert suzuki.choose_r(*args) == r
+        want = [] if figures is None else [
+            f"slice-count formula used outside its window ({figures})"]
+        assert suzuki.window_notes(*args) == want
 
 
 def test_integrator_error_bound_frozen_value():
